@@ -357,6 +357,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     pot = build_potential(cfg)
     grid = build_the_grid(cfg, pot, grid_scale)
+    positive = pot(grid.r) > 0.0
+    if not positive.all():
+        bad = float(grid.r[np.argmin(positive)])
+        raise NonPositivePotential(f"q(r) <= 0 at grid node r = {bad:.6g}")
     spectrum = summarize_spectrum(grid, pot, max_sector=cfg.get("max_sector", 8))
     op = assemble(grid, pot, 0)
     w = estimate_c0_delta0(spectrum, op, margin=cfg.get("margin", 0.5))

@@ -85,11 +85,11 @@ def exp_potential(r0: float = 0.0) -> RadialPotential:
 def tabulated_potential(path: str, r0: float | None = None) -> RadialPotential:
     """Load a potential from a two-column CSV with header ``r,q``.
 
-    Radii must be strictly increasing.  Evaluation interpolates linearly
-    inside the table and extends the last segment's slope beyond it (a
-    nonpositive end slope then fails class validation naturally).  When
-    ``r0`` is not given it defaults to the first tabulated radius from
-    which the values are nondecreasing.
+    Entries must be finite and radii strictly increasing.  Evaluation
+    interpolates linearly inside the table and extends the last segment's
+    slope beyond it (a nonpositive end slope then fails class validation
+    naturally).  When ``r0`` is not given it defaults to the first
+    tabulated radius from which the values are nondecreasing.
     """
     try:
         raw = np.genfromtxt(path, delimiter=",", names=True)
@@ -101,6 +101,8 @@ def tabulated_potential(path: str, r0: float | None = None) -> RadialPotential:
     q_tab = np.atleast_1d(raw["q"]).astype(float)
     if r_tab.size < 2:
         raise MalformedInput("potential table needs at least two rows")
+    if not (np.all(np.isfinite(r_tab)) and np.all(np.isfinite(q_tab))):
+        raise MalformedInput("potential table entries must be finite numbers")
     if not np.all(np.diff(r_tab) > 0):
         raise MalformedInput("potential table radii must be strictly increasing")
 

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import groundstate
 from groundstate.experiment_cli import COLUMNS, main
 
 
@@ -142,6 +147,41 @@ def test_config_errors_exit_2(tmp_path):
     del cfg["sweep"]
     zero.write_text(json.dumps(cfg))
     assert main(["run", str(zero)]) == 2
+
+
+def write_table(path: Path, q_of_r) -> Path:
+    radii = np.linspace(0.0, 4.0, 41)
+    path.write_text("r,q\n" + "".join(f"{r},{q_of_r(i, r)}\n" for i, r in enumerate(radii)))
+    return path
+
+
+def test_nonpositive_table_potential_exits_2(tmp_path, capsys):
+    table = write_table(tmp_path / "q.csv", lambda i, r: r**4 - 2.0)
+    cfg = write_config(tmp_path / "cfg.json", potential={"kind": "table", "path": str(table)})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "q(r) <= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_nonfinite_table_potential_exits_2(tmp_path, capsys):
+    table = write_table(tmp_path / "q.csv", lambda i, r: "nan" if i == 5 else 1.0 + r**4)
+    cfg = write_config(tmp_path / "cfg.json", potential={"kind": "table", "path": str(table)})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy_sparse():
+    # scipy.sparse would add to the start-up cost paid on every CLI call
+    src = str(Path(groundstate.__file__).resolve().parent.parent)
+    code = (
+        "import sys, groundstate.experiment_cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_numerical_failure_exits_3(tmp_path):

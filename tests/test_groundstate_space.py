@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from groundstate import (
     RadialPotential,
@@ -10,14 +13,59 @@ from groundstate import (
     eigenpairs,
     estimate_c0_delta0,
     make_grid,
+    power_potential,
     projected_resolvent_norm,
     summarize_spectrum,
     x_norm,
     x_norm_location,
 )
 from groundstate.errors import MalformedInput
+from groundstate.groundstate_space import ROW_FLOOR
 
 POT = RadialPotential(lambda r: 1.0 + r**4, name="quartic3d")
+OSC = RadialPotential(lambda r: r**2, name="oscillator")
+
+
+def dense_projected_resolvent_norm(op, phi, quad_weights, mu, block=512):
+    """Dense max row sum of |D_phi^-1 Pi (L-mu)^-1 Pi D_phi| over kept rows.
+
+    Reference for the block 1-norm estimate: forms the columns of the
+    matrix by banded solves against the columns of Pi D_phi, a block of
+    columns at a time so memory stays O(n * block).
+    """
+    n = len(phi)
+    wphi = quad_weights * phi
+    keep = phi >= ROW_FLOOR * phi.max()
+    ab = np.zeros((3, op.dim))
+    ab[0, 1:] = op.offdiag
+    ab[1, :] = op.diag - mu
+    ab[2, :-1] = op.offdiag
+    row_sums = np.zeros(int(keep.sum()))
+    for j0 in range(0, n, block):
+        j = np.arange(j0, min(j0 + block, n))
+        cols = -np.outer(phi, wphi[j] * phi[j])
+        cols[j, j - j0] += phi[j]
+        z = solve_banded((1, 1), ab, op.scale[:, None] * cols[op.start :])
+        y = np.zeros((n, len(j)))
+        y[op.start :] = z / op.scale[:, None]
+        py = y - np.outer(phi, wphi @ y)
+        row_sums += np.abs(py[keep] / phi[keep, None]).sum(axis=1)
+    return float(row_sums.max())
+
+
+def window_problem(pot, space_dim, r_max, n):
+    grid = make_grid(space_dim, r_max, n)
+    spectrum = summarize_spectrum(grid, pot)
+    op = assemble(grid, pot, 0)
+    return grid, op, spectrum, estimate_c0_delta0(spectrum, op)
+
+
+def assert_estimate_matches_oracle(grid, op, spectrum, window):
+    phi = spectrum.phi.values
+    for mu in window.mu_samples:
+        est = projected_resolvent_norm(op, phi, grid.quad_weights, float(mu))
+        exact = dense_projected_resolvent_norm(op, phi, grid.quad_weights, float(mu))
+        assert est == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +185,43 @@ def test_estimate_rejects_bad_margin(ctx):
         estimate_c0_delta0(spectrum, op, margin=0.0)
     with pytest.raises(MalformedInput):
         estimate_c0_delta0(spectrum, op, margin=1.0)
+
+
+@pytest.mark.parametrize(
+    "pot, space_dim, r_max, n",
+    [
+        (OSC, 1, 8.0, 2000),  # the harmonic wells of acceptance criterion 01
+        (OSC, 3, 8.0, 2000),
+        (POT, 3, 3.2, 400),
+        (POT, 3, 3.2, 800),
+    ],
+)
+def test_c0_estimate_matches_dense_oracle(pot, space_dim, r_max, n):
+    assert_estimate_matches_oracle(*window_problem(pot, space_dim, r_max, n))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.floats(0.05, 5.0),
+    s=st.floats(2.0, 6.0, exclude_min=True),
+    space_dim=st.integers(1, 5),
+    n=st.integers(40, 400),
+)
+def test_c0_estimate_on_admissible_power_wells(c, s, space_dim, n):
+    grid, op, spectrum, window = window_problem(power_potential(c, s), space_dim, 4.0, n)
+    assert_estimate_matches_oracle(grid, op, spectrum, window)
+    assert window.c0 >= 1.0 / (spectrum.radial_eigs[1] - spectrum.Lambda - window.delta0)
+
+
+def test_c0_estimate_is_bit_identical_on_rerun(ctx):
+    _, op, spectrum, window = ctx
+    assert estimate_c0_delta0(spectrum, op).c0 == window.c0
+
+
+def test_c0_estimate_leaves_global_random_state_alone(ctx):
+    _, op, spectrum, _ = ctx
+    name, keys, pos, has_gauss, cached = np.random.get_state()
+    estimate_c0_delta0(spectrum, op)
+    after = np.random.get_state()
+    assert (name, pos, has_gauss, cached) == (after[0], *after[2:])
+    assert np.array_equal(keys, after[1])
