@@ -13,11 +13,13 @@ writes deterministic artifacts into the configured output directory:
 curves (sign-certificate and blow-up) from a previously written sweep,
 copying cell text verbatim so repeated runs stay byte-identical.
 
-Exit codes: 0 success; 2 malformed config or unreadable input; 3 a solver
-raised (no convergence, singular solve, escaped bracket, window or
-hypothesis violation); 4 certificates were required but some row is
-uncertified.  Wall-clock time goes to stderr only, keeping files
-reproducible.
+Exit codes: 0 success; 2 malformed config, unreadable input, or a
+potential that is nonpositive on the grid or decreases on grid nodes
+beyond its r0; 3 a solver raised (no convergence, singular solve, escaped
+bracket, window or hypothesis violation); 4 certificates were required but
+some row is uncertified.  The output directory is created only once every
+row is computed, so a run that exits 2 or 3 creates none.
+Wall-clock time goes to stderr only, keeping files reproducible.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .radial_grid import (
     exp_potential,
     make_grid,
     power_potential,
+    require_increasing,
     tabulated_potential,
 )
 from .semilinear_solver import (
@@ -259,6 +262,16 @@ def build_the_grid(cfg: dict, pot, grid_scale: float):
     )
 
 
+def check_potential_on_grid(pot, grid) -> None:
+    """q must be positive on every node and must not decrease beyond r0."""
+    q = pot(grid.r)
+    positive = q > 0.0
+    if not positive.all():
+        bad = float(grid.r[np.argmin(positive)])
+        raise NonPositivePotential(f"q(r) <= 0 at grid node r = {bad:.6g}")
+    require_increasing(grid.r, q, pot.r0)
+
+
 def build_nonlinearity(block: dict):
     kind = block["kind"]
     if kind == "constant":
@@ -352,15 +365,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"{canon}|{grid_scale!r}|{seed}".encode()
     ).hexdigest()[:16]
 
-    out_dir = Path(args.out) if args.out else Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     pot = build_potential(cfg)
     grid = build_the_grid(cfg, pot, grid_scale)
-    positive = pot(grid.r) > 0.0
-    if not positive.all():
-        bad = float(grid.r[np.argmin(positive)])
-        raise NonPositivePotential(f"q(r) <= 0 at grid node r = {bad:.6g}")
+    check_potential_on_grid(pot, grid)
     spectrum = summarize_spectrum(grid, pot, max_sector=cfg.get("max_sector", 8))
     op = assemble(grid, pot, 0)
     w = estimate_c0_delta0(spectrum, op, margin=cfg.get("margin", 0.5))
@@ -404,6 +411,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         meta.update(extras)
         meta["window_rule"] = WINDOW_RULE_SYSTEM
 
+    # created only now, so a run that fails leaves no directory behind
+    out_dir = Path(args.out) if args.out else Path(cfg["output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "spectrum.json", "w") as handle:
         json.dump(_jsonable(meta), handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -51,21 +51,18 @@ def linear_problem(
 
 
 def solve_linear(p: LinearProblem) -> GroundstateVector:
-    """Banded solve of (L - mu)u = f with residual and component checks.
+    """Verified banded solve of (L - mu)u = f plus a component check.
 
-    Verifies the relative residual is below 1e-10 and that the computed
-    u1 matches f1/(Lambda - mu) to 1e-6 relative (the discrete identity is
-    exact up to rounding since phi is an exact eigenvector of the matrix).
+    The residual is checked inside solve_shifted; here the computed u1
+    must also match f1/(Lambda - mu) to 1e-6 relative (the discrete
+    identity is exact up to rounding since phi is an exact eigenvector of
+    the matrix).
     """
-    u = p.op.solve_shifted(p.mu, p.f.values)
-    grid = p.op.grid
-    resid = p.op.matvec(u) - p.mu * u - p.f.values
-    # backward-error scaling: ||u|| can dwarf ||f|| near Lambda, so the
-    # attainable residual is set by ||L - mu||*||u||, not by ||f|| alone
-    denom = grid.norm(p.f.values) + (p.op.norm_bound + abs(p.mu)) * grid.norm(u)
-    if denom > 0 and grid.norm(resid) > 1e-10 * denom:
-        raise SingularResolvent("resolvent solve residual above 1e-10; mu too close to spectrum")
-    ug = decompose(u, p.spectrum.phi.values, grid.quad_weights)
+    try:
+        u = p.op.solve_shifted(p.mu, p.f.values)
+    finally:
+        p.op.drop_factors()
+    ug = decompose(u, p.spectrum.phi.values, p.op.grid.quad_weights)
     expected = p.f.c1 / (p.spectrum.Lambda - p.mu)
     if abs(ug.c1 - expected) > 1e-6 * max(abs(expected), 1e-300):
         raise SingularResolvent("groundstate component identity u1 = f1/(Lambda-mu) violated")

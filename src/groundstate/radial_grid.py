@@ -119,6 +119,20 @@ def tabulated_potential(path: str, r0: float | None = None) -> RadialPotential:
     return RadialPotential(evaluate, r0=float(r0), name="table")
 
 
+def require_increasing(r: np.ndarray, q: np.ndarray, r0: float) -> None:
+    """Raise NotIncreasing if the samples q(r) decrease anywhere on r >= r0.
+
+    ``r`` must be ascending.  A drop counts only beyond a 1e-12 relative
+    slack, so flat potentials survive rounding.
+    """
+    beyond = r >= r0
+    q_tail = q[beyond]
+    drops = np.diff(q_tail) < -1e-12 * np.abs(q_tail[:-1])
+    if np.any(drops):
+        where = float(r[beyond][:-1][drops][0])
+        raise NotIncreasing(f"q decreases beyond r0 near r = {where:.6g}")
+
+
 @dataclass(frozen=True)
 class ClassPReport:
     """Outcome of :func:`validate_class_P`.
@@ -174,14 +188,7 @@ def validate_class_P(
         bad = float(r[np.argmax(q <= 0.0)])
         raise NonPositivePotential(f"q(r) <= 0 near r = {bad:.6g}")
 
-    beyond = r >= pot.r0
-    q_tail = q[beyond]
-    # tiny relative slack so flat potentials survive rounding
-    drops = np.diff(q_tail) < -1e-12 * np.abs(q_tail[:-1])
-    monotone_ok = not np.any(drops)
-    if not monotone_ok:
-        where = float(r[beyond][:-1][drops][0])
-        raise NotIncreasing(f"q decreases beyond r0 near r = {where:.6g}")
+    require_increasing(r, q, pot.r0)
 
     def segment(lo: float, hi: float) -> float:
         rs = np.linspace(lo, hi, 2049)
@@ -193,8 +200,8 @@ def validate_class_P(
     tail_below_tol = tail_far < tol
     decay_ok = tail_far <= decay_factor * tail_near
     return ClassPReport(
-        passed=bool(monotone_ok and tail_below_tol and decay_ok),
-        monotone_ok=monotone_ok,
+        passed=bool(tail_below_tol and decay_ok),
+        monotone_ok=True,
         tail_near=tail_near,
         tail_far=tail_far,
         tail_below_tol=tail_below_tol,

@@ -36,7 +36,6 @@ from .errors import (
     MonotonicityBroken,
     NoConvergence,
     SignMixed,
-    SingularResolvent,
     WindowViolation,
 )
 from .groundstate_space import GroundstateVector, WindowEstimate, decompose, x_norm
@@ -195,15 +194,11 @@ def apply_T(
 ) -> np.ndarray:
     """One fixed-point map T(u) = (L - mu)^{-1} [phi * g(r, u)].
 
-    The banded solve is verified a posteriori: relative residual above
-    1e-10 raises SingularResolvent.
+    The solve reuses the operator's factorization of T - mu and is
+    verified inside solve_shifted: a residual above 1e-10 raises
+    SingularResolvent.
     """
-    f = spectrum.phi.values * nl(op.grid.r, u)
-    v = op.solve_shifted(mu, f)
-    denom = op.grid.norm(f) + (op.norm_bound + abs(mu)) * op.grid.norm(v)
-    if denom > 0 and op.grid.norm(op.matvec(v) - mu * v - f) > 1e-10 * denom:
-        raise SingularResolvent("fixed-point solve residual above 1e-10")
-    return v
+    return op.solve_shifted(mu, spectrum.phi.values * nl(op.grid.r, u))
 
 
 @dataclass(frozen=True)
@@ -295,29 +290,34 @@ def solve_semilinear(
     violations = 0
     trace: list[float] = []
     converged_at = None
-    for k in range(1, max_iter + 1):
-        tu = apply_T(op, spectrum, nl, mu, u)
-        out = int(np.count_nonzero((tu < bracket.lower - slack) | (tu > bracket.upper + slack)))
-        if out > escape_fraction * len(u):
-            raise BracketEscape(
-                f"iterate left the bracket at {out}/{len(u)} nodes on sweep {k}"
+    try:
+        for k in range(1, max_iter + 1):
+            tu = apply_T(op, spectrum, nl, mu, u)
+            out = int(
+                np.count_nonzero((tu < bracket.lower - slack) | (tu > bracket.upper + slack))
             )
-        violations += out
-        tu = np.clip(tu, bracket.lower, bracket.upper)
-        un = (1.0 - damping) * u + damping * tu
-        step = x_norm(un - u, phi)
-        trace.append(step)
-        u = un
-        if step < tol_x:
-            converged_at = k
-            break
-    if converged_at is None:
-        raise NoConvergence(
-            f"no X-norm step below {tol_x:g} within {max_iter} sweeps",
-            iterations=max_iter,
-            trace=trace,
-        )
-    residual_x = x_norm(u - apply_T(op, spectrum, nl, mu, u), phi)
+            if out > escape_fraction * len(u):
+                raise BracketEscape(
+                    f"iterate left the bracket at {out}/{len(u)} nodes on sweep {k}"
+                )
+            violations += out
+            tu = np.clip(tu, bracket.lower, bracket.upper)
+            un = (1.0 - damping) * u + damping * tu
+            step = x_norm(un - u, phi)
+            trace.append(step)
+            u = un
+            if step < tol_x:
+                converged_at = k
+                break
+        if converged_at is None:
+            raise NoConvergence(
+                f"no X-norm step below {tol_x:g} within {max_iter} sweeps",
+                iterations=max_iter,
+                trace=trace,
+            )
+        residual_x = x_norm(u - apply_T(op, spectrum, nl, mu, u), phi)
+    finally:
+        op.drop_factors()
     return _finish_report(
         op, spectrum, w, nl, mu, u,
         iterations=converged_at,
@@ -427,31 +427,34 @@ def monotone_solve(
 
     limits = []
     total_iters = 0
-    for u, direction in ((bracket.lower.copy(), +1.0), (bracket.upper.copy(), -1.0)):
-        converged = False
-        for k in range(1, max_iter + 1):
-            un = sweep(u)
-            drift = float(np.min(direction * (un - u)))
-            if drift < -1e-10 * max(1.0, float(np.max(np.abs(u)))):
-                raise MonotonicityBroken(
-                    f"ordered iterate moved the wrong way by {-drift:.3g}"
+    try:
+        for u, direction in ((bracket.lower.copy(), +1.0), (bracket.upper.copy(), -1.0)):
+            converged = False
+            for k in range(1, max_iter + 1):
+                un = sweep(u)
+                drift = float(np.min(direction * (un - u)))
+                if drift < -1e-10 * max(1.0, float(np.max(np.abs(u)))):
+                    raise MonotonicityBroken(
+                        f"ordered iterate moved the wrong way by {-drift:.3g}"
+                    )
+                step = x_norm(un - u, phi)
+                u = un
+                if step < tol_x:
+                    total_iters += k
+                    converged = True
+                    break
+            if not converged:
+                raise NoConvergence(
+                    f"monotone sweep stalled above {tol_x:g}", iterations=max_iter
                 )
-            step = x_norm(un - u, phi)
-            u = un
-            if step < tol_x:
-                total_iters += k
-                converged = True
-                break
-        if not converged:
-            raise NoConvergence(
-                f"monotone sweep stalled above {tol_x:g}", iterations=max_iter
-            )
-        limits.append(u)
-    lower_limit, upper_limit = limits
+            limits.append(u)
+        lower_limit, upper_limit = limits
+        residual_x = x_norm(
+            lower_limit - apply_T(op, spectrum, nl, mu, lower_limit), phi
+        )
+    finally:
+        op.drop_factors()
     gap = x_norm(upper_limit - lower_limit, phi)
-    residual_x = x_norm(
-        lower_limit - apply_T(op, spectrum, nl, mu, lower_limit), phi
-    )
     report = _finish_report(
         op, spectrum, w, nl, mu, lower_limit,
         iterations=total_iters,

@@ -168,6 +168,17 @@ def test_nonfinite_table_potential_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", potential={"kind": "table", "path": str(table)})
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_decreasing_table_potential_exits_2(tmp_path, capsys):
+    table = write_table(tmp_path / "q.csv", lambda i, r: 10.0 / (1.0 + r))
+    cfg = write_config(
+        tmp_path / "cfg.json", potential={"kind": "table", "path": str(table), "r0": 0.0}
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "decreases" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_does_not_load_scipy_sparse():
@@ -197,6 +208,7 @@ def test_numerical_failure_exits_3(tmp_path):
     del cfg["f"]
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_uncertified_rows_exit_4_but_write_outputs(tmp_path):

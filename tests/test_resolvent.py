@@ -1,0 +1,189 @@
+"""The verified resolvent solve: factor reuse, bit-identity and failure modes.
+
+``DiscreteOperator.solve_shifted`` factors ``T - mu`` once per shift with
+LAPACK gttrf and back-substitutes with gttrs.  The reference below is the
+plain ``solve_banded`` path it replaced, kept here only as the oracle: for
+a (1, 1) band scipy runs gtsv, which performs the same pivoted elimination,
+so the two must agree bit for bit.
+"""
+
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from scipy.linalg import solve_banded
+
+from groundstate import (
+    RadialPotential,
+    analyze_matrix,
+    assemble,
+    eigenvalues,
+    estimate_c0_delta0,
+    linear_problem,
+    make_grid,
+    monotone_solve,
+    rational_profile,
+    solve_linear,
+    solve_semilinear,
+    solve_system,
+    summarize_spectrum,
+    system_problem,
+    system_two_start,
+    two_start_diagnostics,
+)
+from groundstate import spectral
+from groundstate.errors import NoConvergence, SingularResolvent
+from groundstate.experiment_cli import main
+
+QUARTIC_3D = RadialPotential(lambda r: 1.0 + r**4, name="quartic3d")
+QUARTIC_1D = RadialPotential(lambda r: r**4, name="quartic1d")
+
+
+def reference_solve(op, mu: float, f: np.ndarray) -> np.ndarray:
+    """The former solve_shifted: fresh (1, 1)-banded LU on every call."""
+    ab = np.zeros((3, op.dim))
+    ab[0, 1:] = op.offdiag
+    ab[1, :] = op.diag - mu
+    ab[2, :-1] = op.offdiag
+    return op.extend(solve_banded((1, 1), ab, op.restrict(f)))
+
+
+def row_interchanges(op, mu: float) -> int:
+    ipiv = spectral.dgttrf(op.offdiag, op.diag - mu, op.offdiag)[4]
+    return int(np.count_nonzero(ipiv != np.arange(1, op.dim + 1)))
+
+
+@pytest.mark.parametrize(
+    "space_dim, r_max, pot, sector",
+    [(3, 3.2, QUARTIC_3D, 0), (1, 4.0, QUARTIC_1D, 1)],
+    ids=["N3-radial", "N1-odd"],
+)
+def test_solve_shifted_is_bit_identical_to_banded_reference(space_dim, r_max, pot, sector):
+    op = assemble(make_grid(space_dim, r_max, 300), pot, sector)
+    assert op.start == (1 if space_dim == 1 else 0)
+    lam = float(eigenvalues(op, 1)[0])
+    rng = np.random.default_rng(7)
+    for mu in (lam - 0.1, lam + 0.1):
+        if mu > lam:
+            assert row_interchanges(op, mu) > 0  # the pivoted path is exercised
+        for _ in range(3):
+            f = rng.standard_normal(len(op.grid.r))
+            f[: op.start] = 0.0  # the odd sector vanishes at the origin
+            # repeated calls reuse the factors and must not drift either
+            assert np.array_equal(op.solve_shifted(mu, f), reference_solve(op, mu, f))
+
+
+def test_nan_right_hand_side_raises_instead_of_returning_nan():
+    op = assemble(make_grid(3, 3.2, 200), QUARTIC_3D, 0)
+    mu = float(eigenvalues(op, 1)[0]) - 0.1
+    f = np.ones(len(op.grid.r))
+    f[17] = np.nan
+    with pytest.raises(SingularResolvent):
+        op.solve_shifted(mu, f)
+
+
+def test_exactly_singular_shift_raises_singular_resolvent():
+    base = assemble(make_grid(3, 1.0, 3), QUARTIC_3D, 0)
+    # [[1, 1, 0], [1, 2, 1], [0, 1, 1]] has an exactly zero last pivot at mu = 0
+    op = replace(base, diag=np.array([1.0, 2.0, 1.0]), offdiag=np.array([1.0, 1.0]))
+    f = np.ones(3)
+    with pytest.raises(np.linalg.LinAlgError):
+        reference_solve(op, 0.0, f)
+    with pytest.raises(SingularResolvent):
+        op.solve_shifted(0.0, f)
+
+
+def test_singular_factorization_exits_3_without_output(tmp_path, monkeypatch):
+    real = spectral.dgttrf
+
+    def zero_pivot(*args, **kwargs):
+        *lu, _ = real(*args, **kwargs)
+        return (*lu, 1)
+
+    monkeypatch.setattr(spectral, "dgttrf", zero_pivot)
+    cfg = {
+        "mode": "linear",
+        "space_dim": 3,
+        "potential": {"kind": "power", "c": 1.0, "s": 4.0},
+        "grid": {"r_max": 3.2, "n": 200},
+        "f": {"kind": "phi"},
+        "mu_offsets": [-0.1],
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 3
+    assert not (tmp_path / "out").exists()
+
+
+# ------------------------------------------------------ factor count and lifetime
+
+
+@pytest.fixture()
+def setup():
+    grid = make_grid(3, 3.2, 300)
+    spectrum = summarize_spectrum(grid, QUARTIC_3D)
+    op = assemble(grid, QUARTIC_3D, 0)
+    w = estimate_c0_delta0(spectrum, op)
+    return op, spectrum, w
+
+
+@pytest.fixture()
+def factor_calls(monkeypatch):
+    calls = []
+    real = spectral.dgttrf
+
+    def counting(dl, d, du):
+        calls.append(None)
+        return real(dl, d, du)
+
+    monkeypatch.setattr(spectral, "dgttrf", counting)
+    return calls
+
+
+def test_semilinear_two_start_factors_once_per_start(setup, factor_calls):
+    op, spectrum, w = setup
+    rep = two_start_diagnostics(op, spectrum, w, rational_profile(1.0, 2.0), spectrum.Lambda - 0.1)
+    assert rep.certified
+    assert len(factor_calls) == 2
+    assert not op._factors
+
+
+def test_system_two_start_factors_each_shift_once_per_start(setup, factor_calls):
+    op, spectrum, w = setup
+    nl = rational_profile(1.0, 2.0)
+    m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
+    p = system_problem(op, spectrum, m, nl, nl, spectrum.Lambda - m.xi1 - 0.1)
+    rep = system_two_start(p, w)
+    assert rep.certified
+    assert len(factor_calls) == 4
+    assert not op._factors
+
+
+def test_linear_and_monotone_solvers_drop_their_factors(setup, factor_calls):
+    op, spectrum, w = setup
+    mu = spectrum.Lambda - 0.1
+    solve_linear(linear_problem(op, spectrum, mu, spectrum.phi.values))
+    assert len(factor_calls) == 1
+    assert not op._factors
+    monotone_solve(op, spectrum, w, rational_profile(1.0, 2.0), mu)
+    assert len(factor_calls) == 3  # mu - M for the sweeps, mu for the residual
+    assert not op._factors
+
+
+def test_solvers_drop_factors_when_they_raise(setup):
+    op, spectrum, w = setup
+    nl = rational_profile(1.0, 2.0)
+    mu = spectrum.Lambda - 0.1
+    with pytest.raises(NoConvergence):
+        solve_semilinear(op, spectrum, w, nl, mu, max_iter=1)
+    assert not op._factors
+    with pytest.raises(NoConvergence):
+        monotone_solve(op, spectrum, w, nl, mu, max_iter=1)
+    assert not op._factors
+    m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
+    p = system_problem(op, spectrum, m, nl, nl, spectrum.Lambda - m.xi1 - 0.1)
+    with pytest.raises(NoConvergence):
+        solve_system(p, w, max_iter=1)
+    assert not op._factors
