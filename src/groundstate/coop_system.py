@@ -32,7 +32,6 @@ from scipy.linalg import solve_banded
 from .errors import (
     HypothesisViolated,
     MalformedInput,
-    NoConvergence,
     NotCooperative,
     RectangleEscape,
     SignMixed,
@@ -40,7 +39,7 @@ from .errors import (
     WindowViolation,
 )
 from .groundstate_space import GroundstateVector, WindowEstimate, decompose, x_norm
-from .semilinear_solver import Nonlinearity, UniquenessDiagnostics
+from .semilinear_solver import Nonlinearity, UniquenessDiagnostics, clipped_fixed_point
 from .spectral import DiscreteOperator, SpectrumSummary
 
 WINDOW_RULE_SYSTEM = "min(delta0, kappa'/(2*c0*K'), (xi1-xi2)/2, lambda2-Lambda)"
@@ -231,10 +230,8 @@ def rectangle(p: SystemProblem, mu: float | None = None) -> Rectangle:
     return Rectangle(lo=b, hi=a, kind="AMP")
 
 
-def _system_sweep(
-    p: SystemProblem, u1: np.ndarray, u2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One map U -> P solve(P^{-1} F(U)); returns (u1', u2', v1, v2).
+def _system_sweep(p: SystemProblem, u: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """One map U -> P solve(P^{-1} F(U)) on the 2 x n iterate; returns (U', (v1, v2)).
 
     The two scalar solves alternate the shifts mu + xi1 and mu + xi2, both
     of whose factorizations the operator keeps for the whole iteration.
@@ -242,13 +239,14 @@ def _system_sweep(
     op, m = p.op, p.matrix
     r = op.grid.r
     phi = p.spectrum.phi.values
-    f1 = phi * p.nl1(r, u1)
-    f2 = phi * p.nl2(r, u2)
+    f1 = phi * p.nl1(r, u[0])
+    f2 = phi * p.nl2(r, u[1])
     g1 = m.p_inv[0, 0] * f1 + m.p_inv[0, 1] * f2
     g2 = m.p_inv[1, 0] * f1 + m.p_inv[1, 1] * f2
     v1 = op.solve_shifted(p.mu + m.xi1, g1)
     v2 = op.solve_shifted(p.mu + m.xi2, g2)
-    return m.p[0, 0] * v1 + m.p[0, 1] * v2, m.p[1, 0] * v1 + m.p[1, 1] * v2, v1, v2
+    t = np.vstack([m.p[0, 0] * v1 + m.p[0, 1] * v2, m.p[1, 0] * v1 + m.p[1, 1] * v2])
+    return t, (v1, v2)
 
 
 @dataclass(frozen=True)
@@ -288,23 +286,19 @@ class SystemReport:
 def solve_system(
     p: SystemProblem,
     w: WindowEstimate,
-    delta_star: float | None = None,
     damping: float = 0.5,
     max_iter: int = 500,
     tol_x: float = 1e-9,
     start: str = "lower",
-    escape_fraction: float = 0.25,
 ) -> SystemReport:
     """Damped rectangle iteration for the cooperative system.
 
-    Starts at the requested rectangle corner, clips each sweep back into
-    the rectangle (counting violations; a sweep clipping more than
-    escape_fraction of all nodes raises RectangleEscape) and converges in
-    the componentwise max X-norm.
+    Runs clipped_fixed_point on the 2 x n iterate from the requested
+    rectangle corner: clipped nodes count as rectangle violations, a sweep
+    clipping more than ESCAPE_FRACTION of all nodes raises RectangleEscape,
+    and convergence is measured in the componentwise max X-norm.
     """
-    if not (0.0 < damping <= 1.0):
-        raise MalformedInput("damping must lie in (0, 1]")
-    window = window_system(p, w) if delta_star is None else float(delta_star)
+    window = window_system(p, w)
     dist = abs(p.lambda_star - p.mu)
     if not (0.0 < dist < window):
         raise WindowViolation(
@@ -314,46 +308,14 @@ def solve_system(
     rect = rectangle(p)
     lo = rect.lo[:, None] * phi[None, :]
     hi = rect.hi[:, None] * phi[None, :]
-    if start == "lower":
-        u = lo.copy()
-    elif start == "upper":
-        u = hi.copy()
-    else:
+    if start not in ("lower", "upper"):
         raise MalformedInput("start must be 'lower' or 'upper'")
-
-    slack = 1e-12 * max(float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-    n_nodes = u.size
-    violations = 0
-    trace: list[float] = []
-    converged_at = None
-    try:
-        for k in range(1, max_iter + 1):
-            t1, t2, v1, v2 = _system_sweep(p, u[0], u[1])
-            t = np.vstack([t1, t2])
-            out = int(np.count_nonzero((t < lo - slack) | (t > hi + slack)))
-            if out > escape_fraction * n_nodes:
-                raise RectangleEscape(
-                    f"iterate left the rectangle at {out}/{n_nodes} nodes on sweep {k}"
-                )
-            violations += out
-            t = np.clip(t, lo, hi)
-            un = (1.0 - damping) * u + damping * t
-            step = max(x_norm(un[0] - u[0], phi), x_norm(un[1] - u[1], phi))
-            trace.append(step)
-            u = un
-            if step < tol_x:
-                converged_at = k
-                break
-        if converged_at is None:
-            raise NoConvergence(
-                f"no X-norm step below {tol_x:g} within {max_iter} sweeps",
-                iterations=max_iter,
-                trace=trace,
-            )
-        t1, t2, v1, v2 = _system_sweep(p, u[0], u[1])
-    finally:
-        p.op.drop_factors()
-    residual_x = max(x_norm(u[0] - t1, phi), x_norm(u[1] - t2, phi))
+    fp = clipped_fixed_point(
+        p.op, lambda u: _system_sweep(p, u), lo, hi, lo if start == "lower" else hi, phi,
+        RectangleEscape, damping, max_iter, tol_x,
+    )
+    u = fp.u
+    v1, v2 = fp.aux
 
     kp, kup = inherited_bounds(p.matrix, p.kappa, p.k_upper)
     ratios = u / phi[None, :]
@@ -378,9 +340,9 @@ def solve_system(
         rectangle=rect,
         kappa_prime=kp,
         k_prime=kup,
-        iterations=converged_at,
-        residual_x=residual_x,
-        rectangle_violations=violations,
+        iterations=fp.iterations,
+        residual_x=fp.residual_x,
+        rectangle_violations=fp.violations,
         branch=rect.kind,
         mu=p.mu,
         window=window,
@@ -527,20 +489,13 @@ def coupled_uniqueness_check(
 def system_two_start(
     p: SystemProblem,
     w: WindowEstimate,
-    delta_star: float | None = None,
     damping: float = 0.5,
     max_iter: int = 500,
     tol_x: float = 1e-9,
 ) -> SystemReport:
     """Solve from both rectangle corners and attach uniqueness diagnostics."""
-    lo = solve_system(
-        p, w, delta_star=delta_star, damping=damping,
-        max_iter=max_iter, tol_x=tol_x, start="lower",
-    )
-    hi = solve_system(
-        p, w, delta_star=delta_star, damping=damping,
-        max_iter=max_iter, tol_x=tol_x, start="upper",
-    )
+    lo = solve_system(p, w, damping=damping, max_iter=max_iter, tol_x=tol_x, start="lower")
+    hi = solve_system(p, w, damping=damping, max_iter=max_iter, tol_x=tol_x, start="upper")
     phi = p.spectrum.phi.values
     gap = max(
         x_norm(hi.u1.values - lo.u1.values, phi),

@@ -64,6 +64,7 @@ from .radial_grid import (
 )
 from .semilinear_solver import (
     WINDOW_RULE_SEMILINEAR,
+    UniquenessDiagnostics,
     constant_profile,
     exp_decay_profile,
     rational_profile,
@@ -357,8 +358,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise MalformedInput(f"config invalid: {exc.message}") from exc
 
     grid_scale = float(args.grid_scale)
-    if grid_scale <= 0:
-        raise MalformedInput("--grid-scale must be positive")
+    if not (math.isfinite(grid_scale) and grid_scale > 0):
+        raise MalformedInput("--grid-scale must be finite and positive")
     seed = int(args.seed) if args.seed is not None else int(cfg.get("seed", 0))
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     config_hash = hashlib.sha256(
@@ -479,6 +480,23 @@ def _run_linear(cfg, op, spectrum, w):
     return rows, dumps, window, rule
 
 
+def _iteration_kwargs(solver: dict) -> dict:
+    """damping/max_iter/tol_x of the fixed-point solvers, defaults filled in."""
+    return dict(
+        damping=solver.get("damping", 0.5),
+        max_iter=solver.get("max_iter", 500),
+        tol_x=solver.get("tol_x", 1e-9),
+    )
+
+
+def _uniqueness_cells(diag: UniquenessDiagnostics | None) -> dict:
+    """two_start_gap/bo_residual cells, blank where a diagnostic is absent."""
+    if diag is None:
+        return {"two_start_gap": "", "bo_residual": ""}
+    bo = diag.brezis_oswald_residual
+    return {"two_start_gap": diag.two_start_gap, "bo_residual": "" if bo is None else bo}
+
+
 def _run_semilinear(cfg, op, spectrum, w, solver):
     if "nonlinearity" not in cfg:
         raise MalformedInput("semilinear mode needs a 'nonlinearity' block")
@@ -488,15 +506,11 @@ def _run_semilinear(cfg, op, spectrum, w, solver):
     lam = spectrum.Lambda
     window = window_semilinear(nl, w)
     two_start = solver.get("two_start", True)
+    kwargs = _iteration_kwargs(solver)
     rows = []
     dumps = {}
     for offset in resolve_offsets(cfg):
         mu = lam + offset
-        kwargs = dict(
-            damping=solver.get("damping", 0.5),
-            max_iter=solver.get("max_iter", 500),
-            tol_x=solver.get("tol_x", 1e-9),
-        )
         if two_start:
             rep = two_start_diagnostics(op, spectrum, w, nl, mu, **kwargs)
         else:
@@ -522,12 +536,7 @@ def _run_semilinear(cfg, op, spectrum, w, solver):
             iterations=rep.iterations,
             residual_x=rep.residual_x,
             violations=rep.bracket_violations,
-            two_start_gap=rep.uniqueness.two_start_gap if rep.uniqueness else "",
-            bo_residual=(
-                rep.uniqueness.brezis_oswald_residual
-                if rep.uniqueness and rep.uniqueness.brezis_oswald_residual is not None
-                else ""
-            ),
+            **_uniqueness_cells(rep.uniqueness),
         )
         rows.append(row)
         if _requested_dumps(cfg, offset):
@@ -547,6 +556,7 @@ def _run_system(cfg, op, spectrum, w, solver):
     phi = spectrum.phi.values
     lam_star = spectrum.Lambda - m.xi1
     two_start = solver.get("two_start", True)
+    kwargs = _iteration_kwargs(solver)
     rows = []
     dumps = {}
     window = None
@@ -566,11 +576,6 @@ def _run_system(cfg, op, spectrum, w, solver):
                 "k_prime": kup,
                 "window": window,
             }
-        kwargs = dict(
-            damping=solver.get("damping", 0.5),
-            max_iter=solver.get("max_iter", 500),
-            tol_x=solver.get("tol_x", 1e-9),
-        )
         if two_start:
             rep = system_two_start(p, w, **kwargs)
         else:
@@ -594,12 +599,7 @@ def _run_system(cfg, op, spectrum, w, solver):
             iterations=rep.iterations,
             residual_x=rep.residual_x,
             violations=rep.rectangle_violations,
-            two_start_gap=rep.uniqueness.two_start_gap if rep.uniqueness else "",
-            bo_residual=(
-                rep.uniqueness.brezis_oswald_residual
-                if rep.uniqueness and rep.uniqueness.brezis_oswald_residual is not None
-                else ""
-            ),
+            **_uniqueness_cells(rep.uniqueness),
             v2_xnorm=x_norm(rep.v2, phi),
             v2_bound=rep.v2_bound,
         )

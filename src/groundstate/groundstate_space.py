@@ -218,10 +218,8 @@ def estimate_c0_delta0(
     samples = np.array(
         [summary.Lambda + s * delta0 * k / 4.0 for s in (-1.0, 1.0) for k in (1, 2, 3, 4)]
     )
-    known = np.append(np.asarray(summary.radial_eigs, dtype=float), summary.lambda2)
     for mu in samples:
-        if np.min(np.abs(known - mu)) < 1e-8:
-            raise SingularResolvent(f"sample mu = {mu:.12g} collides with an eigenvalue")
+        summary.check_off_spectrum(float(mu))
     phi = summary.phi.values
     w = op.grid.quad_weights
     c0 = max(projected_resolvent_norm(op, phi, w, float(mu)) for mu in samples)

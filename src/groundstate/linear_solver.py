@@ -20,7 +20,6 @@ from .errors import HypothesisViolated, SingularResolvent
 from .groundstate_space import GroundstateVector, WindowEstimate, decompose, x_norm
 from .spectral import DiscreteOperator, SpectrumSummary
 
-EXCLUSION = 1e-8  # absolute distance to computed eigenvalues
 CERT_SLACK = 1e-6
 
 
@@ -43,9 +42,7 @@ def linear_problem(
     op: DiscreteOperator, spectrum: SpectrumSummary, mu: float, f_values: np.ndarray
 ) -> LinearProblem:
     """Validate mu against the computed spectrum and decompose f."""
-    known = np.append(np.asarray(spectrum.radial_eigs, dtype=float), spectrum.lambda2)
-    if np.min(np.abs(known - mu)) < EXCLUSION:
-        raise SingularResolvent(f"mu = {mu:.12g} is within {EXCLUSION:g} of an eigenvalue")
+    spectrum.check_off_spectrum(mu)
     f = decompose(f_values, spectrum.phi.values, op.grid.quad_weights)
     return LinearProblem(op=op, spectrum=spectrum, mu=mu, f=f)
 

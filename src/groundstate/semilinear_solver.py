@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import (
     BracketEscape,
+    GroundstateError,
     HypothesisViolated,
     MalformedInput,
     MonotonicityBroken,
@@ -240,6 +241,80 @@ class SemilinearReport:
     solution_upper: GroundstateVector | None = None
 
 
+@dataclass(frozen=True)
+class FixedPoint:
+    """Limit of clipped_fixed_point: the iterate and its statistics.
+
+    residual_x is the X-norm of u - T(u) at the limit and aux the second
+    value the map returned there.
+    """
+
+    u: np.ndarray
+    iterations: int
+    residual_x: float
+    violations: int
+    aux: object
+
+
+def clipped_fixed_point(
+    op: DiscreteOperator,
+    sweep: Callable[[np.ndarray], tuple[np.ndarray, object]],
+    lower: np.ndarray,
+    upper: np.ndarray,
+    u: np.ndarray,
+    phi: np.ndarray,
+    escape: type[GroundstateError],
+    damping: float,
+    max_iter: int,
+    tol_x: float,
+) -> FixedPoint:
+    """Damped, clipped fixed-point iteration on scalar or k-component iterates.
+
+    sweep(u) returns (T(u), aux) for an iterate u of shape (n,) for a
+    scalar problem or (k, n) for a k-component system; phi broadcasts
+    against it.  Each step is
+    u <- (1-damping)*u + damping*clip(T(u), lower, upper); image nodes
+    outside [lower, upper] beyond 1e-12 relative slack are counted as
+    violations, and a sweep with more than ESCAPE_FRACTION of all k*n nodes
+    outside raises escape.  Convergence is an X-norm step below tol_x;
+    failure raises NoConvergence carrying the step trace.  The map is
+    applied once more at the limit for residual_x and aux.  The factors
+    the sweeps leave on op are dropped on every exit.
+    """
+    if not (0.0 < damping <= 1.0):
+        raise MalformedInput("damping must lie in (0, 1]")
+    slack = BRACKET_SLACK * max(float(np.max(np.abs(lower))), float(np.max(np.abs(upper))))
+    below, above = lower - slack, upper + slack
+    violations = 0
+    trace: list[float] = []
+    try:
+        for k in range(1, max_iter + 1):
+            t, _ = sweep(u)
+            out = int(np.count_nonzero((t < below) | (t > above)))
+            if out > ESCAPE_FRACTION * u.size:
+                raise escape(
+                    f"iterate left the invariant region at {out}/{u.size} nodes on sweep {k}"
+                )
+            violations += out
+            un = (1.0 - damping) * u + damping * np.clip(t, lower, upper)
+            step = x_norm(un - u, phi)
+            trace.append(step)
+            u = un
+            if step < tol_x:
+                t, aux = sweep(u)
+                return FixedPoint(
+                    u=u, iterations=k, residual_x=x_norm(u - t, phi),
+                    violations=violations, aux=aux,
+                )
+        raise NoConvergence(
+            f"no X-norm step below {tol_x:g} within {max_iter} sweeps",
+            iterations=max_iter,
+            trace=trace,
+        )
+    finally:
+        op.drop_factors()
+
+
 def solve_semilinear(
     op: DiscreteOperator,
     spectrum: SpectrumSummary,
@@ -250,19 +325,16 @@ def solve_semilinear(
     damping: float = 0.5,
     max_iter: int = 500,
     tol_x: float = 1e-9,
-    escape_fraction: float = ESCAPE_FRACTION,
     u0: np.ndarray | None = None,
 ) -> SemilinearReport:
-    """Damped fixed-point iteration inside the bracket.
+    """Damped fixed-point iteration of T inside the bracket.
 
-    u_{k+1} = (1-damping)*u_k + damping*clip(T(u_k)); clipped nodes are
-    counted (a bracket violation beyond 1e-12 relative slack), and a
-    single sweep clipping more than escape_fraction of the nodes aborts
-    with BracketEscape.  Convergence is measured in the X-norm; failure
+    Runs clipped_fixed_point on the scalar iterate from the requested
+    bracket end (or u0 clipped into the bracket): clipped nodes count as
+    bracket violations, a sweep clipping more than ESCAPE_FRACTION of the
+    nodes raises BracketEscape, and failure to converge in the X-norm
     raises NoConvergence carrying the step-size trace.
     """
-    if not (0.0 < damping <= 1.0):
-        raise MalformedInput("damping must lie in (0, 1]")
     window = window_semilinear(nl, w)
     lam = spectrum.Lambda
     if not (0.0 < abs(lam - mu) < window):
@@ -271,58 +343,27 @@ def solve_semilinear(
         )
     if nl.kappa <= 0.0 and mu > lam:
         raise WindowViolation("the mu > Lambda branch needs kappa > 0")
-    phi = spectrum.phi.values
     bracket = make_bracket(spectrum, nl, mu)
     if start == "lower":
-        u = bracket.lower.copy()
+        u = bracket.lower
     elif start == "upper":
-        u = bracket.upper.copy()
+        u = bracket.upper
     elif start == "custom":
         if u0 is None:
             raise MalformedInput("start='custom' needs u0")
         u = np.clip(np.asarray(u0, dtype=float), bracket.lower, bracket.upper)
     else:
         raise MalformedInput("start must be 'lower', 'upper' or 'custom'")
-
-    slack = BRACKET_SLACK * max(
-        np.max(np.abs(bracket.lower)), np.max(np.abs(bracket.upper))
+    fp = clipped_fixed_point(
+        op, lambda v: (apply_T(op, spectrum, nl, mu, v), None),
+        bracket.lower, bracket.upper, u, spectrum.phi.values,
+        BracketEscape, damping, max_iter, tol_x,
     )
-    violations = 0
-    trace: list[float] = []
-    converged_at = None
-    try:
-        for k in range(1, max_iter + 1):
-            tu = apply_T(op, spectrum, nl, mu, u)
-            out = int(
-                np.count_nonzero((tu < bracket.lower - slack) | (tu > bracket.upper + slack))
-            )
-            if out > escape_fraction * len(u):
-                raise BracketEscape(
-                    f"iterate left the bracket at {out}/{len(u)} nodes on sweep {k}"
-                )
-            violations += out
-            tu = np.clip(tu, bracket.lower, bracket.upper)
-            un = (1.0 - damping) * u + damping * tu
-            step = x_norm(un - u, phi)
-            trace.append(step)
-            u = un
-            if step < tol_x:
-                converged_at = k
-                break
-        if converged_at is None:
-            raise NoConvergence(
-                f"no X-norm step below {tol_x:g} within {max_iter} sweeps",
-                iterations=max_iter,
-                trace=trace,
-            )
-        residual_x = x_norm(u - apply_T(op, spectrum, nl, mu, u), phi)
-    finally:
-        op.drop_factors()
     return _finish_report(
-        op, spectrum, w, nl, mu, u,
-        iterations=converged_at,
-        residual_x=residual_x,
-        violations=violations,
+        op, spectrum, w, nl, mu, fp.u,
+        iterations=fp.iterations,
+        residual_x=fp.residual_x,
+        violations=fp.violations,
         branch=bracket.kind,
         window=window,
     )
@@ -463,19 +504,11 @@ def monotone_solve(
         branch="MP",
         window=window_semilinear(nl, w),
     )
-    return _with_uniqueness(
+    return replace(
         report,
-        upper=decompose(upper_limit, phi, op.grid.quad_weights),
-        diag=UniquenessDiagnostics(two_start_gap=gap, brezis_oswald_residual=None),
+        uniqueness=UniquenessDiagnostics(two_start_gap=gap, brezis_oswald_residual=None),
+        solution_upper=decompose(upper_limit, phi, op.grid.quad_weights),
     )
-
-
-def _with_uniqueness(
-    report: SemilinearReport,
-    upper: GroundstateVector | None,
-    diag: UniquenessDiagnostics,
-) -> SemilinearReport:
-    return replace(report, uniqueness=diag, solution_upper=upper)
 
 
 def brezis_oswald_check(
@@ -554,4 +587,4 @@ def two_start_diagnostics(
     gap = x_norm(hi.solution.values - lo.solution.values, spectrum.phi.values)
     t_lhs, _ = brezis_oswald_check(op, lo.solution.values, hi.solution.values)
     diag = UniquenessDiagnostics(two_start_gap=gap, brezis_oswald_residual=t_lhs)
-    return _with_uniqueness(lo, upper=hi.solution, diag=diag)
+    return replace(lo, uniqueness=diag, solution_upper=hi.solution)

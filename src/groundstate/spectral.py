@@ -24,9 +24,9 @@ gttrf, partial pivoting, valid on both sides of the spectrum), each call is
 one gttrs back-substitution, and every solution is checked against a
 backward-error residual bound before it is returned.  The factors of the
 last two shifts are kept on the operator, which covers the 2x2 system
-iteration alternating mu + xi1 and mu + xi2; solve_linear, solve_semilinear,
-solve_system and monotone_solve drop them on exit, so they live for one
-solver call.
+iteration alternating mu + xi1 and mu + xi2; solve_linear,
+clipped_fixed_point (behind solve_semilinear and solve_system) and
+monotone_solve drop them on exit, so they live for one solver call.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ EIGEN_BUDGET = 500
 RESIDUAL_RTOL = 1e-10  # residual bound relative to the diagonal sup
 SOLVE_RTOL = 1e-10  # backward-error bound of every resolvent solve
 FACTOR_SLOTS = 2  # shifts whose LU factors solve_shifted keeps
+EXCLUSION = 1e-8  # least distance of a resolvent shift to a computed eigenvalue
 
 
 def _centrifugal(space_dim: int, sector: int) -> float:
@@ -96,11 +97,14 @@ class DiscreteOperator:
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """Apply L to a full-grid function, returning a full-grid function."""
-        x = self.restrict(u)
+        return self.extend(self._product(self.restrict(u)))
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """The tridiagonal product T x in internal coordinates."""
         y = self.diag * x
         y[:-1] += self.offdiag * x[1:]
         y[1:] += self.offdiag * x[:-1]
-        return self.extend(y)
+        return y
 
     def solve_shifted(self, mu: float, f: np.ndarray) -> np.ndarray:
         """Solve (L - mu) u = f for full-grid functions f, u, verified.
@@ -148,10 +152,7 @@ class DiscreteOperator:
         the integral of |grad u|^2 + q u^2 over R^N (Dirichlet truncated).
         """
         x = self.restrict(u)
-        y = self.diag * x
-        y[:-1] += self.offdiag * x[1:]
-        y[1:] += self.offdiag * x[:-1]
-        return float(np.dot(x, y))
+        return float(np.dot(x, self._product(x)))
 
 
 def assemble(grid: Grid, pot: RadialPotential, sector: int) -> DiscreteOperator:
@@ -240,18 +241,12 @@ def principal_eigenpair(op: DiscreteOperator) -> tuple[float, np.ndarray]:
     for _ in range(EIGEN_BUDGET):
         x = solveh_banded(ab, x, lower=False)
         x /= np.linalg.norm(x)
-        y = op.diag * x
-        y[:-1] += op.offdiag * x[1:]
-        y[1:] += op.offdiag * x[:-1]
+        y = op._product(x)
         rho = float(np.dot(x, y))
         res = float(np.linalg.norm(y - rho * x))
         if res <= 1e-14 * scale_bound or res > 0.5 * prev_res:
             break
         prev_res = res
-    else:
-        y = op.diag * x
-        y[:-1] += op.offdiag * x[1:]
-        y[1:] += op.offdiag * x[:-1]
     if np.linalg.norm(y - rho * x) > RESIDUAL_RTOL * scale_bound:
         raise ConvergenceFailure("inverse iteration residual above bound")
     if np.min(x) <= 0:
@@ -303,6 +298,14 @@ class SpectrumSummary:
     @property
     def gap(self) -> float:
         return self.lambda2 - self.Lambda
+
+    def check_off_spectrum(self, mu: float) -> None:
+        """Raise SingularResolvent if mu is within EXCLUSION of a computed eigenvalue."""
+        known = np.append(self.radial_eigs, self.lambda2)
+        if np.min(np.abs(known - mu)) < EXCLUSION:
+            raise SingularResolvent(
+                f"mu = {mu:.12g} is within {EXCLUSION:g} of a computed eigenvalue"
+            )
 
 
 def summarize_spectrum(

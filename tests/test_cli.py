@@ -181,6 +181,14 @@ def test_decreasing_table_potential_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_nonfinite_grid_scale_exits_2(tmp_path, capsys, scale):
+    cfg = write_config(tmp_path / "cfg.json", mode="eigen")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--grid-scale", scale]) == 2
+    assert "--grid-scale" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_import_does_not_load_scipy_sparse():
     # scipy.sparse would add to the start-up cost paid on every CLI call
     src = str(Path(groundstate.__file__).resolve().parent.parent)

@@ -25,6 +25,7 @@ from groundstate import (
 )
 from groundstate.errors import (
     MalformedInput,
+    NoConvergence,
     NotCooperative,
     RectangleEscape,
     SignMixed,
@@ -228,6 +229,16 @@ def test_lying_profile_escapes_rectangle(ctx):
     p, w = make_problem(ctx, liar, liar, -0.1)
     with pytest.raises(RectangleEscape):
         solve_system(p, w)
+
+
+def test_system_no_convergence_carries_trace(ctx):
+    nl = rational_profile(1.0, 2.0)
+    p, w = make_problem(ctx, nl, nl, -0.1)
+    with pytest.raises(NoConvergence) as exc:
+        solve_system(p, w, max_iter=2)
+    assert exc.value.iterations == 2
+    assert len(exc.value.trace) == 2
+    assert all(step > 0 for step in exc.value.trace)
 
 
 # -------------------------------------------------------------- cross-checks
