@@ -2,7 +2,10 @@
 
 ``groundstate run config.json`` executes one experiment described by a
 JSON config (validated against a schema before anything is computed) and
-writes deterministic artifacts into the configured output directory:
+writes deterministic artifacts into the configured output directory.  The
+schema validator is built once, at import; the schema itself is a constant,
+so its check against the draft 2020-12 metaschema lives in the test suite
+instead of in every run.  The artifacts:
 
 * ``spectrum.json``   -- eigendata, window constants, config hash;
 * ``sweep.csv``       -- one row per requested shift mu, sorted by mu,
@@ -13,12 +16,14 @@ writes deterministic artifacts into the configured output directory:
 curves (sign-certificate and blow-up) from a previously written sweep,
 copying cell text verbatim so repeated runs stay byte-identical.
 
-Exit codes: 0 success; 2 malformed config, unreadable input, or a
-potential that is nonpositive on the grid or decreases on grid nodes
+Exit codes: 0 success; 2 malformed config, unreadable input (including
+an ``f`` table without data rows), non-finite grid weights, or a potential
+that is non-finite or nonpositive on the grid or decreases on grid nodes
 beyond its r0; 3 a solver raised (no convergence, singular solve, escaped
-bracket, window or hypothesis violation); 4 certificates were required but
-some row is uncertified.  The output directory is created only once every
-row is computed, so a run that exits 2 or 3 creates none.
+bracket, window or hypothesis violation) or numpy/scipy did (``LinAlgError``,
+or an ``ArithmeticError`` such as ``OverflowError``); 4 certificates were
+required but some row is uncertified.  The output directory is created only
+once every row is computed, so a run that exits 2 or 3 creates none.
 Wall-clock time goes to stderr only, keeping files reproducible.
 """
 
@@ -33,8 +38,9 @@ import sys
 import time
 from pathlib import Path
 
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .coop_system import (
     analyze_matrix,
@@ -172,6 +178,10 @@ SCHEMA = {
     },
 }
 
+#: built once: jsonschema.validate would re-check SCHEMA against its
+#: metaschema on every call (tests/test_cli.py checks it once)
+CONFIG_VALIDATOR = validator_for(SCHEMA)(SCHEMA)
+
 COLUMNS = [
     "mu",
     "offset",
@@ -264,8 +274,15 @@ def build_the_grid(cfg: dict, pot, grid_scale: float):
 
 
 def check_potential_on_grid(pot, grid) -> None:
-    """q must be positive on every node and must not decrease beyond r0."""
+    """Weights and q must be finite, q positive, on every node; q must not
+    decrease beyond r0."""
+    if not np.all(np.isfinite(grid.quad_weights)):
+        raise MalformedInput("grid quadrature weights are not finite (r_max too large)")
     q = pot(grid.r)
+    finite = np.isfinite(q)
+    if not finite.all():
+        bad = float(grid.r[np.argmin(finite)])
+        raise MalformedInput(f"q(r) is not finite at grid node r = {bad:.6g}")
     positive = q > 0.0
     if not positive.all():
         bad = float(grid.r[np.argmin(positive)])
@@ -305,7 +322,10 @@ def build_f(cfg: dict, op, spectrum) -> np.ndarray:
         raise MalformedInput(f"cannot read f table: {exc}") from exc
     if raw.dtype.names is None or tuple(raw.dtype.names[:2]) != ("r", "f"):
         raise MalformedInput("f table must have header 'r,f'")
-    return np.interp(op.grid.r, np.atleast_1d(raw["r"]), np.atleast_1d(raw["f"]))
+    r_tab, f_tab = np.atleast_1d(raw["r"]), np.atleast_1d(raw["f"])
+    if r_tab.size == 0:
+        raise MalformedInput("f table has no data rows")
+    return np.interp(op.grid.r, r_tab, f_tab)
 
 
 def resolve_offsets(cfg: dict) -> list[float]:
@@ -336,12 +356,18 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
             writer.writerow([_cell(row.get(col, "")) for col in columns])
 
 
+#: rows per chunk of a profile dump; bounds the memory a dump holds at once
+DUMP_ROWS = 256
+
+
 def _dump_profile(path: Path, header: list[str], arrays: list[np.ndarray]) -> None:
+    """Columns as f17 text, one row per node; streamed in DUMP_ROWS chunks."""
+    line = ",".join(["{:.17g}"] * len(arrays)) + "\n"
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(len(arrays[0])):
-            writer.writerow([f17(a[i]) for a in arrays])
+        handle.write(",".join(header) + "\n")
+        for start in range(0, len(arrays[0]), DUMP_ROWS):
+            chunk = [a[start:start + DUMP_ROWS].tolist() for a in arrays]
+            handle.writelines(map(line.format, *chunk))
 
 
 def _offset_tag(offset: float) -> str:
@@ -352,10 +378,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     with open(args.config) as handle:
         cfg = json.load(handle)
-    try:
-        jsonschema.validate(cfg, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise MalformedInput(f"config invalid: {exc.message}") from exc
+    error = best_match(CONFIG_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise MalformedInput(f"config invalid: {error.message}") from error
 
     grid_scale = float(args.grid_scale)
     if not (math.isfinite(grid_scale) and grid_scale > 0):
@@ -624,15 +649,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, columns in (
-        ("gsp_curve.csv", GSP_CURVE_COLUMNS),
-        ("blowup_curve.csv", BLOWUP_CURVE_COLUMNS),
-    ):
-        with open(out_dir / name, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(columns)
-            for row in data:
-                writer.writerow([row[col] for col in columns])
+    _write_csv(out_dir / "gsp_curve.csv", GSP_CURVE_COLUMNS, data)
+    _write_csv(out_dir / "blowup_curve.csv", BLOWUP_CURVE_COLUMNS, data)
     return 0
 
 
@@ -674,6 +692,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except GroundstateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -7,11 +7,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
 import groundstate
-from groundstate.experiment_cli import COLUMNS, main
+from groundstate.experiment_cli import (
+    COLUMNS,
+    CONFIG_VALIDATOR,
+    DUMP_ROWS,
+    SCHEMA,
+    _dump_profile,
+    f17,
+    main,
+)
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -291,3 +301,107 @@ def test_system_run_extras_and_bounds(tmp_path):
     assert len(rows) == 1
     assert rows[0]["certified"] == "1"
     assert float(rows[0]["v2_xnorm"]) <= float(rows[0]["v2_bound"])
+
+
+@pytest.mark.parametrize("r_max", [1e200, 1e100])
+def test_overflowing_grid_exits_2(tmp_path, capsys, r_max):
+    # 1e200 overflows the quadrature weights, 1e100 only q = 1 + r**4
+    cfg = write_config(tmp_path / "cfg.json", grid={"r_max": r_max, "n": 50})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_linalg_error_exits_3(tmp_path, capsys):
+    # q = 1 + r**400 overflows the band; the Cholesky factorization gives up
+    cfg = write_config(
+        tmp_path / "cfg.json", potential={"kind": "power", "c": 1.0, "s": 400.0}
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "numerical failure: LinAlgError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_f_table_without_rows_exits_2(tmp_path, capsys):
+    table = tmp_path / "f.csv"
+    table.write_text("r,f\n")
+    cfg = write_config(tmp_path / "cfg.json", f={"kind": "table", "path": str(table)})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "no data rows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_schema_passes_its_metaschema():
+    cls = validator_for(SCHEMA)
+    cls.check_schema(SCHEMA)
+    assert type(CONFIG_VALIDATOR) is cls
+
+
+def _invalid(cfg: dict, **changes) -> dict:
+    cfg = {**cfg, **changes}
+    return {k: v for k, v in cfg.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"space_dim": "3"},  # wrong type
+        {"grid": {"r_max": 3.2, "n": 1}},  # below a minimum
+        {"mode": None},  # missing required key
+        {"colour": "blue"},  # unexpected property
+        {"nonlinearity": {"kind": "cubic"}},  # bad $ref'd block
+        {"nonlinearity2": {"kind": "constant", "g": "1"}},
+        {"solver": {"damping": 0.0}},  # at an exclusive minimum
+    ],
+)
+def test_config_invalid_message_matches_jsonschema(tmp_path, capsys, changes):
+    base = json.loads(write_config(tmp_path / "base.json").read_text())
+    cfg = _invalid(base, **changes)
+    with pytest.raises(jsonschema.ValidationError) as info:
+        jsonschema.validate(cfg, SCHEMA)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: config invalid: {info.value.message}\n"
+
+
+def test_run_does_not_recheck_the_schema(tmp_path, monkeypatch):
+    def refuse(cls, schema, *args, **kwargs):
+        raise jsonschema.SchemaError("metaschema check during a run")
+
+    monkeypatch.setattr(validator_for(SCHEMA), "check_schema", classmethod(refuse))
+    cfg = write_config(tmp_path / "cfg.json", mode="eigen")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def _reference_dump(path: Path, header: list[str], arrays: list[np.ndarray]) -> None:
+    """The per-cell csv.writer dump that _dump_profile must match byte for byte."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(len(arrays[0])):
+            writer.writerow([f17(a[i]) for a in arrays])
+
+
+EDGE_VALUES = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, -1.0 / 3.0,
+]
+
+
+@pytest.mark.parametrize("length", [2, DUMP_ROWS - 1, DUMP_ROWS, DUMP_ROWS + 1, 2400])
+def test_dump_profile_matches_the_csv_writer(tmp_path, length):
+    rng = np.random.default_rng(length)
+    wide = rng.standard_normal(length) * 10.0 ** rng.integers(-320, 308, length)
+    # edge values at the start, around the chunk boundary and at the end
+    for at in (0, DUMP_ROWS - 3, length - len(EDGE_VALUES)):
+        span = wide[max(at, 0):][: len(EDGE_VALUES)]
+        span[:] = EDGE_VALUES[: span.size]
+    single = rng.standard_normal(length).astype(np.float32)
+    single[: min(length, 4)] = np.array([np.nan, np.inf, -0.0, 1e-45], np.float32)[:length]
+    ints = rng.integers(-(2**62), 2**62, length)
+    arrays = [wide, single, ints, wide[::-1]]
+    header = ["r", "phi", "u1", "u2"]
+    _reference_dump(tmp_path / "ref.csv", header, arrays)
+    _dump_profile(tmp_path / "new.csv", header, arrays)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
