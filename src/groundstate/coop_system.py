@@ -34,12 +34,12 @@ from .errors import (
     MalformedInput,
     NotCooperative,
     RectangleEscape,
-    SignMixed,
     SingularResolvent,
     WindowViolation,
 )
 from .groundstate_space import GroundstateVector, WindowEstimate, decompose, x_norm
 from .semilinear_solver import Nonlinearity, UniquenessDiagnostics, clipped_fixed_point
+from .semilinear_solver import _ratio_forms
 from .spectral import DiscreteOperator, SpectrumSummary
 
 WINDOW_RULE_SYSTEM = "min(delta0, kappa'/(2*c0*K'), (xi1-xi2)/2, lambda2-Lambda)"
@@ -434,25 +434,12 @@ def coupled_uniqueness_check(
     cross_term <= 1e-8 are enforced; genuine candidate pairs violate them
     only through sign mixing or hypothesis failure.
     """
-    comps = [np.asarray(x, dtype=float) for x in (*u_pair, *v_pair)]
+    ((u1f, v1f), (u2f, v2f)), lap = _ratio_forms(
+        op, zip(u_pair, v_pair), "all four components must be strictly one-signed, same sign"
+    )
     s = op.start
-    sliced = [x[s:] for x in comps]
-    if all(np.all(x > 0) for x in sliced):
-        pass
-    elif all(np.all(x < 0) for x in sliced):
-        comps = [-x for x in comps]
-        sliced = [-x for x in sliced]
-    else:
-        raise SignMixed("all four components must be strictly one-signed, same sign")
-    u1f, u2f, v1f, v2f = comps
-    u1, u2, v1, v2 = sliced
+    u1, u2, v1, v2 = u1f[s:], u2f[s:], v1f[s:], v2f[s:]
     wq = op.grid.quad_weights[s:]
-
-    lap = []
-    for a_full, b_full, a_s, b_s in ((u1f, v1f, u1, v1), (u2f, v2f, u2, v2)):
-        la = op.matvec(a_full)[s:]
-        lb = op.matvec(b_full)[s:]
-        lap.append(float(np.dot(wq, (la / a_s - lb / b_s) * (a_s**2 - b_s**2))))
     t1 = lap[0] / m.b + lap[1] / m.c
 
     cross_raw = float(

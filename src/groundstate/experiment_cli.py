@@ -17,7 +17,8 @@ curves (sign-certificate and blow-up) from a previously written sweep,
 copying cell text verbatim so repeated runs stay byte-identical.
 
 Exit codes: 0 success; 2 malformed config, unreadable input (including
-an ``f`` table without data rows), non-finite grid weights, or a potential
+a ``q`` or ``f`` table with a non-finite entry, radii that do not strictly
+increase, or too few rows), non-finite grid weights, or a potential
 that is non-finite or nonpositive on the grid or decreases on grid nodes
 beyond its r0; 3 a solver raised (no convergence, singular solve, escaped
 bracket, window or hypothesis violation) or numpy/scipy did (``LinAlgError``,
@@ -65,6 +66,7 @@ from .radial_grid import (
     exp_potential,
     make_grid,
     power_potential,
+    read_table,
     require_increasing,
     tabulated_potential,
 )
@@ -79,7 +81,7 @@ from .semilinear_solver import (
     validate_nonlinearity,
     window_semilinear,
 )
-from .spectral import assemble, eigenpairs, summarize_spectrum
+from .spectral import eigenpairs, summarize_spectrum
 
 CONFIG_ERRORS = (MalformedInput, NonPositivePotential, NotIncreasing, NotCooperative)
 
@@ -316,13 +318,7 @@ def build_f(cfg: dict, op, spectrum) -> np.ndarray:
         return phi + block.get("coeff", 0.5) * vecs[:, 1]
     if "path" not in block:
         raise MalformedInput("table f needs 'path'")
-    try:
-        raw = np.genfromtxt(block["path"], delimiter=",", names=True)
-    except OSError as exc:
-        raise MalformedInput(f"cannot read f table: {exc}") from exc
-    if raw.dtype.names is None or tuple(raw.dtype.names[:2]) != ("r", "f"):
-        raise MalformedInput("f table must have header 'r,f'")
-    r_tab, f_tab = np.atleast_1d(raw["r"]), np.atleast_1d(raw["f"])
+    r_tab, f_tab = read_table(block["path"], "f", "f")
     if r_tab.size == 0:
         raise MalformedInput("f table has no data rows")
     return np.interp(op.grid.r, r_tab, f_tab)
@@ -395,7 +391,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     grid = build_the_grid(cfg, pot, grid_scale)
     check_potential_on_grid(pot, grid)
     spectrum = summarize_spectrum(grid, pot, max_sector=cfg.get("max_sector", 8))
-    op = assemble(grid, pot, 0)
+    op = spectrum.op
     w = estimate_c0_delta0(spectrum, op, margin=cfg.get("margin", 0.5))
 
     meta = {

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrs
 
-from .errors import MalformedInput, SingularResolvent
+from .errors import MalformedInput
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from .spectral import DiscreteOperator, SpectrumSummary
@@ -163,7 +163,8 @@ def projected_resolvent_norm(
     to those columns, which the block 1-norm estimator evaluates from
     products with A and A^T alone.  Each product is one banded solve with
     (L-mu)^-1 = S^-1 (T-mu)^-1 S, its transpose S (T-mu)^-1 S^-1 (T is
-    symmetric), against a factorization of T - mu made once per call.
+    symmetric), against one ``op.factor(mu)`` per call (uncached, so the
+    solvers' factor slots are never touched).
     O(n) time and memory; the estimator draws from a fixed local seed, so
     the value is a deterministic function of the inputs.
     """
@@ -172,9 +173,7 @@ def projected_resolvent_norm(
     phi_col = phi[:, None]
     wphi = quad_weights * phi
     scale = op.scale[:, None]
-    dl, d, du, du2, ipiv, info = dgttrf(op.offdiag, op.diag - mu, op.offdiag)
-    if info != 0:
-        raise SingularResolvent(f"T - mu is singular at mu = {mu:.12g}")
+    dl, d, du, du2, ipiv = op.factor(mu)
 
     def resolve(b: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
         out = np.zeros_like(b)

@@ -82,6 +82,26 @@ def exp_potential(r0: float = 0.0) -> RadialPotential:
     return RadialPotential(lambda r: np.exp(r), r0=r0, name="exp")
 
 
+def read_table(path: str, column: str, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Columns r and ``column`` of a CSV headed ``r,<column>``, any number of rows.
+
+    MalformedInput (on the ``what`` table) unless entries are finite, r increasing.
+    """
+    try:
+        raw = np.genfromtxt(path, delimiter=",", names=True)
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {what} table: {exc}") from exc
+    if raw.dtype.names is None or tuple(raw.dtype.names[:2]) != ("r", column):
+        raise MalformedInput(f"{what} table must have header 'r,{column}'")
+    r_tab = np.atleast_1d(raw["r"]).astype(float)
+    values = np.atleast_1d(raw[column]).astype(float)
+    if not (np.all(np.isfinite(r_tab)) and np.all(np.isfinite(values))):
+        raise MalformedInput(f"{what} table entries must be finite numbers")
+    if not np.all(np.diff(r_tab) > 0):
+        raise MalformedInput(f"{what} table radii must be strictly increasing")
+    return r_tab, values
+
+
 def tabulated_potential(path: str, r0: float | None = None) -> RadialPotential:
     """Load a potential from a two-column CSV with header ``r,q``.
 
@@ -91,20 +111,9 @@ def tabulated_potential(path: str, r0: float | None = None) -> RadialPotential:
     naturally).  When ``r0`` is not given it defaults to the first
     tabulated radius from which the values are nondecreasing.
     """
-    try:
-        raw = np.genfromtxt(path, delimiter=",", names=True)
-    except OSError as exc:
-        raise MalformedInput(f"cannot read potential table: {exc}") from exc
-    if raw.dtype.names is None or tuple(raw.dtype.names[:2]) != ("r", "q"):
-        raise MalformedInput("potential table must have header 'r,q'")
-    r_tab = np.atleast_1d(raw["r"]).astype(float)
-    q_tab = np.atleast_1d(raw["q"]).astype(float)
+    r_tab, q_tab = read_table(path, "q", "potential")
     if r_tab.size < 2:
         raise MalformedInput("potential table needs at least two rows")
-    if not (np.all(np.isfinite(r_tab)) and np.all(np.isfinite(q_tab))):
-        raise MalformedInput("potential table entries must be finite numbers")
-    if not np.all(np.diff(r_tab) > 0):
-        raise MalformedInput("potential table radii must be strictly increasing")
 
     end_slope = (q_tab[-1] - q_tab[-2]) / (r_tab[-1] - r_tab[-2])
 

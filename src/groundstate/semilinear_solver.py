@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -511,6 +511,26 @@ def monotone_solve(
     )
 
 
+def _ratio_forms(op: DiscreteOperator, pairs: Iterable, sign_message: str) -> tuple[list, list]:
+    """Pairs (a, b) made positive, and quadrature((La/a - Lb/b)(a^2 - b^2)) per pair.
+
+    All functions must share one strict sign on the operator's nodes (an
+    all-negative set is flipped), else SignMixed(sign_message) is raised.
+    """
+    s = op.start
+    pairs = [(np.asarray(a, dtype=float), np.asarray(b, dtype=float)) for a, b in pairs]
+    if not all(np.all(x[s:] > 0) for pair in pairs for x in pair):
+        if not all(np.all(x[s:] < 0) for pair in pairs for x in pair):
+            raise SignMixed(sign_message)
+        pairs = [(-a, -b) for a, b in pairs]
+    wq = op.grid.quad_weights[s:]
+    forms = []
+    for a, b in pairs:
+        la, lb, a_s, b_s = op.matvec(a)[s:], op.matvec(b)[s:], a[s:], b[s:]
+        forms.append(float(np.dot(wq, (la / a_s - lb / b_s) * (a_s**2 - b_s**2))))
+    return pairs, forms
+
+
 def brezis_oswald_check(
     op: DiscreteOperator, u: np.ndarray, v: np.ndarray
 ) -> tuple[float, float]:
@@ -528,24 +548,12 @@ def brezis_oswald_check(
     that T's sign is structural, not a quadrature artifact.  Mixed signs
     raise SignMixed.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    ((u, v),), (t_lhs,) = _ratio_forms(
+        op, [(u, v)], "u and v must both be strictly one-signed, same sign"
+    )
     s = op.start
     us, vs = u[s:], v[s:]
-    if np.all(us > 0) and np.all(vs > 0):
-        pass
-    elif np.all(us < 0) and np.all(vs < 0):
-        u, v = -u, -v
-        us, vs = -us, -vs
-    else:
-        raise SignMixed("u and v must both be strictly one-signed, same sign")
-
     grid = op.grid
-    wq = grid.quad_weights[s:]
-    lu = op.matvec(u)[s:]
-    lv = op.matvec(v)[s:]
-    t_lhs = float(np.dot(wq, (lu / us - lv / vs) * (us**2 - vs**2)))
-
     r = grid.r[s:]
     h = grid.h
     area = sphere_area(grid.space_dim)

@@ -18,6 +18,12 @@ M-matrix system with positive right-hand side, which keeps every iterate
 entrywise positive in floating point, so positivity of phi is structural
 rather than a sign fix.
 
+``summarize_spectrum`` assembles sector 0 once per run (``SpectrumSummary.op``)
+and bisects it once.  lambda2 needs sectors 0 and 1 only: for N >= 2 all
+sectors share the off-diagonal and T_{ell+1} - T_ell = (2 ell + N - 1)/r^2 is
+positive diagonal, so by Courant-Fischer sector ell's lowest eigenvalue rises
+with ell (N = 1 has two sectors), and the max_sector cap binds only at 1.
+
 Resolvent solves go through ``DiscreteOperator.solve_shifted``, the one
 verified banded solve: ``T - mu`` is LU-factored once per shift (LAPACK
 gttrf, partial pivoting, valid on both sides of the spectrum), each call is
@@ -48,6 +54,7 @@ RESIDUAL_RTOL = 1e-10  # residual bound relative to the diagonal sup
 SOLVE_RTOL = 1e-10  # backward-error bound of every resolvent solve
 FACTOR_SLOTS = 2  # shifts whose LU factors solve_shifted keeps
 EXCLUSION = 1e-8  # least distance of a resolvent shift to a computed eigenvalue
+RADIAL_EIGS = 6  # sector-0 eigenvalues summarize_spectrum reports
 
 
 def _centrifugal(space_dim: int, sector: int) -> float:
@@ -117,8 +124,13 @@ class DiscreteOperator:
         Raises SingularResolvent when T - mu has an exactly zero pivot or
         the residual bound fails, which includes any NaN in f or u.
         """
-        dl, d, du, du2, ipiv = self._factor(mu)
-        x, _ = dgttrs(dl, d, du, du2, ipiv, self.restrict(f))
+        lu = self._factors.get(mu)
+        if lu is None:
+            lu = self.factor(mu)
+            if len(self._factors) >= FACTOR_SLOTS:
+                del self._factors[next(iter(self._factors))]
+            self._factors[mu] = lu
+        x, _ = dgttrs(*lu, self.restrict(f))
         u = self.extend(x)
         norm = self.grid.norm
         resid = norm(self.matvec(u) - mu * u - f)
@@ -129,17 +141,12 @@ class DiscreteOperator:
             )
         return u
 
-    def _factor(self, mu: float) -> tuple:
-        """gttrf factors of T - mu, computed on first use of the shift."""
-        lu = self._factors.get(mu)
-        if lu is None:
-            dl, d, du, du2, ipiv, info = dgttrf(self.offdiag, self.diag - mu, self.offdiag)
-            if info != 0:
-                raise SingularResolvent(f"T - mu is singular at mu = {mu:.12g}")
-            if len(self._factors) >= FACTOR_SLOTS:
-                del self._factors[next(iter(self._factors))]
-            lu = self._factors[mu] = (dl, d, du, du2, ipiv)
-        return lu
+    def factor(self, mu: float) -> tuple:
+        """gttrf factors of T - mu, not kept; a zero pivot raises SingularResolvent."""
+        dl, d, du, du2, ipiv, info = dgttrf(self.offdiag, self.diag - mu, self.offdiag)
+        if info != 0:
+            raise SingularResolvent(f"T - mu is singular at mu = {mu:.12g}")
+        return dl, d, du, du2, ipiv
 
     def drop_factors(self) -> None:
         """Forget every kept factorization (each solver calls this on exit)."""
@@ -258,25 +265,19 @@ def principal_eigenpair(op: DiscreteOperator) -> tuple[float, np.ndarray]:
 
 
 def second_eigenvalue(
-    grid: Grid, pot: RadialPotential, max_sector: int = 8
+    grid: Grid, pot: RadialPotential, radial: np.ndarray, max_sector: int = 8
 ) -> tuple[float, int]:
     """Second eigenvalue of L across angular sectors, with its sector.
 
-    Minimum of {second eigenvalue of sector 0} and {first eigenvalue of
-    sectors 1..max_sector}; ties resolve to the lower sector.  For N >= 2
-    raises SectorBudget when the minimizer sits at the cap (inconclusive);
-    N = 1 has exactly two parity sectors, so the scan is exhaustive.
+    min(radial[1], lowest eigenvalue of sector 1), ties to sector 0.  By
+    Courant-Fischer (see the module docstring) no sector above 1 is lower, so
+    the SectorBudget raised for N >= 2 when the minimizer sits at the cap
+    max_sector can fire only at max_sector = 1.  N = 1 has two sectors.
     """
     if max_sector < 1:
         raise MalformedInput("max_sector must be >= 1")
-    cap = 1 if grid.space_dim == 1 else max_sector
-    candidates: list[tuple[float, int]] = []
-    op0 = assemble(grid, pot, 0)
-    candidates.append((float(eigenvalues(op0, 2)[1]), 0))
-    for ell in range(1, cap + 1):
-        op = assemble(grid, pot, ell)
-        candidates.append((float(eigenvalues(op, 1)[0]), ell))
-    best_val, best_sector = min(candidates, key=lambda t: (t[0], t[1]))
+    first1 = float(eigenvalues(assemble(grid, pot, 1), 1)[0])
+    best_val, best_sector = min((float(radial[1]), 0), (first1, 1))
     if grid.space_dim >= 2 and best_sector == max_sector:
         raise SectorBudget(
             f"second eigenvalue minimizer at the sector cap {max_sector}; raise max_sector"
@@ -286,7 +287,7 @@ def second_eigenvalue(
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """Principal eigenpair plus the spectral context the solvers need."""
+    """Principal eigenpair, its sector-0 operator ``op`` and the context the solvers need."""
 
     Lambda: float
     phi: GroundstateVector
@@ -294,6 +295,7 @@ class SpectrumSummary:
     lambda2_sector: int
     radial_eigs: np.ndarray
     sector_cap: int
+    op: DiscreteOperator
 
     @property
     def gap(self) -> float:
@@ -309,16 +311,13 @@ class SpectrumSummary:
 
 
 def summarize_spectrum(
-    grid: Grid,
-    pot: RadialPotential,
-    max_sector: int = 8,
-    n_radial: int = 6,
+    grid: Grid, pot: RadialPotential, max_sector: int = 8
 ) -> SpectrumSummary:
-    """Compute (Lambda, phi), lambda2 across sectors, and radial eigenvalues."""
+    """(Lambda, phi), lambda2 across sectors and radial eigenvalues, on one op."""
     op0 = assemble(grid, pot, 0)
     lam, phi_vals = principal_eigenpair(op0)
-    lam2, sector = second_eigenvalue(grid, pot, max_sector)
-    radial = np.asarray(eigenvalues(op0, n_radial), dtype=float)
+    radial = eigenvalues(op0, RADIAL_EIGS)
+    lam2, sector = second_eigenvalue(grid, pot, radial, max_sector)
     if not (0.0 < lam < lam2):
         raise ConvergenceFailure("spectral ordering 0 < Lambda < lambda2 violated")
     phi = GroundstateVector(
@@ -331,4 +330,5 @@ def summarize_spectrum(
         lambda2_sector=sector,
         radial_eigs=radial,
         sector_cap=max_sector,
+        op=op0,
     )

@@ -331,6 +331,24 @@ def test_f_table_without_rows_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("r,f\n2,1\n1,2\n0,3\n", "strictly increasing"),
+        ("r,f\n0,1\n1,nan\n2,3\n", "finite"),
+        ("r,f\n0,1\n1,inf\n2,3\n", "finite"),
+    ],
+    ids=["decreasing", "nan", "inf"],
+)
+def test_bad_f_table_exits_2(tmp_path, capsys, text, message):
+    table = tmp_path / "f.csv"
+    table.write_text(text)
+    cfg = write_config(tmp_path / "cfg.json", f={"kind": "table", "path": str(table)})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_schema_passes_its_metaschema():
     cls = validator_for(SCHEMA)
     cls.check_schema(SCHEMA)

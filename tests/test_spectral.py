@@ -5,8 +5,12 @@ cross-checked on two domain sizes (agreement ~1e-12) and against the
 dimension-reduction identity lambda(N=3, 1+r^4) = 1 + lambda_odd(1D, r^4).
 """
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundstate import (
     RadialPotential,
@@ -14,11 +18,14 @@ from groundstate import (
     eigenpairs,
     eigenvalues,
     make_grid,
+    power_potential,
     principal_eigenpair,
     second_eigenvalue,
     summarize_spectrum,
 )
+from groundstate import spectral
 from groundstate.errors import MalformedInput, SectorBudget
+from groundstate.experiment_cli import main
 
 # -u'' + x^4 u on the line, frozen from a dense-solve + Richardson oracle
 QUARTIC_1D_EVEN = 1.060362090487686
@@ -138,7 +145,7 @@ def test_rayleigh_quotient_matches_eigenvalue():
 
 def test_second_eigenvalue_sector_and_budget():
     g = make_grid(3, 3.2, 300)
-    lam2, sector = second_eigenvalue(g, QUARTIC_3D)
+    lam2, sector = second_eigenvalue(g, QUARTIC_3D, eigenvalues(assemble(g, QUARTIC_3D, 0), 6))
     assert sector == 1
     assert lam2 == pytest.approx(QUARTIC_3D_LAMBDA2, abs=5e-3)
     # a cap that coincides with the minimizer is inconclusive
@@ -162,3 +169,72 @@ def test_eigenvalues_rejects_bad_count():
         eigenvalues(op, 0)
     with pytest.raises(MalformedInput):
         eigenvalues(op, 61)
+
+
+# --------------------------------------------- lambda2 from sectors 0 and 1 only
+
+
+def full_sector_scan(grid, pot, max_sector=8):
+    """Reference: the scan over sectors 0..max_sector that lambda2 once came from.
+
+    Sector 0 contributes a fresh two-eigenvalue bisection, every other
+    sector its first eigenvalue; ties go to the lower sector.
+    """
+    cap = 1 if grid.space_dim == 1 else max_sector
+    candidates = [(float(eigenvalues(assemble(grid, pot, 0), 2)[1]), 0)]
+    for ell in range(1, cap + 1):
+        candidates.append((float(eigenvalues(assemble(grid, pot, ell), 1)[0]), ell))
+    return min(candidates, key=lambda t: (t[0], t[1]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.floats(0.05, 5.0),
+    s=st.floats(2.0, 6.0, exclude_min=True),
+    space_dim=st.integers(1, 5),
+    n=st.integers(40, 400),
+)
+def test_lambda2_matches_the_full_sector_scan(c, s, space_dim, n):
+    grid = make_grid(space_dim, 4.0, n)
+    pot = power_potential(c, s)
+    summary = summarize_spectrum(grid, pot)
+    assert (summary.lambda2, summary.lambda2_sector) == full_sector_scan(grid, pot)
+    if space_dim >= 2:
+        # Courant-Fischer: the lowest level of sector ell rises with ell
+        firsts = [eigenvalues(assemble(grid, pot, ell), 1)[0] for ell in range(9)]
+        assert np.all(np.diff(firsts) > 0)
+
+
+def test_linear_run_assembles_and_bisects_each_sector_once(tmp_path, monkeypatch):
+    """Sector 0 once and sector 1 once per run; no eigenvalues of sectors >= 2.
+
+    Bisections: principal pair, the RADIAL_EIGS sweep, sector 1, and the
+    second eigenvector behind f = phi + coeff*phi2.
+    """
+    assembled, bisected = [], []
+    real_assemble, real_eigh = spectral.assemble, spectral.eigh_tridiagonal
+
+    def counting_assemble(grid, pot, sector):
+        assembled.append(sector)
+        return real_assemble(grid, pot, sector)
+
+    def counting_eigh(*args, **kwargs):
+        bisected.append(args)
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "assemble", counting_assemble)
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", counting_eigh)
+    cfg = {
+        "mode": "linear",
+        "space_dim": 3,
+        "potential": {"kind": "power", "c": 1.0, "s": 4.0},
+        "grid": {"r_max": 3.2, "n": 300},
+        "f": {"kind": "phi_plus_phi2", "coeff": 0.5},
+        "mu_offsets": [-0.1, 0.1],
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 0
+    assert sorted(assembled) == [0, 1]
+    assert len(bisected) == 4
