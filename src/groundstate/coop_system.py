@@ -19,6 +19,10 @@ coupling part of T2 has the closed square form
 node by node, hence is nonpositive; when the nonlinearity ratios are
 strictly decreasing both sides are pinched to zero exactly when the two
 candidate pairs coincide.
+
+A SystemProblem holds (L, A, F) for a whole sweep and is checked against
+the vector groundstate identity once; the shift mu is an argument of each
+solve and of the rectangle.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .errors import (
 )
 from .groundstate_space import GroundstateVector, WindowEstimate, decompose, x_norm
 from .semilinear_solver import Nonlinearity, UniquenessDiagnostics, clipped_fixed_point
-from .semilinear_solver import _ratio_forms
+from .semilinear_solver import _ratio_form, _ratio_forms
 from .spectral import DiscreteOperator, SpectrumSummary
 
 WINDOW_RULE_SYSTEM = "min(delta0, kappa'/(2*c0*K'), (xi1-xi2)/2, lambda2-Lambda)"
@@ -64,7 +68,6 @@ class CoopMatrix:
     y: np.ndarray
     p: np.ndarray
     p_inv: np.ndarray
-    discriminant: float
 
     @property
     def as_array(self) -> np.ndarray:
@@ -90,7 +93,7 @@ def analyze_matrix(a: float, b: float, c: float, d: float) -> CoopMatrix:
     p_inv = np.array([[a - xi2, b], [xi1 - a, -b]]) / (b * (xi1 - xi2))
     m = CoopMatrix(
         a=float(a), b=float(b), c=float(c), d=float(d),
-        xi1=xi1, xi2=xi2, y=y, p=p, p_inv=p_inv, discriminant=disc,
+        xi1=xi1, xi2=xi2, y=y, p=p, p_inv=p_inv,
     )
     arr = m.as_array
     scale = float(np.max(np.abs(arr))) + sq
@@ -149,14 +152,13 @@ def transform_data(
 
 @dataclass(frozen=True)
 class SystemProblem:
-    """One system instance: operator, spectrum, coupling, data, shift."""
+    """One system instance: operator, spectrum, coupling and data."""
 
     op: DiscreteOperator
     spectrum: SpectrumSummary
     matrix: CoopMatrix
     nl1: Nonlinearity
     nl2: Nonlinearity
-    mu: float
     kappa: float
     k_upper: float
     lambda_star: float
@@ -168,7 +170,6 @@ def system_problem(
     m: CoopMatrix,
     nl1: Nonlinearity,
     nl2: Nonlinearity,
-    mu: float,
 ) -> SystemProblem:
     """Bundle the data and verify (L - A)(Y phi) = Lambda* (Y phi).
 
@@ -191,7 +192,7 @@ def system_problem(
     kappa = min(nl1.kappa, nl2.kappa)
     k_upper = max(nl1.k_upper, nl2.k_upper)
     return SystemProblem(
-        op=op, spectrum=spectrum, matrix=m, nl1=nl1, nl2=nl2, mu=mu,
+        op=op, spectrum=spectrum, matrix=m, nl1=nl1, nl2=nl2,
         kappa=kappa, k_upper=k_upper, lambda_star=lam_star,
     )
 
@@ -216,9 +217,8 @@ class Rectangle:
     kind: str
 
 
-def rectangle(p: SystemProblem, mu: float | None = None) -> Rectangle:
-    """Invariant rectangle of groundstate multiples for the iteration."""
-    mu = p.mu if mu is None else mu
+def rectangle(p: SystemProblem, mu: float) -> Rectangle:
+    """Invariant rectangle of groundstate multiples for the iteration at mu."""
     if mu == p.lambda_star:
         raise WindowViolation("mu = Lambda* has no resolvent")
     y = p.matrix.y
@@ -230,7 +230,7 @@ def rectangle(p: SystemProblem, mu: float | None = None) -> Rectangle:
     return Rectangle(lo=b, hi=a, kind="AMP")
 
 
-def _system_sweep(p: SystemProblem, u: np.ndarray) -> tuple[np.ndarray, tuple]:
+def _system_sweep(p: SystemProblem, mu: float, u: np.ndarray) -> tuple[np.ndarray, tuple]:
     """One map U -> P solve(P^{-1} F(U)) on the 2 x n iterate; returns (U', (v1, v2)).
 
     The two scalar solves alternate the shifts mu + xi1 and mu + xi2, both
@@ -243,8 +243,8 @@ def _system_sweep(p: SystemProblem, u: np.ndarray) -> tuple[np.ndarray, tuple]:
     f2 = phi * p.nl2(r, u[1])
     g1 = m.p_inv[0, 0] * f1 + m.p_inv[0, 1] * f2
     g2 = m.p_inv[1, 0] * f1 + m.p_inv[1, 1] * f2
-    v1 = op.solve_shifted(p.mu + m.xi1, g1)
-    v2 = op.solve_shifted(p.mu + m.xi2, g2)
+    v1 = op.solve_shifted(mu + m.xi1, g1)
+    v2 = op.solve_shifted(mu + m.xi2, g2)
     t = np.vstack([m.p[0, 0] * v1 + m.p[0, 1] * v2, m.p[1, 0] * v1 + m.p[1, 1] * v2])
     return t, (v1, v2)
 
@@ -269,7 +269,7 @@ class SystemReport:
     k_prime: float
     iterations: int
     residual_x: float
-    rectangle_violations: int
+    violations: int
     branch: str
     mu: float
     window: float
@@ -286,12 +286,13 @@ class SystemReport:
 def solve_system(
     p: SystemProblem,
     w: WindowEstimate,
+    mu: float,
     damping: float = 0.5,
     max_iter: int = 500,
     tol_x: float = 1e-9,
     start: str = "lower",
 ) -> SystemReport:
-    """Damped rectangle iteration for the cooperative system.
+    """Damped rectangle iteration for the cooperative system at shift mu.
 
     Runs clipped_fixed_point on the 2 x n iterate from the requested
     rectangle corner: clipped nodes count as rectangle violations, a sweep
@@ -299,19 +300,19 @@ def solve_system(
     and convergence is measured in the componentwise max X-norm.
     """
     window = window_system(p, w)
-    dist = abs(p.lambda_star - p.mu)
+    dist = abs(p.lambda_star - mu)
     if not (0.0 < dist < window):
         raise WindowViolation(
             f"|Lambda* - mu| = {dist:.6g} outside the certified window {window:.6g}"
         )
     phi = p.spectrum.phi.values
-    rect = rectangle(p)
+    rect = rectangle(p, mu)
     lo = rect.lo[:, None] * phi[None, :]
     hi = rect.hi[:, None] * phi[None, :]
     if start not in ("lower", "upper"):
         raise MalformedInput("start must be 'lower' or 'upper'")
     fp = clipped_fixed_point(
-        p.op, lambda u: _system_sweep(p, u), lo, hi, lo if start == "lower" else hi, phi,
+        p.op, lambda u: _system_sweep(p, mu, u), lo, hi, lo if start == "lower" else hi, phi,
         RectangleEscape, damping, max_iter, tol_x,
     )
     u = fp.u
@@ -342,9 +343,9 @@ def solve_system(
         k_prime=kup,
         iterations=fp.iterations,
         residual_x=fp.residual_x,
-        rectangle_violations=fp.violations,
+        violations=fp.violations,
         branch=rect.kind,
-        mu=p.mu,
+        mu=mu,
         window=window,
         window_rule=WINDOW_RULE_SYSTEM,
         v2_bound=v2_bound,
@@ -442,10 +443,7 @@ def coupled_uniqueness_check(
     wq = op.grid.quad_weights[s:]
     t1 = lap[0] / m.b + lap[1] / m.c
 
-    cross_raw = float(
-        np.dot(wq, (u2 / u1 - v2 / v1) * (u1**2 - v1**2))
-        + np.dot(wq, (u1 / u2 - v1 / v2) * (u2**2 - v2**2))
-    )
+    cross_raw = _ratio_form(wq, u2, u1, v2, v1) + _ratio_form(wq, u1, u2, v1, v2)
     cross = -float(
         np.dot(wq, (np.sqrt(u2 * v1**2 / u1) - np.sqrt(u1 * v2**2 / u2)) ** 2)
         + np.dot(wq, (np.sqrt(v2 * u1**2 / v1) - np.sqrt(v1 * u2**2 / v2)) ** 2)
@@ -457,13 +455,8 @@ def coupled_uniqueness_check(
             raise MalformedInput("nonlinearity terms need phi")
         r = op.grid.r[s:]
         ph = np.asarray(phi, dtype=float)[s:]
-        for nl, weight, (af, bf) in (
-            (nl1, m.b, (u1, v1)),
-            (nl2, m.c, (u2, v2)),
-        ):
-            fa = ph * nl(r, af)
-            fb = ph * nl(r, bf)
-            fdiff += float(np.dot(wq, (fa / af - fb / bf) * (af**2 - bf**2))) / weight
+        for nl, weight, a, b in ((nl1, m.b, u1, v1), (nl2, m.c, u2, v2)):
+            fdiff += _ratio_form(wq, ph * nl(r, a), a, ph * nl(r, b), b) / weight
     t2 = cross_raw + fdiff
 
     if t1 < -1e-8:
@@ -476,13 +469,14 @@ def coupled_uniqueness_check(
 def system_two_start(
     p: SystemProblem,
     w: WindowEstimate,
+    mu: float,
     damping: float = 0.5,
     max_iter: int = 500,
     tol_x: float = 1e-9,
 ) -> SystemReport:
     """Solve from both rectangle corners and attach uniqueness diagnostics."""
-    lo = solve_system(p, w, damping=damping, max_iter=max_iter, tol_x=tol_x, start="lower")
-    hi = solve_system(p, w, damping=damping, max_iter=max_iter, tol_x=tol_x, start="upper")
+    lo = solve_system(p, w, mu, damping=damping, max_iter=max_iter, tol_x=tol_x, start="lower")
+    hi = solve_system(p, w, mu, damping=damping, max_iter=max_iter, tol_x=tol_x, start="upper")
     phi = p.spectrum.phi.values
     gap = max(
         x_norm(hi.u1.values - lo.u1.values, phi),

@@ -18,7 +18,8 @@ copying cell text verbatim so repeated runs stay byte-identical.
 
 Exit codes: 0 success; 2 malformed config, unreadable input (including
 a ``q`` or ``f`` table with a non-finite entry, radii that do not strictly
-increase, or too few rows), non-finite grid weights, or a potential
+increase, or too few rows), a grid with fewer nodes than the six radial
+eigenvalues the spectrum reports, non-finite grid weights, or a potential
 that is non-finite or nonpositive on the grid or decreases on grid nodes
 beyond its r0; 3 a solver raised (no convergence, singular solve, escaped
 bracket, window or hypothesis violation) or numpy/scipy did (``LinAlgError``,
@@ -60,7 +61,12 @@ from .errors import (
     NotIncreasing,
 )
 from .groundstate_space import estimate_c0_delta0, x_norm
-from .linear_solver import certify_theorem1, linear_problem
+from .linear_solver import (
+    WINDOW_RULE_LINEAR,
+    certify_theorem1,
+    linear_problem,
+    window_linear,
+)
 from .radial_grid import (
     build_grid,
     exp_potential,
@@ -72,7 +78,6 @@ from .radial_grid import (
 )
 from .semilinear_solver import (
     WINDOW_RULE_SEMILINEAR,
-    UniquenessDiagnostics,
     constant_profile,
     exp_decay_profile,
     rational_profile,
@@ -81,7 +86,7 @@ from .semilinear_solver import (
     validate_nonlinearity,
     window_semilinear,
 )
-from .spectral import eigenpairs, summarize_spectrum
+from .spectral import RADIAL_EIGS, eigenpairs, summarize_spectrum
 
 CONFIG_ERRORS = (MalformedInput, NonPositivePotential, NotIncreasing, NotCooperative)
 
@@ -265,14 +270,21 @@ def build_the_grid(cfg: dict, pot, grid_scale: float):
         raise MalformedInput("grid needs either (r_max, n) or spectral_scale")
     if direct:
         n = int(math.ceil(g["n"] * grid_scale))
-        return make_grid(cfg["space_dim"], g["r_max"], n)
-    return build_grid(
-        pot,
-        cfg["space_dim"],
-        g["spectral_scale"],
-        points_per_unit=g.get("points_per_unit", 200.0) * grid_scale,
-        truncation_factor=g.get("truncation_factor", 4.0),
-    )
+        grid = make_grid(cfg["space_dim"], g["r_max"], n)
+    else:
+        grid = build_grid(
+            pot,
+            cfg["space_dim"],
+            g["spectral_scale"],
+            points_per_unit=g.get("points_per_unit", 200.0) * grid_scale,
+            truncation_factor=g.get("truncation_factor", 4.0),
+        )
+    if len(grid.r) < RADIAL_EIGS:
+        raise MalformedInput(
+            f"grid has {len(grid.r)} nodes but the spectrum needs at least {RADIAL_EIGS}; "
+            f"raise grid.{'n' if direct else 'points_per_unit'}"
+        )
+    return grid
 
 
 def check_potential_on_grid(pot, grid) -> None:
@@ -340,10 +352,6 @@ def resolve_offsets(cfg: dict) -> list[float]:
     return sorted(offsets)
 
 
-def _blank_row() -> dict:
-    return {k: "" for k in COLUMNS}
-
-
 def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -364,10 +372,6 @@ def _dump_profile(path: Path, header: list[str], arrays: list[np.ndarray]) -> No
         for start in range(0, len(arrays[0]), DUMP_ROWS):
             chunk = [a[start:start + DUMP_ROWS].tolist() for a in arrays]
             handle.writelines(map(line.format, *chunk))
-
-
-def _offset_tag(offset: float) -> str:
-    return format(offset, "g")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -412,26 +416,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "config_hash": config_hash,
     }
 
-    mode = cfg["mode"]
-    solver = cfg.get("solver", {})
-    rows: list[dict] = []
-    dumps: dict[float, tuple[list[str], list[np.ndarray]]] = {}
-
-    if mode == "eigen":
-        meta["window"] = w.delta0
-        meta["window_rule"] = "delta0"
-    elif mode == "linear":
-        rows, dumps, window, rule = _run_linear(cfg, op, spectrum, w)
-        meta["window"] = window
-        meta["window_rule"] = rule
-    elif mode == "semilinear":
-        rows, dumps, window = _run_semilinear(cfg, op, spectrum, w, solver)
-        meta["window"] = window
-        meta["window_rule"] = WINDOW_RULE_SEMILINEAR
-    else:
-        rows, dumps, extras = _run_system(cfg, op, spectrum, w, solver)
-        meta.update(extras)
-        meta["window_rule"] = WINDOW_RULE_SYSTEM
+    rows, dumps = _sweep_rows(cfg, op, spectrum, w, meta)
 
     # created only now, so a run that fails leaves no directory behind
     out_dir = Path(args.out) if args.out else Path(cfg["output_dir"])
@@ -441,7 +426,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         handle.write("\n")
     _write_csv(out_dir / "sweep.csv", COLUMNS, rows)
     for offset, (header, arrays) in dumps.items():
-        _dump_profile(out_dir / f"solution_{_offset_tag(offset)}.csv", header, arrays)
+        _dump_profile(out_dir / f"solution_{offset:g}.csv", header, arrays)
 
     print(f"wall_time_s {time.perf_counter() - t0:.3f}", file=sys.stderr)
     if cfg.get("require_certificates", False):
@@ -461,25 +446,40 @@ def _requested_dumps(cfg: dict, offset: float) -> bool:
     return False
 
 
-def _run_linear(cfg, op, spectrum, w):
-    f_values = build_f(cfg, op, spectrum)
+def _sweep_rows(cfg: dict, op, spectrum, w, meta: dict) -> tuple[list[dict], dict]:
+    """One row per shift mu, and the profiles to dump; fills meta's window keys.
+
+    The mode's setup (MODE_SETUPS) supplies the shift origin (Lambda or
+    Lambda*), its meta entries, the names of the dumped solution columns
+    and a function mu -> (row cells, solution arrays).  Returning before
+    the files are written lets everything the last row built be freed.
+    """
+    if cfg["mode"] == "eigen":
+        meta.update(window=w.delta0, window_rule="delta0")
+        return [], {}
+    origin, extras, header, row_at = MODE_SETUPS[cfg["mode"]](cfg, op, spectrum, w)
+    meta.update(extras)
     phi = spectrum.phi.values
-    lam = spectrum.Lambda
-    rows = []
-    dumps = {}
-    window = None
-    rule = "min(delta0, f1/(c0*||fperp||_X))"
+    rows: list[dict] = []
+    dumps: dict[float, tuple[list[str], list[np.ndarray]]] = {}
     for offset in resolve_offsets(cfg):
-        mu = lam + offset
-        p = linear_problem(op, spectrum, mu, f_values)
-        cert = certify_theorem1(p, w)
-        if window is None:
-            window = cert.window_used
-        perp_x = x_norm(p.f.perp, phi) if np.any(p.f.perp) else 0.0
-        row = _blank_row()
-        row.update(
-            mu=mu,
-            offset=offset,
+        mu = origin + offset
+        cells, solution = row_at(mu)
+        row = {k: "" for k in COLUMNS}
+        row.update(mu=mu, offset=offset, **cells)
+        rows.append(row)
+        if _requested_dumps(cfg, offset):
+            dumps[offset] = (["r", "phi", *header], [op.grid.r, phi, *solution])
+    return rows, dumps
+
+
+def _linear_setup(cfg, op, spectrum, w):
+    p = linear_problem(op, spectrum, build_f(cfg, op, spectrum))
+    lam = spectrum.Lambda
+
+    def row_at(mu):
+        cert = certify_theorem1(p, w, mu)
+        cells = dict(
             branch="MP" if mu < lam else "AMP",
             u1_component=cert.solution.c1,
             min_ratio=cert.min_ratio,
@@ -487,64 +487,62 @@ def _run_linear(cfg, op, spectrum, w):
             x_norm=cert.solution.x_norm,
             bound_lo=cert.bound if (cert.in_window and mu < lam) else "",
             bound_hi=cert.bound if (cert.in_window and mu > lam) else "",
-            xnorm_bound=abs(p.f.c1) / abs(lam - mu) + w.c0 * perp_x,
+            xnorm_bound=abs(p.f.c1) / abs(lam - mu) + w.c0 * p.perp_x,
             certified=cert.certified,
             in_window=cert.in_window,
             iterations=1,
             violations=0,
         )
-        rows.append(row)
-        if _requested_dumps(cfg, offset):
-            dumps[offset] = (
-                ["r", "phi", "u"], [op.grid.r, phi, cert.solution.values]
-            )
-    return rows, dumps, window, rule
+        return cells, [cert.solution.values]
+
+    meta = {"window": window_linear(p, w), "window_rule": WINDOW_RULE_LINEAR}
+    return lam, meta, ["u"], row_at
 
 
-def _iteration_kwargs(solver: dict) -> dict:
-    """damping/max_iter/tol_x of the fixed-point solvers, defaults filled in."""
-    return dict(
+def _solver_controls(cfg: dict) -> tuple[bool, str, dict]:
+    """two_start, start and the damping/max_iter/tol_x kwargs, defaults filled in."""
+    solver = cfg.get("solver", {})
+    kwargs = dict(
         damping=solver.get("damping", 0.5),
         max_iter=solver.get("max_iter", 500),
         tol_x=solver.get("tol_x", 1e-9),
     )
+    return solver.get("two_start", True), solver.get("start", "lower"), kwargs
 
 
-def _uniqueness_cells(diag: UniquenessDiagnostics | None) -> dict:
-    """two_start_gap/bo_residual cells, blank where a diagnostic is absent."""
-    if diag is None:
-        return {"two_start_gap": "", "bo_residual": ""}
-    bo = diag.brezis_oswald_residual
-    return {"two_start_gap": diag.two_start_gap, "bo_residual": "" if bo is None else bo}
+def _fixed_point_cells(rep) -> dict:
+    """Cells a semilinear or system report fills the same way."""
+    diag = rep.uniqueness
+    bo = None if diag is None else diag.brezis_oswald_residual
+    return dict(
+        branch=rep.branch,
+        certified=rep.certified,
+        in_window=True,
+        iterations=rep.iterations,
+        residual_x=rep.residual_x,
+        violations=rep.violations,
+        two_start_gap="" if diag is None else diag.two_start_gap,
+        bo_residual="" if bo is None else bo,
+    )
 
 
-def _run_semilinear(cfg, op, spectrum, w, solver):
+def _semilinear_setup(cfg, op, spectrum, w):
     if "nonlinearity" not in cfg:
         raise MalformedInput("semilinear mode needs a 'nonlinearity' block")
     nl = build_nonlinearity(cfg["nonlinearity"])
     validate_nonlinearity(nl, op.grid.r)
-    phi = spectrum.phi.values
     lam = spectrum.Lambda
-    window = window_semilinear(nl, w)
-    two_start = solver.get("two_start", True)
-    kwargs = _iteration_kwargs(solver)
-    rows = []
-    dumps = {}
-    for offset in resolve_offsets(cfg):
-        mu = lam + offset
+    two_start, start, kwargs = _solver_controls(cfg)
+
+    def row_at(mu):
         if two_start:
             rep = two_start_diagnostics(op, spectrum, w, nl, mu, **kwargs)
         else:
-            rep = solve_semilinear(
-                op, spectrum, w, nl, mu, start=solver.get("start", "lower"), **kwargs
-            )
+            rep = solve_semilinear(op, spectrum, w, nl, mu, start=start, **kwargs)
         edge_kappa = nl.kappa / (lam - mu)
         edge_k = nl.k_upper / (lam - mu)
-        row = _blank_row()
-        row.update(
-            mu=mu,
-            offset=offset,
-            branch=rep.branch,
+        cells = dict(
+            _fixed_point_cells(rep),
             u1_component=rep.solution.c1,
             min_ratio=rep.min_ratio,
             max_ratio=rep.max_ratio,
@@ -552,20 +550,14 @@ def _run_semilinear(cfg, op, spectrum, w, solver):
             bound_lo=min(edge_kappa, edge_k),
             bound_hi=max(edge_kappa, edge_k),
             xnorm_bound=rep.xnorm_bound,
-            certified=rep.certified,
-            in_window=True,
-            iterations=rep.iterations,
-            residual_x=rep.residual_x,
-            violations=rep.bracket_violations,
-            **_uniqueness_cells(rep.uniqueness),
         )
-        rows.append(row)
-        if _requested_dumps(cfg, offset):
-            dumps[offset] = (["r", "phi", "u"], [op.grid.r, phi, rep.solution.values])
-    return rows, dumps, window
+        return cells, [rep.solution.values]
+
+    meta = {"window": window_semilinear(nl, w), "window_rule": WINDOW_RULE_SEMILINEAR}
+    return lam, meta, ["u"], row_at
 
 
-def _run_system(cfg, op, spectrum, w, solver):
+def _system_setup(cfg, op, spectrum, w):
     if "matrix" not in cfg or "nonlinearity" not in cfg:
         raise MalformedInput("system mode needs 'matrix' and 'nonlinearity' blocks")
     mspec = cfg["matrix"]
@@ -574,63 +566,49 @@ def _run_system(cfg, op, spectrum, w, solver):
     nl2 = build_nonlinearity(cfg.get("nonlinearity2", cfg["nonlinearity"]))
     for nl in (nl1, nl2):
         validate_nonlinearity(nl, op.grid.r)
+    p = system_problem(op, spectrum, m, nl1, nl2)
     phi = spectrum.phi.values
-    lam_star = spectrum.Lambda - m.xi1
-    two_start = solver.get("two_start", True)
-    kwargs = _iteration_kwargs(solver)
-    rows = []
-    dumps = {}
-    window = None
-    extras = {}
-    for offset in resolve_offsets(cfg):
-        mu = lam_star + offset
-        p = system_problem(op, spectrum, m, nl1, nl2, mu)
-        if window is None:
-            window = window_system(p, w)
-            kp, kup = inherited_bounds(m, p.kappa, p.k_upper)
-            extras = {
-                "lambda_star": lam_star,
-                "xi1": m.xi1,
-                "xi2": m.xi2,
-                "y": m.y,
-                "kappa_prime": kp,
-                "k_prime": kup,
-                "window": window,
-            }
+    two_start, start, kwargs = _solver_controls(cfg)
+
+    def row_at(mu):
         if two_start:
-            rep = system_two_start(p, w, **kwargs)
+            rep = system_two_start(p, w, mu, **kwargs)
         else:
-            rep = solve_system(p, w, start=solver.get("start", "lower"), **kwargs)
-        row = _blank_row()
-        row.update(
-            mu=mu,
-            offset=offset,
-            branch=rep.branch,
+            rep = solve_system(p, w, mu, start=start, **kwargs)
+        rect = rep.rectangle
+        cells = dict(
+            _fixed_point_cells(rep),
             u1_component=rep.u1.c1,
             min_ratio=float(np.min(rep.min_ratio)),
             max_ratio=float(np.max(rep.max_ratio)),
             x_norm=max(rep.u1.x_norm, rep.u2.x_norm),
-            bound_lo=float(np.min(rep.rectangle.lo)),
-            bound_hi=float(np.max(rep.rectangle.hi)),
-            xnorm_bound=float(
-                np.max(np.abs(np.concatenate([rep.rectangle.lo, rep.rectangle.hi])))
-            ),
-            certified=rep.certified,
-            in_window=True,
-            iterations=rep.iterations,
-            residual_x=rep.residual_x,
-            violations=rep.rectangle_violations,
-            **_uniqueness_cells(rep.uniqueness),
+            bound_lo=float(np.min(rect.lo)),
+            bound_hi=float(np.max(rect.hi)),
+            xnorm_bound=float(np.max(np.abs(np.concatenate([rect.lo, rect.hi])))),
             v2_xnorm=x_norm(rep.v2, phi),
             v2_bound=rep.v2_bound,
         )
-        rows.append(row)
-        if _requested_dumps(cfg, offset):
-            dumps[offset] = (
-                ["r", "phi", "u1", "u2"],
-                [op.grid.r, phi, rep.u1.values, rep.u2.values],
-            )
-    return rows, dumps, extras
+        return cells, [rep.u1.values, rep.u2.values]
+
+    kp, kup = inherited_bounds(m, p.kappa, p.k_upper)
+    meta = {
+        "lambda_star": p.lambda_star,
+        "xi1": m.xi1,
+        "xi2": m.xi2,
+        "y": m.y,
+        "kappa_prime": kp,
+        "k_prime": kup,
+        "window": window_system(p, w),
+        "window_rule": WINDOW_RULE_SYSTEM,
+    }
+    return p.lambda_star, meta, ["u1", "u2"], row_at
+
+
+MODE_SETUPS = {
+    "linear": _linear_setup,
+    "semilinear": _semilinear_setup,
+    "system": _system_setup,
+}
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -7,6 +7,10 @@ min{delta0, delta1(f)} with delta1(f) = f1/(c0*||fperp||_X), those two
 facts pin the sign of u/phi: positive below Lambda (GSP), negative above
 (GSN).  Certificates here are verified pointwise on the grid, never
 trusted from the constants alone, because c0 is a sampled estimate.
+
+A LinearProblem holds (L, f) for a whole sweep: f is decomposed and
+||fperp||_X computed once, and the shift mu is an argument of each solve,
+which first checks mu against the computed eigenvalues.
 """
 
 from __future__ import annotations
@@ -21,46 +25,62 @@ from .groundstate_space import GroundstateVector, WindowEstimate, decompose, x_n
 from .spectral import DiscreteOperator, SpectrumSummary
 
 CERT_SLACK = 1e-6
+WINDOW_RULE_LINEAR = "min(delta0, f1/(c0*||fperp||_X))"
 
 
 @dataclass(frozen=True)
 class LinearProblem:
-    """Data (L, mu, f) for one resolvent solve, f carried with its split."""
+    """Data (L, f) for resolvent solves, f carried with its split.
+
+    perp_x is ||fperp||_X (0 when fperp vanishes identically).
+    """
 
     op: DiscreteOperator
     spectrum: SpectrumSummary
-    mu: float
     f: GroundstateVector
+    perp_x: float
 
     @property
     def hstar_f(self) -> bool:
         """Whether the sign-certificate hypothesis f1 > 0 holds."""
         return self.f.c1 > 0.0
 
+    def delta_f(self, w: WindowEstimate) -> float:
+        """delta1(f) = f1/(c0*||fperp||_X), infinite when fperp = 0."""
+        return math.inf if self.perp_x == 0.0 else self.f.c1 / (w.c0 * self.perp_x)
+
 
 def linear_problem(
-    op: DiscreteOperator, spectrum: SpectrumSummary, mu: float, f_values: np.ndarray
+    op: DiscreteOperator, spectrum: SpectrumSummary, f_values: np.ndarray
 ) -> LinearProblem:
-    """Validate mu against the computed spectrum and decompose f."""
-    spectrum.check_off_spectrum(mu)
-    f = decompose(f_values, spectrum.phi.values, op.grid.quad_weights)
-    return LinearProblem(op=op, spectrum=spectrum, mu=mu, f=f)
+    """Decompose f against phi and measure its orthogonal part in X."""
+    phi = spectrum.phi.values
+    f = decompose(f_values, phi, op.grid.quad_weights)
+    perp_x = x_norm(f.perp, phi) if np.any(f.perp) else 0.0
+    return LinearProblem(op=op, spectrum=spectrum, f=f, perp_x=perp_x)
 
 
-def solve_linear(p: LinearProblem) -> GroundstateVector:
+def window_linear(p: LinearProblem, w: WindowEstimate) -> float:
+    """Certified half-width min{delta0, delta1(f)} around Lambda."""
+    return min(w.delta0, p.delta_f(w))
+
+
+def solve_linear(p: LinearProblem, mu: float) -> GroundstateVector:
     """Verified banded solve of (L - mu)u = f plus a component check.
 
-    The residual is checked inside solve_shifted; here the computed u1
+    mu must keep EXCLUSION distance from every computed eigenvalue.  The
+    residual is checked inside solve_shifted; here the computed u1
     must also match f1/(Lambda - mu) to 1e-6 relative (the discrete
     identity is exact up to rounding since phi is an exact eigenvector of
     the matrix).
     """
+    p.spectrum.check_off_spectrum(mu)
     try:
-        u = p.op.solve_shifted(p.mu, p.f.values)
+        u = p.op.solve_shifted(mu, p.f.values)
     finally:
         p.op.drop_factors()
     ug = decompose(u, p.spectrum.phi.values, p.op.grid.quad_weights)
-    expected = p.f.c1 / (p.spectrum.Lambda - p.mu)
+    expected = p.f.c1 / (p.spectrum.Lambda - mu)
     if abs(ug.c1 - expected) > 1e-6 * max(abs(expected), 1e-300):
         raise SingularResolvent("groundstate component identity u1 = f1/(Lambda-mu) violated")
     return ug
@@ -90,7 +110,7 @@ class LinearCertificate:
     max_ratio: float
 
 
-def certify_theorem1(p: LinearProblem, w: WindowEstimate) -> LinearCertificate:
+def certify_theorem1(p: LinearProblem, w: WindowEstimate, mu: float) -> LinearCertificate:
     """Solve and, inside the window, verify the sign bounds pointwise.
 
     Below Lambda the claim is min(u/phi) >= f1/(Lambda-mu) - c0*||fperp||_X
@@ -105,38 +125,36 @@ def certify_theorem1(p: LinearProblem, w: WindowEstimate) -> LinearCertificate:
     if not math.isfinite(fx):
         raise HypothesisViolated("f has no finite groundstate-weighted norm")
 
-    perp_x = x_norm(p.f.perp, p.spectrum.phi.values) if np.any(p.f.perp) else 0.0
-    delta_f = math.inf if perp_x == 0.0 else p.f.c1 / (w.c0 * perp_x)
-    window = min(w.delta0, delta_f)
+    window = window_linear(p, w)
 
-    u = solve_linear(p)
+    u = solve_linear(p, mu)
     ratio = u.values / p.spectrum.phi.values
     min_ratio, max_ratio = float(ratio.min()), float(ratio.max())
 
     lam = p.spectrum.Lambda
-    in_window = 0.0 < abs(lam - p.mu) < window
+    in_window = 0.0 < abs(lam - mu) < window
     gsp = gsn = bound = None
     certified = False
     if in_window:
         # pointwise checks carry 1e-6 relative slack: when f is parallel
         # to phi the bound is attained exactly and only rounding separates
         # the computed ratio from it
-        scalar = p.f.c1 / (lam - p.mu)
-        if p.mu < lam:
-            bound = scalar - w.c0 * perp_x
+        scalar = p.f.c1 / (lam - mu)
+        if mu < lam:
+            bound = scalar - w.c0 * p.perp_x
             if bound > 0.0 and min_ratio >= bound * (1.0 - CERT_SLACK):
                 gsp, certified = bound, True
         else:
-            bound = scalar + w.c0 * perp_x
+            bound = scalar + w.c0 * p.perp_x
             if bound < 0.0 and max_ratio <= bound * (1.0 - CERT_SLACK):
                 gsn, certified = bound, True
     return LinearCertificate(
         solution=u,
         gsp=gsp,
         gsn=gsn,
-        delta_f=delta_f,
+        delta_f=p.delta_f(w),
         window_used=window,
-        mu=p.mu,
+        mu=mu,
         in_window=in_window,
         bound=bound,
         certified=certified,

@@ -225,7 +225,7 @@ class SemilinearReport:
     solution: GroundstateVector
     iterations: int
     residual_x: float
-    bracket_violations: int
+    violations: int
     xnorm_bound: float
     xnorm_ok: bool
     branch: str
@@ -403,7 +403,7 @@ def _finish_report(
         solution=sol,
         iterations=iterations,
         residual_x=residual_x,
-        bracket_violations=violations,
+        violations=violations,
         xnorm_bound=xnorm_bound,
         xnorm_ok=sol.x_norm <= xnorm_bound,
         branch=branch,
@@ -511,6 +511,11 @@ def monotone_solve(
     )
 
 
+def _ratio_form(wq, fa, a, fb, b) -> float:
+    """quadrature((fa/a - fb/b)(a^2 - b^2)) with weights wq; fa, fb are images of a, b."""
+    return float(np.dot(wq, (fa / a - fb / b) * (a**2 - b**2)))
+
+
 def _ratio_forms(op: DiscreteOperator, pairs: Iterable, sign_message: str) -> tuple[list, list]:
     """Pairs (a, b) made positive, and quadrature((La/a - Lb/b)(a^2 - b^2)) per pair.
 
@@ -527,7 +532,7 @@ def _ratio_forms(op: DiscreteOperator, pairs: Iterable, sign_message: str) -> tu
     forms = []
     for a, b in pairs:
         la, lb, a_s, b_s = op.matvec(a)[s:], op.matvec(b)[s:], a[s:], b[s:]
-        forms.append(float(np.dot(wq, (la / a_s - lb / b_s) * (a_s**2 - b_s**2))))
+        forms.append(_ratio_form(wq, la, a_s, lb, b_s))
     return pairs, forms
 
 

@@ -88,8 +88,8 @@ def test_criterion_01_eigensolver_oracles():
 def test_criterion_02_linear_exactness(osc1d):
     _, op, spectrum, _ = osc1d
     lam, phi = spectrum.Lambda, spectrum.phi.values
-    u_lo = solve_linear(linear_problem(op, spectrum, lam - 0.1, phi))
-    u_hi = solve_linear(linear_problem(op, spectrum, lam + 0.1, phi))
+    u_lo = solve_linear(linear_problem(op, spectrum, phi), lam - 0.1)
+    u_hi = solve_linear(linear_problem(op, spectrum, phi), lam + 0.1)
     err_lo = x_norm(u_lo.values - 10.0 * phi, phi)
     err_hi = x_norm(u_hi.values + 10.0 * phi, phi)
     ok = err_lo <= 1e-6 and err_hi <= 1e-6
@@ -112,7 +112,7 @@ def test_criterion_03_linear_certificates(osc1d):
     for k in range(1, 9):
         for side in (-1.0, +1.0):
             mu = lam + side * window * k / 9.0
-            cert = certify_theorem1(linear_problem(op, spectrum, mu, f_values), w)
+            cert = certify_theorem1(linear_problem(op, spectrum, f_values), w, mu)
             assert cert.in_window
             scalar = f.c1 / (lam - mu)
             if side < 0:
@@ -135,7 +135,7 @@ def test_criterion_04_semilinear_suite(quart):
         bound = nl.k_upper / abs(lam - mu) + 2.0 * w.c0 * nl.k_upper
         checks.append(rep.branch == side)
         checks.append(rep.iterations < 500)
-        checks.append(rep.bracket_violations == 0)
+        checks.append(rep.violations == 0)
         checks.append(x_norm(rep.solution.values, phi) <= bound * (1.0 + 1e-3))
         if side == "MP":
             gsp = rep.min_ratio
@@ -208,11 +208,8 @@ def test_criterion_07_system_principal_direction(quart):
     phi = spectrum.phi.values
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
     # constant profiles (1, 2) make F = Y phi exactly
-    p = system_problem(
-        op, spectrum, m, constant_profile(1.0), constant_profile(2.0),
-        spectrum.Lambda - m.xi1 - 0.1,
-    )
-    rep = solve_system(p, w)
+    p = system_problem(op, spectrum, m, constant_profile(1.0), constant_profile(2.0))
+    rep = solve_system(p, w, spectrum.Lambda - m.xi1 - 0.1)
     err1 = x_norm(rep.u1.values - 10.0 * m.y[0] * phi, phi)
     err2 = x_norm(rep.u2.values - 10.0 * m.y[1] * phi, phi)
     ok = err1 <= 1e-6 and err2 <= 1e-6
@@ -230,16 +227,16 @@ def test_criterion_08_system_suite(quart):
     worst_cross = -np.inf
     checks = []
     for offset in (-0.1, -0.05, +0.05, +0.1):
-        p = system_problem(op, spectrum, m, nl, nl, lam_star + offset)
-        rep = system_two_start(p, w)
+        p = system_problem(op, spectrum, m, nl, nl)
+        rep = system_two_start(p, w, lam_star + offset)
         checks.append(rep.membership_ok and rep.certified)
-        checks.append(rep.rectangle_violations == 0)
+        checks.append(rep.violations == 0)
         v2_bound = 2.0 * rep.k_prime / (m.xi1 - m.xi2) + 2.0 * w.c0 * rep.k_prime
         checks.append(x_norm(rep.v2, phi) <= v2_bound)
         worst_gap = max(worst_gap, rep.uniqueness.two_start_gap)
 
-        lo = solve_system(p, w, start="lower")
-        hi = solve_system(p, w, start="upper")
+        lo = solve_system(p, w, lam_star + offset, start="lower")
+        hi = solve_system(p, w, lam_star + offset, start="upper")
         cu = coupled_uniqueness_check(
             op, (lo.u1.values, lo.u2.values), (hi.u1.values, hi.u2.values), m,
             phi=phi, nl1=nl, nl2=nl,
@@ -262,10 +259,8 @@ def test_criterion_09_diagonalization_crosscheck(quart):
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
     mu = spectrum.Lambda - m.xi1 - 0.1
     # u-independent data F = (phi, 3 phi)
-    p = system_problem(
-        op, spectrum, m, constant_profile(1.0), constant_profile(3.0), mu
-    )
-    rep = solve_system(p, w, tol_x=1e-10)
+    p = system_problem(op, spectrum, m, constant_profile(1.0), constant_profile(3.0))
+    rep = solve_system(p, w, mu, tol_x=1e-10)
     u1, u2 = block_solve(op, m, mu, phi, 3.0 * phi)
     err1 = x_norm(rep.u1.values - u1, phi)
     err2 = x_norm(rep.u2.values - u2, phi)

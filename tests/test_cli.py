@@ -303,6 +303,23 @@ def test_system_run_extras_and_bounds(tmp_path):
     assert float(rows[0]["v2_xnorm"]) <= float(rows[0]["v2_bound"])
 
 
+@pytest.mark.parametrize(
+    "grid, key",
+    [
+        ({"r_max": 3.2, "n": 4}, "grid.n"),
+        # build_grid clamps this to n = 2
+        ({"spectral_scale": 10, "points_per_unit": 0.5}, "grid.points_per_unit"),
+    ],
+    ids=["direct", "spectral_scale"],
+)
+def test_too_small_grid_exits_2_naming_its_key(tmp_path, capsys, grid, key):
+    cfg = write_config(tmp_path / "cfg.json", grid=grid)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "needs at least 6" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("r_max", [1e200, 1e100])
 def test_overflowing_grid_exits_2(tmp_path, capsys, r_max):
     # 1e200 overflows the quadrature weights, 1e100 only q = 1 + r**4

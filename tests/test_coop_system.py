@@ -50,8 +50,8 @@ def make_problem(ctx, nl1, nl2, offset):
     _, op, spectrum, w = ctx
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
     lam_star = spectrum.Lambda - m.xi1
-    p = system_problem(op, spectrum, m, nl1, nl2, lam_star + offset)
-    return p, w
+    p = system_problem(op, spectrum, m, nl1, nl2)
+    return p, w, lam_star + offset
 
 
 # ----------------------------------------------------------------- algebra
@@ -125,7 +125,7 @@ def test_transform_data_cases(ctx):
 
 def test_window_system_is_min_of_four(ctx):
     _, _, spectrum, w = ctx
-    p, _ = make_problem(ctx, rational_profile(1.0, 2.0), rational_profile(1.0, 2.0), -0.1)
+    p, _, _ = make_problem(ctx, rational_profile(1.0, 2.0), rational_profile(1.0, 2.0), -0.1)
     kp, kup = inherited_bounds(p.matrix, 1.0, 2.0)
     expected = min(
         w.delta0,
@@ -137,8 +137,8 @@ def test_window_system_is_min_of_four(ctx):
 
 
 def test_rectangle_scales_inversely_with_distance(ctx):
-    p, _ = make_problem(ctx, rational_profile(1.0, 2.0), rational_profile(1.0, 2.0), -0.1)
-    near = rectangle(p)
+    p, _, mu = make_problem(ctx, rational_profile(1.0, 2.0), rational_profile(1.0, 2.0), -0.1)
+    near = rectangle(p, mu)
     assert near.kind == "MP"
     np.testing.assert_allclose(near.lo, [5.0, 10.0], rtol=1e-12)
     np.testing.assert_allclose(near.hi, [20.0, 40.0], rtol=1e-12)
@@ -158,7 +158,7 @@ def test_system_problem_rejects_inconsistent_pieces(ctx):
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
     nl = rational_profile(1.0, 2.0)
     with pytest.raises(SingularResolvent):
-        system_problem(op, other, m, nl, nl, other.Lambda - m.xi1 - 0.1)
+        system_problem(op, other, m, nl, nl)
 
 
 # ------------------------------------------------------------------ solves
@@ -167,10 +167,10 @@ def test_system_problem_rejects_inconsistent_pieces(ctx):
 def test_constant_profiles_give_eigenvector_multiple(ctx):
     _, op, spectrum, w = ctx
     phi = spectrum.phi.values
-    p, _ = make_problem(ctx, constant_profile(1.0), constant_profile(2.0), -0.1)
-    rep = solve_system(p, w)
+    p, _, mu = make_problem(ctx, constant_profile(1.0), constant_profile(2.0), -0.1)
+    rep = solve_system(p, w, mu)
     assert rep.branch == "MP"
-    assert rep.rectangle_violations == 0
+    assert rep.violations == 0
     assert rep.certified and rep.membership_ok
     # F = Y*phi exactly, so U = Y*phi/0.1 and the second mode is silent
     assert x_norm(rep.u1.values - 10.0 * phi, phi) <= 1e-6
@@ -186,22 +186,22 @@ def test_rational_system_both_branches(ctx):
     phi = spectrum.phi.values
     nl = rational_profile(1.0, 2.0)
 
-    p_lo, _ = make_problem(ctx, nl, nl, -0.1)
-    lo = solve_system(p_lo, w)
+    p_lo, _, mu_lo = make_problem(ctx, nl, nl, -0.1)
+    lo = solve_system(p_lo, w, mu_lo)
     assert lo.branch == "MP"
     assert lo.certified and lo.membership_ok and lo.v2_ok
     assert lo.iterations < 500
     assert np.all(lo.min_ratio >= np.asarray(lo.rectangle.lo) * (1.0 - 1e-6))
 
-    p_hi, _ = make_problem(ctx, nl, nl, +0.05)
-    hi = solve_system(p_hi, w)
+    p_hi, _, mu_hi = make_problem(ctx, nl, nl, +0.05)
+    hi = solve_system(p_hi, w, mu_hi)
     assert hi.branch == "AMP"
     assert hi.certified and hi.membership_ok and hi.v2_ok
     assert np.all(hi.max_ratio <= np.asarray(hi.rectangle.hi) * (1.0 - 1e-6))
 
     # the dominant diagonalized component carries the blow-up
-    for rep, p in ((lo, p_lo), (hi, p_hi)):
-        dist = abs(p.lambda_star - p.mu)
+    for rep, p, mu in ((lo, p_lo, mu_lo), (hi, p_hi, mu_hi)):
+        dist = abs(p.lambda_star - mu)
         floor = rep.kappa_prime / dist - 2.0 * w.c0 * rep.k_prime
         assert x_norm(rep.v1, phi) >= floor > 0.0
         assert x_norm(rep.v2, phi) <= rep.v2_bound
@@ -209,14 +209,14 @@ def test_rational_system_both_branches(ctx):
 
 def test_solve_system_rejects_bad_controls(ctx):
     nl = rational_profile(1.0, 2.0)
-    p, w = make_problem(ctx, nl, nl, -0.1)
+    p, w, mu = make_problem(ctx, nl, nl, -0.1)
     with pytest.raises(MalformedInput):
-        solve_system(p, w, damping=0.0)
+        solve_system(p, w, mu, damping=0.0)
     with pytest.raises(MalformedInput):
-        solve_system(p, w, start="corner")
-    p_out, _ = make_problem(ctx, nl, nl, -2.5)
+        solve_system(p, w, mu, start="corner")
+    p_out, _, mu_out = make_problem(ctx, nl, nl, -2.5)
     with pytest.raises(WindowViolation):
-        solve_system(p_out, w)
+        solve_system(p_out, w, mu_out)
 
 
 def test_lying_profile_escapes_rectangle(ctx):
@@ -226,16 +226,16 @@ def test_lying_profile_escapes_rectangle(ctx):
         k_upper=2.0,
         strictly_decreasing_ratio=False,
     )
-    p, w = make_problem(ctx, liar, liar, -0.1)
+    p, w, mu = make_problem(ctx, liar, liar, -0.1)
     with pytest.raises(RectangleEscape):
-        solve_system(p, w)
+        solve_system(p, w, mu)
 
 
 def test_system_no_convergence_carries_trace(ctx):
     nl = rational_profile(1.0, 2.0)
-    p, w = make_problem(ctx, nl, nl, -0.1)
+    p, w, mu = make_problem(ctx, nl, nl, -0.1)
     with pytest.raises(NoConvergence) as exc:
-        solve_system(p, w, max_iter=2)
+        solve_system(p, w, mu, max_iter=2)
     assert exc.value.iterations == 2
     assert len(exc.value.trace) == 2
     assert all(step > 0 for step in exc.value.trace)
@@ -325,8 +325,8 @@ def test_coupled_uniqueness_sqrt_identity(ctx):
 
 def test_system_two_start_diagnostics(ctx):
     nl = rational_profile(1.0, 2.0)
-    p, w = make_problem(ctx, nl, nl, -0.1)
-    rep = system_two_start(p, w)
+    p, w, mu = make_problem(ctx, nl, nl, -0.1)
+    rep = system_two_start(p, w, mu)
     assert rep.uniqueness is not None
     assert rep.uniqueness.two_start_gap <= 1e-7
     assert abs(rep.uniqueness.brezis_oswald_residual) <= 1e-6

@@ -1,9 +1,11 @@
-"""Golden artifacts: one small run per mode must reproduce recorded bytes.
+"""Golden artifacts: small runs of every mode must reproduce recorded bytes.
 
 Each config below is run through ``main(["run", cfg, "--out", tmp])`` and
 the sha256 digest of every file it writes (``spectrum.json``,
 ``sweep.csv``, each ``solution_*.csv``) is compared with DIGESTS.  The
-config keeps a fixed ``output_dir`` string because ``config_hash`` (inside
+semilinear and system modes are pinned both as two-start runs and as
+single-start runs with one profile dump each.  Each config keeps a fixed
+``output_dir`` string because ``config_hash`` (inside
 ``spectrum.json``) covers it; the files go to ``--out``.
 
 The digests were recorded with the numpy/scipy builds of the development
@@ -50,6 +52,21 @@ CONFIGS = {
         "matrix": {"a": 0.0, "b": 1.0, "c": 4.0, "d": 0.0},
         "solver": {"two_start": True},
     },
+    "semilinear_single": {
+        **_BASE,
+        "mode": "semilinear",
+        "nonlinearity": _RATIONAL,
+        "solver": {"two_start": False, "start": "upper"},
+        "dump_solutions": [0.05],
+    },
+    "system_single": {
+        **_BASE,
+        "mode": "system",
+        "nonlinearity": _RATIONAL,
+        "matrix": {"a": 0.0, "b": 1.0, "c": 4.0, "d": 0.0},
+        "solver": {"two_start": False},
+        "dump_solutions": [-0.2],
+    },
 }
 
 DIGESTS = {
@@ -69,6 +86,16 @@ DIGESTS = {
     "system": {
         "spectrum.json": "be756ab77aed95e8a0bc942e11ccb176b9611460458efac4dde728e805051560",
         "sweep.csv": "627a2733a334b440a68a5d34ab7f9b00b9450ba29168d7a64650f22385d882e5",
+    },
+    "semilinear_single": {
+        "solution_0.05.csv": "6d8e2c165a9aaac1788a33e1e8569fb9f684ded6a678fd648fc594a79d0fef37",
+        "spectrum.json": "b799ece45c563aa4716a3be375441f9624045fb31c255fecdd8311ec2dac2833",
+        "sweep.csv": "f1fc82db41b91fb5e4468798ce7059eb5e9ac7632b08f5b974747bad7e4c5184",
+    },
+    "system_single": {
+        "solution_-0.2.csv": "ebb4f1e8eff6e31b8d07b4975b3bedf16ee75ceb7c9850f12e7d990ee47ac8aa",
+        "spectrum.json": "e195648d3cc9307faccb0b6a0abb6b2322ec3f3f546a410748a854ad80e7fd6f",
+        "sweep.csv": "1716ebb18abbcd692cfeb3e3dbc0f7b50f14f57a97324016cd4c61977f52a0f0",
     },
 }
 

@@ -33,20 +33,21 @@ def ctx():
 def test_groundstate_data_below_lambda(ctx):
     grid, op, spectrum, w = ctx
     lam, phi = spectrum.Lambda, spectrum.phi.values
-    p = linear_problem(op, spectrum, lam - 0.1, phi)
+    mu = lam - 0.1
+    p = linear_problem(op, spectrum, phi)
     assert p.hstar_f
-    u = solve_linear(p)
+    u = solve_linear(p, mu)
     assert u.c1 == pytest.approx(10.0, rel=1e-9)
     np.testing.assert_allclose(u.values, 10.0 * phi, atol=1e-7)
     # the discrete equation holds
-    resid = op.matvec(u.values) - p.mu * u.values - phi
+    resid = op.matvec(u.values) - mu * u.values - phi
     assert grid.norm(resid) <= 1e-8
 
 
 def test_gsp_certificate_for_groundstate_data(ctx):
     _, op, spectrum, w = ctx
     lam, phi = spectrum.Lambda, spectrum.phi.values
-    cert = certify_theorem1(linear_problem(op, spectrum, lam - 0.1, phi), w)
+    cert = certify_theorem1(linear_problem(op, spectrum, phi), w, lam - 0.1)
     assert cert.in_window
     assert math.isinf(cert.delta_f)
     assert cert.window_used == pytest.approx(w.delta0)
@@ -60,7 +61,7 @@ def test_gsp_certificate_for_groundstate_data(ctx):
 def test_gsn_certificate_above_lambda(ctx):
     _, op, spectrum, w = ctx
     lam, phi = spectrum.Lambda, spectrum.phi.values
-    cert = certify_theorem1(linear_problem(op, spectrum, lam + 0.1, phi), w)
+    cert = certify_theorem1(linear_problem(op, spectrum, phi), w, lam + 0.1)
     assert cert.in_window
     assert cert.bound == pytest.approx(-10.0, rel=1e-9)
     assert cert.certified
@@ -75,9 +76,9 @@ def test_solve_is_linear_in_data(ctx):
     rng = np.random.default_rng(7)
     g = rng.standard_normal(grid.n) * phi
     mu = lam - 0.3
-    u_f = solve_linear(linear_problem(op, spectrum, mu, phi)).values
-    u_g = solve_linear(linear_problem(op, spectrum, mu, g)).values
-    u_mix = solve_linear(linear_problem(op, spectrum, mu, 2.0 * phi - 0.5 * g)).values
+    u_f = solve_linear(linear_problem(op, spectrum, phi), mu).values
+    u_g = solve_linear(linear_problem(op, spectrum, g), mu).values
+    u_mix = solve_linear(linear_problem(op, spectrum, 2.0 * phi - 0.5 * g), mu).values
     np.testing.assert_allclose(u_mix, 2.0 * u_f - 0.5 * u_g, atol=1e-8)
 
 
@@ -87,12 +88,12 @@ def test_mixed_data_certifies_on_both_sides(ctx):
     _, vecs = eigenpairs(op, 2)
     f = phi + 0.5 * vecs[:, 1]
 
-    lo = certify_theorem1(linear_problem(op, spectrum, lam - 0.1, f), w)
+    lo = certify_theorem1(linear_problem(op, spectrum, f), w, lam - 0.1)
     assert lo.in_window and lo.certified
     assert lo.bound is not None and 0.0 < lo.bound < 10.0
     assert lo.min_ratio >= lo.bound * (1.0 - 1e-6)
 
-    hi = certify_theorem1(linear_problem(op, spectrum, lam + 0.1, f), w)
+    hi = certify_theorem1(linear_problem(op, spectrum, f), w, lam + 0.1)
     assert hi.in_window and hi.certified
     assert hi.bound is not None and -10.0 < hi.bound < 0.0
     assert hi.max_ratio <= hi.bound * (1.0 - 1e-6)
@@ -106,7 +107,7 @@ def test_out_of_window_reports_but_never_certifies(ctx):
     _, op, spectrum, w = ctx
     lam, phi = spectrum.Lambda, spectrum.phi.values
     mu = lam - (w.delta0 + 0.5)
-    cert = certify_theorem1(linear_problem(op, spectrum, mu, phi), w)
+    cert = certify_theorem1(linear_problem(op, spectrum, phi), w, mu)
     assert not cert.in_window
     assert cert.bound is None
     assert not cert.certified
@@ -120,7 +121,7 @@ def test_singular_shifts_are_rejected(ctx):
     phi = spectrum.phi.values
     for mu in (spectrum.Lambda, spectrum.lambda2, spectrum.Lambda + 5e-9):
         with pytest.raises(SingularResolvent):
-            linear_problem(op, spectrum, mu, phi)
+            solve_linear(linear_problem(op, spectrum, phi), mu)
 
 
 def test_wrong_sign_data_is_rejected(ctx):
@@ -129,4 +130,4 @@ def test_wrong_sign_data_is_rejected(ctx):
     _, vecs = eigenpairs(op, 2)
     for f in (-phi, vecs[:, 1] - 0.5 * phi):
         with pytest.raises(HypothesisViolated):
-            certify_theorem1(linear_problem(op, spectrum, lam - 0.1, f), w)
+            certify_theorem1(linear_problem(op, spectrum, f), w, lam - 0.1)

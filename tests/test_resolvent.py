@@ -154,8 +154,8 @@ def test_system_two_start_factors_each_shift_once_per_start(setup, factor_calls)
     op, spectrum, w = setup
     nl = rational_profile(1.0, 2.0)
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
-    p = system_problem(op, spectrum, m, nl, nl, spectrum.Lambda - m.xi1 - 0.1)
-    rep = system_two_start(p, w)
+    p = system_problem(op, spectrum, m, nl, nl)
+    rep = system_two_start(p, w, spectrum.Lambda - m.xi1 - 0.1)
     assert rep.certified
     assert len(factor_calls) == 4
     assert not op._factors
@@ -164,7 +164,7 @@ def test_system_two_start_factors_each_shift_once_per_start(setup, factor_calls)
 def test_linear_and_monotone_solvers_drop_their_factors(setup, factor_calls):
     op, spectrum, w = setup
     mu = spectrum.Lambda - 0.1
-    solve_linear(linear_problem(op, spectrum, mu, spectrum.phi.values))
+    solve_linear(linear_problem(op, spectrum, spectrum.phi.values), mu)
     assert len(factor_calls) == 1
     assert not op._factors
     monotone_solve(op, spectrum, w, rational_profile(1.0, 2.0), mu)
@@ -183,7 +183,7 @@ def test_solvers_drop_factors_when_they_raise(setup):
         monotone_solve(op, spectrum, w, nl, mu, max_iter=1)
     assert not op._factors
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
-    p = system_problem(op, spectrum, m, nl, nl, spectrum.Lambda - m.xi1 - 0.1)
+    p = system_problem(op, spectrum, m, nl, nl)
     with pytest.raises(NoConvergence):
-        solve_system(p, w, max_iter=1)
+        solve_system(p, w, spectrum.Lambda - m.xi1 - 0.1, max_iter=1)
     assert not op._factors

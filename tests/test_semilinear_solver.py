@@ -169,7 +169,7 @@ def test_mp_solve_is_certified(ctx):
     mu = spectrum.Lambda - 0.1
     rep = solve_semilinear(op, spectrum, w, nl, mu)
     assert rep.branch == "MP"
-    assert rep.bracket_violations == 0
+    assert rep.violations == 0
     assert rep.iterations < 500
     assert rep.residual_x <= 1e-7
     assert rep.certified
@@ -187,7 +187,7 @@ def test_amp_solve_is_certified(ctx):
     mu = spectrum.Lambda + 0.05
     rep = solve_semilinear(op, spectrum, w, nl, mu)
     assert rep.branch == "AMP"
-    assert rep.bracket_violations == 0
+    assert rep.violations == 0
     assert rep.certified
     assert rep.gsn_bound == pytest.approx(-20.0, rel=1e-9)
     assert rep.gsp_bound is None
