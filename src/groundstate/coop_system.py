@@ -273,7 +273,6 @@ class SystemReport:
     branch: str
     mu: float
     window: float
-    window_rule: str
     v2_bound: float
     v2_ok: bool
     membership_ok: bool
@@ -292,12 +291,14 @@ def solve_system(
     tol_x: float = 1e-9,
     start: str = "lower",
 ) -> SystemReport:
-    """Damped rectangle iteration for the cooperative system at shift mu.
+    """Clipped rectangle iteration for the cooperative system at shift mu.
 
     Runs clipped_fixed_point on the 2 x n iterate from the requested
-    rectangle corner: clipped nodes count as rectangle violations, a sweep
-    clipping more than ESCAPE_FRACTION of all nodes raises RectangleEscape,
-    and convergence is measured in the componentwise max X-norm.
+    rectangle corner: steps are undamped until the Picard residual stops
+    falling, then damped by damping for the rest of the solve.  Clipped
+    nodes count as rectangle violations, a sweep clipping more than
+    ESCAPE_FRACTION of all nodes raises RectangleEscape, and convergence
+    is measured in the componentwise max X-norm.
     """
     window = window_system(p, w)
     dist = abs(p.lambda_star - mu)
@@ -347,7 +348,6 @@ def solve_system(
         branch=rect.kind,
         mu=mu,
         window=window,
-        window_rule=WINDOW_RULE_SYSTEM,
         v2_bound=v2_bound,
         v2_ok=v2_x <= v2_bound,
         membership_ok=membership_ok,

@@ -8,9 +8,10 @@ facts pin the sign of u/phi: positive below Lambda (GSP), negative above
 (GSN).  Certificates here are verified pointwise on the grid, never
 trusted from the constants alone, because c0 is a sampled estimate.
 
-A LinearProblem holds (L, f) for a whole sweep: f is decomposed and
-||fperp||_X computed once, and the shift mu is an argument of each solve,
-which first checks mu against the computed eigenvalues.
+A LinearProblem holds (L, f) for a whole sweep: f is decomposed,
+||fperp||_X computed and the certificate hypothesis f1 > 0 checked once,
+and the shift mu is an argument of each solve, which first checks mu
+against the computed eigenvalues.
 """
 
 from __future__ import annotations
@@ -33,12 +34,15 @@ class LinearProblem:
     """Data (L, f) for resolvent solves, f carried with its split.
 
     perp_x is ||fperp||_X (0 when fperp vanishes identically).
+    sign_defect says why f admits no sign certificate (f1 <= 0, or no
+    finite ||f||_X), and is None when it does; certify_theorem1 raises it.
     """
 
     op: DiscreteOperator
     spectrum: SpectrumSummary
     f: GroundstateVector
     perp_x: float
+    sign_defect: str | None
 
     @property
     def hstar_f(self) -> bool:
@@ -53,11 +57,17 @@ class LinearProblem:
 def linear_problem(
     op: DiscreteOperator, spectrum: SpectrumSummary, f_values: np.ndarray
 ) -> LinearProblem:
-    """Decompose f against phi and measure its orthogonal part in X."""
+    """Decompose f against phi, measure its orthogonal part in X, check f1 > 0."""
     phi = spectrum.phi.values
     f = decompose(f_values, phi, op.grid.quad_weights)
     perp_x = x_norm(f.perp, phi) if np.any(f.perp) else 0.0
-    return LinearProblem(op=op, spectrum=spectrum, f=f, perp_x=perp_x)
+    if f.c1 <= 0.0:
+        sign_defect = "sign certificates need f1 = quadrature(f*phi) > 0"
+    elif not math.isfinite(x_norm(f.values, phi)):
+        sign_defect = "f has no finite groundstate-weighted norm"
+    else:
+        sign_defect = None
+    return LinearProblem(op=op, spectrum=spectrum, f=f, perp_x=perp_x, sign_defect=sign_defect)
 
 
 def window_linear(p: LinearProblem, w: WindowEstimate) -> float:
@@ -117,13 +127,11 @@ def certify_theorem1(p: LinearProblem, w: WindowEstimate, mu: float) -> LinearCe
     with a positive right side; above Lambda it is
     max(u/phi) <= f1/(Lambda-mu) + c0*||fperp||_X with a negative right
     side.  Outside min{delta0, delta1(f)} only the raw solution and its
-    sign statistics are reported.
+    sign statistics are reported.  Data without a sign certificate
+    (LinearProblem.sign_defect) raises HypothesisViolated before any solve.
     """
-    if p.f.c1 <= 0.0:
-        raise HypothesisViolated("sign certificates need f1 = quadrature(f*phi) > 0")
-    fx = x_norm(p.f.values, p.spectrum.phi.values)
-    if not math.isfinite(fx):
-        raise HypothesisViolated("f has no finite groundstate-weighted norm")
+    if p.sign_defect is not None:
+        raise HypothesisViolated(p.sign_defect)
 
     window = window_linear(p, w)
 

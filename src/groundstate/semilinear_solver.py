@@ -2,7 +2,7 @@
 
 The right-hand side is groundstate-modulated: f(r, u) = phi(r) g(r, u)
 with kappa <= g <= K.  For mu inside the window
-min{delta0, kappa/(2*c0*K)} the damped fixed-point map
+min{delta0, kappa/(2*c0*K)} the fixed-point map
 T(u) = (L - mu)^{-1} f(r, u) keeps the bracket
 
     MP  (mu < Lambda):  kappa*phi/(Lambda-mu) <= u <= K*phi/(Lambda-mu)
@@ -231,7 +231,6 @@ class SemilinearReport:
     branch: str
     mu: float
     window: float
-    window_rule: str
     gsp_bound: float | None
     gsn_bound: float | None
     certified: bool
@@ -246,7 +245,8 @@ class FixedPoint:
     """Limit of clipped_fixed_point: the iterate and its statistics.
 
     residual_x is the X-norm of u - T(u) at the limit and aux the second
-    value the map returned there.
+    value the map returned there.  undamped_sweeps counts the sweeps taken
+    before the switch to the damped step (all of them if it never came).
     """
 
     u: np.ndarray
@@ -254,6 +254,7 @@ class FixedPoint:
     residual_x: float
     violations: int
     aux: object
+    undamped_sweeps: int
 
 
 def clipped_fixed_point(
@@ -268,18 +269,21 @@ def clipped_fixed_point(
     max_iter: int,
     tol_x: float,
 ) -> FixedPoint:
-    """Damped, clipped fixed-point iteration on scalar or k-component iterates.
+    """Clipped fixed-point iteration, undamped first, on scalar or k-component iterates.
 
     sweep(u) returns (T(u), aux) for an iterate u of shape (n,) for a
     scalar problem or (k, n) for a k-component system; phi broadcasts
-    against it.  Each step is
-    u <- (1-damping)*u + damping*clip(T(u), lower, upper); image nodes
-    outside [lower, upper] beyond 1e-12 relative slack are counted as
-    violations, and a sweep with more than ESCAPE_FRACTION of all k*n nodes
-    outside raises escape.  Convergence is an X-norm step below tol_x;
-    failure raises NoConvergence carrying the step trace.  The map is
-    applied once more at the limit for residual_x and aux.  The factors
-    the sweeps leave on op are dropped on every exit.
+    against it.  Each step starts undamped, u <- clip(T(u), lower, upper).
+    At the first sweep whose Picard residual ||clip(T(u)) - u||_X is not
+    below the previous sweep's, the iteration switches, for the rest of
+    the solve, to u <- (1-damping)*u + damping*clip(T(u), lower, upper);
+    with damping = 1 it never switches.  Image nodes outside
+    [lower, upper] beyond 1e-12 relative slack are counted as violations,
+    and a sweep with more than ESCAPE_FRACTION of all k*n nodes outside
+    raises escape.  Convergence is an X-norm step below tol_x; failure
+    raises NoConvergence carrying the step trace.  The map is applied
+    once more at the limit for residual_x and aux.  The factors the
+    sweeps leave on op are dropped on every exit.
     """
     if not (0.0 < damping <= 1.0):
         raise MalformedInput("damping must lie in (0, 1]")
@@ -287,6 +291,7 @@ def clipped_fixed_point(
     below, above = lower - slack, upper + slack
     violations = 0
     trace: list[float] = []
+    undamped = None  # sweeps before the switch to the damped step
     try:
         for k in range(1, max_iter + 1):
             t, _ = sweep(u)
@@ -296,8 +301,14 @@ def clipped_fixed_point(
                     f"iterate left the invariant region at {out}/{u.size} nodes on sweep {k}"
                 )
             violations += out
-            un = (1.0 - damping) * u + damping * np.clip(t, lower, upper)
-            step = x_norm(un - u, phi)
+            un = np.clip(t, lower, upper)
+            if undamped is None:
+                step = x_norm(un - u, phi)
+                if damping < 1.0 and trace and step >= trace[-1]:
+                    undamped = k - 1
+            if undamped is not None:
+                un = (1.0 - damping) * u + damping * un
+                step = x_norm(un - u, phi)
             trace.append(step)
             u = un
             if step < tol_x:
@@ -305,6 +316,7 @@ def clipped_fixed_point(
                 return FixedPoint(
                     u=u, iterations=k, residual_x=x_norm(u - t, phi),
                     violations=violations, aux=aux,
+                    undamped_sweeps=k if undamped is None else undamped,
                 )
         raise NoConvergence(
             f"no X-norm step below {tol_x:g} within {max_iter} sweeps",
@@ -327,13 +339,15 @@ def solve_semilinear(
     tol_x: float = 1e-9,
     u0: np.ndarray | None = None,
 ) -> SemilinearReport:
-    """Damped fixed-point iteration of T inside the bracket.
+    """Clipped fixed-point iteration of T inside the bracket.
 
     Runs clipped_fixed_point on the scalar iterate from the requested
-    bracket end (or u0 clipped into the bracket): clipped nodes count as
-    bracket violations, a sweep clipping more than ESCAPE_FRACTION of the
-    nodes raises BracketEscape, and failure to converge in the X-norm
-    raises NoConvergence carrying the step-size trace.
+    bracket end (or u0 clipped into the bracket): steps are undamped until
+    the Picard residual stops falling, then damped by damping for the rest
+    of the solve.  Clipped nodes count as bracket violations, a sweep
+    clipping more than ESCAPE_FRACTION of the nodes raises BracketEscape,
+    and failure to converge in the X-norm raises NoConvergence carrying
+    the step-size trace.
     """
     window = window_semilinear(nl, w)
     lam = spectrum.Lambda
@@ -409,7 +423,6 @@ def _finish_report(
         branch=branch,
         mu=mu,
         window=window,
-        window_rule=WINDOW_RULE_SEMILINEAR,
         gsp_bound=gsp_bound,
         gsn_bound=gsn_bound,
         certified=certified,

@@ -121,8 +121,12 @@ class DiscreteOperator:
         FACTOR_SLOTS shifts are reused.  The solution is accepted only if
         ||(L - mu)u - f|| <= 1e-10 * (||f|| + (||L|| + |mu|) * ||u||): the
         backward-error scaling, since near Lambda ||u|| can dwarf ||f||.
-        Raises SingularResolvent when T - mu has an exactly zero pivot or
-        the residual bound fails, which includes any NaN in f or u.
+        The grid norms are taken in internal coordinates, where they are
+        plain l2 norms of x, b = scale * f and T x - mu x - b; the weighted
+        f at excluded nodes, where u and L u vanish, enters both the
+        residual and ||f||.  Raises SingularResolvent when T - mu has an
+        exactly zero pivot or the residual bound fails, which includes any
+        NaN in f or u.
         """
         lu = self._factors.get(mu)
         if lu is None:
@@ -130,16 +134,20 @@ class DiscreteOperator:
             if len(self._factors) >= FACTOR_SLOTS:
                 del self._factors[next(iter(self._factors))]
             self._factors[mu] = lu
-        x, _ = dgttrs(*lu, self.restrict(f))
-        u = self.extend(x)
-        norm = self.grid.norm
-        resid = norm(self.matvec(u) - mu * u - f)
-        if not resid <= SOLVE_RTOL * (norm(f) + (self.norm_bound + abs(mu)) * norm(u)):
+        b = self.restrict(f)
+        x, _ = dgttrs(*lu, b)
+        r = self._product(x) - mu * x - b
+        s = self.start
+        outside = np.dot(self.grid.quad_weights[:s], np.asarray(f)[:s] ** 2) if s else 0.0
+        resid = math.sqrt(np.dot(r, r) + outside)
+        f_norm = math.sqrt(np.dot(b, b) + outside)
+        u_norm = math.sqrt(np.dot(x, x))
+        if not resid <= SOLVE_RTOL * (f_norm + (self.norm_bound + abs(mu)) * u_norm):
             raise SingularResolvent(
                 f"resolvent solve at mu = {mu:.12g} misses the 1e-10 backward-error bound "
                 f"(residual {resid:.3g}); mu too close to spectrum or data not finite"
             )
-        return u
+        return self.extend(x)
 
     def factor(self, mu: float) -> tuple:
         """gttrf factors of T - mu, not kept; a zero pivot raises SingularResolvent."""

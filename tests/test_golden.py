@@ -4,7 +4,10 @@ Each config below is run through ``main(["run", cfg, "--out", tmp])`` and
 the sha256 digest of every file it writes (``spectrum.json``,
 ``sweep.csv``, each ``solution_*.csv``) is compared with DIGESTS.  The
 semilinear and system modes are pinned both as two-start runs and as
-single-start runs with one profile dump each.  Each config keeps a fixed
+single-start runs with one profile dump each, and once more with
+``damping = 1``, where the fixed-point steps stay undamped throughout
+(plain Picard iteration), pinned to their bytes from before the
+undamped-first step rule.  Each config keeps a fixed
 ``output_dir`` string because ``config_hash`` (inside
 ``spectrum.json``) covers it; the files go to ``--out``.
 
@@ -67,6 +70,19 @@ CONFIGS = {
         "solver": {"two_start": False},
         "dump_solutions": [-0.2],
     },
+    "semilinear_damping1": {
+        **_BASE,
+        "mode": "semilinear",
+        "nonlinearity": _RATIONAL,
+        "solver": {"two_start": True, "damping": 1.0},
+    },
+    "system_damping1": {
+        **_BASE,
+        "mode": "system",
+        "nonlinearity": _RATIONAL,
+        "matrix": {"a": 0.0, "b": 1.0, "c": 4.0, "d": 0.0},
+        "solver": {"two_start": True, "damping": 1.0},
+    },
 }
 
 DIGESTS = {
@@ -81,21 +97,29 @@ DIGESTS = {
     },
     "semilinear": {
         "spectrum.json": "1321e7777812909607e04f8784b373d73663d011255e22cad97344b1bbf492bc",
-        "sweep.csv": "c4d45d97a047b32bcfefb5b7a5c1b35996504a96a20fe1e70fe1ef2bb0f5cfdf",
+        "sweep.csv": "8f71ecc8ecb85e282504024001d1aa88b27f8451f0896938e1e82f9300fa1390",
     },
     "system": {
         "spectrum.json": "be756ab77aed95e8a0bc942e11ccb176b9611460458efac4dde728e805051560",
-        "sweep.csv": "627a2733a334b440a68a5d34ab7f9b00b9450ba29168d7a64650f22385d882e5",
+        "sweep.csv": "722f7c672caa1023f6959f54813fdd0ea72454e1b20196733ca0d91425b8e9cd",
     },
     "semilinear_single": {
-        "solution_0.05.csv": "6d8e2c165a9aaac1788a33e1e8569fb9f684ded6a678fd648fc594a79d0fef37",
+        "solution_0.05.csv": "4ef3024dc3ad08e176bbbdb89446204715900803ff85f0d9f3db37aab676a1d9",
         "spectrum.json": "b799ece45c563aa4716a3be375441f9624045fb31c255fecdd8311ec2dac2833",
-        "sweep.csv": "f1fc82db41b91fb5e4468798ce7059eb5e9ac7632b08f5b974747bad7e4c5184",
+        "sweep.csv": "92bd1c6c8476972f51ea6dc473100791c49074a476de447549142015a8884a0b",
     },
     "system_single": {
-        "solution_-0.2.csv": "ebb4f1e8eff6e31b8d07b4975b3bedf16ee75ceb7c9850f12e7d990ee47ac8aa",
+        "solution_-0.2.csv": "8ab443b7d422fa2e81ff50f90698b8285db633cb8910716a8df3d1f49ac8418d",
         "spectrum.json": "e195648d3cc9307faccb0b6a0abb6b2322ec3f3f546a410748a854ad80e7fd6f",
-        "sweep.csv": "1716ebb18abbcd692cfeb3e3dbc0f7b50f14f57a97324016cd4c61977f52a0f0",
+        "sweep.csv": "68d4e04dc226b65d8f3b2d5db51f585ae71c0bc8dac2040bba7a740d87715300",
+    },
+    "semilinear_damping1": {
+        "spectrum.json": "28e7885e4bd51bf76bd47a0564c47f1e504ad39fe42ae780a5e74439fa7231f7",
+        "sweep.csv": "8f71ecc8ecb85e282504024001d1aa88b27f8451f0896938e1e82f9300fa1390",
+    },
+    "system_damping1": {
+        "spectrum.json": "c7543a16c2c363c8cb44400f7f37579414953cfa05f710a80385114227edd467",
+        "sweep.csv": "722f7c672caa1023f6959f54813fdd0ea72454e1b20196733ca0d91425b8e9cd",
     },
 }
 

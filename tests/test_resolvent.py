@@ -83,6 +83,23 @@ def test_nan_right_hand_side_raises_instead_of_returning_nan():
         op.solve_shifted(mu, f)
 
 
+def test_data_at_an_excluded_node_fails_the_residual_check():
+    # the N = 1 odd sector excludes the origin, where every u it returns
+    # vanishes; f there can only be matched by raising, never by u = 0
+    op = assemble(make_grid(1, 4.0, 300), QUARTIC_1D, 1)
+    assert op.start == 1 and op.grid.quad_weights[0] > 0.0
+    mu = float(eigenvalues(op, 1)[0]) - 0.1
+    f = np.zeros(len(op.grid.r))
+    f[0] = 1.0
+    with pytest.raises(SingularResolvent):
+        op.solve_shifted(mu, f)
+    f[1:] = 1.0
+    with pytest.raises(SingularResolvent):
+        op.solve_shifted(mu, f)
+    f[0] = 0.0
+    assert op.solve_shifted(mu, f)[0] == 0.0
+
+
 def test_exactly_singular_shift_raises_singular_resolvent():
     base = assemble(make_grid(3, 1.0, 3), QUARTIC_3D, 0)
     # [[1, 1, 0], [1, 2, 1], [0, 1, 1]] has an exactly zero last pivot at mu = 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundstate import (
     Nonlinearity,
@@ -15,13 +17,16 @@ from groundstate import (
     make_bracket,
     make_grid,
     monotone_solve,
+    power_potential,
     rational_profile,
     solve_semilinear,
     summarize_spectrum,
     two_start_diagnostics,
     validate_nonlinearity,
     window_semilinear,
+    x_norm,
 )
+from groundstate import semilinear_solver
 from groundstate.errors import (
     BracketEscape,
     HypothesisViolated,
@@ -252,6 +257,102 @@ def test_no_convergence_carries_trace(ctx):
     assert exc.value.iterations == 2
     assert len(exc.value.trace) == 2
     assert all(step > 0 for step in exc.value.trace)
+
+
+# -------------------------------------------------------------- step rule
+
+
+@pytest.fixture()
+def fixed_points(monkeypatch):
+    """Every FixedPoint that clipped_fixed_point returns, in call order."""
+    seen = []
+    real = semilinear_solver.clipped_fixed_point
+
+    def recording(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(semilinear_solver, "clipped_fixed_point", recording)
+    return seen
+
+
+def steep_profile(spectrum, mu):
+    """g = 1 + 1/(1 + exp(8 (v - 1.3))) of the ratio v = (Lambda - mu) u/phi.
+
+    From a multiple of phi, T maps v to g(v) exactly, and g' ~ -1.9 at the
+    fixed point v* ~ 1.37: the undamped iterate moves away from it into a
+    two-cycle, while the damped map, slope (1 - d) + d*g', contracts for
+    d = 1/2.
+    """
+    scale = (spectrum.Lambda - mu) / spectrum.phi.values
+    return Nonlinearity(
+        profile=lambda r, u: 1.0 + 1.0 / (1.0 + np.exp(8.0 * (u * scale - 1.3))),
+        kappa=1.0,
+        k_upper=2.0,
+        strictly_decreasing_ratio=False,
+        name="steep",
+    )
+
+
+@pytest.mark.parametrize("offset", [-0.1, 0.1], ids=["MP", "AMP"])
+def test_growing_undamped_residual_switches_to_damping(ctx, fixed_points, offset):
+    _, op, spectrum, w = ctx
+    mu = spectrum.Lambda + offset
+    nl = steep_profile(spectrum, mu)
+    rep = two_start_diagnostics(op, spectrum, w, nl, mu)
+    assert rep.certified and rep.violations == 0
+    assert rep.uniqueness.two_start_gap <= 1e-7
+    assert len(fixed_points) == 2
+    for fp in fixed_points:
+        assert 0 < fp.undamped_sweeps < fp.iterations
+    # damping = 1 never switches, and the plain Picard iterate only cycles
+    with pytest.raises(NoConvergence):
+        solve_semilinear(op, spectrum, w, nl, mu, damping=1.0, max_iter=200)
+
+
+def test_contracting_map_never_switches(ctx, fixed_points):
+    _, op, spectrum, w = ctx
+    rep = solve_semilinear(op, spectrum, w, rational_profile(1.0, 2.0), spectrum.Lambda - 0.1)
+    assert rep.certified
+    assert fixed_points[0].undamped_sweeps == fixed_points[0].iterations == rep.iterations
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.floats(0.05, 5.0),
+    s=st.floats(2.0, 6.0, exclude_min=True),
+    space_dim=st.integers(1, 5),
+    n=st.integers(40, 300),
+    kappa=st.floats(0.2, 2.0),
+    spread=st.floats(1.0, 4.0),
+    frac=st.floats(0.05, 0.95),
+)
+def test_default_solve_is_certified_in_window(c, s, space_dim, n, kappa, spread, frac):
+    grid = make_grid(space_dim, 4.0, n)
+    spectrum = summarize_spectrum(grid, power_potential(c, s))
+    op = spectrum.op
+    w = estimate_c0_delta0(spectrum, op)
+    nl = rational_profile(kappa, kappa * spread)
+    half = frac * window_semilinear(nl, w)
+    phi = spectrum.phi.values
+
+    mu = spectrum.Lambda - half
+    rep = two_start_diagnostics(op, spectrum, w, nl, mu)
+    assert rep.certified
+    assert rep.uniqueness.two_start_gap <= 1e-7
+    mono = monotone_solve(op, spectrum, w, nl, mu)
+    assert x_norm(rep.solution.values - mono.solution.values, phi) <= 1e-8 * mono.solution.x_norm
+
+    # On the AMP side the bracket is not invariant (no maximum principle):
+    # mostly for N <= 2 the first image T(bracket end) can leave it at more
+    # than ESCAPE_FRACTION of the nodes.  That sweep precedes any step rule.
+    try:
+        rep = two_start_diagnostics(op, spectrum, w, nl, spectrum.Lambda + half)
+    except BracketEscape as exc:
+        assert str(exc).endswith("on sweep 1")
+    else:
+        assert rep.certified
+        assert rep.uniqueness.two_start_gap <= 1e-7
 
 
 # ---------------------------------------------------------------- monotone
