@@ -44,7 +44,7 @@ from .errors import (
 from .groundstate_space import GroundstateVector, WindowEstimate, decompose, x_norm
 from .semilinear_solver import Nonlinearity, UniquenessDiagnostics, clipped_fixed_point
 from .semilinear_solver import _ratio_form, _ratio_forms
-from .spectral import DiscreteOperator, SpectrumSummary
+from .spectral import DiscreteOperator, Factors, SpectrumSummary
 
 WINDOW_RULE_SYSTEM = "min(delta0, kappa'/(2*c0*K'), (xi1-xi2)/2, lambda2-Lambda)"
 ALGEBRA_RTOL = 1e-10
@@ -72,6 +72,11 @@ class CoopMatrix:
     @property
     def as_array(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]])
+
+    def decouple(self, f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The diagonalized pair P^{-1} (f1, f2)."""
+        p_inv = self.p_inv
+        return p_inv[0, 0] * f1 + p_inv[0, 1] * f2, p_inv[1, 0] * f1 + p_inv[1, 1] * f2
 
 
 def analyze_matrix(a: float, b: float, c: float, d: float) -> CoopMatrix:
@@ -140,10 +145,7 @@ def transform_data(
     phi: np.ndarray,
 ) -> TransformedData:
     """Apply P^{-1} to the data pair and audit the inherited bounds."""
-    f1 = np.asarray(f1, dtype=float)
-    f2 = np.asarray(f2, dtype=float)
-    g1 = m.p_inv[0, 0] * f1 + m.p_inv[0, 1] * f2
-    g2 = m.p_inv[1, 0] * f1 + m.p_inv[1, 1] * f2
+    g1, g2 = m.decouple(np.asarray(f1, dtype=float), np.asarray(f2, dtype=float))
     kp, kup = inherited_bounds(m, kappa, k_upper)
     tol = 1e-9 * kup * float(np.max(phi))
     ok = bool(np.all(np.abs(g2) <= kup * phi + tol))
@@ -230,21 +232,20 @@ def rectangle(p: SystemProblem, mu: float) -> Rectangle:
     return Rectangle(lo=b, hi=a, kind="AMP")
 
 
-def _system_sweep(p: SystemProblem, mu: float, u: np.ndarray) -> tuple[np.ndarray, tuple]:
+def _system_sweep(
+    p: SystemProblem, fac1: Factors, fac2: Factors, u: np.ndarray
+) -> tuple[np.ndarray, tuple]:
     """One map U -> P solve(P^{-1} F(U)) on the 2 x n iterate; returns (U', (v1, v2)).
 
-    The two scalar solves alternate the shifts mu + xi1 and mu + xi2, both
-    of whose factorizations the operator keeps for the whole iteration.
+    The two scalar solves use the factors of T - (mu + xi1) and
+    T - (mu + xi2), which solve_system makes once for the whole iteration.
     """
     op, m = p.op, p.matrix
     r = op.grid.r
     phi = p.spectrum.phi.values
-    f1 = phi * p.nl1(r, u[0])
-    f2 = phi * p.nl2(r, u[1])
-    g1 = m.p_inv[0, 0] * f1 + m.p_inv[0, 1] * f2
-    g2 = m.p_inv[1, 0] * f1 + m.p_inv[1, 1] * f2
-    v1 = op.solve_shifted(mu + m.xi1, g1)
-    v2 = op.solve_shifted(mu + m.xi2, g2)
+    g1, g2 = m.decouple(phi * p.nl1(r, u[0]), phi * p.nl2(r, u[1]))
+    v1 = op.solve_shifted(fac1, g1)
+    v2 = op.solve_shifted(fac2, g2)
     t = np.vstack([m.p[0, 0] * v1 + m.p[0, 1] * v2, m.p[1, 0] * v1 + m.p[1, 1] * v2])
     return t, (v1, v2)
 
@@ -293,9 +294,11 @@ def solve_system(
 ) -> SystemReport:
     """Clipped rectangle iteration for the cooperative system at shift mu.
 
-    Runs clipped_fixed_point on the 2 x n iterate from the requested
-    rectangle corner: steps are undamped until the Picard residual stops
-    falling, then damped by damping for the rest of the solve.  Clipped
+    Factors T - (mu + xi1) and T - (mu + xi2) once and runs
+    clipped_fixed_point on the 2 x n iterate from the requested rectangle
+    corner, every sweep solving with those factors: steps are undamped
+    until the Picard residual stops falling, then damped by damping for
+    the rest of the solve.  Clipped
     nodes count as rectangle violations, a sweep clipping more than
     ESCAPE_FRACTION of all nodes raises RectangleEscape, and convergence
     is measured in the componentwise max X-norm.
@@ -312,8 +315,9 @@ def solve_system(
     hi = rect.hi[:, None] * phi[None, :]
     if start not in ("lower", "upper"):
         raise MalformedInput("start must be 'lower' or 'upper'")
+    fac1, fac2 = p.op.factor(mu + p.matrix.xi1), p.op.factor(mu + p.matrix.xi2)
     fp = clipped_fixed_point(
-        p.op, lambda u: _system_sweep(p, mu, u), lo, hi, lo if start == "lower" else hi, phi,
+        lambda u: _system_sweep(p, fac1, fac2, u), lo, hi, lo if start == "lower" else hi, phi,
         RectangleEscape, damping, max_iter, tol_x,
     )
     u = fp.u

@@ -26,10 +26,6 @@ class ConvergenceFailure(GroundstateError):
     """An eigensolve exceeded its iteration budget or residual bound."""
 
 
-class SectorBudget(GroundstateError):
-    """The second-eigenvalue sector scan ended at the cap; inconclusive."""
-
-
 class SingularResolvent(GroundstateError):
     """The shift mu is within the exclusion zone of a computed eigenvalue."""
 

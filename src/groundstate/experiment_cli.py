@@ -122,7 +122,6 @@ SCHEMA = {
                 "truncation_factor": {"type": "number", "exclusiveMinimum": 0},
             },
         },
-        "max_sector": {"type": "integer", "minimum": 1},
         "margin": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "mu_offsets": {"type": "array", "items": _NUMBER, "minItems": 1},
         "sweep": {
@@ -245,7 +244,7 @@ def _jsonable(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return float(f17(float(value)))
+        return float(value)
     return value
 
 
@@ -394,7 +393,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     pot = build_potential(cfg)
     grid = build_the_grid(cfg, pot, grid_scale)
     check_potential_on_grid(pot, grid)
-    spectrum = summarize_spectrum(grid, pot, max_sector=cfg.get("max_sector", 8))
+    spectrum = summarize_spectrum(grid, pot)
     op = spectrum.op
     w = estimate_c0_delta0(spectrum, op, margin=cfg.get("margin", 0.5))
 
@@ -406,7 +405,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         "Lambda": spectrum.Lambda,
         "lambda2": spectrum.lambda2,
         "lambda2_sector": spectrum.lambda2_sector,
-        "sector_cap": spectrum.sector_cap,
         "radial_eigs": spectrum.radial_eigs,
         "delta0": w.delta0,
         "c0": w.c0,

@@ -163,8 +163,7 @@ def projected_resolvent_norm(
     to those columns, which the block 1-norm estimator evaluates from
     products with A and A^T alone.  Each product is one banded solve with
     (L-mu)^-1 = S^-1 (T-mu)^-1 S, its transpose S (T-mu)^-1 S^-1 (T is
-    symmetric), against one ``op.factor(mu)`` per call (uncached, so the
-    solvers' factor slots are never touched).
+    symmetric), against one ``op.factor(mu)`` per call.
     O(n) time and memory; the estimator draws from a fixed local seed, so
     the value is a deterministic function of the inputs.
     """
@@ -173,7 +172,7 @@ def projected_resolvent_norm(
     phi_col = phi[:, None]
     wphi = quad_weights * phi
     scale = op.scale[:, None]
-    dl, d, du, du2, ipiv = op.factor(mu)
+    _, dl, d, du, du2, ipiv = op.factor(mu)
 
     def resolve(b: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
         out = np.zeros_like(b)

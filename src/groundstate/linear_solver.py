@@ -85,10 +85,7 @@ def solve_linear(p: LinearProblem, mu: float) -> GroundstateVector:
     the matrix).
     """
     p.spectrum.check_off_spectrum(mu)
-    try:
-        u = p.op.solve_shifted(mu, p.f.values)
-    finally:
-        p.op.drop_factors()
+    u = p.op.solve_shifted(p.op.factor(mu), p.f.values)
     ug = decompose(u, p.spectrum.phi.values, p.op.grid.quad_weights)
     expected = p.f.c1 / (p.spectrum.Lambda - mu)
     if abs(ug.c1 - expected) > 1e-6 * max(abs(expected), 1e-300):

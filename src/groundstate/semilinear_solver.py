@@ -41,7 +41,7 @@ from .errors import (
 )
 from .groundstate_space import GroundstateVector, WindowEstimate, decompose, x_norm
 from .radial_grid import sphere_area
-from .spectral import DiscreteOperator, SpectrumSummary
+from .spectral import DiscreteOperator, Factors, SpectrumSummary
 
 WINDOW_RULE_SEMILINEAR = "min(delta0, kappa/(2*c0*K))"
 BRACKET_SLACK = 1e-12
@@ -190,16 +190,16 @@ def apply_T(
     op: DiscreteOperator,
     spectrum: SpectrumSummary,
     nl: Nonlinearity,
-    mu: float,
+    fac: Factors,
     u: np.ndarray,
 ) -> np.ndarray:
     """One fixed-point map T(u) = (L - mu)^{-1} [phi * g(r, u)].
 
-    The solve reuses the operator's factorization of T - mu and is
-    verified inside solve_shifted: a residual above 1e-10 raises
+    fac is ``op.factor(mu)``, which the caller makes once per solve; the
+    solve is verified inside solve_shifted: a residual above 1e-10 raises
     SingularResolvent.
     """
-    return op.solve_shifted(mu, spectrum.phi.values * nl(op.grid.r, u))
+    return op.solve_shifted(fac, spectrum.phi.values * nl(op.grid.r, u))
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,6 @@ class FixedPoint:
 
 
 def clipped_fixed_point(
-    op: DiscreteOperator,
     sweep: Callable[[np.ndarray], tuple[np.ndarray, object]],
     lower: np.ndarray,
     upper: np.ndarray,
@@ -282,8 +281,8 @@ def clipped_fixed_point(
     and a sweep with more than ESCAPE_FRACTION of all k*n nodes outside
     raises escape.  Convergence is an X-norm step below tol_x; failure
     raises NoConvergence carrying the step trace.  The map is applied
-    once more at the limit for residual_x and aux.  The factors the
-    sweeps leave on op are dropped on every exit.
+    once more at the limit for residual_x and aux.  The caller's sweep holds
+    the factorizations it solves with.
     """
     if not (0.0 < damping <= 1.0):
         raise MalformedInput("damping must lie in (0, 1]")
@@ -292,39 +291,36 @@ def clipped_fixed_point(
     violations = 0
     trace: list[float] = []
     undamped = None  # sweeps before the switch to the damped step
-    try:
-        for k in range(1, max_iter + 1):
-            t, _ = sweep(u)
-            out = int(np.count_nonzero((t < below) | (t > above)))
-            if out > ESCAPE_FRACTION * u.size:
-                raise escape(
-                    f"iterate left the invariant region at {out}/{u.size} nodes on sweep {k}"
-                )
-            violations += out
-            un = np.clip(t, lower, upper)
-            if undamped is None:
-                step = x_norm(un - u, phi)
-                if damping < 1.0 and trace and step >= trace[-1]:
-                    undamped = k - 1
-            if undamped is not None:
-                un = (1.0 - damping) * u + damping * un
-                step = x_norm(un - u, phi)
-            trace.append(step)
-            u = un
-            if step < tol_x:
-                t, aux = sweep(u)
-                return FixedPoint(
-                    u=u, iterations=k, residual_x=x_norm(u - t, phi),
-                    violations=violations, aux=aux,
-                    undamped_sweeps=k if undamped is None else undamped,
-                )
-        raise NoConvergence(
-            f"no X-norm step below {tol_x:g} within {max_iter} sweeps",
-            iterations=max_iter,
-            trace=trace,
-        )
-    finally:
-        op.drop_factors()
+    for k in range(1, max_iter + 1):
+        t, _ = sweep(u)
+        out = int(np.count_nonzero((t < below) | (t > above)))
+        if out > ESCAPE_FRACTION * u.size:
+            raise escape(
+                f"iterate left the invariant region at {out}/{u.size} nodes on sweep {k}"
+            )
+        violations += out
+        un = np.clip(t, lower, upper)
+        if undamped is None:
+            step = x_norm(un - u, phi)
+            if damping < 1.0 and trace and step >= trace[-1]:
+                undamped = k - 1
+        if undamped is not None:
+            un = (1.0 - damping) * u + damping * un
+            step = x_norm(un - u, phi)
+        trace.append(step)
+        u = un
+        if step < tol_x:
+            t, aux = sweep(u)
+            return FixedPoint(
+                u=u, iterations=k, residual_x=x_norm(u - t, phi),
+                violations=violations, aux=aux,
+                undamped_sweeps=k if undamped is None else undamped,
+            )
+    raise NoConvergence(
+        f"no X-norm step below {tol_x:g} within {max_iter} sweeps",
+        iterations=max_iter,
+        trace=trace,
+    )
 
 
 def solve_semilinear(
@@ -341,8 +337,9 @@ def solve_semilinear(
 ) -> SemilinearReport:
     """Clipped fixed-point iteration of T inside the bracket.
 
-    Runs clipped_fixed_point on the scalar iterate from the requested
-    bracket end (or u0 clipped into the bracket): steps are undamped until
+    Factors T - mu once and runs clipped_fixed_point on the scalar iterate
+    from the requested bracket end (or u0 clipped into the bracket), every
+    sweep solving with those factors: steps are undamped until
     the Picard residual stops falling, then damped by damping for the rest
     of the solve.  Clipped nodes count as bracket violations, a sweep
     clipping more than ESCAPE_FRACTION of the nodes raises BracketEscape,
@@ -368,8 +365,9 @@ def solve_semilinear(
         u = np.clip(np.asarray(u0, dtype=float), bracket.lower, bracket.upper)
     else:
         raise MalformedInput("start must be 'lower', 'upper' or 'custom'")
+    fac = op.factor(mu)
     fp = clipped_fixed_point(
-        op, lambda v: (apply_T(op, spectrum, nl, mu, v), None),
+        lambda v: (apply_T(op, spectrum, nl, fac, v), None),
         bracket.lower, bracket.upper, u, spectrum.phi.values,
         BracketEscape, damping, max_iter, tol_x,
     )
@@ -464,7 +462,9 @@ def monotone_solve(
     scheme is order-preserving, so the lower start increases and the upper
     start decreases.  A step that breaks monotonicity beyond rounding
     raises MonotonicityBroken.  Returns the lower limit as solution, the
-    upper limit in solution_upper, and their X-gap in uniqueness.
+    upper limit in solution_upper, and their X-gap in uniqueness.  The
+    sweeps share one factorization of T - mu + M; the residual check of
+    the lower limit uses one of T - mu.
     """
     lam = spectrum.Lambda
     if mu >= lam:
@@ -476,38 +476,31 @@ def monotone_solve(
     if m_shift < 0:
         raise MalformedInput("shift must be >= 0")
 
+    shifted = op.factor(mu - m_shift)
+
     def sweep(u: np.ndarray) -> np.ndarray:
-        return op.solve_shifted(mu - m_shift, phi * nl(r, u) + m_shift * u)
+        return op.solve_shifted(shifted, phi * nl(r, u) + m_shift * u)
 
     limits = []
     total_iters = 0
-    try:
-        for u, direction in ((bracket.lower.copy(), +1.0), (bracket.upper.copy(), -1.0)):
-            converged = False
-            for k in range(1, max_iter + 1):
-                un = sweep(u)
-                drift = float(np.min(direction * (un - u)))
-                if drift < -1e-10 * max(1.0, float(np.max(np.abs(u)))):
-                    raise MonotonicityBroken(
-                        f"ordered iterate moved the wrong way by {-drift:.3g}"
-                    )
-                step = x_norm(un - u, phi)
-                u = un
-                if step < tol_x:
-                    total_iters += k
-                    converged = True
-                    break
-            if not converged:
-                raise NoConvergence(
-                    f"monotone sweep stalled above {tol_x:g}", iterations=max_iter
-                )
-            limits.append(u)
-        lower_limit, upper_limit = limits
-        residual_x = x_norm(
-            lower_limit - apply_T(op, spectrum, nl, mu, lower_limit), phi
-        )
-    finally:
-        op.drop_factors()
+    for u, direction in ((bracket.lower.copy(), +1.0), (bracket.upper.copy(), -1.0)):
+        converged = False
+        for k in range(1, max_iter + 1):
+            un = sweep(u)
+            drift = float(np.min(direction * (un - u)))
+            if drift < -1e-10 * max(1.0, float(np.max(np.abs(u)))):
+                raise MonotonicityBroken(f"ordered iterate moved the wrong way by {-drift:.3g}")
+            step = x_norm(un - u, phi)
+            u = un
+            if step < tol_x:
+                total_iters += k
+                converged = True
+                break
+        if not converged:
+            raise NoConvergence(f"monotone sweep stalled above {tol_x:g}", iterations=max_iter)
+        limits.append(u)
+    lower_limit, upper_limit = limits
+    residual_x = x_norm(lower_limit - apply_T(op, spectrum, nl, op.factor(mu), lower_limit), phi)
     gap = x_norm(upper_limit - lower_limit, phi)
     report = _finish_report(
         op, spectrum, w, nl, mu, lower_limit,

@@ -22,43 +22,55 @@ rather than a sign fix.
 and bisects it once.  lambda2 needs sectors 0 and 1 only: for N >= 2 all
 sectors share the off-diagonal and T_{ell+1} - T_ell = (2 ell + N - 1)/r^2 is
 positive diagonal, so by Courant-Fischer sector ell's lowest eigenvalue rises
-with ell (N = 1 has two sectors), and the max_sector cap binds only at 1.
+with ell (N = 1 has two sectors).
 
 Resolvent solves go through ``DiscreteOperator.solve_shifted``, the one
-verified banded solve: ``T - mu`` is LU-factored once per shift (LAPACK
-gttrf, partial pivoting, valid on both sides of the spectrum), each call is
-one gttrs back-substitution, and every solution is checked against a
-backward-error residual bound before it is returned.  The factors of the
-last two shifts are kept on the operator, which covers the 2x2 system
-iteration alternating mu + xi1 and mu + xi2; solve_linear,
-clipped_fixed_point (behind solve_semilinear and solve_system) and
-monotone_solve drop them on exit, so they live for one solver call.
+verified banded solve.  ``DiscreteOperator.factor(mu)`` LU-factors
+``T - mu`` (LAPACK gttrf, partial pivoting, valid on both sides of the
+spectrum) into an immutable ``Factors`` record that carries its shift;
+each ``solve_shifted(fac, f)`` is one gttrs back-substitution, checked
+against a backward-error residual bound before it is returned.  The
+operator keeps no state: each solver driver factors its own shifts once
+(solve_linear mu; solve_semilinear mu; solve_system mu + xi1 and
+mu + xi2; monotone_solve mu - M and mu) and the record goes when the
+driver returns or raises.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solveh_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import ConvergenceFailure, MalformedInput, SectorBudget, SingularResolvent
+from .errors import ConvergenceFailure, MalformedInput, SingularResolvent
 from .groundstate_space import GroundstateVector
 from .radial_grid import Grid, RadialPotential
 
 EIGEN_BUDGET = 500
 RESIDUAL_RTOL = 1e-10  # residual bound relative to the diagonal sup
 SOLVE_RTOL = 1e-10  # backward-error bound of every resolvent solve
-FACTOR_SLOTS = 2  # shifts whose LU factors solve_shifted keeps
 EXCLUSION = 1e-8  # least distance of a resolvent shift to a computed eigenvalue
 RADIAL_EIGS = 6  # sector-0 eigenvalues summarize_spectrum reports
 
 
 def _centrifugal(space_dim: int, sector: int) -> float:
     return (space_dim - 1) * (space_dim - 3) / 4.0 + sector * (sector + space_dim - 2)
+
+
+class Factors(NamedTuple):
+    """gttrf factors of T - mu together with the shift mu they belong to."""
+
+    mu: float
+    dl: np.ndarray
+    d: np.ndarray
+    du: np.ndarray
+    du2: np.ndarray
+    ipiv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -71,8 +83,6 @@ class DiscreteOperator:
     inner product equals the grid quadrature inner product.  ``start`` is
     the offset of the operator's nodes into the grid arrays (1 for the
     N = 1 odd sector, which excludes the origin; 0 otherwise).
-    ``_factors`` maps up to FACTOR_SLOTS shifts to their gttrf factors of
-    ``T - mu``; see solve_shifted and drop_factors.
     """
 
     grid: Grid
@@ -81,7 +91,6 @@ class DiscreteOperator:
     offdiag: np.ndarray
     scale: np.ndarray
     start: int
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -113,29 +122,24 @@ class DiscreteOperator:
         y[1:] += self.offdiag * x[:-1]
         return y
 
-    def solve_shifted(self, mu: float, f: np.ndarray) -> np.ndarray:
+    def solve_shifted(self, fac: Factors, f: np.ndarray) -> np.ndarray:
         """Solve (L - mu) u = f for full-grid functions f, u, verified.
 
-        ``T - mu`` is factored once per shift (partial pivoting, so valid on
-        both sides of the spectrum) and the factors of the last
-        FACTOR_SLOTS shifts are reused.  The solution is accepted only if
+        ``fac`` is ``self.factor(mu)``, made once per shift by the caller
+        (partial pivoting, so valid on both sides of the spectrum), and
+        each call is one back-substitution.  The solution is accepted only if
         ||(L - mu)u - f|| <= 1e-10 * (||f|| + (||L|| + |mu|) * ||u||): the
         backward-error scaling, since near Lambda ||u|| can dwarf ||f||.
         The grid norms are taken in internal coordinates, where they are
         plain l2 norms of x, b = scale * f and T x - mu x - b; the weighted
         f at excluded nodes, where u and L u vanish, enters both the
-        residual and ||f||.  Raises SingularResolvent when T - mu has an
-        exactly zero pivot or the residual bound fails, which includes any
-        NaN in f or u.
+        residual and ||f||.  Raises SingularResolvent when the residual
+        bound fails, which includes any NaN in f or u (an exactly zero
+        pivot already raised in factor).
         """
-        lu = self._factors.get(mu)
-        if lu is None:
-            lu = self.factor(mu)
-            if len(self._factors) >= FACTOR_SLOTS:
-                del self._factors[next(iter(self._factors))]
-            self._factors[mu] = lu
+        mu = fac.mu
         b = self.restrict(f)
-        x, _ = dgttrs(*lu, b)
+        x, _ = dgttrs(fac.dl, fac.d, fac.du, fac.du2, fac.ipiv, b)
         r = self._product(x) - mu * x - b
         s = self.start
         outside = np.dot(self.grid.quad_weights[:s], np.asarray(f)[:s] ** 2) if s else 0.0
@@ -149,16 +153,12 @@ class DiscreteOperator:
             )
         return self.extend(x)
 
-    def factor(self, mu: float) -> tuple:
-        """gttrf factors of T - mu, not kept; a zero pivot raises SingularResolvent."""
+    def factor(self, mu: float) -> Factors:
+        """gttrf factors of T - mu; a zero pivot raises SingularResolvent."""
         dl, d, du, du2, ipiv, info = dgttrf(self.offdiag, self.diag - mu, self.offdiag)
         if info != 0:
             raise SingularResolvent(f"T - mu is singular at mu = {mu:.12g}")
-        return dl, d, du, du2, ipiv
-
-    def drop_factors(self) -> None:
-        """Forget every kept factorization (each solver calls this on exit)."""
-        self._factors.clear()
+        return Factors(mu, dl, d, du, du2, ipiv)
 
     def quadratic_form(self, u: np.ndarray) -> float:
         """Discrete V-norm squared: quadrature of (Lu)*u.
@@ -272,25 +272,15 @@ def principal_eigenpair(op: DiscreteOperator) -> tuple[float, np.ndarray]:
     return rho, u
 
 
-def second_eigenvalue(
-    grid: Grid, pot: RadialPotential, radial: np.ndarray, max_sector: int = 8
-) -> tuple[float, int]:
+def second_eigenvalue(grid: Grid, pot: RadialPotential, radial: np.ndarray) -> tuple[float, int]:
     """Second eigenvalue of L across angular sectors, with its sector.
 
     min(radial[1], lowest eigenvalue of sector 1), ties to sector 0.  By
-    Courant-Fischer (see the module docstring) no sector above 1 is lower, so
-    the SectorBudget raised for N >= 2 when the minimizer sits at the cap
-    max_sector can fire only at max_sector = 1.  N = 1 has two sectors.
+    Courant-Fischer (see the module docstring) no sector above 1 is lower.
+    N = 1 has two sectors.
     """
-    if max_sector < 1:
-        raise MalformedInput("max_sector must be >= 1")
     first1 = float(eigenvalues(assemble(grid, pot, 1), 1)[0])
-    best_val, best_sector = min((float(radial[1]), 0), (first1, 1))
-    if grid.space_dim >= 2 and best_sector == max_sector:
-        raise SectorBudget(
-            f"second eigenvalue minimizer at the sector cap {max_sector}; raise max_sector"
-        )
-    return best_val, best_sector
+    return min((float(radial[1]), 0), (first1, 1))
 
 
 @dataclass(frozen=True)
@@ -302,7 +292,6 @@ class SpectrumSummary:
     lambda2: float
     lambda2_sector: int
     radial_eigs: np.ndarray
-    sector_cap: int
     op: DiscreteOperator
 
     @property
@@ -318,14 +307,12 @@ class SpectrumSummary:
             )
 
 
-def summarize_spectrum(
-    grid: Grid, pot: RadialPotential, max_sector: int = 8
-) -> SpectrumSummary:
+def summarize_spectrum(grid: Grid, pot: RadialPotential) -> SpectrumSummary:
     """(Lambda, phi), lambda2 across sectors and radial eigenvalues, on one op."""
     op0 = assemble(grid, pot, 0)
     lam, phi_vals = principal_eigenpair(op0)
     radial = eigenvalues(op0, RADIAL_EIGS)
-    lam2, sector = second_eigenvalue(grid, pot, radial, max_sector)
+    lam2, sector = second_eigenvalue(grid, pot, radial)
     if not (0.0 < lam < lam2):
         raise ConvergenceFailure("spectral ordering 0 < Lambda < lambda2 violated")
     phi = GroundstateVector(
@@ -337,6 +324,5 @@ def summarize_spectrum(
         lambda2=lam2,
         lambda2_sector=sector,
         radial_eigs=radial,
-        sector_cap=max_sector,
         op=op0,
     )

@@ -387,6 +387,7 @@ def _invalid(cfg: dict, **changes) -> dict:
         {"nonlinearity": {"kind": "cubic"}},  # bad $ref'd block
         {"nonlinearity2": {"kind": "constant", "g": "1"}},
         {"solver": {"damping": 0.0}},  # at an exclusive minimum
+        {"max_sector": 8},  # a removed key
     ],
 )
 def test_config_invalid_message_matches_jsonschema(tmp_path, capsys, changes):

@@ -252,10 +252,9 @@ def test_block_solve_matches_diagonalization(ctx):
     f1, f2 = phi, 3.0 * phi
     u1, u2 = block_solve(op, m, mu, f1, f2)
 
-    g1 = m.p_inv[0, 0] * f1 + m.p_inv[0, 1] * f2
-    g2 = m.p_inv[1, 0] * f1 + m.p_inv[1, 1] * f2
-    v1 = op.solve_shifted(mu + m.xi1, g1)
-    v2 = op.solve_shifted(mu + m.xi2, g2)
+    g1, g2 = m.decouple(f1, f2)
+    v1 = op.solve_shifted(op.factor(mu + m.xi1), g1)
+    v2 = op.solve_shifted(op.factor(mu + m.xi2), g2)
     np.testing.assert_allclose(u1, m.p[0, 0] * v1 + m.p[0, 1] * v2, atol=1e-8)
     np.testing.assert_allclose(u2, m.p[1, 0] * v1 + m.p[1, 1] * v2, atol=1e-8)
 

@@ -87,38 +87,38 @@ CONFIGS = {
 
 DIGESTS = {
     "eigen": {
-        "spectrum.json": "823992228a0c254182611a69881a4c48e5c4b17a75ce917a85be1cea3ad5df89",
+        "spectrum.json": "f4be1199019aa67c485d68e8f836a73d57285455c70a975bfa3ea337204a96b0",
         "sweep.csv": "eb3429adb5cf3e7043b6b94b313cb38046f39e6db01a2129342b18261ae57db4",
     },
     "linear": {
         "solution_-0.05.csv": "71f47a6fe59a5e5438cbf898ad9aa59dd667d5466fe84d8dec7dae3e34ac4778",
-        "spectrum.json": "1fde2bab3dcbdf3dff0501c9aa838556c244790bdd83cb8a67a02e25cc74020d",
+        "spectrum.json": "66878a9341c38c8be62c32ac1377f4df68ed39c07c7f4058d61a22ff3fda40d3",
         "sweep.csv": "a17fb67239a63430654678fe51a7def460ea22966f9f45bf3e0ac02ff7db227c",
     },
     "semilinear": {
-        "spectrum.json": "1321e7777812909607e04f8784b373d73663d011255e22cad97344b1bbf492bc",
+        "spectrum.json": "5706e4ffc90aff57a4e18bdb0c894f6c858bd2c64351331e1919da5ded09ebe1",
         "sweep.csv": "8f71ecc8ecb85e282504024001d1aa88b27f8451f0896938e1e82f9300fa1390",
     },
     "system": {
-        "spectrum.json": "be756ab77aed95e8a0bc942e11ccb176b9611460458efac4dde728e805051560",
+        "spectrum.json": "60edf5cd2b069fe5fbb3040e8eca184763ccbee632a573a033a1de75fdb3472e",
         "sweep.csv": "722f7c672caa1023f6959f54813fdd0ea72454e1b20196733ca0d91425b8e9cd",
     },
     "semilinear_single": {
         "solution_0.05.csv": "4ef3024dc3ad08e176bbbdb89446204715900803ff85f0d9f3db37aab676a1d9",
-        "spectrum.json": "b799ece45c563aa4716a3be375441f9624045fb31c255fecdd8311ec2dac2833",
+        "spectrum.json": "9dbaa970ca05a7d4008a5770c1171f220e5b67efae1a9f698f47432c963cacce",
         "sweep.csv": "92bd1c6c8476972f51ea6dc473100791c49074a476de447549142015a8884a0b",
     },
     "system_single": {
         "solution_-0.2.csv": "8ab443b7d422fa2e81ff50f90698b8285db633cb8910716a8df3d1f49ac8418d",
-        "spectrum.json": "e195648d3cc9307faccb0b6a0abb6b2322ec3f3f546a410748a854ad80e7fd6f",
+        "spectrum.json": "4edc008d2a40ff6f2b7d345dfced817f9d477caae08a8b89a2ab4f2bb230e065",
         "sweep.csv": "68d4e04dc226b65d8f3b2d5db51f585ae71c0bc8dac2040bba7a740d87715300",
     },
     "semilinear_damping1": {
-        "spectrum.json": "28e7885e4bd51bf76bd47a0564c47f1e504ad39fe42ae780a5e74439fa7231f7",
+        "spectrum.json": "5a163e701eb0496c5f86391b05a5a73544b25c5165f066a28c46ba3af80c52bb",
         "sweep.csv": "8f71ecc8ecb85e282504024001d1aa88b27f8451f0896938e1e82f9300fa1390",
     },
     "system_damping1": {
-        "spectrum.json": "c7543a16c2c363c8cb44400f7f37579414953cfa05f710a80385114227edd467",
+        "spectrum.json": "2cafc0c138ad59c330929269195a78fd267e1b0404ec955027dedb206ecb2a66",
         "sweep.csv": "722f7c672caa1023f6959f54813fdd0ea72454e1b20196733ca0d91425b8e9cd",
     },
 }

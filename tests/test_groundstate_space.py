@@ -159,7 +159,7 @@ def test_c0_bounds_realized_projected_resolvent(ctx):
     for mu in w.mu_samples:
         f = rng.standard_normal(grid.n) * phi
         f_perp = decompose(f, phi, grid.quad_weights).perp
-        u = op.solve_shifted(float(mu), f_perp)
+        u = op.solve_shifted(op.factor(float(mu)), f_perp)
         u_perp = decompose(u, phi, grid.quad_weights).perp
         ratio = x_norm(u_perp, phi) / x_norm(f_perp, phi)
         assert ratio <= w.c0 * (1.0 + 1e-9)
@@ -174,7 +174,7 @@ def test_projected_resolvent_norm_is_max_over_data(ctx):
     # f_perp realizes at most that
     _, vecs = eigenpairs(op, 2)
     f_perp = decompose(vecs[:, 1], phi, grid.quad_weights).perp
-    u_perp = decompose(op.solve_shifted(mu, f_perp), phi, grid.quad_weights).perp
+    u_perp = decompose(op.solve_shifted(op.factor(mu), f_perp), phi, grid.quad_weights).perp
     assert x_norm(u_perp, phi) / x_norm(f_perp, phi) <= norm * (1.0 + 1e-9)
     assert norm <= w.c0 * (1.0 + 1e-12)
 

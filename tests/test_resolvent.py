@@ -1,10 +1,12 @@
-"""The verified resolvent solve: factor reuse, bit-identity and failure modes.
+"""The verified resolvent solve: factor counts, bit-identity and failure modes.
 
-``DiscreteOperator.solve_shifted`` factors ``T - mu`` once per shift with
-LAPACK gttrf and back-substitutes with gttrs.  The reference below is the
-plain ``solve_banded`` path it replaced, kept here only as the oracle: for
-a (1, 1) band scipy runs gtsv, which performs the same pivoted elimination,
-so the two must agree bit for bit.
+``DiscreteOperator.factor`` factors ``T - mu`` with LAPACK gttrf, and
+``DiscreteOperator.solve_shifted`` back-substitutes with gttrs against
+those factors; each solver driver factors its own shifts once per solve,
+which the counts below pin per driver and per ``groundstate run``.  The
+reference below is the plain ``solve_banded`` path it replaced, kept here
+only as the oracle: for a (1, 1) band scipy runs gtsv, which performs the
+same pivoted elimination, so the two must agree bit for bit.
 """
 
 import json
@@ -25,15 +27,13 @@ from groundstate import (
     monotone_solve,
     rational_profile,
     solve_linear,
-    solve_semilinear,
-    solve_system,
     summarize_spectrum,
     system_problem,
     system_two_start,
     two_start_diagnostics,
 )
 from groundstate import spectral
-from groundstate.errors import NoConvergence, SingularResolvent
+from groundstate.errors import SingularResolvent
 from groundstate.experiment_cli import main
 
 QUARTIC_3D = RadialPotential(lambda r: 1.0 + r**4, name="quartic3d")
@@ -67,11 +67,12 @@ def test_solve_shifted_is_bit_identical_to_banded_reference(space_dim, r_max, po
     for mu in (lam - 0.1, lam + 0.1):
         if mu > lam:
             assert row_interchanges(op, mu) > 0  # the pivoted path is exercised
+        fac = op.factor(mu)
         for _ in range(3):
             f = rng.standard_normal(len(op.grid.r))
             f[: op.start] = 0.0  # the odd sector vanishes at the origin
             # repeated calls reuse the factors and must not drift either
-            assert np.array_equal(op.solve_shifted(mu, f), reference_solve(op, mu, f))
+            assert np.array_equal(op.solve_shifted(fac, f), reference_solve(op, mu, f))
 
 
 def test_nan_right_hand_side_raises_instead_of_returning_nan():
@@ -80,7 +81,7 @@ def test_nan_right_hand_side_raises_instead_of_returning_nan():
     f = np.ones(len(op.grid.r))
     f[17] = np.nan
     with pytest.raises(SingularResolvent):
-        op.solve_shifted(mu, f)
+        op.solve_shifted(op.factor(mu), f)
 
 
 def test_data_at_an_excluded_node_fails_the_residual_check():
@@ -89,15 +90,16 @@ def test_data_at_an_excluded_node_fails_the_residual_check():
     op = assemble(make_grid(1, 4.0, 300), QUARTIC_1D, 1)
     assert op.start == 1 and op.grid.quad_weights[0] > 0.0
     mu = float(eigenvalues(op, 1)[0]) - 0.1
+    fac = op.factor(mu)
     f = np.zeros(len(op.grid.r))
     f[0] = 1.0
     with pytest.raises(SingularResolvent):
-        op.solve_shifted(mu, f)
+        op.solve_shifted(fac, f)
     f[1:] = 1.0
     with pytest.raises(SingularResolvent):
-        op.solve_shifted(mu, f)
+        op.solve_shifted(fac, f)
     f[0] = 0.0
-    assert op.solve_shifted(mu, f)[0] == 0.0
+    assert op.solve_shifted(fac, f)[0] == 0.0
 
 
 def test_exactly_singular_shift_raises_singular_resolvent():
@@ -108,7 +110,7 @@ def test_exactly_singular_shift_raises_singular_resolvent():
     with pytest.raises(np.linalg.LinAlgError):
         reference_solve(op, 0.0, f)
     with pytest.raises(SingularResolvent):
-        op.solve_shifted(0.0, f)
+        op.factor(0.0)
 
 
 def test_singular_factorization_exits_3_without_output(tmp_path, monkeypatch):
@@ -134,7 +136,7 @@ def test_singular_factorization_exits_3_without_output(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-# ------------------------------------------------------ factor count and lifetime
+# ------------------------------------------------------------ factor counts
 
 
 @pytest.fixture()
@@ -164,7 +166,6 @@ def test_semilinear_two_start_factors_once_per_start(setup, factor_calls):
     rep = two_start_diagnostics(op, spectrum, w, rational_profile(1.0, 2.0), spectrum.Lambda - 0.1)
     assert rep.certified
     assert len(factor_calls) == 2
-    assert not op._factors
 
 
 def test_system_two_start_factors_each_shift_once_per_start(setup, factor_calls):
@@ -175,32 +176,43 @@ def test_system_two_start_factors_each_shift_once_per_start(setup, factor_calls)
     rep = system_two_start(p, w, spectrum.Lambda - m.xi1 - 0.1)
     assert rep.certified
     assert len(factor_calls) == 4
-    assert not op._factors
 
 
-def test_linear_and_monotone_solvers_drop_their_factors(setup, factor_calls):
+def test_linear_and_monotone_solvers_factor_each_shift_once(setup, factor_calls):
     op, spectrum, w = setup
     mu = spectrum.Lambda - 0.1
     solve_linear(linear_problem(op, spectrum, spectrum.phi.values), mu)
     assert len(factor_calls) == 1
-    assert not op._factors
     monotone_solve(op, spectrum, w, rational_profile(1.0, 2.0), mu)
     assert len(factor_calls) == 3  # mu - M for the sweeps, mu for the residual
-    assert not op._factors
 
 
-def test_solvers_drop_factors_when_they_raise(setup):
-    op, spectrum, w = setup
-    nl = rational_profile(1.0, 2.0)
-    mu = spectrum.Lambda - 0.1
-    with pytest.raises(NoConvergence):
-        solve_semilinear(op, spectrum, w, nl, mu, max_iter=1)
-    assert not op._factors
-    with pytest.raises(NoConvergence):
-        monotone_solve(op, spectrum, w, nl, mu, max_iter=1)
-    assert not op._factors
-    m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
-    p = system_problem(op, spectrum, m, nl, nl)
-    with pytest.raises(NoConvergence):
-        solve_system(p, w, spectrum.Lambda - m.xi1 - 0.1, max_iter=1)
-    assert not op._factors
+_RUN = {
+    "space_dim": 3,
+    "potential": {"kind": "power", "c": 1.0, "s": 4.0},
+    "grid": {"r_max": 3.2, "n": 200},
+    "mu_offsets": [-0.2, -0.05, 0.05, 0.2],
+    "output_dir": "factor-count-out",
+}
+_RATIONAL = {"kind": "rational", "kappa": 1.0, "K": 2.0}
+_SYSTEM = {"nonlinearity": _RATIONAL, "matrix": {"a": 0.0, "b": 1.0, "c": 4.0, "d": 0.0}}
+WINDOW_SAMPLES = 8  # estimate_c0_delta0 factors T - mu at each of its samples
+
+
+@pytest.mark.parametrize(
+    "mode, extra, per_shift",
+    [
+        ("eigen", {}, 0),
+        ("linear", {"f": {"kind": "phi_plus_phi2", "coeff": 0.5}}, 1),
+        ("semilinear", {"nonlinearity": _RATIONAL, "solver": {"two_start": True}}, 2),
+        ("semilinear", {"nonlinearity": _RATIONAL, "solver": {"two_start": False}}, 1),
+        ("system", {**_SYSTEM, "solver": {"two_start": True}}, 4),
+    ],
+    ids=["eigen", "linear", "semilinear-two-start", "semilinear-single", "system-two-start"],
+)
+def test_run_makes_one_factorization_per_shift_and_solve(tmp_path, factor_calls, mode, extra, per_shift):
+    cfg = {**_RUN, "mode": mode, **extra}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(factor_calls) == WINDOW_SAMPLES + per_shift * len(cfg["mu_offsets"])

@@ -161,7 +161,7 @@ def test_apply_T_from_zero_hits_upper_endpoint(ctx):
     grid, op, spectrum, _ = ctx
     lam, phi = spectrum.Lambda, spectrum.phi.values
     nl = rational_profile(1.0, 2.0)
-    v = apply_T(op, spectrum, nl, lam - 1.0, np.zeros(grid.n))
+    v = apply_T(op, spectrum, nl, op.factor(lam - 1.0), np.zeros(grid.n))
     np.testing.assert_allclose(v, 2.0 * phi, atol=1e-8)
 
 
@@ -391,6 +391,14 @@ def test_monotone_needs_mu_below_lambda(ctx):
     nl = rational_profile(1.0, 2.0)
     with pytest.raises(WindowViolation):
         monotone_solve(op, spectrum, w, nl, spectrum.Lambda + 0.05)
+
+
+def test_monotone_no_convergence_reports_its_budget(ctx):
+    _, op, spectrum, w = ctx
+    nl = rational_profile(1.0, 2.0)
+    with pytest.raises(NoConvergence) as exc:
+        monotone_solve(op, spectrum, w, nl, spectrum.Lambda - 0.1, max_iter=1)
+    assert exc.value.iterations == 1
 
 
 # ------------------------------------------------------------- uniqueness
