@@ -296,9 +296,10 @@ def solve_system(
 
     Factors T - (mu + xi1) and T - (mu + xi2) once and runs
     clipped_fixed_point on the 2 x n iterate from the requested rectangle
-    corner, every sweep solving with those factors: steps are undamped
-    until the Picard residual stops falling, then damped by damping for
-    the rest of the solve.  Clipped
+    corner, every sweep solving with those factors: steps are secant-mixed
+    over both components until the Picard residual stops falling, then
+    damped by damping for the rest of the solve; damping = 1 takes plain
+    Picard steps throughout.  Clipped
     nodes count as rectangle violations, a sweep clipping more than
     ESCAPE_FRACTION of all nodes raises RectangleEscape, and convergence
     is measured in the componentwise max X-norm.

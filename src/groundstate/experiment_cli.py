@@ -352,11 +352,25 @@ def resolve_offsets(cfg: dict) -> list[float]:
 
 
 def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+    """Rows through csv.writer, which quotes the arbitrary cells report copies."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_cell(row.get(col, "")) for col in columns])
+
+
+def _write_sweep(path: Path, rows: list[dict]) -> None:
+    """sweep.csv as comma-joined lines, the bytes csv.writer would write.
+
+    Its cells are numbers, MP/AMP and 0/1 flags, none of which needs
+    quoting; csv.writer's 128 KB record buffer was the largest allocation
+    of a sweep run.
+    """
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(COLUMNS) + "\n")
+        for row in rows:
+            handle.write(",".join([_cell(row.get(col, "")) for col in COLUMNS]) + "\n")
 
 
 #: rows per chunk of a profile dump; bounds the memory a dump holds at once
@@ -422,7 +436,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     with open(out_dir / "spectrum.json", "w") as handle:
         json.dump(_jsonable(meta), handle, indent=2, sort_keys=True)
         handle.write("\n")
-    _write_csv(out_dir / "sweep.csv", COLUMNS, rows)
+    _write_sweep(out_dir / "sweep.csv", rows)
     for offset, (header, arrays) in dumps.items():
         _dump_profile(out_dir / f"solution_{offset:g}.csv", header, arrays)
 

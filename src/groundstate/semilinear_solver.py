@@ -3,15 +3,21 @@
 The right-hand side is groundstate-modulated: f(r, u) = phi(r) g(r, u)
 with kappa <= g <= K.  For mu inside the window
 min{delta0, kappa/(2*c0*K)} the fixed-point map
-T(u) = (L - mu)^{-1} f(r, u) keeps the bracket
+T(u) = (L - mu)^{-1} f(r, u) is iterated in the bracket
 
     MP  (mu < Lambda):  kappa*phi/(Lambda-mu) <= u <= K*phi/(Lambda-mu)
     AMP (mu > Lambda):  K*phi/(Lambda-mu) <= u <= kappa*phi/(Lambda-mu)
 
-invariant, and the limit inherits the bracket's sign: u >= kappa*phi/
-(Lambda-mu) on the MP branch (groundstate positivity, blowing up like
-1/(Lambda-mu)) and u <= kappa*phi/(Lambda-mu) < 0 on the AMP branch.
-Both certificates are re-verified pointwise on the computed solution.
+On the MP branch the maximum principle makes the bracket invariant.  On
+the AMP branch there is none, and the bracket is not invariant: mostly
+for N <= 2 the first image T(bracket end) can leave it at more than
+ESCAPE_FRACTION of the nodes, which raises BracketEscape on sweep 1
+(exit 3 from the command line).  The limit inherits the bracket's sign:
+u >= kappa*phi/(Lambda-mu) on the MP branch (groundstate positivity,
+blowing up like 1/(Lambda-mu)) and u <= kappa*phi/(Lambda-mu) < 0 on the
+AMP branch.  Both certificates are re-verified pointwise on the computed
+solution.  The iteration (clipped_fixed_point) takes secant-mixed steps
+until its Picard residual stops falling, then damped ones.
 
 A classical monotone iteration from the bracket endpoints is provided as
 an independent cross-check, and a discrete Brezis-Oswald identity gives a
@@ -246,7 +252,8 @@ class FixedPoint:
 
     residual_x is the X-norm of u - T(u) at the limit and aux the second
     value the map returned there.  undamped_sweeps counts the sweeps taken
-    before the switch to the damped step (all of them if it never came).
+    before the switch to the damped step, secant-mixed or plain (all of
+    them if it never came).
     """
 
     u: np.ndarray
@@ -268,59 +275,90 @@ def clipped_fixed_point(
     max_iter: int,
     tol_x: float,
 ) -> FixedPoint:
-    """Clipped fixed-point iteration, undamped first, on scalar or k-component iterates.
+    """Clipped fixed-point iteration, secant-mixed first, on scalar or k-component iterates.
 
     sweep(u) returns (T(u), aux) for an iterate u of shape (n,) for a
     scalar problem or (k, n) for a k-component system; phi broadcasts
-    against it.  Each step starts undamped, u <- clip(T(u), lower, upper).
-    At the first sweep whose Picard residual ||clip(T(u)) - u||_X is not
-    below the previous sweep's, the iteration switches, for the rest of
-    the solve, to u <- (1-damping)*u + damping*clip(T(u), lower, upper);
-    with damping = 1 it never switches.  Image nodes outside
-    [lower, upper] beyond 1e-12 relative slack are counted as violations,
-    and a sweep with more than ESCAPE_FRACTION of all k*n nodes outside
-    raises escape.  Convergence is an X-norm step below tol_x; failure
-    raises NoConvergence carrying the step trace.  The map is applied
-    once more at the limit for residual_x and aux.  The caller's sweep holds
-    the factorizations it solves with.
+    against it.  Each sweep forms g = clip(T(u), lower, upper) and the
+    weighted residual f = (g - u)/phi, whose largest entry is the Picard
+    residual ||g - u||_X.  Steps are secant-mixed first (Anderson mixing
+    with one stored pair, see _secant_step): with the previous sweep's
+    pair (f', g'), u <- clip(g - gamma*(g - g'), lower, upper) for
+    gamma = <f - f', f>/||f - f'||^2 over all k*n nodes; the first sweep,
+    and a sweep with f = f' or a non-finite gamma, takes the plain step
+    u <- g.  At the first sweep whose Picard residual is not below the
+    previous sweep's, the pair is dropped and the iteration switches, for
+    the rest of the solve, to u <- (1-damping)*u + damping*g.  With
+    damping = 1 every step is the plain u <- g (Picard iteration): no
+    mixing and no switch.  Image nodes farther than 1e-12 relative slack
+    from [lower, upper] are counted as violations, and a sweep with more
+    than ESCAPE_FRACTION of all k*n nodes outside raises escape.
+    Convergence is an X-norm step below tol_x: the Picard residual before
+    the switch, which accepts u <- g, and the damped step after it.
+    Failure raises NoConvergence carrying the step trace.  The map is
+    applied once more at the limit for residual_x and aux.  The caller's
+    sweep holds the factorizations it solves with.
     """
     if not (0.0 < damping <= 1.0):
         raise MalformedInput("damping must lie in (0, 1]")
     slack = BRACKET_SLACK * max(float(np.max(np.abs(lower))), float(np.max(np.abs(upper))))
-    below, above = lower - slack, upper + slack
     violations = 0
     trace: list[float] = []
     undamped = None  # sweeps before the switch to the damped step
+    pair = None  # (f, g) of the previous sweep while steps are mixed
     for k in range(1, max_iter + 1):
         t, _ = sweep(u)
-        out = int(np.count_nonzero((t < below) | (t > above)))
+        g = np.clip(t, lower, upper)
+        out = int(np.count_nonzero(np.abs(t - g) > slack))
         if out > ESCAPE_FRACTION * u.size:
             raise escape(
                 f"iterate left the invariant region at {out}/{u.size} nodes on sweep {k}"
             )
         violations += out
-        un = np.clip(t, lower, upper)
         if undamped is None:
-            step = x_norm(un - u, phi)
+            f = (g - u) / phi
+            step = float(np.max(np.abs(f)))
             if damping < 1.0 and trace and step >= trace[-1]:
-                undamped = k - 1
+                undamped, pair = k - 1, None
         if undamped is not None:
-            un = (1.0 - damping) * u + damping * un
-            step = x_norm(un - u, phi)
+            g = (1.0 - damping) * u + damping * g
+            step = x_norm(g - u, phi)
         trace.append(step)
-        u = un
         if step < tol_x:
+            u, f, pair = g, None, None  # the final map application holds only the limit
             t, aux = sweep(u)
             return FixedPoint(
                 u=u, iterations=k, residual_x=x_norm(u - t, phi),
                 violations=violations, aux=aux,
                 undamped_sweeps=k if undamped is None else undamped,
             )
+        if undamped is None and damping < 1.0:
+            u, pair = _secant_step(f, g, pair, lower, upper), (f, g)
+        else:
+            u = g
     raise NoConvergence(
         f"no X-norm step below {tol_x:g} within {max_iter} sweeps",
         iterations=max_iter,
         trace=trace,
     )
+
+
+def _secant_step(f, g, pair, lower, upper) -> np.ndarray:
+    """Anderson depth-1 step clip(g - gamma*(g - g'), lower, upper).
+
+    pair is the previous sweep's (f', g'); gamma = <f - f', f>/||f - f'||^2
+    minimizes ||f - gamma*(f - f')|| over the flattened residuals.  Without
+    a pair, with f = f' or with a non-finite gamma the step is plain g.
+    """
+    if pair is None:
+        return g
+    f_prev, g_prev = pair
+    df = f - f_prev
+    denom = float(np.vdot(df, df))
+    gamma = float(np.vdot(df, f)) / denom if denom > 0.0 else math.nan
+    if not math.isfinite(gamma):
+        return g
+    return np.clip(g - gamma * (g - g_prev), lower, upper)
 
 
 def solve_semilinear(
@@ -339,9 +377,10 @@ def solve_semilinear(
 
     Factors T - mu once and runs clipped_fixed_point on the scalar iterate
     from the requested bracket end (or u0 clipped into the bracket), every
-    sweep solving with those factors: steps are undamped until
-    the Picard residual stops falling, then damped by damping for the rest
-    of the solve.  Clipped nodes count as bracket violations, a sweep
+    sweep solving with those factors: steps are secant-mixed until the
+    Picard residual stops falling, then damped by damping for the rest of
+    the solve; damping = 1 takes plain Picard steps throughout.  Clipped
+    nodes count as bracket violations, a sweep
     clipping more than ESCAPE_FRACTION of the nodes raises BracketEscape,
     and failure to converge in the X-norm raises NoConvergence carrying
     the step-size trace.

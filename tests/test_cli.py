@@ -18,7 +18,9 @@ from groundstate.experiment_cli import (
     CONFIG_VALIDATOR,
     DUMP_ROWS,
     SCHEMA,
+    _cell,
     _dump_profile,
+    _write_sweep,
     f17,
     main,
 )
@@ -440,4 +442,22 @@ def test_dump_profile_matches_the_csv_writer(tmp_path, length):
     header = ["r", "phi", "u1", "u2"]
     _reference_dump(tmp_path / "ref.csv", header, arrays)
     _dump_profile(tmp_path / "new.csv", header, arrays)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_sweep_csv_matches_the_csv_writer(tmp_path):
+    # every kind of cell a sweep row holds: floats (edge values too), ints,
+    # numpy scalars, flags, branch names and empty cells
+    cells = EDGE_VALUES + [np.float64(0.25), np.int64(7), 3, True, False, "MP", "AMP", "", None]
+    rows = [
+        {col: cells[(i + j) % len(cells)] for j, col in enumerate(COLUMNS)}
+        for i in range(len(cells))
+    ]
+    rows.append({"mu": 1.0})  # missing columns are empty cells
+    with open(tmp_path / "ref.csv", "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(COLUMNS)
+        for row in rows:
+            writer.writerow([_cell(row.get(col, "")) for col in COLUMNS])
+    _write_sweep(tmp_path / "new.csv", rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -4,10 +4,12 @@ Each config below is run through ``main(["run", cfg, "--out", tmp])`` and
 the sha256 digest of every file it writes (``spectrum.json``,
 ``sweep.csv``, each ``solution_*.csv``) is compared with DIGESTS.  The
 semilinear and system modes are pinned both as two-start runs and as
-single-start runs with one profile dump each, and once more with
-``damping = 1``, where the fixed-point steps stay undamped throughout
-(plain Picard iteration), pinned to their bytes from before the
-undamped-first step rule.  Each config keeps a fixed
+single-start runs with one profile dump each; these take secant-mixed
+fixed-point steps (Anderson mixing with one stored pair) until the Picard
+residual stops falling.  Both modes are pinned once more with
+``damping = 1``, where every step is the plain Picard step ``u <- clip(T u)``
+with no mixing and no switch to damping, pinned to their bytes from before
+the undamped-first and secant-mixed step rules.  Each config keeps a fixed
 ``output_dir`` string because ``config_hash`` (inside
 ``spectrum.json``) covers it; the files go to ``--out``.
 
@@ -97,21 +99,21 @@ DIGESTS = {
     },
     "semilinear": {
         "spectrum.json": "5706e4ffc90aff57a4e18bdb0c894f6c858bd2c64351331e1919da5ded09ebe1",
-        "sweep.csv": "8f71ecc8ecb85e282504024001d1aa88b27f8451f0896938e1e82f9300fa1390",
+        "sweep.csv": "243754a126039dc855685bbdfaa60e3193e74b3d1f2e7dca0fc5278479995da2",
     },
     "system": {
         "spectrum.json": "60edf5cd2b069fe5fbb3040e8eca184763ccbee632a573a033a1de75fdb3472e",
-        "sweep.csv": "722f7c672caa1023f6959f54813fdd0ea72454e1b20196733ca0d91425b8e9cd",
+        "sweep.csv": "532eb4867182a146e6f7a91e4b8f8a8df8838b249f446da9fb7cb025a86857af",
     },
     "semilinear_single": {
-        "solution_0.05.csv": "4ef3024dc3ad08e176bbbdb89446204715900803ff85f0d9f3db37aab676a1d9",
+        "solution_0.05.csv": "8a93eb38ff58bad46ae8431a95cdf6c4db506c197e23b286b98d61f76412d94e",
         "spectrum.json": "9dbaa970ca05a7d4008a5770c1171f220e5b67efae1a9f698f47432c963cacce",
-        "sweep.csv": "92bd1c6c8476972f51ea6dc473100791c49074a476de447549142015a8884a0b",
+        "sweep.csv": "f44790c2a4372da52d7c965823e49c99d11cdd40635e153734116f89a63a6d05",
     },
     "system_single": {
-        "solution_-0.2.csv": "8ab443b7d422fa2e81ff50f90698b8285db633cb8910716a8df3d1f49ac8418d",
+        "solution_-0.2.csv": "08b65118e8e53e8c3739c760b352c999b8baeae6880ceb3d99497f2e8679c618",
         "spectrum.json": "4edc008d2a40ff6f2b7d345dfced817f9d477caae08a8b89a2ab4f2bb230e065",
-        "sweep.csv": "68d4e04dc226b65d8f3b2d5db51f585ae71c0bc8dac2040bba7a740d87715300",
+        "sweep.csv": "dea93d6e4998e28ef1fa76250c47723699232369be2628bb8de019702abb231a",
     },
     "semilinear_damping1": {
         "spectrum.json": "5a163e701eb0496c5f86391b05a5a73544b25c5165f066a28c46ba3af80c52bb",

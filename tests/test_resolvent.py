@@ -3,7 +3,8 @@
 ``DiscreteOperator.factor`` factors ``T - mu`` with LAPACK gttrf, and
 ``DiscreteOperator.solve_shifted`` back-substitutes with gttrs against
 those factors; each solver driver factors its own shifts once per solve,
-which the counts below pin per driver and per ``groundstate run``.  The
+which the counts below pin per driver and per ``groundstate run``, next to
+the ``solve_shifted`` calls of two-start fixed-point runs.  The
 reference below is the plain ``solve_banded`` path it replaced, kept here
 only as the oracle: for a (1, 1) band scipy runs gtsv, which performs the
 same pivoted elimination, so the two must agree bit for bit.
@@ -216,3 +217,38 @@ def test_run_makes_one_factorization_per_shift_and_solve(tmp_path, factor_calls,
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
     assert len(factor_calls) == WINDOW_SAMPLES + per_shift * len(cfg["mu_offsets"])
+
+
+@pytest.fixture()
+def solve_calls(monkeypatch):
+    calls = []
+    real = spectral.DiscreteOperator.solve_shifted
+
+    def counting(self, fac, f):
+        calls.append(None)
+        return real(self, fac, f)
+
+    monkeypatch.setattr(spectral.DiscreteOperator, "solve_shifted", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "mode, extra, solves",
+    [
+        ("semilinear", {"nonlinearity": _RATIONAL, "solver": {"two_start": True}}, 56),
+        ("system", {**_SYSTEM, "solver": {"two_start": True}}, 122),
+    ],
+    ids=["semilinear-two-start", "system-two-start"],
+)
+def test_run_pins_the_solves_of_the_mixed_iteration(tmp_path, solve_calls, mode, extra, solves):
+    """solve_shifted calls over one two-start run of 4 shifts.
+
+    Before the secant-mixed steps, with undamped Picard steps only, the
+    same runs made 112 (semilinear) and 242 (system) calls; a change that
+    loses the acceleration fails here.
+    """
+    cfg = {**_RUN, "mode": mode, **extra}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(solve_calls) == solves

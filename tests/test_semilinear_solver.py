@@ -280,9 +280,8 @@ def steep_profile(spectrum, mu):
     """g = 1 + 1/(1 + exp(8 (v - 1.3))) of the ratio v = (Lambda - mu) u/phi.
 
     From a multiple of phi, T maps v to g(v) exactly, and g' ~ -1.9 at the
-    fixed point v* ~ 1.37: the undamped iterate moves away from it into a
-    two-cycle, while the damped map, slope (1 - d) + d*g', contracts for
-    d = 1/2.
+    fixed point v* ~ 1.37: the plain Picard iterate moves away from it
+    into a two-cycle, while the secant-mixed step finds it.
     """
     scale = (spectrum.Lambda - mu) / spectrum.phi.values
     return Nonlinearity(
@@ -295,7 +294,7 @@ def steep_profile(spectrum, mu):
 
 
 @pytest.mark.parametrize("offset", [-0.1, 0.1], ids=["MP", "AMP"])
-def test_growing_undamped_residual_switches_to_damping(ctx, fixed_points, offset):
+def test_mixed_steps_solve_a_map_picard_only_cycles_on(ctx, fixed_points, offset):
     _, op, spectrum, w = ctx
     mu = spectrum.Lambda + offset
     nl = steep_profile(spectrum, mu)
@@ -304,10 +303,43 @@ def test_growing_undamped_residual_switches_to_damping(ctx, fixed_points, offset
     assert rep.uniqueness.two_start_gap <= 1e-7
     assert len(fixed_points) == 2
     for fp in fixed_points:
-        assert 0 < fp.undamped_sweeps < fp.iterations
-    # damping = 1 never switches, and the plain Picard iterate only cycles
+        assert fp.undamped_sweeps == fp.iterations <= 20  # no switch to damping
+    # damping = 1 neither mixes nor switches, and the plain Picard iterate only cycles
     with pytest.raises(NoConvergence):
         solve_semilinear(op, spectrum, w, nl, mu, damping=1.0, max_iter=200)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 5)], ids=["scalar", "system"])
+def test_residual_growing_under_mixing_switches_to_damping(shape):
+    # T maps the ratio v = u/phi to 1 - tanh(4 v): slope ~ -2.6 at the fixed
+    # point, so plain Picard steps cycle.  From u = 0 sweep 1 takes the plain
+    # step and sweeps 2 and 3 mixed ones, each at a lower residual; the
+    # residual of the last mixed iterate is not lower, so sweep 4 switches
+    # to the damped steps, which converge.
+    phi = np.linspace(0.5, 1.0, 5)
+    lower, upper = -2.0 * phi * np.ones(shape), 2.0 * phi * np.ones(shape)
+
+    def sweep(u):
+        return phi * (1.0 - np.tanh(4.0 * u / phi)), None
+
+    def solve(damping, max_iter):
+        return semilinear_solver.clipped_fixed_point(
+            sweep, lower, upper, np.zeros(shape), phi, BracketEscape, damping, max_iter, 1e-10
+        )
+
+    with pytest.raises(NoConvergence) as exc:
+        solve(0.5, 4)
+    plain, mixed, mixed_again, damped = exc.value.trace
+    assert plain > mixed > mixed_again
+    # sweep 4 records the damped step, half its Picard residual
+    assert damped >= 0.5 * mixed_again
+    fp = solve(0.5, 200)
+    assert fp.undamped_sweeps == 3 < fp.iterations
+    v = fp.u / phi
+    assert np.max(np.abs(v - (1.0 - np.tanh(4.0 * v)))) <= 1e-9
+    assert fp.violations == 0
+    with pytest.raises(NoConvergence):
+        solve(1.0, 200)
 
 
 def test_contracting_map_never_switches(ctx, fixed_points):
