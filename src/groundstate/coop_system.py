@@ -18,7 +18,8 @@ coupling part of T2 has the closed square form
 
 node by node, hence is nonpositive; when the nonlinearity ratios are
 strictly decreasing both sides are pinched to zero exactly when the two
-candidate pairs coincide.
+candidate pairs coincide.  A run reports T1 and checks that the closed
+square cross term is nonpositive; T2 itself is not evaluated.
 
 A SystemProblem holds (L, A, F) for a whole sweep and is checked against
 the vector groundstate identity once; the shift mu is an argument of each
@@ -82,11 +83,14 @@ class CoopMatrix:
 def analyze_matrix(a: float, b: float, c: float, d: float) -> CoopMatrix:
     """Closed-form eigenstructure of a cooperative matrix, verified.
 
-    Raises NotCooperative unless b > 0 and c > 0 (the off-diagonal
-    positivity that makes xi1 dominant with a positive eigenvector).  The
+    Raises NotCooperative unless all entries are finite and b > 0 and c > 0
+    (the off-diagonal positivity that makes xi1 dominant with a positive
+    eigenvector).  The
     assembled identities A y = xi1 y, P^{-1} P = I and P^{-1} A P diagonal
     are checked to 1e-10 relative before the matrix is returned.
     """
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise NotCooperative("matrix entries must be finite")
     if not (b > 0.0 and c > 0.0):
         raise NotCooperative("need b > 0 and c > 0")
     disc = (a - d) ** 2 + 4.0 * b * c
@@ -114,42 +118,10 @@ def analyze_matrix(a: float, b: float, c: float, d: float) -> CoopMatrix:
     return m
 
 
-@dataclass(frozen=True)
-class TransformedData:
-    """Diagonalized data G = P^{-1} F with the inherited bounds.
-
-    kappa_prime/k_prime bound the dominant component:
-    kappa'*phi <= g1 <= K'*phi whenever kappa*phi <= f1, f2 <= K*phi.
-    g2_bound_ok records the empirical check |g2| <= K'*phi.
-    """
-
-    g1: np.ndarray
-    g2: np.ndarray
-    kappa_prime: float
-    k_prime: float
-    g2_bound_ok: bool
-
-
 def inherited_bounds(m: CoopMatrix, kappa: float, k_upper: float) -> tuple[float, float]:
     """kappa', K' = kappa, K times (a - xi2 + b)/(b*(xi1 - xi2))."""
     factor = (m.a - m.xi2 + m.b) / (m.b * (m.xi1 - m.xi2))
     return kappa * factor, k_upper * factor
-
-
-def transform_data(
-    m: CoopMatrix,
-    f1: np.ndarray,
-    f2: np.ndarray,
-    kappa: float,
-    k_upper: float,
-    phi: np.ndarray,
-) -> TransformedData:
-    """Apply P^{-1} to the data pair and audit the inherited bounds."""
-    g1, g2 = m.decouple(np.asarray(f1, dtype=float), np.asarray(f2, dtype=float))
-    kp, kup = inherited_bounds(m, kappa, k_upper)
-    tol = 1e-9 * kup * float(np.max(phi))
-    ok = bool(np.all(np.abs(g2) <= kup * phi + tol))
-    return TransformedData(g1=g1, g2=g2, kappa_prime=kp, k_prime=kup, g2_bound_ok=ok)
 
 
 @dataclass(frozen=True)
@@ -412,14 +384,12 @@ class CoupledUniqueness:
     """Coupled Brezis-Oswald diagnostics for two candidate pairs.
 
     t1 is the weighted Laplacian form (nonnegative up to quadrature
-    error), t2 the coupling-plus-nonlinearity form it must equal,
-    cross_term the closed square form of the coupling part (nonpositive
-    by construction) and cross_term_raw the same quantity evaluated
-    directly from the ratio differences.
+    error), cross_term the closed square form of the coupling part
+    (nonpositive by construction) and cross_term_raw the same quantity
+    evaluated directly from the ratio differences.
     """
 
     t1: float
-    t2: float
     cross_term: float
     cross_term_raw: float
 
@@ -429,9 +399,6 @@ def coupled_uniqueness_check(
     u_pair: tuple[np.ndarray, np.ndarray],
     v_pair: tuple[np.ndarray, np.ndarray],
     m: CoopMatrix,
-    phi: np.ndarray | None = None,
-    nl1: Nonlinearity | None = None,
-    nl2: Nonlinearity | None = None,
 ) -> CoupledUniqueness:
     """Evaluate the coupled uniqueness identity on two candidate pairs.
 
@@ -454,21 +421,11 @@ def coupled_uniqueness_check(
         + np.dot(wq, (np.sqrt(v2 * u1**2 / v1) - np.sqrt(v1 * u2**2 / v2)) ** 2)
     )
 
-    fdiff = 0.0
-    if nl1 is not None and nl2 is not None:
-        if phi is None:
-            raise MalformedInput("nonlinearity terms need phi")
-        r = op.grid.r[s:]
-        ph = np.asarray(phi, dtype=float)[s:]
-        for nl, weight, a, b in ((nl1, m.b, u1, v1), (nl2, m.c, u2, v2)):
-            fdiff += _ratio_form(wq, ph * nl(r, a), a, ph * nl(r, b), b) / weight
-    t2 = cross_raw + fdiff
-
     if t1 < -1e-8:
         raise HypothesisViolated(f"coupled form T1 = {t1:.3g} below -1e-8")
     if cross > 1e-8:
         raise HypothesisViolated(f"coupling cross term {cross:.3g} above 1e-8")
-    return CoupledUniqueness(t1=t1, t2=t2, cross_term=cross, cross_term_raw=cross_raw)
+    return CoupledUniqueness(t1=t1, cross_term=cross, cross_term_raw=cross_raw)
 
 
 def system_two_start(
@@ -488,13 +445,7 @@ def system_two_start(
         x_norm(hi.u2.values - lo.u2.values, phi),
     )
     cu = coupled_uniqueness_check(
-        p.op,
-        (lo.u1.values, lo.u2.values),
-        (hi.u1.values, hi.u2.values),
-        p.matrix,
-        phi=phi,
-        nl1=p.nl1,
-        nl2=p.nl2,
+        p.op, (lo.u1.values, lo.u2.values), (hi.u1.values, hi.u2.values), p.matrix
     )
     diag = UniquenessDiagnostics(two_start_gap=gap, brezis_oswald_residual=cu.t1)
     return replace(lo, uniqueness=diag)

@@ -18,10 +18,11 @@ copying cell text verbatim so repeated runs stay byte-identical.
 
 Exit codes: 0 success; 2 malformed config, unreadable input (including
 a ``q`` or ``f`` table with a non-finite entry, radii that do not strictly
-increase, or too few rows), a grid with fewer nodes than the six radial
-eigenvalues the spectrum reports, non-finite grid weights, or a potential
-that is non-finite or nonpositive on the grid or decreases on grid nodes
-beyond its r0; 3 a solver raised (no convergence, singular solve, escaped
+increase, or too few rows), a ``power`` potential with ``s <= 2`` (the
+message names ``potential.s``), a non-finite shift offset or matrix entry,
+a grid with fewer nodes than the six radial eigenvalues the spectrum
+reports, non-finite grid weights, or a potential that is non-finite or
+nonpositive on the grid or decreases on grid nodes beyond its r0; 3 a solver raised (no convergence, singular solve, escaped
 bracket, window or hypothesis violation) or numpy/scipy did (``LinAlgError``,
 or an ``ArithmeticError`` such as ``OverflowError``); 4 certificates were
 required but some row is uncertified.  The output directory is created only
@@ -287,11 +288,10 @@ def build_the_grid(cfg: dict, pot, grid_scale: float):
 
 
 def check_potential_on_grid(pot, grid) -> None:
-    """Weights and q must be finite, q positive, on every node; q must not
-    decrease beyond r0."""
-    if not np.all(np.isfinite(grid.quad_weights)):
-        raise MalformedInput("grid quadrature weights are not finite (r_max too large)")
-    q = pot(grid.r)
+    """q must be finite and positive on every node and must not decrease
+    beyond r0."""
+    with np.errstate(over="ignore"):
+        q = pot(grid.r)
     finite = np.isfinite(q)
     if not finite.all():
         bad = float(grid.r[np.argmin(finite)])
@@ -344,8 +344,11 @@ def resolve_offsets(cfg: dict) -> list[float]:
         offsets = [float(x) for x in cfg["mu_offsets"]]
     else:
         s = cfg["sweep"]
-        offsets = [float(x) for x in np.linspace(s["from_offset"], s["to_offset"], s["steps"])]
+        with np.errstate(invalid="ignore"):  # an infinite end gives a non-finite offset
+            offsets = [float(x) for x in np.linspace(s["from_offset"], s["to_offset"], s["steps"])]
     for off in offsets:
+        if not math.isfinite(off):
+            raise MalformedInput("mu offsets must be finite")
         if abs(off) < 1e-12:
             raise MalformedInput("mu offsets must be nonzero (mu = Lambda is singular)")
     return sorted(offsets)
@@ -551,16 +554,14 @@ def _semilinear_setup(cfg, op, spectrum, w):
             rep = two_start_diagnostics(op, spectrum, w, nl, mu, **kwargs)
         else:
             rep = solve_semilinear(op, spectrum, w, nl, mu, start=start, **kwargs)
-        edge_kappa = nl.kappa / (lam - mu)
-        edge_k = nl.k_upper / (lam - mu)
         cells = dict(
             _fixed_point_cells(rep),
             u1_component=rep.solution.c1,
             min_ratio=rep.min_ratio,
             max_ratio=rep.max_ratio,
             x_norm=rep.solution.x_norm,
-            bound_lo=min(edge_kappa, edge_k),
-            bound_hi=max(edge_kappa, edge_k),
+            bound_lo=rep.bound_lo,
+            bound_hi=rep.bound_hi,
             xnorm_bound=rep.xnorm_bound,
         )
         return cells, [rep.solution.values]

@@ -44,11 +44,6 @@ class LinearProblem:
     perp_x: float
     sign_defect: str | None
 
-    @property
-    def hstar_f(self) -> bool:
-        """Whether the sign-certificate hypothesis f1 > 0 holds."""
-        return self.f.c1 > 0.0
-
     def delta_f(self, w: WindowEstimate) -> float:
         """delta1(f) = f1/(c0*||fperp||_X), infinite when fperp = 0."""
         return math.inf if self.perp_x == 0.0 else self.f.c1 / (w.c0 * self.perp_x)
@@ -98,17 +93,13 @@ class LinearCertificate:
     """Solve outcome plus the sign certificate when one was earned.
 
     bound is the certificate value f1/(Lambda-mu) -/+ c0*||fperp||_X
-    whenever mu is in the window; gsp/gsn repeat it only once the solution
-    has been verified against it pointwise (None otherwise).
+    whenever mu is in the window (None otherwise); certified records
+    whether the solution has been verified against it pointwise.
     min_ratio/max_ratio are the raw sign statistics, always present so
     out-of-window sweeps still produce curves.
     """
 
     solution: GroundstateVector
-    gsp: float | None
-    gsn: float | None
-    delta_f: float
-    window_used: float
     mu: float
     in_window: bool
     bound: float | None
@@ -138,7 +129,7 @@ def certify_theorem1(p: LinearProblem, w: WindowEstimate, mu: float) -> LinearCe
 
     lam = p.spectrum.Lambda
     in_window = 0.0 < abs(lam - mu) < window
-    gsp = gsn = bound = None
+    bound = None
     certified = False
     if in_window:
         # pointwise checks carry 1e-6 relative slack: when f is parallel
@@ -147,18 +138,12 @@ def certify_theorem1(p: LinearProblem, w: WindowEstimate, mu: float) -> LinearCe
         scalar = p.f.c1 / (lam - mu)
         if mu < lam:
             bound = scalar - w.c0 * p.perp_x
-            if bound > 0.0 and min_ratio >= bound * (1.0 - CERT_SLACK):
-                gsp, certified = bound, True
+            certified = bool(bound > 0.0 and min_ratio >= bound * (1.0 - CERT_SLACK))
         else:
             bound = scalar + w.c0 * p.perp_x
-            if bound < 0.0 and max_ratio <= bound * (1.0 - CERT_SLACK):
-                gsn, certified = bound, True
+            certified = bool(bound < 0.0 and max_ratio <= bound * (1.0 - CERT_SLACK))
     return LinearCertificate(
         solution=u,
-        gsp=gsp,
-        gsn=gsn,
-        delta_f=p.delta_f(w),
-        window_used=window,
         mu=mu,
         in_window=in_window,
         bound=bound,

@@ -2,14 +2,10 @@
 
 The solvers in this package work on radial functions of ``r = |x|`` for
 ``x`` in R^N, truncated to ``[0, r_max]`` with a Dirichlet condition at
-``r_max``.  This module owns three things:
+``r_max``.  This module owns two things:
 
 * :class:`RadialPotential` -- an evaluator ``q(r)`` plus the radius ``R0``
   beyond which ``q`` is nondecreasing, with builtins and a CSV loader;
-* :func:`validate_class_P` -- a sampled surrogate for the admissibility
-  condition (positivity, eventual monotonicity, and geometric decay of the
-  dyadic tail segments of the integral of ``q**-0.5``, which fails exactly
-  at quadratic growth);
 * :class:`Grid` / :func:`build_grid` / :func:`make_grid` -- uniform node
   layout with per-node weights for the full R^N volume integral, so that a
   grid function normalized under :meth:`Grid.integrate` is L2-normalized
@@ -20,6 +16,15 @@ For ``N >= 2`` the nodes are ``r_i = i*h``, ``i = 1..n`` with
 the domain is the symmetric interval ``[-r_max, r_max]`` reduced by parity:
 the grid keeps an explicit node at the origin (weight ``h`` versus ``2h``
 elsewhere) so that even-sector functions carry a genuine value at 0.
+
+The admissible potentials are positive, eventually increasing and
+super-quadratic: the integral of ``q**-0.5`` converges at infinity.  Where
+a builtin can leave that class the check is exact: ``c + r**s`` is
+admissible exactly when ``c > 0`` and ``s > 2``, and :func:`power_potential`
+refuses anything else; ``exp(r)`` always is.  A table fixes ``q`` only up
+to its last row, and no finite table decides the growth at infinity, so
+a tabulated potential is checked only where the grid samples it
+(finite, positive, nondecreasing beyond ``r0``).
 """
 
 from __future__ import annotations
@@ -30,13 +35,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MalformedInput, NonPositivePotential, NotIncreasing, UnboundedSearch
+from .errors import MalformedInput, NotIncreasing, UnboundedSearch
 
 #: default multiple of the spectral scale that q(r_max) must reach
 TRUNCATION_FACTOR = 4.0
-
-#: default geometric-decay requirement between consecutive dyadic tail segments
-TAIL_DECAY_FACTOR = 0.9
 
 #: hard cap for the truncation-radius search
 R_MAX_CAP = 1.0e4
@@ -71,9 +73,18 @@ class RadialPotential:
 
 
 def power_potential(c: float, s: float, r0: float = 1.0) -> RadialPotential:
-    """q(r) = c + r**s.  Positive for c > 0, increasing everywhere for s > 0."""
-    if c <= 0 or s <= 0:
-        raise MalformedInput("power potential needs c > 0 and s > 0")
+    """q(r) = c + r**s, admissible exactly for c > 0 and s > 2.
+
+    For s <= 2 the integral of q**-0.5 diverges at infinity, so MalformedInput
+    names the config key potential.s (a NaN fails either check).
+    """
+    if not c > 0:
+        raise MalformedInput(f"potential.c = {c:g}: the power potential needs c > 0")
+    if not s > 2:
+        raise MalformedInput(
+            f"potential.s = {s:g}: the power potential needs s > 2 "
+            "(the integral of q**-0.5 diverges for s <= 2)"
+        )
     return RadialPotential(lambda r: c + r**s, r0=r0, name=f"power(c={c:g},s={s:g})")
 
 
@@ -107,9 +118,10 @@ def tabulated_potential(path: str, r0: float | None = None) -> RadialPotential:
 
     Entries must be finite and radii strictly increasing.  Evaluation
     interpolates linearly inside the table and extends the last segment's
-    slope beyond it (a nonpositive end slope then fails class validation
-    naturally).  When ``r0`` is not given it defaults to the first
-    tabulated radius from which the values are nondecreasing.
+    slope beyond it (a negative end slope then fails the grid's
+    monotonicity check on nodes past the table).  When ``r0`` is not given
+    it defaults to the first tabulated radius from which the values are
+    nondecreasing.
     """
     r_tab, q_tab = read_table(path, "q", "potential")
     if r_tab.size < 2:
@@ -140,85 +152,6 @@ def require_increasing(r: np.ndarray, q: np.ndarray, r0: float) -> None:
     if np.any(drops):
         where = float(r[beyond][:-1][drops][0])
         raise NotIncreasing(f"q decreases beyond r0 near r = {where:.6g}")
-
-
-@dataclass(frozen=True)
-class ClassPReport:
-    """Outcome of :func:`validate_class_P`.
-
-    ``passed`` is the headline verdict; the tail fields expose the two
-    dyadic segments of the integral of ``q**-0.5`` so a caller can see how
-    close a potential came to the quadratic borderline.
-    """
-
-    passed: bool
-    monotone_ok: bool
-    tail_near: float
-    tail_far: float
-    tail_below_tol: bool
-    decay_ok: bool
-    r_test: float
-    tol: float
-    decay_factor: float
-
-
-def validate_class_P(
-    pot: RadialPotential,
-    r_test: float,
-    tol: float,
-    decay_factor: float = TAIL_DECAY_FACTOR,
-    samples: int = 4096,
-) -> ClassPReport:
-    """Check a potential against the admissibility class on ``[0, r_test]``.
-
-    Positivity is required at every sample; monotonicity from ``pot.r0``
-    on.  Integrability of ``q**-0.5`` is certified by a sampled surrogate:
-    the segment integral over ``[r_test/2, r_test]`` must be below ``tol``
-    and at most ``decay_factor`` times the previous dyadic segment
-    ``[r_test/4, r_test/2]``.  Quadratic growth gives segment ratio -> 1
-    and fails; any strictly super-quadratic power passes for large
-    ``r_test``.
-
-    Raises
-    ------
-    NonPositivePotential
-        If any sampled q(r) <= 0.
-    NotIncreasing
-        If q decreases beyond r0 by more than float slack.
-    """
-    if r_test <= 2.0 * pot.r0:
-        raise MalformedInput("r_test must exceed 2*r0")
-    if tol <= 0:
-        raise MalformedInput("tol must be positive")
-
-    r = np.linspace(0.0, r_test, samples)
-    q = pot(r)
-    if np.any(q <= 0.0):
-        bad = float(r[np.argmax(q <= 0.0)])
-        raise NonPositivePotential(f"q(r) <= 0 near r = {bad:.6g}")
-
-    require_increasing(r, q, pot.r0)
-
-    def segment(lo: float, hi: float) -> float:
-        rs = np.linspace(lo, hi, 2049)
-        mid = 0.5 * (rs[:-1] + rs[1:])
-        return float(np.sum(pot(mid) ** -0.5) * (rs[1] - rs[0]))
-
-    tail_near = segment(r_test / 4.0, r_test / 2.0)
-    tail_far = segment(r_test / 2.0, r_test)
-    tail_below_tol = tail_far < tol
-    decay_ok = tail_far <= decay_factor * tail_near
-    return ClassPReport(
-        passed=bool(tail_below_tol and decay_ok),
-        monotone_ok=True,
-        tail_near=tail_near,
-        tail_far=tail_far,
-        tail_below_tol=tail_below_tol,
-        decay_ok=decay_ok,
-        r_test=float(r_test),
-        tol=float(tol),
-        decay_factor=float(decay_factor),
-    )
 
 
 @dataclass(frozen=True)
@@ -283,9 +216,12 @@ def make_grid(space_dim: int, r_max: float, n: int) -> Grid:
         w[0] = 0.5 * area * h
     else:
         r = np.arange(1, n + 1) * h
-        w = area * r ** (space_dim - 1) * h
-    if not np.all(w > 0):
-        raise MalformedInput("quadrature weights must be positive")
+        with np.errstate(over="ignore"):
+            w = area * r ** (space_dim - 1) * h
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise MalformedInput(
+            "grid quadrature weights are not finite and positive (r_max too large)"
+        )
     return Grid(space_dim=space_dim, r_max=float(r_max), n=int(n), h=float(h), r=r, quad_weights=w)
 
 

@@ -220,9 +220,11 @@ class UniquenessDiagnostics:
 class SemilinearReport:
     """Everything one semilinear solve produced.
 
-    gsp_bound/gsn_bound are the branch certificate values kappa/(Lambda-mu)
-    (positive on MP, negative on AMP); certified records whether the
-    computed ratio u/phi actually honors the branch bound pointwise.
+    bound_lo/bound_hi are the ratio edges of the bracket, the smaller and
+    the larger of kappa/(Lambda-mu) and K/(Lambda-mu).  The branch
+    certificate value kappa/(Lambda-mu) is bound_lo on MP (positive) and
+    bound_hi on AMP (negative); certified records whether the computed
+    ratio u/phi honors it pointwise, and is False when kappa <= 0.
     xnorm_bound is the blow-up envelope K/|Lambda-mu| + 2*c0*K.
     solution_upper is filled by drivers that run a second iteration from
     the opposite bracket end.
@@ -237,8 +239,8 @@ class SemilinearReport:
     branch: str
     mu: float
     window: float
-    gsp_bound: float | None
-    gsn_bound: float | None
+    bound_lo: float
+    bound_hi: float
     certified: bool
     min_ratio: float
     max_ratio: float
@@ -371,19 +373,17 @@ def solve_semilinear(
     damping: float = 0.5,
     max_iter: int = 500,
     tol_x: float = 1e-9,
-    u0: np.ndarray | None = None,
 ) -> SemilinearReport:
     """Clipped fixed-point iteration of T inside the bracket.
 
     Factors T - mu once and runs clipped_fixed_point on the scalar iterate
-    from the requested bracket end (or u0 clipped into the bracket), every
-    sweep solving with those factors: steps are secant-mixed until the
-    Picard residual stops falling, then damped by damping for the rest of
-    the solve; damping = 1 takes plain Picard steps throughout.  Clipped
-    nodes count as bracket violations, a sweep
-    clipping more than ESCAPE_FRACTION of the nodes raises BracketEscape,
-    and failure to converge in the X-norm raises NoConvergence carrying
-    the step-size trace.
+    from the requested bracket end, every sweep solving with those factors:
+    steps are secant-mixed until the Picard residual stops falling, then
+    damped by damping for the rest of the solve; damping = 1 takes plain
+    Picard steps throughout.  Clipped nodes count as bracket violations, a
+    sweep clipping more than ESCAPE_FRACTION of the nodes raises
+    BracketEscape, and failure to converge in the X-norm raises
+    NoConvergence carrying the step-size trace.
     """
     window = window_semilinear(nl, w)
     lam = spectrum.Lambda
@@ -394,16 +394,9 @@ def solve_semilinear(
     if nl.kappa <= 0.0 and mu > lam:
         raise WindowViolation("the mu > Lambda branch needs kappa > 0")
     bracket = make_bracket(spectrum, nl, mu)
-    if start == "lower":
-        u = bracket.lower
-    elif start == "upper":
-        u = bracket.upper
-    elif start == "custom":
-        if u0 is None:
-            raise MalformedInput("start='custom' needs u0")
-        u = np.clip(np.asarray(u0, dtype=float), bracket.lower, bracket.upper)
-    else:
-        raise MalformedInput("start must be 'lower', 'upper' or 'custom'")
+    if start not in ("lower", "upper"):
+        raise MalformedInput("start must be 'lower' or 'upper'")
+    u = bracket.lower if start == "lower" else bracket.upper
     fac = op.factor(mu)
     fp = clipped_fixed_point(
         lambda v: (apply_T(op, spectrum, nl, fac, v), None),
@@ -438,16 +431,16 @@ def _finish_report(
     lam = spectrum.Lambda
     ratio = u / phi
     min_ratio, max_ratio = float(ratio.min()), float(ratio.max())
-    gsp_bound = gsn_bound = None
+    edge_kappa = nl.kappa / (lam - mu)
+    edge_k = nl.k_upper / (lam - mu)
+    bound_lo, bound_hi = min(edge_kappa, edge_k), max(edge_kappa, edge_k)
     if nl.kappa <= 0.0:
         # One-sided data: no sign certificate is claimed.
         certified = False
     elif branch == "MP":
-        gsp_bound = nl.kappa / (lam - mu)
-        certified = min_ratio >= gsp_bound * (1.0 - 1e-6)
+        certified = min_ratio >= bound_lo * (1.0 - 1e-6)
     else:
-        gsn_bound = nl.kappa / (lam - mu)
-        certified = max_ratio <= gsn_bound * (1.0 - 1e-6)
+        certified = max_ratio <= bound_hi * (1.0 - 1e-6)
     xnorm_bound = nl.k_upper / abs(lam - mu) + 2.0 * w.c0 * nl.k_upper
     sol = decompose(u, phi, op.grid.quad_weights)
     return SemilinearReport(
@@ -460,8 +453,8 @@ def _finish_report(
         branch=branch,
         mu=mu,
         window=window,
-        gsp_bound=gsp_bound,
-        gsn_bound=gsn_bound,
+        bound_lo=bound_lo,
+        bound_hi=bound_hi,
         certified=certified,
         min_ratio=min_ratio,
         max_ratio=max_ratio,

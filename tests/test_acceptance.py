@@ -238,8 +238,7 @@ def test_criterion_08_system_suite(quart):
         lo = solve_system(p, w, lam_star + offset, start="lower")
         hi = solve_system(p, w, lam_star + offset, start="upper")
         cu = coupled_uniqueness_check(
-            op, (lo.u1.values, lo.u2.values), (hi.u1.values, hi.u2.values), m,
-            phi=phi, nl1=nl, nl2=nl,
+            op, (lo.u1.values, lo.u2.values), (hi.u1.values, hi.u2.values), m
         )
         worst_cross = max(worst_cross, cu.cross_term)
     checks.append(worst_gap <= 1e-7)

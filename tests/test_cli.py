@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
 import groundstate
@@ -331,6 +334,38 @@ def test_overflowing_grid_exits_2(tmp_path, capsys, r_max):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("s", [2.0, 1.5])
+def test_subquadratic_power_potential_exits_2(tmp_path, capsys, s):
+    # c + r**s lies in the admissible class exactly when s > 2
+    cfg = write_config(tmp_path / "cfg.json", potential={"kind": "power", "c": 1.0, "s": s})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "potential.s" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"mu_offsets": [float("inf")]}, "offsets must be finite"),
+        ({"mu_offsets": None,
+          "sweep": {"from_offset": float("-inf"), "to_offset": 0.1, "steps": 2}},
+         "offsets must be finite"),
+        ({"mode": "system", "matrix": {"a": 0.0, "b": float("inf"), "c": 1.0, "d": 0.0},
+          "nonlinearity": {"kind": "constant", "g": 1.0}}, "matrix entries must be finite"),
+    ],
+    ids=["offset", "sweep_end", "matrix"],
+)
+def test_infinite_config_numbers_exit_2(tmp_path, capsys, changes, message):
+    # JSON parsing admits Infinity; such a shift or coupling is a config error
+    cfg = json.loads(write_config(tmp_path / "base.json").read_text())
+    cfg = _invalid(cfg, **{"sweep": None, "mu_offsets": [-0.1], **changes})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_linalg_error_exits_3(tmp_path, capsys):
     # q = 1 + r**400 overflows the band; the Cholesky factorization gives up
     cfg = write_config(
@@ -461,3 +496,110 @@ def test_sweep_csv_matches_the_csv_writer(tmp_path):
             writer.writerow([_cell(row.get(col, "")) for col in COLUMNS])
     _write_sweep(tmp_path / "new.csv", rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# ------------------------------------------------------------- config fuzz
+
+FUZZ_BASE = {
+    "space_dim": 3,
+    "potential": {"kind": "power", "c": 1.0, "s": 4.0},
+    "grid": {"r_max": 3.2, "n": 60},
+    "mu_offsets": [-0.1, 0.05],
+}
+FUZZ_MODES = {
+    "eigen": {},
+    "linear": {"f": {"kind": "phi_plus_phi2", "coeff": 0.5}},
+    "semilinear": {"nonlinearity": {"kind": "rational", "kappa": 1.0, "K": 2.0}},
+    "system": {
+        "matrix": {"a": 0.0, "b": 1.0, "c": 4.0, "d": 0.0},
+        "nonlinearity": {"kind": "rational", "kappa": 1.0, "K": 2.0},
+    },
+}
+
+
+EXTREMES = st.sampled_from([0.0, -1.0, 1e300, float("nan"), float("inf"), float("-inf")])
+
+
+def _num(lo: float, hi: float):
+    """Floats in [lo, hi]; one draw in eight is a value JSON lets through unchecked."""
+    return st.integers(0, 7).flatmap(lambda k: EXTREMES if k == 0 else st.floats(lo, hi))
+
+
+def _nonlinearity():
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.just("constant"), "g": _num(0.1, 3.0)}),
+        st.fixed_dictionaries(
+            {"kind": st.sampled_from(["rational", "exp_decay"]),
+             "kappa": _num(-0.5, 2.0), "K": _num(0.1, 4.0)},
+            optional={"s": _num(0.1, 3.0)},
+        ),
+    )
+
+
+def _set(key: str, values) -> st.SearchStrategy:
+    return values.map(lambda v: {key: v})
+
+
+# one to three changes to a valid config, each setting one top-level key (a
+# None value deletes it); grids stay at n <= 80 nodes: a spectral_scale <= 10
+# grid ends where q reaches 40, inside r = 40**(1/2) for every admissible
+# power (s > 2) and exp potential, at <= 12 points per unit
+CONFIG_MUTATIONS = st.lists(
+    st.one_of(
+        _set("space_dim", st.integers(1, 5)),
+        _set("potential", st.one_of(
+            st.fixed_dictionaries(
+                {"kind": st.just("power"), "c": _num(0.05, 5.0), "s": _num(1.0, 8.0)},
+                optional={"r0": _num(0.0, 5.0)},
+            ),
+            st.fixed_dictionaries({"kind": st.just("exp")}, optional={"r0": _num(0.0, 5.0)}),
+        )),
+        _set("grid", st.one_of(
+            st.fixed_dictionaries({"r_max": _num(0.5, 20.0), "n": st.integers(2, 80)}),
+            st.fixed_dictionaries(
+                {"spectral_scale": st.floats(0.1, 10.0), "points_per_unit": st.floats(0.5, 12.0)}
+            ),
+        )),
+        _set("margin", _num(0.05, 0.95)),
+        _set("mu_offsets", st.lists(_num(-0.5, 0.5), min_size=1, max_size=3)),
+        st.fixed_dictionaries({
+            "mu_offsets": st.none(),
+            "sweep": st.fixed_dictionaries(
+                {"from_offset": _num(-0.5, 0.5), "to_offset": _num(-0.5, 0.5),
+                 "steps": st.integers(1, 3)}
+            ),
+        }),
+        _set("f", st.fixed_dictionaries(
+            {"kind": st.sampled_from(["phi", "phi_plus_phi2"])}, optional={"coeff": _num(-3.0, 3.0)}
+        )),
+        _set("nonlinearity", _nonlinearity()),
+        _set("nonlinearity2", _nonlinearity()),
+        _set("matrix", st.fixed_dictionaries(
+            {"a": _num(-2.0, 2.0), "b": _num(-0.5, 2.0), "c": _num(-0.5, 2.0), "d": _num(-2.0, 2.0)}
+        )),
+        _set("solver", st.fixed_dictionaries(
+            {},
+            optional={
+                "damping": _num(0.05, 1.0),
+                "max_iter": st.integers(1, 300),
+                "tol_x": _num(1e-12, 1e-4),
+                "start": st.sampled_from(["lower", "upper"]),
+                "two_start": st.booleans(),
+            },
+        )),
+        _set("require_certificates", st.booleans()),
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda changes: {k: v for change in changes for k, v in change.items()})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mode=st.sampled_from(sorted(FUZZ_MODES)), changes=CONFIG_MUTATIONS)
+def test_mutated_configs_exit_with_a_documented_code(mode, changes):
+    # any config either runs or fails with exit 2, 3 or 4; none may raise
+    with tempfile.TemporaryDirectory() as tmp:
+        base = {"mode": mode, **FUZZ_BASE, **FUZZ_MODES[mode], "output_dir": tmp}
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(_invalid(base, **changes)))
+        assert main(["run", str(path), "--out", str(Path(tmp) / "out")]) in (0, 2, 3, 4)

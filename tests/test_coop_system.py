@@ -24,7 +24,6 @@ from groundstate import (
     summarize_spectrum,
     system_problem,
     system_two_start,
-    transform_data,
     window_system,
     x_norm,
 )
@@ -108,21 +107,18 @@ def test_inherited_bounds_values():
     assert kup == pytest.approx(1.5, abs=1e-12)
 
 
-def test_transform_data_cases(ctx):
+def test_decouple_cases(ctx):
     _, _, spectrum, _ = ctx
     phi = spectrum.phi.values
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
-    td = transform_data(m, phi, phi, 1.0, 2.0, phi)
-    np.testing.assert_allclose(td.g1, 0.75 * phi, atol=1e-12)
-    np.testing.assert_allclose(td.g2, 0.25 * phi, atol=1e-12)
-    assert td.kappa_prime == pytest.approx(0.75)
-    assert td.k_prime == pytest.approx(1.5)
-    assert td.g2_bound_ok
+    g1, g2 = m.decouple(phi, phi)
+    np.testing.assert_allclose(g1, 0.75 * phi, atol=1e-12)
+    np.testing.assert_allclose(g2, 0.25 * phi, atol=1e-12)
 
     # data parallel to the dominant eigenvector diagonalizes to (phi, 0)
-    td2 = transform_data(m, m.y[0] * phi, m.y[1] * phi, 1.0, 2.0, phi)
-    np.testing.assert_allclose(td2.g1, phi, atol=1e-12)
-    np.testing.assert_allclose(td2.g2, np.zeros_like(phi), atol=1e-12)
+    g1, g2 = m.decouple(m.y[0] * phi, m.y[1] * phi)
+    np.testing.assert_allclose(g1, phi, atol=1e-12)
+    np.testing.assert_allclose(g2, np.zeros_like(phi), atol=1e-12)
 
 
 # ------------------------------------------------------- windows, rectangles

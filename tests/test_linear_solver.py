@@ -15,6 +15,7 @@ from groundstate import (
     make_grid,
     solve_linear,
     summarize_spectrum,
+    window_linear,
 )
 from groundstate.errors import HypothesisViolated, SingularResolvent
 
@@ -35,7 +36,7 @@ def test_groundstate_data_below_lambda(ctx):
     lam, phi = spectrum.Lambda, spectrum.phi.values
     mu = lam - 0.1
     p = linear_problem(op, spectrum, phi)
-    assert p.hstar_f
+    assert p.sign_defect is None
     u = solve_linear(p, mu)
     assert u.c1 == pytest.approx(10.0, rel=1e-9)
     np.testing.assert_allclose(u.values, 10.0 * phi, atol=1e-7)
@@ -47,14 +48,13 @@ def test_groundstate_data_below_lambda(ctx):
 def test_gsp_certificate_for_groundstate_data(ctx):
     _, op, spectrum, w = ctx
     lam, phi = spectrum.Lambda, spectrum.phi.values
-    cert = certify_theorem1(linear_problem(op, spectrum, phi), w, lam - 0.1)
+    p = linear_problem(op, spectrum, phi)
+    cert = certify_theorem1(p, w, lam - 0.1)
     assert cert.in_window
-    assert math.isinf(cert.delta_f)
-    assert cert.window_used == pytest.approx(w.delta0)
+    assert math.isinf(p.delta_f(w))
+    assert window_linear(p, w) == pytest.approx(w.delta0)
     assert cert.bound == pytest.approx(10.0, rel=1e-9)
     assert cert.certified
-    assert cert.gsp == cert.bound
-    assert cert.gsn is None
     assert cert.min_ratio >= 10.0 * (1.0 - 1e-6)
 
 
@@ -65,8 +65,6 @@ def test_gsn_certificate_above_lambda(ctx):
     assert cert.in_window
     assert cert.bound == pytest.approx(-10.0, rel=1e-9)
     assert cert.certified
-    assert cert.gsn == cert.bound
-    assert cert.gsp is None
     assert cert.max_ratio <= -10.0 * (1.0 - 1e-6)
 
 
@@ -88,19 +86,20 @@ def test_mixed_data_certifies_on_both_sides(ctx):
     _, vecs = eigenpairs(op, 2)
     f = phi + 0.5 * vecs[:, 1]
 
-    lo = certify_theorem1(linear_problem(op, spectrum, f), w, lam - 0.1)
+    p = linear_problem(op, spectrum, f)
+    lo = certify_theorem1(p, w, lam - 0.1)
     assert lo.in_window and lo.certified
     assert lo.bound is not None and 0.0 < lo.bound < 10.0
     assert lo.min_ratio >= lo.bound * (1.0 - 1e-6)
 
-    hi = certify_theorem1(linear_problem(op, spectrum, f), w, lam + 0.1)
+    hi = certify_theorem1(p, w, lam + 0.1)
     assert hi.in_window and hi.certified
     assert hi.bound is not None and -10.0 < hi.bound < 0.0
     assert hi.max_ratio <= hi.bound * (1.0 - 1e-6)
 
     # the data-dependent window is finite for data with a perp part
-    assert math.isfinite(lo.delta_f)
-    assert lo.window_used == pytest.approx(min(w.delta0, lo.delta_f))
+    assert math.isfinite(p.delta_f(w))
+    assert window_linear(p, w) == pytest.approx(min(w.delta0, p.delta_f(w)))
 
 
 def test_out_of_window_reports_but_never_certifies(ctx):
@@ -111,7 +110,6 @@ def test_out_of_window_reports_but_never_certifies(ctx):
     assert not cert.in_window
     assert cert.bound is None
     assert not cert.certified
-    assert cert.gsp is None and cert.gsn is None
     # raw statistics are still reported for sweep curves
     assert cert.min_ratio == pytest.approx(1.0 / (lam - mu), rel=1e-6)
 

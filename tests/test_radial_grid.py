@@ -1,7 +1,5 @@
 """Grid construction, quadrature, and potential validation tests."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -13,14 +11,8 @@ from groundstate import (
     power_potential,
     sphere_area,
     tabulated_potential,
-    validate_class_P,
 )
-from groundstate.errors import (
-    MalformedInput,
-    NonPositivePotential,
-    NotIncreasing,
-    UnboundedSearch,
-)
+from groundstate.errors import MalformedInput, UnboundedSearch
 
 QUARTIC = RadialPotential(lambda r: 1.0 + r**4, name="quartic")
 
@@ -84,6 +76,18 @@ def test_power_and_exp_potentials():
     np.testing.assert_allclose(e.evaluator(r), np.exp(r))
 
 
+@pytest.mark.parametrize(
+    "c, s, key",
+    [(1.0, 2.0, "potential.s"), (1.0, 1.5, "potential.s"), (1.0, float("nan"), "potential.s"),
+     (0.0, 4.0, "potential.c")],
+)
+def test_power_potential_refuses_the_quadratic_borderline(c, s, key):
+    # the integral of q**-0.5 is finite for c + r**s exactly when s > 2
+    with pytest.raises(MalformedInput, match=key):
+        power_potential(c, s)
+    power_potential(1.0, 2.0 + 1e-9)
+
+
 def test_tabulated_potential_interpolates_and_extends(tmp_path):
     path = tmp_path / "q.csv"
     path.write_text("r,q\n0.0,1.0\n1.0,2.0\n2.0,5.0\n")
@@ -91,34 +95,6 @@ def test_tabulated_potential_interpolates_and_extends(tmp_path):
     got = t.evaluator(np.array([0.5, 1.5, 3.0]))
     # linear inside, end-slope extension outside
     np.testing.assert_allclose(got, [1.5, 3.5, 8.0])
-
-
-def test_validate_class_P_accepts_quartic():
-    rep = validate_class_P(QUARTIC, r_test=20.0, tol=0.2)
-    assert rep.passed
-    assert rep.monotone_ok and rep.decay_ok and rep.tail_below_tol
-    assert rep.tail_far < rep.tail_near
-
-
-def test_validate_class_P_rejects_harmonic_growth():
-    # quadratic growth is the stated borderline: the dyadic tail-decay
-    # test must fail even though the potential is positive and increasing
-    harmonic = RadialPotential(lambda r: 1.0 + r * r)
-    rep = validate_class_P(harmonic, r_test=20.0, tol=0.2)
-    assert not rep.passed
-    assert not rep.decay_ok
-
-
-def test_validate_class_P_raises_on_nonpositive():
-    bare = RadialPotential(lambda r: r * r)
-    with pytest.raises(NonPositivePotential):
-        validate_class_P(bare, r_test=20.0, tol=0.2)
-
-
-def test_validate_class_P_raises_on_decreasing():
-    wavy = RadialPotential(lambda r: 2.0 + np.sin(3.0 * r))
-    with pytest.raises(NotIncreasing):
-        validate_class_P(wavy, r_test=20.0, tol=0.2)
 
 
 def test_build_grid_reaches_truncation_level():

@@ -178,8 +178,8 @@ def test_mp_solve_is_certified(ctx):
     assert rep.iterations < 500
     assert rep.residual_x <= 1e-7
     assert rep.certified
-    assert rep.gsp_bound == pytest.approx(10.0, rel=1e-9)
-    assert rep.gsn_bound is None
+    assert rep.bound_lo == pytest.approx(10.0, rel=1e-9)
+    assert rep.bound_hi == pytest.approx(20.0, rel=1e-9)
     assert rep.min_ratio >= 10.0 * (1.0 - 1e-6)
     assert rep.max_ratio <= 20.0 * (1.0 + 1e-6)
     assert rep.xnorm_ok
@@ -194,8 +194,8 @@ def test_amp_solve_is_certified(ctx):
     assert rep.branch == "AMP"
     assert rep.violations == 0
     assert rep.certified
-    assert rep.gsn_bound == pytest.approx(-20.0, rel=1e-9)
-    assert rep.gsp_bound is None
+    assert rep.bound_lo == pytest.approx(-40.0, rel=1e-9)
+    assert rep.bound_hi == pytest.approx(-20.0, rel=1e-9)
     assert rep.max_ratio <= -20.0 * (1.0 - 1e-6)
     assert rep.min_ratio >= -40.0 * (1.0 + 1e-6)
 
@@ -222,19 +222,6 @@ def test_solve_validates_controls(ctx):
         solve_semilinear(op, spectrum, w, nl, mu, start="middle")
     with pytest.raises(MalformedInput):
         solve_semilinear(op, spectrum, w, nl, mu, start="custom")
-
-
-def test_custom_start_reaches_same_solution(ctx):
-    grid, op, spectrum, w = ctx
-    nl = rational_profile(1.0, 2.0)
-    mu = spectrum.Lambda - 0.1
-    base = solve_semilinear(op, spectrum, w, nl, mu)
-    bracket = make_bracket(spectrum, nl, mu)
-    mid = 0.5 * (bracket.lower + bracket.upper)
-    custom = solve_semilinear(op, spectrum, w, nl, mu, start="custom", u0=mid)
-    from groundstate import x_norm
-
-    assert x_norm(custom.solution.values - base.solution.values, spectrum.phi.values) <= 1e-8
 
 
 def test_lying_profile_escapes_bracket(ctx):
@@ -502,7 +489,9 @@ def test_one_sided_mp_solve_reports_without_certificate(ctx):
     mu = spectrum.Lambda - 0.5
     rep = solve_semilinear(op, spectrum, w, nl, mu)
     assert rep.branch == "MP"
-    assert rep.gsp_bound is None and rep.gsn_bound is None
+    # the bracket edges are reported, the certificate is not claimed
+    assert rep.bound_lo == pytest.approx(-1.0, rel=1e-9)
+    assert rep.bound_hi == pytest.approx(3.0, rel=1e-9)
     assert not rep.certified
     assert rep.window == pytest.approx(w.delta0)
     # the solution itself is still a genuine fixed point
