@@ -85,7 +85,9 @@ def analyze_matrix(a: float, b: float, c: float, d: float) -> CoopMatrix:
 
     Raises NotCooperative unless all entries are finite and b > 0 and c > 0
     (the off-diagonal positivity that makes xi1 dominant with a positive
-    eigenvector).  The
+    eigenvector).  xi1 - a and a - xi2 are each formed without
+    cancellation, so a coupling bc far below (a - d)^2 keeps full relative
+    precision in y, P and P^{-1} on either side of a = d.  The
     assembled identities A y = xi1 y, P^{-1} P = I and P^{-1} A P diagonal
     are checked to 1e-10 relative before the matrix is returned.
     """
@@ -97,9 +99,13 @@ def analyze_matrix(a: float, b: float, c: float, d: float) -> CoopMatrix:
     sq = math.sqrt(disc)
     xi1 = 0.5 * (a + d + sq)
     xi2 = 0.5 * (a + d - sq)
-    y = np.array([b, 0.5 * (d - a + sq)])
-    p = np.array([[b, b], [xi1 - a, xi2 - a]])
-    p_inv = np.array([[a - xi2, b], [xi1 - a, -b]]) / (b * (xi1 - xi2))
+    # up = xi1 - a and down = a - xi2, each in a form that adds terms of one
+    # sign: (sq - |a - d|)/2 = 2bc/(sq + |a - d|) cancels in the first form
+    up = 0.5 * (d - a + sq) if d >= a else 2.0 * b * c / (a - d + sq)
+    down = 0.5 * (a - d + sq) if a >= d else 2.0 * b * c / (d - a + sq)
+    y = np.array([b, up])
+    p = np.array([[b, b], [up, -down]])
+    p_inv = np.array([[down, b], [up, -b]]) / (b * (up + down))
     m = CoopMatrix(
         a=float(a), b=float(b), c=float(c), d=float(d),
         xi1=xi1, xi2=xi2, y=y, p=p, p_inv=p_inv,

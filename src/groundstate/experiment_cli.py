@@ -10,7 +10,11 @@ instead of in every run.  The artifacts:
 * ``spectrum.json``   -- eigendata, window constants, config hash;
 * ``sweep.csv``       -- one row per requested shift mu, sorted by mu,
                          floats at 17 significant digits;
-* ``solution_<offset>.csv`` -- full radial profiles on request.
+* ``solution_<offset>.csv`` -- full radial profiles on request, columns
+                         ``r``, ``phi`` and the solution (``u``, or ``u1``
+                         and ``u2``); a run formats the ``r,phi`` text
+                         once and each dump formats only its solution
+                         columns.
 
 ``groundstate report sweep.csv --out DIR`` derives the two plotting
 curves (sign-certificate and blow-up) from a previously written sweep,
@@ -380,14 +384,31 @@ def _write_sweep(path: Path, rows: list[dict]) -> None:
 DUMP_ROWS = 256
 
 
-def _dump_profile(path: Path, header: list[str], arrays: list[np.ndarray]) -> None:
-    """Columns as f17 text, one row per node; streamed in DUMP_ROWS chunks."""
-    line = ",".join(["{:.17g}"] * len(arrays)) + "\n"
+def _shared_profile_text(r: np.ndarray, phi: np.ndarray) -> list[str]:
+    """Each node's ``r,phi,`` f17 text, the first two cells of every dump row.
+
+    Built once per run and reused by every dump, so it is a list, not an
+    iterator.
+    """
+    return list(map("%.17g,%.17g,".__mod__, zip(r.tolist(), phi.tolist())))
+
+
+def _dump_profile(
+    path: Path, header: list[str], shared: list[str], solution: list[np.ndarray]
+) -> None:
+    """One row per node: its shared ``r,phi,`` text, then the solution columns.
+
+    A run formats the ``r,phi`` text once (_shared_profile_text); each dump
+    formats only its solution columns, as f17 text, and streams the rows in
+    DUMP_ROWS chunks.
+    """
+    line = ",".join(["%.17g"] * len(solution)) + "\n"
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        for start in range(0, len(arrays[0]), DUMP_ROWS):
-            chunk = [a[start:start + DUMP_ROWS].tolist() for a in arrays]
-            handle.writelines(map(line.format, *chunk))
+        for start in range(0, len(shared), DUMP_ROWS):
+            stop = start + DUMP_ROWS
+            cols = zip(*[a[start:stop].tolist() for a in solution])
+            handle.writelines([head + line % row for head, row in zip(shared[start:stop], cols)])
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -440,8 +461,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         json.dump(_jsonable(meta), handle, indent=2, sort_keys=True)
         handle.write("\n")
     _write_sweep(out_dir / "sweep.csv", rows)
-    for offset, (header, arrays) in dumps.items():
-        _dump_profile(out_dir / f"solution_{offset:g}.csv", header, arrays)
+    if dumps:
+        shared = _shared_profile_text(op.grid.r, spectrum.phi.values)
+        for offset, (header, solution) in dumps.items():
+            _dump_profile(out_dir / f"solution_{offset:g}.csv", header, shared, solution)
 
     print(f"wall_time_s {time.perf_counter() - t0:.3f}", file=sys.stderr)
     if cfg.get("require_certificates", False):
@@ -462,7 +485,7 @@ def _requested_dumps(cfg: dict, offset: float) -> bool:
 
 
 def _sweep_rows(cfg: dict, op, spectrum, w, meta: dict) -> tuple[list[dict], dict]:
-    """One row per shift mu, and the profiles to dump; fills meta's window keys.
+    """One row per shift mu and each dump's (header, solution); fills meta's window keys.
 
     The mode's setup (MODE_SETUPS) supplies the shift origin (Lambda or
     Lambda*), its meta entries, the names of the dumped solution columns
@@ -474,7 +497,6 @@ def _sweep_rows(cfg: dict, op, spectrum, w, meta: dict) -> tuple[list[dict], dic
         return [], {}
     origin, extras, header, row_at = MODE_SETUPS[cfg["mode"]](cfg, op, spectrum, w)
     meta.update(extras)
-    phi = spectrum.phi.values
     rows: list[dict] = []
     dumps: dict[float, tuple[list[str], list[np.ndarray]]] = {}
     for offset in resolve_offsets(cfg):
@@ -484,7 +506,7 @@ def _sweep_rows(cfg: dict, op, spectrum, w, meta: dict) -> tuple[list[dict], dic
         row.update(mu=mu, offset=offset, **cells)
         rows.append(row)
         if _requested_dumps(cfg, offset):
-            dumps[offset] = (["r", "phi", *header], [op.grid.r, phi, *solution])
+            dumps[offset] = (["r", "phi", *header], solution)
     return rows, dumps
 
 

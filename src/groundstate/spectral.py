@@ -134,8 +134,9 @@ class DiscreteOperator:
         plain l2 norms of x, b = scale * f and T x - mu x - b; the weighted
         f at excluded nodes, where u and L u vanish, enters both the
         residual and ||f||.  Raises SingularResolvent when the residual
-        bound fails, which includes any NaN in f or u (an exactly zero
-        pivot already raised in factor).
+        bound fails, which includes any NaN in f or u, and when the bound
+        itself overflows to inf (an exactly zero pivot already raised in
+        factor).
         """
         mu = fac.mu
         b = self.restrict(f)
@@ -146,10 +147,10 @@ class DiscreteOperator:
         resid = math.sqrt(np.dot(r, r) + outside)
         f_norm = math.sqrt(np.dot(b, b) + outside)
         u_norm = math.sqrt(np.dot(x, x))
-        if not resid <= SOLVE_RTOL * (f_norm + (self.norm_bound + abs(mu)) * u_norm):
+        if not resid <= SOLVE_RTOL * (f_norm + (self.norm_bound + abs(mu)) * u_norm) < math.inf:
             raise SingularResolvent(
                 f"resolvent solve at mu = {mu:.12g} misses the 1e-10 backward-error bound "
-                f"(residual {resid:.3g}); mu too close to spectrum or data not finite"
+                f"(residual {resid:.3g}); mu too close to spectrum, or data not finite or too large"
             )
         return self.extend(x)
 

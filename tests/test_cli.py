@@ -23,6 +23,7 @@ from groundstate.experiment_cli import (
     SCHEMA,
     _cell,
     _dump_profile,
+    _shared_profile_text,
     _write_sweep,
     f17,
     main,
@@ -97,15 +98,20 @@ def test_seed_and_grid_scale_enter_the_hash(tmp_path):
     assert cfg_d["base"]["window_rule"] == "delta0"
 
 
+def write_offsets_config(path: Path, **overrides) -> Path:
+    """write_config with the overrides' mu_offsets list in place of the sweep."""
+    cfg = json.loads(write_config(path, **overrides).read_text())
+    del cfg["sweep"]
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 def test_dump_solutions_writes_profiles(tmp_path):
-    cfg = write_config(
+    cfg = write_offsets_config(
         tmp_path / "cfg.json",
         mu_offsets=[-0.1, 0.05],
         dump_solutions=[-0.1],
     )
-    del_sweep = json.loads(cfg.read_text())
-    del del_sweep["sweep"]
-    cfg.write_text(json.dumps(del_sweep))
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 0
     dump = out / "solution_-0.1.csv"
@@ -114,6 +120,37 @@ def test_dump_solutions_writes_profiles(tmp_path):
     assert lines[0] == "r,phi,u"
     assert len(lines) == 1 + 300
     assert not (out / "solution_0.05.csv").exists()
+
+
+MULTI_DUMP_CONFIGS = {
+    "linear": dict(mu_offsets=[-0.1, -0.05, 0.05, 0.1]),
+    "system": dict(
+        mode="system",
+        mu_offsets=[-0.2, 0.05],
+        nonlinearity={"kind": "rational", "kappa": 1.0, "K": 2.0},
+        matrix={"a": 0.0, "b": 1.0, "c": 4.0, "d": 0.0},
+        solver={"two_start": False},
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MULTI_DUMP_CONFIGS))
+def test_each_dump_of_a_run_matches_a_run_dumping_only_it(tmp_path, mode):
+    # every dump of a run reuses one r,phi text, formatted once
+    overrides = MULTI_DUMP_CONFIGS[mode]
+    offsets = overrides["mu_offsets"]
+
+    def run(name: str, dump: list[float]) -> Path:
+        cfg = write_offsets_config(tmp_path / f"{name}.json", dump_solutions=dump, **overrides)
+        assert main(["run", str(cfg), "--out", str(tmp_path / name)]) == 0
+        return tmp_path / name
+
+    every = run("every", offsets)
+    for off in offsets:
+        name = f"solution_{off:g}.csv"
+        alone = run(f"only{off:g}", [off])
+        assert sorted(f.name for f in alone.glob("solution_*")) == [name]
+        assert (every / name).read_bytes() == (alone / name).read_bytes()
 
 
 def test_report_copies_cells_verbatim(tmp_path):
@@ -473,10 +510,12 @@ def test_dump_profile_matches_the_csv_writer(tmp_path, length):
     single = rng.standard_normal(length).astype(np.float32)
     single[: min(length, 4)] = np.array([np.nan, np.inf, -0.0, 1e-45], np.float32)[:length]
     ints = rng.integers(-(2**62), 2**62, length)
-    arrays = [wide, single, ints, wide[::-1]]
     header = ["r", "phi", "u1", "u2"]
-    _reference_dump(tmp_path / "ref.csv", header, arrays)
-    _dump_profile(tmp_path / "new.csv", header, arrays)
+    _reference_dump(tmp_path / "ref.csv", header, [wide, single, ints, wide[::-1]])
+    # the float32 column is phi, inside the shared text; the int64 and
+    # reversed-view columns are solution columns
+    shared = _shared_profile_text(wide, single)
+    _dump_profile(tmp_path / "new.csv", header, shared, [ints, wide[::-1]])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

@@ -1,6 +1,7 @@
 """Cooperative 2x2 systems: algebra, rectangles, solves, cross-checks."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -92,6 +93,25 @@ def test_analyze_matrix_identities_random():
         np.testing.assert_allclose(arr @ m.y, m.xi1 * m.y, atol=1e-10)
         assert m.xi1 > m.xi2
         assert np.all(m.y > 0)
+
+
+def test_analyze_matrix_keeps_tiny_coupling_exact_on_both_sides(ctx):
+    # xi1 - a (for a > d) and a - xi2 (for d > a) are ~bc/|a - d|; formed as
+    # (sqrt(disc) - |a - d|)/2 they cancel, so this pair and its mirror
+    # (a <-> d) must both carry them to full precision and pass the vector
+    # groundstate identity
+    _, op, spectrum, _ = ctx
+    with localcontext() as dec:
+        dec.prec = 50
+        small = float((Decimal(1) + Decimal("4e-12")).sqrt() / 2 - Decimal("0.5"))
+    nl = rational_profile(1.0, 2.0)
+    m = analyze_matrix(1.0, 1.0, 1e-12, 0.0)
+    mirror = analyze_matrix(0.0, 1.0, 1e-12, 1.0)
+    assert m.y[1] == pytest.approx(small, rel=1e-14, abs=0.0)
+    assert -mirror.p[1, 1] == pytest.approx(small, rel=1e-14, abs=0.0)
+    for mat in (m, mirror):
+        np.testing.assert_allclose(mat.p_inv @ mat.p, np.eye(2), atol=1e-15)
+        system_problem(op, spectrum, mat, nl, nl)
 
 
 def test_analyze_matrix_rejects_noncooperative():

@@ -85,6 +85,15 @@ def test_nan_right_hand_side_raises_instead_of_returning_nan():
         op.solve_shifted(op.factor(mu), f)
 
 
+def test_overflowing_bound_raises_instead_of_accepting_inf_le_inf():
+    # squared norms of 1e300-sized data overflow, so the residual and its
+    # bound are both inf; an infinite bound certifies nothing
+    op = assemble(make_grid(3, 3.2, 200), QUARTIC_3D, 0)
+    vals, vecs = spectral.eigenpairs(op, 1)
+    with np.errstate(over="ignore"), pytest.raises(SingularResolvent):
+        op.solve_shifted(op.factor(float(vals[0]) - 0.1), 1e300 * vecs[:, 0])
+
+
 def test_data_at_an_excluded_node_fails_the_residual_check():
     # the N = 1 odd sector excludes the origin, where every u it returns
     # vanishes; f there can only be matched by raising, never by u = 0
