@@ -7,7 +7,13 @@ shifts mu + xi1 and mu + xi2.  The system inherits the scalar picture
 with Lambda replaced by Lambda* = Lambda - xi1 and phi replaced by the
 vector groundstate Y*phi: near Lambda* the iteration stays in a rectangle
 of groundstate multiples componentwise, the dominant diagonalized
-component v1 blows up like 1/(Lambda* - mu), and v2 stays bounded.
+component v1 blows up like 1/(Lambda* - mu), and v2 stays bounded.  The
+iterates lie in the rectangle by clipping, so a solve is certified on
+the image T(U) of its limit: T(U) may leave the rectangle at no node by
+more than the certificate slack (semilinear_solver.outside_count), which
+fails for a limit of clip(T) that is not a fixed point of T.  Inside the
+window the rectangle has the branch sign (kappa' > 0), so that check is
+the whole GSP/GSN certificate.
 
 Uniqueness diagnostics extend Brezis-Oswald: the coupled quadratic form
 T1 (Laplacian ratios, weighted 1/b and 1/c) equals T2 (coupling plus
@@ -87,9 +93,12 @@ def analyze_matrix(a: float, b: float, c: float, d: float) -> CoopMatrix:
     (the off-diagonal positivity that makes xi1 dominant with a positive
     eigenvector).  xi1 - a and a - xi2 are each formed without
     cancellation, so a coupling bc far below (a - d)^2 keeps full relative
-    precision in y, P and P^{-1} on either side of a = d.  The
-    assembled identities A y = xi1 y, P^{-1} P = I and P^{-1} A P diagonal
-    are checked to 1e-10 relative before the matrix is returned.
+    precision in y, P and P^{-1} on either side of a = d.  A coupling so
+    small that bc underflows can leave xi1 = xi2 or y2 = 0; unless
+    xi1 > xi2 and y > 0 entrywise NotCooperative is raised before P^{-1}
+    is formed.  The assembled identities A y = xi1 y, P^{-1} P = I and
+    P^{-1} A P diagonal are checked to 1e-10 relative (a NaN fails) before
+    the matrix is returned.
     """
     if not all(map(math.isfinite, (a, b, c, d))):
         raise NotCooperative("matrix entries must be finite")
@@ -103,6 +112,11 @@ def analyze_matrix(a: float, b: float, c: float, d: float) -> CoopMatrix:
     # sign: (sq - |a - d|)/2 = 2bc/(sq + |a - d|) cancels in the first form
     up = 0.5 * (d - a + sq) if d >= a else 2.0 * b * c / (a - d + sq)
     down = 0.5 * (a - d + sq) if a >= d else 2.0 * b * c / (d - a + sq)
+    if not (xi1 > xi2 and up > 0.0):
+        raise NotCooperative(
+            f"coupling too weak to resolve in double precision: xi1 = {xi1:.3g}, "
+            f"xi2 = {xi2:.3g}, y = ({b:.3g}, {up:.3g}); need xi1 > xi2 and y > 0"
+        )
     y = np.array([b, up])
     p = np.array([[b, b], [up, -down]])
     p_inv = np.array([[down, b], [up, -b]]) / (b * (up + down))
@@ -112,15 +126,13 @@ def analyze_matrix(a: float, b: float, c: float, d: float) -> CoopMatrix:
     )
     arr = m.as_array
     scale = float(np.max(np.abs(arr))) + sq
-    checks = (
+    err = float(np.max([
         np.max(np.abs(arr @ y - xi1 * y)),
         np.max(np.abs(p_inv @ p - np.eye(2))) * scale,
         np.max(np.abs(p_inv @ arr @ p - np.diag([xi1, xi2]))),
-    )
-    if max(checks) > ALGEBRA_RTOL * scale:
-        raise NotCooperative(
-            f"eigendecomposition identities lost precision (err {max(checks):.3g})"
-        )
+    ]))
+    if not err <= ALGEBRA_RTOL * scale:
+        raise NotCooperative(f"eigendecomposition identities lost precision (err {err:.3g})")
     return m
 
 
@@ -234,9 +246,10 @@ class SystemReport:
 
     u1/u2 are the physical components (decomposed against phi); v1/v2 the
     diagonalized ones, of which v1 carries the blow-up and v2 obeys
-    ||v2||_X <= v2_bound.  membership_ok re-verifies the rectangle on the
-    final iterate; certified additionally demands the rectangle edge have
-    the branch sign, which is what GSP/GSN mean for systems.
+    ||v2||_X <= v2_bound.  certified records that the image T(U) of the
+    limit leaves the rectangle at no node
+    (FixedPoint.outside_at_limit == 0); the rectangle has the branch
+    sign inside the window, so this is what GSP/GSN mean for systems.
     """
 
     u1: GroundstateVector
@@ -254,7 +267,6 @@ class SystemReport:
     window: float
     v2_bound: float
     v2_ok: bool
-    membership_ok: bool
     certified: bool
     min_ratio: np.ndarray
     max_ratio: np.ndarray
@@ -280,7 +292,8 @@ def solve_system(
     Picard steps throughout.  Clipped
     nodes count as rectangle violations, a sweep clipping more than
     ESCAPE_FRACTION of all nodes raises RectangleEscape, and convergence
-    is measured in the componentwise max X-norm.
+    is measured in the componentwise max X-norm.  The row is certified
+    when the limit's image leaves the rectangle at no node.
     """
     window = window_system(p, w)
     dist = abs(p.lambda_star - mu)
@@ -306,14 +319,6 @@ def solve_system(
     ratios = u / phi[None, :]
     min_ratio = ratios.min(axis=1)
     max_ratio = ratios.max(axis=1)
-    eps = 1e-6 * np.maximum(np.abs(rect.lo), np.abs(rect.hi))
-    membership_ok = bool(
-        np.all(min_ratio >= rect.lo - eps) and np.all(max_ratio <= rect.hi + eps)
-    )
-    if rect.kind == "MP":
-        signed_ok = bool(np.all(rect.lo > 0.0))
-    else:
-        signed_ok = bool(np.all(rect.hi < 0.0))
     # mu-uniform: inside the window Lambda - (mu + xi2) >= (xi1 - xi2)/2
     v2_bound = 2.0 * kup / (p.matrix.xi1 - p.matrix.xi2) + 2.0 * w.c0 * kup
     v2_x = x_norm(v2, phi)
@@ -333,8 +338,7 @@ def solve_system(
         window=window,
         v2_bound=v2_bound,
         v2_ok=v2_x <= v2_bound,
-        membership_ok=membership_ok,
-        certified=membership_ok and signed_ok,
+        certified=fp.outside_at_limit == 0,
         min_ratio=min_ratio,
         max_ratio=max_ratio,
     )

@@ -22,7 +22,8 @@ copying cell text verbatim so repeated runs stay byte-identical.
 
 Exit codes: 0 success; 2 malformed config, unreadable input (including
 a ``q`` or ``f`` table with a non-finite entry, radii that do not strictly
-increase, or too few rows), a ``power`` potential with ``s <= 2`` (the
+increase, or too few rows), a ``dump_solutions`` entry that matches no
+shift offset, a ``power`` potential with ``s <= 2`` (the
 message names ``potential.s``), a non-finite shift offset or matrix entry,
 a grid with fewer nodes than the six radial eigenvalues the spectrum
 reports, non-finite grid weights, or a potential that is non-finite or
@@ -477,11 +478,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _requested_dumps(cfg: dict, offset: float) -> bool:
+def _dump_offsets(cfg: dict, offsets: list[float]) -> set[float]:
+    """The shift offsets whose profiles dump_solutions asks for.
+
+    An entry matches an offset within 1e-12 relative; one that matches
+    none raises MalformedInput naming it.
+    """
+    chosen = set()
     for want in cfg.get("dump_solutions", []):
-        if abs(want - offset) <= 1e-12 * max(1.0, abs(want)):
-            return True
-    return False
+        match = {off for off in offsets if abs(want - off) <= 1e-12 * max(1.0, abs(off))}
+        if not match:
+            raise MalformedInput(f"dump_solutions entry {want:g} matches no mu offset")
+        chosen |= match
+    return chosen
 
 
 def _sweep_rows(cfg: dict, op, spectrum, w, meta: dict) -> tuple[list[dict], dict]:
@@ -499,13 +508,15 @@ def _sweep_rows(cfg: dict, op, spectrum, w, meta: dict) -> tuple[list[dict], dic
     meta.update(extras)
     rows: list[dict] = []
     dumps: dict[float, tuple[list[str], list[np.ndarray]]] = {}
-    for offset in resolve_offsets(cfg):
+    offsets = resolve_offsets(cfg)
+    wanted = _dump_offsets(cfg, offsets)
+    for offset in offsets:
         mu = origin + offset
         cells, solution = row_at(mu)
         row = {k: "" for k in COLUMNS}
         row.update(mu=mu, offset=offset, **cells)
         rows.append(row)
-        if _requested_dumps(cfg, offset):
+        if offset in wanted:
             dumps[offset] = (["r", "phi", *header], solution)
     return rows, dumps
 

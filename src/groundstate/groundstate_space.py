@@ -38,6 +38,11 @@ ROW_FLOOR = 1e-12
 #: outermost fraction of nodes considered boundary-adjacent for flagging
 TAIL_FRACTION = 0.05
 
+#: relative slack of every pointwise certificate check, in ratio space: a
+#: bound is attained exactly when the data are groundstate multiples, and
+#: then only rounding separates the computed ratio from it
+CERT_SLACK = 1e-6
+
 #: block width and iteration cap of the c0 norm estimator
 NORMEST_BLOCK = 2
 NORMEST_ITMAX = 5

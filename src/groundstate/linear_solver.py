@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolated, SingularResolvent
-from .groundstate_space import GroundstateVector, WindowEstimate, decompose, x_norm
+from .groundstate_space import CERT_SLACK, GroundstateVector, WindowEstimate, decompose, x_norm
 from .spectral import DiscreteOperator, SpectrumSummary
 
-CERT_SLACK = 1e-6
 WINDOW_RULE_LINEAR = "min(delta0, f1/(c0*||fperp||_X))"
 
 
@@ -132,9 +131,9 @@ def certify_theorem1(p: LinearProblem, w: WindowEstimate, mu: float) -> LinearCe
     bound = None
     certified = False
     if in_window:
-        # pointwise checks carry 1e-6 relative slack: when f is parallel
-        # to phi the bound is attained exactly and only rounding separates
-        # the computed ratio from it
+        # pointwise checks carry CERT_SLACK relative slack: when f is
+        # parallel to phi the bound is attained exactly and only rounding
+        # separates the computed ratio from it
         scalar = p.f.c1 / (lam - mu)
         if mu < lam:
             bound = scalar - w.c0 * p.perp_x

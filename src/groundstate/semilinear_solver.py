@@ -12,12 +12,17 @@ On the MP branch the maximum principle makes the bracket invariant.  On
 the AMP branch there is none, and the bracket is not invariant: mostly
 for N <= 2 the first image T(bracket end) can leave it at more than
 ESCAPE_FRACTION of the nodes, which raises BracketEscape on sweep 1
-(exit 3 from the command line).  The limit inherits the bracket's sign:
-u >= kappa*phi/(Lambda-mu) on the MP branch (groundstate positivity,
-blowing up like 1/(Lambda-mu)) and u <= kappa*phi/(Lambda-mu) < 0 on the
-AMP branch.  Both certificates are re-verified pointwise on the computed
-solution.  The iteration (clipped_fixed_point) takes secant-mixed steps
-until its Picard residual stops falling, then damped ones.
+(exit 3 from the command line).  A fixed point of T inside the bracket
+has the bracket's sign: u >= kappa*phi/(Lambda-mu) on the MP branch
+(groundstate positivity, blowing up like 1/(Lambda-mu)) and
+u <= kappa*phi/(Lambda-mu) < 0 on the AMP branch.  The iteration
+(clipped_fixed_point) takes secant-mixed steps until its Picard residual
+stops falling, then damped ones, and its iterates lie in the bracket by
+clipping, so the limit's own ratio proves nothing.  The certificate is
+checked on the image T(u) of the limit instead: a row is certified when
+kappa > 0 and T(u) leaves the bracket at no node by more than CERT_SLACK
+of the larger edge there (outside_count).  A limit of clip(T) that is not
+a fixed point of T fails that check.
 
 A classical monotone iteration from the bracket endpoints is provided as
 an independent cross-check, and a discrete Brezis-Oswald identity gives a
@@ -45,7 +50,7 @@ from .errors import (
     SignMixed,
     WindowViolation,
 )
-from .groundstate_space import GroundstateVector, WindowEstimate, decompose, x_norm
+from .groundstate_space import CERT_SLACK, GroundstateVector, WindowEstimate, decompose, x_norm
 from .radial_grid import sphere_area
 from .spectral import DiscreteOperator, Factors, SpectrumSummary
 
@@ -223,8 +228,10 @@ class SemilinearReport:
     bound_lo/bound_hi are the ratio edges of the bracket, the smaller and
     the larger of kappa/(Lambda-mu) and K/(Lambda-mu).  The branch
     certificate value kappa/(Lambda-mu) is bound_lo on MP (positive) and
-    bound_hi on AMP (negative); certified records whether the computed
-    ratio u/phi honors it pointwise, and is False when kappa <= 0.
+    bound_hi on AMP (negative).  certified records that kappa > 0 and
+    that the image T(u) of the solution leaves the bracket at no node
+    (outside_count), so the certificate holds for T(u) = u, not only for
+    the clipped iterate; it is False when kappa <= 0.
     xnorm_bound is the blow-up envelope K/|Lambda-mu| + 2*c0*K.
     solution_upper is filled by drivers that run a second iteration from
     the opposite bracket end.
@@ -253,9 +260,12 @@ class FixedPoint:
     """Limit of clipped_fixed_point: the iterate and its statistics.
 
     residual_x is the X-norm of u - T(u) at the limit and aux the second
-    value the map returned there.  undamped_sweeps counts the sweeps taken
-    before the switch to the damped step, secant-mixed or plain (all of
-    them if it never came).
+    value the map returned there.  outside_at_limit is outside_count of
+    that image T(u): the nodes where it leaves [lower, upper] beyond the
+    certificate slack, 0 when the limit of clip(T) is a fixed point of T
+    in the set.  undamped_sweeps counts the sweeps taken before the switch
+    to the damped step, secant-mixed or plain (all of them if it never
+    came).
     """
 
     u: np.ndarray
@@ -264,6 +274,18 @@ class FixedPoint:
     violations: int
     aux: object
     undamped_sweeps: int
+    outside_at_limit: int
+
+
+def outside_count(t: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> int:
+    """Nodes where t leaves [lower, upper] by more than CERT_SLACK of the larger edge there.
+
+    The test |t - clip(t)| > CERT_SLACK*max(|lower|, |upper|) is the
+    relative ratio-space slack of the pointwise certificates; it also
+    admits the rounding of a zero-width set's image.
+    """
+    slack = CERT_SLACK * np.maximum(np.abs(lower), np.abs(upper))
+    return int(np.count_nonzero(np.abs(t - np.clip(t, lower, upper)) > slack))
 
 
 def clipped_fixed_point(
@@ -298,8 +320,9 @@ def clipped_fixed_point(
     Convergence is an X-norm step below tol_x: the Picard residual before
     the switch, which accepts u <- g, and the damped step after it.
     Failure raises NoConvergence carrying the step trace.  The map is
-    applied once more at the limit for residual_x and aux.  The caller's
-    sweep holds the factorizations it solves with.
+    applied once more at the limit for residual_x, aux and
+    outside_at_limit.  The caller's sweep holds the factorizations it
+    solves with.
     """
     if not (0.0 < damping <= 1.0):
         raise MalformedInput("damping must lie in (0, 1]")
@@ -333,6 +356,7 @@ def clipped_fixed_point(
                 u=u, iterations=k, residual_x=x_norm(u - t, phi),
                 violations=violations, aux=aux,
                 undamped_sweeps=k if undamped is None else undamped,
+                outside_at_limit=outside_count(t, lower, upper),
             )
         if undamped is None and damping < 1.0:
             u, pair = _secant_step(f, g, pair, lower, upper), (f, g)
@@ -408,6 +432,7 @@ def solve_semilinear(
         iterations=fp.iterations,
         residual_x=fp.residual_x,
         violations=fp.violations,
+        outside=fp.outside_at_limit,
         branch=bracket.kind,
         window=window,
     )
@@ -423,10 +448,15 @@ def _finish_report(
     iterations: int,
     residual_x: float,
     violations: int,
+    outside: int,
     branch: str,
     window: float,
 ) -> SemilinearReport:
-    """Pointwise certificate verification shared by the two solvers."""
+    """Report of a limit u whose image T(u) leaves the bracket at outside nodes.
+
+    Shared by the two solvers.  One-sided data (kappa <= 0) claim no sign
+    certificate.
+    """
     phi = spectrum.phi.values
     lam = spectrum.Lambda
     ratio = u / phi
@@ -434,13 +464,6 @@ def _finish_report(
     edge_kappa = nl.kappa / (lam - mu)
     edge_k = nl.k_upper / (lam - mu)
     bound_lo, bound_hi = min(edge_kappa, edge_k), max(edge_kappa, edge_k)
-    if nl.kappa <= 0.0:
-        # One-sided data: no sign certificate is claimed.
-        certified = False
-    elif branch == "MP":
-        certified = min_ratio >= bound_lo * (1.0 - 1e-6)
-    else:
-        certified = max_ratio <= bound_hi * (1.0 - 1e-6)
     xnorm_bound = nl.k_upper / abs(lam - mu) + 2.0 * w.c0 * nl.k_upper
     sol = decompose(u, phi, op.grid.quad_weights)
     return SemilinearReport(
@@ -455,7 +478,7 @@ def _finish_report(
         window=window,
         bound_lo=bound_lo,
         bound_hi=bound_hi,
-        certified=certified,
+        certified=nl.kappa > 0.0 and outside == 0,
         min_ratio=min_ratio,
         max_ratio=max_ratio,
     )
@@ -495,8 +518,9 @@ def monotone_solve(
     start decreases.  A step that breaks monotonicity beyond rounding
     raises MonotonicityBroken.  Returns the lower limit as solution, the
     upper limit in solution_upper, and their X-gap in uniqueness.  The
-    sweeps share one factorization of T - mu + M; the residual check of
-    the lower limit uses one of T - mu.
+    sweeps share one factorization of T - mu + M; the image T(u) of the
+    lower limit, which gives residual_x and the certificate's
+    outside_count, uses one of T - mu.
     """
     lam = spectrum.Lambda
     if mu >= lam:
@@ -532,13 +556,14 @@ def monotone_solve(
             raise NoConvergence(f"monotone sweep stalled above {tol_x:g}", iterations=max_iter)
         limits.append(u)
     lower_limit, upper_limit = limits
-    residual_x = x_norm(lower_limit - apply_T(op, spectrum, nl, op.factor(mu), lower_limit), phi)
+    t = apply_T(op, spectrum, nl, op.factor(mu), lower_limit)
     gap = x_norm(upper_limit - lower_limit, phi)
     report = _finish_report(
         op, spectrum, w, nl, mu, lower_limit,
         iterations=total_iters,
-        residual_x=residual_x,
+        residual_x=x_norm(lower_limit - t, phi),
         violations=0,
+        outside=outside_count(t, bracket.lower, bracket.upper),
         branch="MP",
         window=window_semilinear(nl, w),
     )

@@ -201,6 +201,33 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["run", str(zero)]) == 2
 
 
+def _tiny_coupling(coupling: float) -> dict:
+    return {
+        "mode": "system",
+        "grid": {"r_max": 3.2, "n": 60},
+        "nonlinearity": {"kind": "rational", "kappa": 1.0, "K": 2.0},
+        "matrix": {"a": 0.0, "b": coupling, "c": coupling, "d": 0.0},
+    }
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # a requested profile that no shift produces is named, not skipped
+        ({"dump_solutions": [-0.1, -0.2]}, "dump_solutions entry -0.2 matches no mu offset"),
+        # bc underflows to 0: xi1 = xi2, y2 = 0 and P^{-1} would divide by zero
+        (_tiny_coupling(1e-300), "need xi1 > xi2 and y > 0"),
+        (_tiny_coupling(1e-200), "need xi1 > xi2 and y > 0"),
+    ],
+    ids=["dump_offset", "coupling_1e-300", "coupling_1e-200"],
+)
+def test_config_no_run_can_honor_exits_2(tmp_path, capsys, changes, message):
+    cfg = write_offsets_config(tmp_path / "cfg.json", mu_offsets=[-0.1, 0.05], **changes)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def write_table(path: Path, q_of_r) -> Path:
     radii = np.linspace(0.0, 4.0, 41)
     path.write_text("r,q\n" + "".join(f"{r},{q_of_r(i, r)}\n" for i, r in enumerate(radii)))
@@ -633,7 +660,7 @@ CONFIG_MUTATIONS = st.lists(
 ).map(lambda changes: {k: v for change in changes for k, v in change.items()})
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(mode=st.sampled_from(sorted(FUZZ_MODES)), changes=CONFIG_MUTATIONS)
 def test_mutated_configs_exit_with_a_documented_code(mode, changes):
     # any config either runs or fails with exit 2, 3 or 4; none may raise

@@ -200,7 +200,7 @@ def test_c0_estimate_matches_dense_oracle(pot, space_dim, r_max, n):
     assert_estimate_matches_oracle(*window_problem(pot, space_dim, r_max, n))
 
 
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@settings(max_examples=10)
 @given(
     c=st.floats(0.05, 5.0),
     s=st.floats(2.0, 6.0, exclude_min=True),

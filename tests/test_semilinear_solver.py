@@ -324,9 +324,96 @@ def test_residual_growing_under_mixing_switches_to_damping(shape):
     assert fp.undamped_sweeps == 3 < fp.iterations
     v = fp.u / phi
     assert np.max(np.abs(v - (1.0 - np.tanh(4.0 * v)))) <= 1e-9
-    assert fp.violations == 0
+    assert fp.violations == 0 and fp.outside_at_limit == 0
     with pytest.raises(NoConvergence):
         solve(1.0, 200)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 5)], ids=["scalar", "system"])
+def test_limit_whose_image_leaves_the_set_is_counted(shape):
+    # The map is constant, phi except 1% past upper at node 2 of each
+    # component (under ESCAPE_FRACTION of the nodes).  The clipped iterate
+    # converges on sweep 2 to a fixed point of clip(T) that T moves.
+    phi = np.linspace(0.5, 1.0, 5)
+    lower, upper = -2.0 * phi * np.ones(shape), 2.0 * phi * np.ones(shape)
+    t = phi * np.ones(shape)
+    t[..., 2] = 1.01 * upper[..., 2]
+    fp = semilinear_solver.clipped_fixed_point(
+        lambda u: (t, None), lower, upper, np.zeros(shape), phi, BracketEscape, 0.5, 50, 1e-10
+    )
+    per_sweep = t.size // 5
+    assert fp.iterations == 2
+    assert fp.outside_at_limit == per_sweep
+    assert fp.violations == 2 * per_sweep
+    assert fp.residual_x == pytest.approx(0.01 * 2.0)
+    assert np.all(fp.u == np.clip(t, lower, upper))
+
+
+def image_past_upper(monkeypatch, upper, node):
+    """Make apply_T return T(u) with node set 1% of |upper| past upper."""
+    real = semilinear_solver.apply_T
+
+    def lying(*args):
+        t = real(*args)
+        t[node] = upper[node] + 0.01 * abs(upper[node])
+        return t
+
+    monkeypatch.setattr(semilinear_solver, "apply_T", lying)
+
+
+@pytest.mark.parametrize("offset", [-0.1, 0.05], ids=["MP", "AMP"])
+def test_row_whose_limit_image_leaves_the_bracket_is_uncertified(ctx, monkeypatch, offset):
+    # certified is decided on T(u): a clip(T) limit that T moves past the
+    # bracket fails, although the clipped limit's own ratio lies inside it
+    _, op, spectrum, w = ctx
+    nl = rational_profile(1.0, 2.0)
+    mu = spectrum.Lambda + offset
+    bracket = make_bracket(spectrum, nl, mu)
+    assert solve_semilinear(op, spectrum, w, nl, mu).certified
+    image_past_upper(monkeypatch, bracket.upper, 200)
+    for rep in (
+        solve_semilinear(op, spectrum, w, nl, mu),
+        two_start_diagnostics(op, spectrum, w, nl, mu),
+    ):
+        assert not rep.certified
+        assert rep.violations >= rep.iterations
+        assert bracket.lower[200] <= rep.solution.values[200] <= bracket.upper[200]
+
+
+def test_monotone_row_whose_limit_image_leaves_the_bracket_is_uncertified(ctx, monkeypatch):
+    # monotone_solve counts on the image T(u) it computes for residual_x
+    _, op, spectrum, w = ctx
+    nl = rational_profile(1.0, 2.0)
+    mu = spectrum.Lambda - 0.1
+    assert monotone_solve(op, spectrum, w, nl, mu).certified
+    bracket = make_bracket(spectrum, nl, mu)
+    image_past_upper(monkeypatch, bracket.upper, 200)
+    rep = monotone_solve(op, spectrum, w, nl, mu)
+    assert not rep.certified
+    assert rep.residual_x >= 0.01 * bracket.upper[200] / spectrum.phi.values[200]
+
+
+@pytest.mark.parametrize("n", [52, 57])
+def test_constant_profile_rows_at_n1_stay_certified(n):
+    # A constant g gives a zero-width bracket, so the image's rounding sits
+    # outside it: at N = 1 by ~1e-11 of the local edge, more than the
+    # 1e-12 BRACKET_SLACK of the sweeps and far below CERT_SLACK.
+    grid = make_grid(1, 4.0, n)
+    spectrum = summarize_spectrum(grid, power_potential(1.0, 3.0))
+    op = spectrum.op
+    w = estimate_c0_delta0(spectrum, op)
+    nl = constant_profile(1.0)
+    half = 0.0625 * window_semilinear(nl, w)
+    excess = []
+    for mu in (spectrum.Lambda - half, spectrum.Lambda + half):
+        rep = two_start_diagnostics(op, spectrum, w, nl, mu)
+        assert rep.certified
+        b = make_bracket(spectrum, nl, mu)
+        t = apply_T(op, spectrum, nl, op.factor(mu), rep.solution.values)
+        edge = np.maximum(np.abs(b.lower), np.abs(b.upper))
+        excess.append(float(np.max(np.abs(t - np.clip(t, b.lower, b.upper)) / edge)))
+    assert max(excess) > semilinear_solver.BRACKET_SLACK
+    assert max(excess) <= 1e-9
 
 
 def test_contracting_map_never_switches(ctx, fixed_points):
@@ -336,7 +423,7 @@ def test_contracting_map_never_switches(ctx, fixed_points):
     assert fixed_points[0].undamped_sweeps == fixed_points[0].iterations == rep.iterations
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(
     c=st.floats(0.05, 5.0),
     s=st.floats(2.0, 6.0, exclude_min=True),

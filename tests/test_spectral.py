@@ -184,7 +184,7 @@ def full_sector_scan(grid, pot, top_sector=8):
     return min(candidates, key=lambda t: (t[0], t[1]))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(
     c=st.floats(0.05, 5.0),
     s=st.floats(2.0, 6.0, exclude_min=True),
