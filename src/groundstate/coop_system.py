@@ -27,9 +27,10 @@ strictly decreasing both sides are pinched to zero exactly when the two
 candidate pairs coincide.  A run reports T1 and checks that the closed
 square cross term is nonpositive; T2 itself is not evaluated.
 
-A SystemProblem holds (L, A, F) for a whole sweep and is checked against
-the vector groundstate identity once; the shift mu is an argument of each
-solve and of the rectangle.
+A SystemProblem holds (L, A, F) for a whole sweep, L as the spectrum
+summary that carries it, and is checked against the vector groundstate
+identity once; the shift mu is an argument of each solve and of the
+rectangle.
 """
 
 from __future__ import annotations
@@ -144,9 +145,8 @@ def inherited_bounds(m: CoopMatrix, kappa: float, k_upper: float) -> tuple[float
 
 @dataclass(frozen=True)
 class SystemProblem:
-    """One system instance: operator, spectrum, coupling and data."""
+    """One system instance: spectrum (with its operator), coupling and data."""
 
-    op: DiscreteOperator
     spectrum: SpectrumSummary
     matrix: CoopMatrix
     nl1: Nonlinearity
@@ -157,20 +157,16 @@ class SystemProblem:
 
 
 def system_problem(
-    op: DiscreteOperator,
-    spectrum: SpectrumSummary,
-    m: CoopMatrix,
-    nl1: Nonlinearity,
-    nl2: Nonlinearity,
+    spectrum: SpectrumSummary, m: CoopMatrix, nl1: Nonlinearity, nl2: Nonlinearity
 ) -> SystemProblem:
-    """Bundle the data and verify (L - A)(Y phi) = Lambda* (Y phi).
+    """Bundle the data and verify (L - A)(Y phi) = Lambda* (Y phi), L = spectrum.op.
 
     The identity is exact modulo the eigen-residual of phi, which itself
     scales with eps*||L|| on fine grids, so the tolerance carries both a
-    1e-8 relative term and that arithmetic floor.  A failure means the
-    pieces do not belong together (e.g. spectrum from another operator).
+    1e-8 relative term and that arithmetic floor.  A failure means phi is
+    not an eigenvector of L, or Y not one of A, to that accuracy.
     """
-    phi = spectrum.phi.values
+    op, phi = spectrum.op, spectrum.phi
     lam_star = spectrum.Lambda - m.xi1
     arr = m.as_array
     lphi = op.matvec(phi)
@@ -184,7 +180,7 @@ def system_problem(
     kappa = min(nl1.kappa, nl2.kappa)
     k_upper = max(nl1.k_upper, nl2.k_upper)
     return SystemProblem(
-        op=op, spectrum=spectrum, matrix=m, nl1=nl1, nl2=nl2,
+        spectrum=spectrum, matrix=m, nl1=nl1, nl2=nl2,
         kappa=kappa, k_upper=k_upper, lambda_star=lam_star,
     )
 
@@ -230,9 +226,9 @@ def _system_sweep(
     The two scalar solves use the factors of T - (mu + xi1) and
     T - (mu + xi2), which solve_system makes once for the whole iteration.
     """
-    op, m = p.op, p.matrix
+    op, m = p.spectrum.op, p.matrix
     r = op.grid.r
-    phi = p.spectrum.phi.values
+    phi = p.spectrum.phi
     g1, g2 = m.decouple(phi * p.nl1(r, u[0]), phi * p.nl2(r, u[1]))
     v1 = op.solve_shifted(fac1, g1)
     v2 = op.solve_shifted(fac2, g2)
@@ -301,13 +297,13 @@ def solve_system(
         raise WindowViolation(
             f"|Lambda* - mu| = {dist:.6g} outside the certified window {window:.6g}"
         )
-    phi = p.spectrum.phi.values
+    op, phi = p.spectrum.op, p.spectrum.phi
     rect = rectangle(p, mu)
     lo = rect.lo[:, None] * phi[None, :]
     hi = rect.hi[:, None] * phi[None, :]
     if start not in ("lower", "upper"):
         raise MalformedInput("start must be 'lower' or 'upper'")
-    fac1, fac2 = p.op.factor(mu + p.matrix.xi1), p.op.factor(mu + p.matrix.xi2)
+    fac1, fac2 = op.factor(mu + p.matrix.xi1), op.factor(mu + p.matrix.xi2)
     fp = clipped_fixed_point(
         lambda u: _system_sweep(p, fac1, fac2, u), lo, hi, lo if start == "lower" else hi, phi,
         RectangleEscape, damping, max_iter, tol_x,
@@ -323,8 +319,8 @@ def solve_system(
     v2_bound = 2.0 * kup / (p.matrix.xi1 - p.matrix.xi2) + 2.0 * w.c0 * kup
     v2_x = x_norm(v2, phi)
     return SystemReport(
-        u1=decompose(u[0], phi, p.op.grid.quad_weights),
-        u2=decompose(u[1], phi, p.op.grid.quad_weights),
+        u1=decompose(u[0], phi, op.grid.quad_weights),
+        u2=decompose(u[1], phi, op.grid.quad_weights),
         v1=v1,
         v2=v2,
         rectangle=rect,
@@ -449,13 +445,13 @@ def system_two_start(
     """Solve from both rectangle corners and attach uniqueness diagnostics."""
     lo = solve_system(p, w, mu, damping=damping, max_iter=max_iter, tol_x=tol_x, start="lower")
     hi = solve_system(p, w, mu, damping=damping, max_iter=max_iter, tol_x=tol_x, start="upper")
-    phi = p.spectrum.phi.values
+    phi = p.spectrum.phi
     gap = max(
         x_norm(hi.u1.values - lo.u1.values, phi),
         x_norm(hi.u2.values - lo.u2.values, phi),
     )
     cu = coupled_uniqueness_check(
-        p.op, (lo.u1.values, lo.u2.values), (hi.u1.values, hi.u2.values), p.matrix
+        p.spectrum.op, (lo.u1.values, lo.u2.values), (hi.u1.values, hi.u2.values), p.matrix
     )
     diag = UniquenessDiagnostics(two_start_gap=gap, brezis_oswald_residual=cu.t1)
     return replace(lo, uniqueness=diag)

@@ -26,10 +26,15 @@ increase, or too few rows), a ``dump_solutions`` entry that matches no
 shift offset, a ``power`` potential with ``s <= 2`` (the
 message names ``potential.s``), a non-finite shift offset or matrix entry,
 a grid with fewer nodes than the six radial eigenvalues the spectrum
-reports, non-finite grid weights, or a potential that is non-finite or
-nonpositive on the grid or decreases on grid nodes beyond its r0; 3 a solver raised (no convergence, singular solve, escaped
+reports, non-finite grid weights, a ``grid.spectral_scale``,
+``grid.points_per_unit`` or ``grid.truncation_factor`` that is not finite
+(the message names the key), a ``grid.spectral_scale`` whose multiple q
+does not reach below r = 1e4 (the message names it), or a potential that is
+non-finite or nonpositive on the grid or decreases on grid nodes beyond
+its r0; 3 a solver raised (no convergence, singular solve, escaped
 bracket, window or hypothesis violation) or numpy/scipy did (``LinAlgError``,
-or an ``ArithmeticError`` such as ``OverflowError``); 4 certificates were
+an ``ArithmeticError`` such as ``OverflowError``, or a ``MemoryError``
+for a grid too large to allocate); 4 certificates were
 required but some row is uncertified.  The output directory is created only
 once every row is computed, so a run that exits 2 or 3 creates none.
 Wall-clock time goes to stderr only, keeping files reproducible.
@@ -65,6 +70,7 @@ from .errors import (
     NonPositivePotential,
     NotCooperative,
     NotIncreasing,
+    UnboundedSearch,
 )
 from .groundstate_space import estimate_c0_delta0, x_norm
 from .linear_solver import (
@@ -94,7 +100,9 @@ from .semilinear_solver import (
 )
 from .spectral import RADIAL_EIGS, eigenpairs, summarize_spectrum
 
-CONFIG_ERRORS = (MalformedInput, NonPositivePotential, NotIncreasing, NotCooperative)
+CONFIG_ERRORS = (
+    MalformedInput, NonPositivePotential, NotIncreasing, NotCooperative, UnboundedSearch,
+)
 
 _NUMBER = {"type": "number"}
 
@@ -321,23 +329,23 @@ def build_nonlinearity(block: dict):
     return exp_decay_profile(block["kappa"], block["K"], s=block.get("s", 1.0))
 
 
-def build_f(cfg: dict, op, spectrum) -> np.ndarray:
+def build_f(cfg: dict, spectrum) -> np.ndarray:
     block = cfg.get("f")
     if block is None:
         raise MalformedInput("linear mode needs an 'f' block")
     kind = block["kind"]
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     if kind == "phi":
         return phi.copy()
     if kind == "phi_plus_phi2":
-        _, vecs = eigenpairs(op, 2)
+        _, vecs = eigenpairs(spectrum.op, 2)
         return phi + block.get("coeff", 0.5) * vecs[:, 1]
     if "path" not in block:
         raise MalformedInput("table f needs 'path'")
     r_tab, f_tab = read_table(block["path"], "f", "f")
     if r_tab.size == 0:
         raise MalformedInput("f table has no data rows")
-    return np.interp(op.grid.r, r_tab, f_tab)
+    return np.interp(spectrum.op.grid.r, r_tab, f_tab)
 
 
 def resolve_offsets(cfg: dict) -> list[float]:
@@ -433,8 +441,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     grid = build_the_grid(cfg, pot, grid_scale)
     check_potential_on_grid(pot, grid)
     spectrum = summarize_spectrum(grid, pot)
-    op = spectrum.op
-    w = estimate_c0_delta0(spectrum, op, margin=cfg.get("margin", 0.5))
+    w = estimate_c0_delta0(spectrum, margin=cfg.get("margin", 0.5))
 
     meta = {
         "mode": cfg["mode"],
@@ -453,7 +460,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "config_hash": config_hash,
     }
 
-    rows, dumps = _sweep_rows(cfg, op, spectrum, w, meta)
+    rows, dumps = _sweep_rows(cfg, spectrum, w, meta)
 
     # created only now, so a run that fails leaves no directory behind
     out_dir = Path(args.out) if args.out else Path(cfg["output_dir"])
@@ -463,7 +470,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         handle.write("\n")
     _write_sweep(out_dir / "sweep.csv", rows)
     if dumps:
-        shared = _shared_profile_text(op.grid.r, spectrum.phi.values)
+        shared = _shared_profile_text(grid.r, spectrum.phi)
         for offset, (header, solution) in dumps.items():
             _dump_profile(out_dir / f"solution_{offset:g}.csv", header, shared, solution)
 
@@ -493,7 +500,7 @@ def _dump_offsets(cfg: dict, offsets: list[float]) -> set[float]:
     return chosen
 
 
-def _sweep_rows(cfg: dict, op, spectrum, w, meta: dict) -> tuple[list[dict], dict]:
+def _sweep_rows(cfg: dict, spectrum, w, meta: dict) -> tuple[list[dict], dict]:
     """One row per shift mu and each dump's (header, solution); fills meta's window keys.
 
     The mode's setup (MODE_SETUPS) supplies the shift origin (Lambda or
@@ -504,7 +511,7 @@ def _sweep_rows(cfg: dict, op, spectrum, w, meta: dict) -> tuple[list[dict], dic
     if cfg["mode"] == "eigen":
         meta.update(window=w.delta0, window_rule="delta0")
         return [], {}
-    origin, extras, header, row_at = MODE_SETUPS[cfg["mode"]](cfg, op, spectrum, w)
+    origin, extras, header, row_at = MODE_SETUPS[cfg["mode"]](cfg, spectrum, w)
     meta.update(extras)
     rows: list[dict] = []
     dumps: dict[float, tuple[list[str], list[np.ndarray]]] = {}
@@ -521,8 +528,8 @@ def _sweep_rows(cfg: dict, op, spectrum, w, meta: dict) -> tuple[list[dict], dic
     return rows, dumps
 
 
-def _linear_setup(cfg, op, spectrum, w):
-    p = linear_problem(op, spectrum, build_f(cfg, op, spectrum))
+def _linear_setup(cfg, spectrum, w):
+    p = linear_problem(spectrum, build_f(cfg, spectrum))
     lam = spectrum.Lambda
 
     def row_at(mu):
@@ -574,19 +581,19 @@ def _fixed_point_cells(rep) -> dict:
     )
 
 
-def _semilinear_setup(cfg, op, spectrum, w):
+def _semilinear_setup(cfg, spectrum, w):
     if "nonlinearity" not in cfg:
         raise MalformedInput("semilinear mode needs a 'nonlinearity' block")
     nl = build_nonlinearity(cfg["nonlinearity"])
-    validate_nonlinearity(nl, op.grid.r)
+    validate_nonlinearity(nl, spectrum.op.grid.r)
     lam = spectrum.Lambda
     two_start, start, kwargs = _solver_controls(cfg)
 
     def row_at(mu):
         if two_start:
-            rep = two_start_diagnostics(op, spectrum, w, nl, mu, **kwargs)
+            rep = two_start_diagnostics(spectrum, w, nl, mu, **kwargs)
         else:
-            rep = solve_semilinear(op, spectrum, w, nl, mu, start=start, **kwargs)
+            rep = solve_semilinear(spectrum, w, nl, mu, start=start, **kwargs)
         cells = dict(
             _fixed_point_cells(rep),
             u1_component=rep.solution.c1,
@@ -603,7 +610,7 @@ def _semilinear_setup(cfg, op, spectrum, w):
     return lam, meta, ["u"], row_at
 
 
-def _system_setup(cfg, op, spectrum, w):
+def _system_setup(cfg, spectrum, w):
     if "matrix" not in cfg or "nonlinearity" not in cfg:
         raise MalformedInput("system mode needs 'matrix' and 'nonlinearity' blocks")
     mspec = cfg["matrix"]
@@ -611,9 +618,9 @@ def _system_setup(cfg, op, spectrum, w):
     nl1 = build_nonlinearity(cfg["nonlinearity"])
     nl2 = build_nonlinearity(cfg.get("nonlinearity2", cfg["nonlinearity"]))
     for nl in (nl1, nl2):
-        validate_nonlinearity(nl, op.grid.r)
-    p = system_problem(op, spectrum, m, nl1, nl2)
-    phi = spectrum.phi.values
+        validate_nonlinearity(nl, spectrum.op.grid.r)
+    p = system_problem(spectrum, m, nl1, nl2)
+    phi = spectrum.phi
     two_start, start, kwargs = _solver_controls(cfg)
 
     def row_at(mu):
@@ -713,7 +720,7 @@ def main(argv: list[str] | None = None) -> int:
     except GroundstateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+    except (np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -35,9 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 #: reason the artificial boundary is excluded from the sup
 ROW_FLOOR = 1e-12
 
-#: outermost fraction of nodes considered boundary-adjacent for flagging
-TAIL_FRACTION = 0.05
-
 #: relative slack of every pointwise certificate check, in ratio space: a
 #: bound is attained exactly when the data are groundstate multiples, and
 #: then only rounding separates the computed ratio from it
@@ -68,19 +65,6 @@ class GroundstateVector:
 def x_norm(v: np.ndarray, phi: np.ndarray) -> float:
     """sup over nodes of |v|/phi (the groundstate-weighted sup norm)."""
     return float(np.max(np.abs(v) / phi))
-
-
-def x_norm_location(v: np.ndarray, phi: np.ndarray) -> tuple[float, int, bool]:
-    """X-norm plus where it is attained and a truncation flag.
-
-    The flag is set when the max sits in the outermost few percent of
-    nodes, where phi is smallest and the ratio is dominated by the
-    Dirichlet truncation rather than by the bulk behavior of v.
-    """
-    ratio = np.abs(v) / phi
-    idx = int(np.argmax(ratio))
-    flagged = idx >= int((1.0 - TAIL_FRACTION) * len(ratio))
-    return float(ratio[idx]), idx, flagged
 
 
 def decompose(v: np.ndarray, phi: np.ndarray, quad_weights: np.ndarray) -> GroundstateVector:
@@ -203,12 +187,8 @@ def projected_resolvent_norm(
     return _block_one_norm(apply_mt, apply_m, len(phi), rng)
 
 
-def estimate_c0_delta0(
-    summary: "SpectrumSummary",
-    op: "DiscreteOperator",
-    margin: float = 0.5,
-) -> WindowEstimate:
-    """Sample the weighted resolvent norm across the window around Lambda.
+def estimate_c0_delta0(summary: "SpectrumSummary", margin: float = 0.5) -> WindowEstimate:
+    """Sample the weighted resolvent norm of summary.op across the window around Lambda.
 
     delta0 = margin * (lambda2 - Lambda); the norm is evaluated at
     mu = Lambda +/- delta0*k/4 for k = 1..4 and c0 is the max.  Raises
@@ -223,7 +203,7 @@ def estimate_c0_delta0(
     )
     for mu in samples:
         summary.check_off_spectrum(float(mu))
-    phi = summary.phi.values
+    op = summary.op
     w = op.grid.quad_weights
-    c0 = max(projected_resolvent_norm(op, phi, w, float(mu)) for mu in samples)
+    c0 = max(projected_resolvent_norm(op, summary.phi, w, float(mu)) for mu in samples)
     return WindowEstimate(delta0=float(delta0), c0=float(c0), mu_samples=np.sort(samples))

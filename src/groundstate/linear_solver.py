@@ -8,10 +8,11 @@ facts pin the sign of u/phi: positive below Lambda (GSP), negative above
 (GSN).  Certificates here are verified pointwise on the grid, never
 trusted from the constants alone, because c0 is a sampled estimate.
 
-A LinearProblem holds (L, f) for a whole sweep: f is decomposed,
-||fperp||_X computed and the certificate hypothesis f1 > 0 checked once,
-and the shift mu is an argument of each solve, which first checks mu
-against the computed eigenvalues.
+A LinearProblem holds (L, f) for a whole sweep, L as the spectrum summary
+that carries it: f is decomposed, ||fperp||_X computed and the
+certificate hypothesis f1 > 0 checked once, and the shift mu is an
+argument of each solve, which first checks mu against the computed
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import HypothesisViolated, SingularResolvent
 from .groundstate_space import CERT_SLACK, GroundstateVector, WindowEstimate, decompose, x_norm
-from .spectral import DiscreteOperator, SpectrumSummary
+from .spectral import SpectrumSummary
 
 WINDOW_RULE_LINEAR = "min(delta0, f1/(c0*||fperp||_X))"
 
@@ -32,12 +33,12 @@ WINDOW_RULE_LINEAR = "min(delta0, f1/(c0*||fperp||_X))"
 class LinearProblem:
     """Data (L, f) for resolvent solves, f carried with its split.
 
+    L is spectrum.op.
     perp_x is ||fperp||_X (0 when fperp vanishes identically).
     sign_defect says why f admits no sign certificate (f1 <= 0, or no
     finite ||f||_X), and is None when it does; certify_theorem1 raises it.
     """
 
-    op: DiscreteOperator
     spectrum: SpectrumSummary
     f: GroundstateVector
     perp_x: float
@@ -48,12 +49,10 @@ class LinearProblem:
         return math.inf if self.perp_x == 0.0 else self.f.c1 / (w.c0 * self.perp_x)
 
 
-def linear_problem(
-    op: DiscreteOperator, spectrum: SpectrumSummary, f_values: np.ndarray
-) -> LinearProblem:
+def linear_problem(spectrum: SpectrumSummary, f_values: np.ndarray) -> LinearProblem:
     """Decompose f against phi, measure its orthogonal part in X, check f1 > 0."""
-    phi = spectrum.phi.values
-    f = decompose(f_values, phi, op.grid.quad_weights)
+    phi = spectrum.phi
+    f = decompose(f_values, phi, spectrum.op.grid.quad_weights)
     perp_x = x_norm(f.perp, phi) if np.any(f.perp) else 0.0
     if f.c1 <= 0.0:
         sign_defect = "sign certificates need f1 = quadrature(f*phi) > 0"
@@ -61,7 +60,7 @@ def linear_problem(
         sign_defect = "f has no finite groundstate-weighted norm"
     else:
         sign_defect = None
-    return LinearProblem(op=op, spectrum=spectrum, f=f, perp_x=perp_x, sign_defect=sign_defect)
+    return LinearProblem(spectrum=spectrum, f=f, perp_x=perp_x, sign_defect=sign_defect)
 
 
 def window_linear(p: LinearProblem, w: WindowEstimate) -> float:
@@ -79,8 +78,9 @@ def solve_linear(p: LinearProblem, mu: float) -> GroundstateVector:
     the matrix).
     """
     p.spectrum.check_off_spectrum(mu)
-    u = p.op.solve_shifted(p.op.factor(mu), p.f.values)
-    ug = decompose(u, p.spectrum.phi.values, p.op.grid.quad_weights)
+    op = p.spectrum.op
+    u = op.solve_shifted(op.factor(mu), p.f.values)
+    ug = decompose(u, p.spectrum.phi, op.grid.quad_weights)
     expected = p.f.c1 / (p.spectrum.Lambda - mu)
     if abs(ug.c1 - expected) > 1e-6 * max(abs(expected), 1e-300):
         raise SingularResolvent("groundstate component identity u1 = f1/(Lambda-mu) violated")
@@ -123,7 +123,7 @@ def certify_theorem1(p: LinearProblem, w: WindowEstimate, mu: float) -> LinearCe
     window = window_linear(p, w)
 
     u = solve_linear(p, mu)
-    ratio = u.values / p.spectrum.phi.values
+    ratio = u.values / p.spectrum.phi
     min_ratio, max_ratio = float(ratio.min()), float(ratio.max())
 
     lam = p.spectrum.Lambda

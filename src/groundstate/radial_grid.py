@@ -243,11 +243,20 @@ def build_grid(
 
     Raises
     ------
+    MalformedInput
+        If a parameter is not finite and positive; the message names its
+        config key (grid.<name>).
     UnboundedSearch
-        If no radius below the hard cap reaches the threshold.
+        If no radius below the hard cap reaches the threshold; the message
+        names grid.spectral_scale.
     """
-    if spectral_scale <= 0:
-        raise MalformedInput("spectral_scale must be positive")
+    for key, value in (
+        ("spectral_scale", spectral_scale),
+        ("points_per_unit", points_per_unit),
+        ("truncation_factor", truncation_factor),
+    ):
+        if not (math.isfinite(value) and value > 0):
+            raise MalformedInput(f"grid.{key} = {value:g} must be finite and positive")
     target = truncation_factor * spectral_scale
 
     hi = 1.0
@@ -255,7 +264,8 @@ def build_grid(
         hi *= 2.0
         if hi > R_MAX_CAP:
             raise UnboundedSearch(
-                f"q never reaches {target:g} below r = {R_MAX_CAP:g}"
+                f"grid.spectral_scale = {spectral_scale:g}: q never reaches "
+                f"truncation_factor * spectral_scale = {target:g} below r = {R_MAX_CAP:g}"
             )
     lo = 0.0
     for _ in range(80):

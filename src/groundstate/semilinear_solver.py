@@ -178,7 +178,7 @@ def make_bracket(spectrum: SpectrumSummary, nl: Nonlinearity, mu: float) -> Brac
     lam = spectrum.Lambda
     if mu == lam:
         raise WindowViolation("mu = Lambda has no resolvent")
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     a = nl.kappa * phi / (lam - mu)
     b = nl.k_upper * phi / (lam - mu)
     if mu < lam:
@@ -198,19 +198,16 @@ def window_semilinear(nl: Nonlinearity, w: WindowEstimate) -> float:
 
 
 def apply_T(
-    op: DiscreteOperator,
-    spectrum: SpectrumSummary,
-    nl: Nonlinearity,
-    fac: Factors,
-    u: np.ndarray,
+    spectrum: SpectrumSummary, nl: Nonlinearity, fac: Factors, u: np.ndarray
 ) -> np.ndarray:
-    """One fixed-point map T(u) = (L - mu)^{-1} [phi * g(r, u)].
+    """One fixed-point map T(u) = (L - mu)^{-1} [phi * g(r, u)], L = spectrum.op.
 
-    fac is ``op.factor(mu)``, which the caller makes once per solve; the
-    solve is verified inside solve_shifted: a residual above 1e-10 raises
-    SingularResolvent.
+    fac is ``spectrum.op.factor(mu)``, which the caller makes once per
+    solve; the solve is verified inside solve_shifted: a residual above
+    1e-10 raises SingularResolvent.
     """
-    return op.solve_shifted(fac, spectrum.phi.values * nl(op.grid.r, u))
+    op = spectrum.op
+    return op.solve_shifted(fac, spectrum.phi * nl(op.grid.r, u))
 
 
 @dataclass(frozen=True)
@@ -277,14 +274,17 @@ class FixedPoint:
     outside_at_limit: int
 
 
-def outside_count(t: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> int:
+def outside_count(
+    t: np.ndarray, lower: np.ndarray, upper: np.ndarray, floor: float = 0.0
+) -> int:
     """Nodes where t leaves [lower, upper] by more than CERT_SLACK of the larger edge there.
 
     The test |t - clip(t)| > CERT_SLACK*max(|lower|, |upper|) is the
     relative ratio-space slack of the pointwise certificates; it also
-    admits the rounding of a zero-width set's image.
+    admits the rounding of a zero-width set's image.  A node must also
+    lie farther than floor from the set.
     """
-    slack = CERT_SLACK * np.maximum(np.abs(lower), np.abs(upper))
+    slack = np.maximum(floor, CERT_SLACK * np.maximum(np.abs(lower), np.abs(upper)))
     return int(np.count_nonzero(np.abs(t - np.clip(t, lower, upper)) > slack))
 
 
@@ -314,9 +314,11 @@ def clipped_fixed_point(
     previous sweep's, the pair is dropped and the iteration switches, for
     the rest of the solve, to u <- (1-damping)*u + damping*g.  With
     damping = 1 every step is the plain u <- g (Picard iteration): no
-    mixing and no switch.  Image nodes farther than 1e-12 relative slack
-    from [lower, upper] are counted as violations, and a sweep with more
-    than ESCAPE_FRACTION of all k*n nodes outside raises escape.
+    mixing and no switch.  An image node is counted as a violation when it
+    lies farther from [lower, upper] than both BRACKET_SLACK of the set's
+    largest edge and CERT_SLACK of its own larger edge (outside_count; the
+    second admits the rounding of a zero-width set's image), and a sweep
+    with more than ESCAPE_FRACTION of all k*n nodes outside raises escape.
     Convergence is an X-norm step below tol_x: the Picard residual before
     the switch, which accepts u <- g, and the damped step after it.
     Failure raises NoConvergence carrying the step trace.  The map is
@@ -335,6 +337,8 @@ def clipped_fixed_point(
         t, _ = sweep(u)
         g = np.clip(t, lower, upper)
         out = int(np.count_nonzero(np.abs(t - g) > slack))
+        if out:  # a zero-width set's image lies outside it by its rounding
+            out = outside_count(t, lower, upper, floor=slack)
         if out > ESCAPE_FRACTION * u.size:
             raise escape(
                 f"iterate left the invariant region at {out}/{u.size} nodes on sweep {k}"
@@ -388,7 +392,6 @@ def _secant_step(f, g, pair, lower, upper) -> np.ndarray:
 
 
 def solve_semilinear(
-    op: DiscreteOperator,
     spectrum: SpectrumSummary,
     w: WindowEstimate,
     nl: Nonlinearity,
@@ -421,14 +424,14 @@ def solve_semilinear(
     if start not in ("lower", "upper"):
         raise MalformedInput("start must be 'lower' or 'upper'")
     u = bracket.lower if start == "lower" else bracket.upper
-    fac = op.factor(mu)
+    fac = spectrum.op.factor(mu)
     fp = clipped_fixed_point(
-        lambda v: (apply_T(op, spectrum, nl, fac, v), None),
-        bracket.lower, bracket.upper, u, spectrum.phi.values,
+        lambda v: (apply_T(spectrum, nl, fac, v), None),
+        bracket.lower, bracket.upper, u, spectrum.phi,
         BracketEscape, damping, max_iter, tol_x,
     )
     return _finish_report(
-        op, spectrum, w, nl, mu, fp.u,
+        spectrum, w, nl, mu, fp.u,
         iterations=fp.iterations,
         residual_x=fp.residual_x,
         violations=fp.violations,
@@ -439,7 +442,6 @@ def solve_semilinear(
 
 
 def _finish_report(
-    op: DiscreteOperator,
     spectrum: SpectrumSummary,
     w: WindowEstimate,
     nl: Nonlinearity,
@@ -457,7 +459,7 @@ def _finish_report(
     Shared by the two solvers.  One-sided data (kappa <= 0) claim no sign
     certificate.
     """
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     lam = spectrum.Lambda
     ratio = u / phi
     min_ratio, max_ratio = float(ratio.min()), float(ratio.max())
@@ -465,7 +467,7 @@ def _finish_report(
     edge_k = nl.k_upper / (lam - mu)
     bound_lo, bound_hi = min(edge_kappa, edge_k), max(edge_kappa, edge_k)
     xnorm_bound = nl.k_upper / abs(lam - mu) + 2.0 * w.c0 * nl.k_upper
-    sol = decompose(u, phi, op.grid.quad_weights)
+    sol = decompose(u, phi, spectrum.op.grid.quad_weights)
     return SemilinearReport(
         solution=sol,
         iterations=iterations,
@@ -501,7 +503,6 @@ def _lipschitz_estimate(
 
 
 def monotone_solve(
-    op: DiscreteOperator,
     spectrum: SpectrumSummary,
     w: WindowEstimate,
     nl: Nonlinearity,
@@ -525,7 +526,7 @@ def monotone_solve(
     lam = spectrum.Lambda
     if mu >= lam:
         raise WindowViolation("monotone scheme needs mu < Lambda")
-    phi = spectrum.phi.values
+    op, phi = spectrum.op, spectrum.phi
     r = op.grid.r
     bracket = make_bracket(spectrum, nl, mu)
     m_shift = 1.5 * _lipschitz_estimate(nl, r, phi, bracket) if shift is None else float(shift)
@@ -556,10 +557,10 @@ def monotone_solve(
             raise NoConvergence(f"monotone sweep stalled above {tol_x:g}", iterations=max_iter)
         limits.append(u)
     lower_limit, upper_limit = limits
-    t = apply_T(op, spectrum, nl, op.factor(mu), lower_limit)
+    t = apply_T(spectrum, nl, op.factor(mu), lower_limit)
     gap = x_norm(upper_limit - lower_limit, phi)
     report = _finish_report(
-        op, spectrum, w, nl, mu, lower_limit,
+        spectrum, w, nl, mu, lower_limit,
         iterations=total_iters,
         residual_x=x_norm(lower_limit - t, phi),
         violations=0,
@@ -636,7 +637,6 @@ def brezis_oswald_check(
 
 
 def two_start_diagnostics(
-    op: DiscreteOperator,
     spectrum: SpectrumSummary,
     w: WindowEstimate,
     nl: Nonlinearity,
@@ -653,14 +653,14 @@ def two_start_diagnostics(
     ratio hypothesis holds, which is recorded on the nonlinearity).
     """
     lo = solve_semilinear(
-        op, spectrum, w, nl, mu, start="lower",
+        spectrum, w, nl, mu, start="lower",
         damping=damping, max_iter=max_iter, tol_x=tol_x,
     )
     hi = solve_semilinear(
-        op, spectrum, w, nl, mu, start="upper",
+        spectrum, w, nl, mu, start="upper",
         damping=damping, max_iter=max_iter, tol_x=tol_x,
     )
-    gap = x_norm(hi.solution.values - lo.solution.values, spectrum.phi.values)
-    t_lhs, _ = brezis_oswald_check(op, lo.solution.values, hi.solution.values)
+    gap = x_norm(hi.solution.values - lo.solution.values, spectrum.phi)
+    t_lhs, _ = brezis_oswald_check(spectrum.op, lo.solution.values, hi.solution.values)
     diag = UniquenessDiagnostics(two_start_gap=gap, brezis_oswald_residual=t_lhs)
     return replace(lo, uniqueness=diag, solution_upper=hi.solution)

@@ -18,11 +18,14 @@ M-matrix system with positive right-hand side, which keeps every iterate
 entrywise positive in floating point, so positivity of phi is structural
 rather than a sign fix.
 
-``summarize_spectrum`` assembles sector 0 once per run (``SpectrumSummary.op``)
-and bisects it once.  lambda2 needs sectors 0 and 1 only: for N >= 2 all
-sectors share the off-diagonal and T_{ell+1} - T_ell = (2 ell + N - 1)/r^2 is
-positive diagonal, so by Courant-Fischer sector ell's lowest eigenvalue rises
-with ell (N = 1 has two sectors).
+``summarize_spectrum`` assembles sector 0 once per run and bisects it once.
+The ``SpectrumSummary`` it returns is the one handle on that operator
+(``op``) and its groundstate (``Lambda`` and the positive ``phi``): the
+window estimate and the solvers take the summary and read ``op`` from it.
+lambda2 needs sectors 0 and 1 only: for N >= 2 all sectors share the
+off-diagonal and T_{ell+1} - T_ell = (2 ell + N - 1)/r^2 is positive
+diagonal, so by Courant-Fischer sector ell's lowest eigenvalue rises with
+ell (N = 1 has two sectors).
 
 Resolvent solves go through ``DiscreteOperator.solve_shifted``, the one
 verified banded solve.  ``DiscreteOperator.factor(mu)`` LU-factors
@@ -48,7 +51,6 @@ from scipy.linalg import eigh_tridiagonal, solveh_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import ConvergenceFailure, MalformedInput, SingularResolvent
-from .groundstate_space import GroundstateVector
 from .radial_grid import Grid, RadialPotential
 
 EIGEN_BUDGET = 500
@@ -286,10 +288,14 @@ def second_eigenvalue(grid: Grid, pot: RadialPotential, radial: np.ndarray) -> t
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """Principal eigenpair, its sector-0 operator ``op`` and the context the solvers need."""
+    """Principal eigenpair, its sector-0 operator ``op`` and the context the solvers need.
+
+    ``phi`` is the positive groundstate on the grid nodes, normalized to
+    unit quadrature norm.
+    """
 
     Lambda: float
-    phi: GroundstateVector
+    phi: np.ndarray
     lambda2: float
     lambda2_sector: int
     radial_eigs: np.ndarray
@@ -311,14 +317,11 @@ class SpectrumSummary:
 def summarize_spectrum(grid: Grid, pot: RadialPotential) -> SpectrumSummary:
     """(Lambda, phi), lambda2 across sectors and radial eigenvalues, on one op."""
     op0 = assemble(grid, pot, 0)
-    lam, phi_vals = principal_eigenpair(op0)
+    lam, phi = principal_eigenpair(op0)
     radial = eigenvalues(op0, RADIAL_EIGS)
     lam2, sector = second_eigenvalue(grid, pot, radial)
     if not (0.0 < lam < lam2):
         raise ConvergenceFailure("spectral ordering 0 < Lambda < lambda2 violated")
-    phi = GroundstateVector(
-        values=phi_vals, c1=1.0, perp=np.zeros_like(phi_vals), x_norm=1.0
-    )
     return SpectrumSummary(
         Lambda=lam,
         phi=phi,

@@ -13,7 +13,6 @@ import pytest
 from groundstate import (
     RadialPotential,
     analyze_matrix,
-    assemble,
     block_solve,
     brezis_oswald_check,
     certify_theorem1,
@@ -49,8 +48,8 @@ def osc1d():
     """N=1 oscillator for the linear certificates (criteria 2-3)."""
     grid = make_grid(1, 6.0, 1200)
     spectrum = summarize_spectrum(grid, OSC)
-    op = assemble(grid, OSC, 0)
-    w = estimate_c0_delta0(spectrum, op)
+    op = spectrum.op
+    w = estimate_c0_delta0(spectrum)
     return grid, op, spectrum, w
 
 
@@ -59,8 +58,8 @@ def quart():
     """N=3 quartic well for the nonlinear suites (criteria 4-5, 7-9)."""
     grid = make_grid(3, 3.2, 1599)
     spectrum = summarize_spectrum(grid, QUARTIC)
-    op = assemble(grid, QUARTIC, 0)
-    w = estimate_c0_delta0(spectrum, op)
+    op = spectrum.op
+    w = estimate_c0_delta0(spectrum)
     return grid, op, spectrum, w
 
 
@@ -86,10 +85,10 @@ def test_criterion_01_eigensolver_oracles():
 
 
 def test_criterion_02_linear_exactness(osc1d):
-    _, op, spectrum, _ = osc1d
-    lam, phi = spectrum.Lambda, spectrum.phi.values
-    u_lo = solve_linear(linear_problem(op, spectrum, phi), lam - 0.1)
-    u_hi = solve_linear(linear_problem(op, spectrum, phi), lam + 0.1)
+    _, _, spectrum, _ = osc1d
+    lam, phi = spectrum.Lambda, spectrum.phi
+    u_lo = solve_linear(linear_problem(spectrum, phi), lam - 0.1)
+    u_hi = solve_linear(linear_problem(spectrum, phi), lam + 0.1)
     err_lo = x_norm(u_lo.values - 10.0 * phi, phi)
     err_hi = x_norm(u_hi.values + 10.0 * phi, phi)
     ok = err_lo <= 1e-6 and err_hi <= 1e-6
@@ -98,7 +97,7 @@ def test_criterion_02_linear_exactness(osc1d):
 
 def test_criterion_03_linear_certificates(osc1d):
     grid, op, spectrum, w = osc1d
-    lam, phi = spectrum.Lambda, spectrum.phi.values
+    lam, phi = spectrum.Lambda, spectrum.phi
     from groundstate import decompose, eigenpairs
 
     _, vecs = eigenpairs(op, 2)
@@ -112,7 +111,7 @@ def test_criterion_03_linear_certificates(osc1d):
     for k in range(1, 9):
         for side in (-1.0, +1.0):
             mu = lam + side * window * k / 9.0
-            cert = certify_theorem1(linear_problem(op, spectrum, f_values), w, mu)
+            cert = certify_theorem1(linear_problem(spectrum, f_values), w, mu)
             assert cert.in_window
             scalar = f.c1 / (lam - mu)
             if side < 0:
@@ -126,12 +125,12 @@ def test_criterion_03_linear_certificates(osc1d):
 
 
 def test_criterion_04_semilinear_suite(quart):
-    _, op, spectrum, w = quart
-    lam, phi = spectrum.Lambda, spectrum.phi.values
+    _, _, spectrum, w = quart
+    lam, phi = spectrum.Lambda, spectrum.phi
     nl = rational_profile(1.0, 2.0)
     checks = []
     for mu, side in ((lam - 0.1, "MP"), (lam + 0.05, "AMP")):
-        rep = solve_semilinear(op, spectrum, w, nl, mu, tol_x=1e-9)
+        rep = solve_semilinear(spectrum, w, nl, mu, tol_x=1e-9)
         bound = nl.k_upper / abs(lam - mu) + 2.0 * w.c0 * nl.k_upper
         checks.append(rep.branch == side)
         checks.append(rep.iterations < 500)
@@ -150,14 +149,14 @@ def test_criterion_04_semilinear_suite(quart):
 
 def test_criterion_05_uniqueness_diagnostics(quart):
     _, op, spectrum, w = quart
-    lam, phi = spectrum.Lambda, spectrum.phi.values
+    lam, phi = spectrum.Lambda, spectrum.phi
     nl = rational_profile(1.0, 2.0)
     mu = lam - 0.1
 
-    two = two_start_diagnostics(op, spectrum, w, nl, mu)
+    two = two_start_diagnostics(spectrum, w, nl, mu)
     gap = two.uniqueness.two_start_gap
 
-    mono = monotone_solve(op, spectrum, w, nl, mu)
+    mono = monotone_solve(spectrum, w, nl, mu)
     diff = mono.solution_upper.values - mono.solution.values
     ordered = float(diff.min()) >= -1e-10 * float(np.max(np.abs(mono.solution.values)))
 
@@ -173,9 +172,8 @@ def test_criterion_05_uniqueness_diagnostics(quart):
     for n in (799, 1599):
         g = make_grid(3, 3.2, n)
         s = summarize_spectrum(g, QUARTIC)
-        o = assemble(g, QUARTIC, 0)
-        u = s.phi.values * (1.0 + 0.1 / (1.0 + g.r**2))
-        gaps.append(abs(brezis_oswald_check(o, u, s.phi.values)[1]))
+        u = s.phi * (1.0 + 0.1 / (1.0 + g.r**2))
+        gaps.append(abs(brezis_oswald_check(s.op, u, s.phi)[1]))
     refines = gaps[1] <= gaps[0] / 1.8
 
     ok = gap <= 1e-7 and ordered and bo_ok and refines
@@ -204,11 +202,11 @@ def test_criterion_06_cooperative_algebra():
 
 
 def test_criterion_07_system_principal_direction(quart):
-    _, op, spectrum, w = quart
-    phi = spectrum.phi.values
+    _, _, spectrum, w = quart
+    phi = spectrum.phi
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
     # constant profiles (1, 2) make F = Y phi exactly
-    p = system_problem(op, spectrum, m, constant_profile(1.0), constant_profile(2.0))
+    p = system_problem(spectrum, m, constant_profile(1.0), constant_profile(2.0))
     rep = solve_system(p, w, spectrum.Lambda - m.xi1 - 0.1)
     err1 = x_norm(rep.u1.values - 10.0 * m.y[0] * phi, phi)
     err2 = x_norm(rep.u2.values - 10.0 * m.y[1] * phi, phi)
@@ -218,7 +216,7 @@ def test_criterion_07_system_principal_direction(quart):
 
 def test_criterion_08_system_suite(quart):
     _, op, spectrum, w = quart
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
     nl = rational_profile(1.0, 2.0)
     lam_star = spectrum.Lambda - m.xi1
@@ -227,7 +225,7 @@ def test_criterion_08_system_suite(quart):
     worst_cross = -np.inf
     checks = []
     for offset in (-0.1, -0.05, +0.05, +0.1):
-        p = system_problem(op, spectrum, m, nl, nl)
+        p = system_problem(spectrum, m, nl, nl)
         rep = system_two_start(p, w, lam_star + offset)
         checks.append(rep.certified)
         checks.append(rep.violations == 0)
@@ -254,11 +252,11 @@ def test_criterion_08_system_suite(quart):
 
 def test_criterion_09_diagonalization_crosscheck(quart):
     _, op, spectrum, w = quart
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
     mu = spectrum.Lambda - m.xi1 - 0.1
     # u-independent data F = (phi, 3 phi)
-    p = system_problem(op, spectrum, m, constant_profile(1.0), constant_profile(3.0))
+    p = system_problem(spectrum, m, constant_profile(1.0), constant_profile(3.0))
     rep = solve_system(p, w, mu, tol_x=1e-10)
     u1, u2 = block_solve(op, m, mu, phi, 3.0 * phi)
     err1 = x_norm(rep.u1.values - u1, phi)

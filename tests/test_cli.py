@@ -218,8 +218,23 @@ def _tiny_coupling(coupling: float) -> dict:
         # bc underflows to 0: xi1 = xi2, y2 = 0 and P^{-1} would divide by zero
         (_tiny_coupling(1e-300), "need xi1 > xi2 and y > 0"),
         (_tiny_coupling(1e-200), "need xi1 > xi2 and y > 0"),
+        # JSON admits NaN and Infinity; build_grid names the key
+        ({"grid": {"spectral_scale": float("nan")}}, "grid.spectral_scale = nan"),
+        ({"grid": {"spectral_scale": 10, "truncation_factor": float("nan")}},
+         "grid.truncation_factor = nan"),
+        ({"grid": {"spectral_scale": 10, "points_per_unit": float("nan")}},
+         "grid.points_per_unit = nan"),
+        ({"grid": {"spectral_scale": 10, "points_per_unit": float("inf")}},
+         "grid.points_per_unit = inf"),
+        # q = 1 + r**2.5 reaches 4e12 only beyond the r = 1e4 search cap
+        ({"potential": {"kind": "power", "c": 1.0, "s": 2.5}, "grid": {"spectral_scale": 1e12}},
+         "grid.spectral_scale = 1e+12"),
     ],
-    ids=["dump_offset", "coupling_1e-300", "coupling_1e-200"],
+    ids=[
+        "dump_offset", "coupling_1e-300", "coupling_1e-200", "spectral_scale_nan",
+        "truncation_factor_nan", "points_per_unit_nan", "points_per_unit_inf",
+        "spectral_scale_unreachable",
+    ],
 )
 def test_config_no_run_can_honor_exits_2(tmp_path, capsys, changes, message):
     cfg = write_offsets_config(tmp_path / "cfg.json", mu_offsets=[-0.1, 0.05], **changes)
@@ -438,6 +453,30 @@ def test_linalg_error_exits_3(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert "numerical failure: LinAlgError" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_unallocatable_grid_exits_3(tmp_path, capsys):
+    # 10**15 nodes ask numpy for 7 PiB, which fails at once without touching memory
+    cfg = write_config(tmp_path / "cfg.json", grid={"r_max": 3.2, "n": 10**15})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "numerical failure: MemoryError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_width_rectangle_run_is_certified(tmp_path, capsys):
+    # a constant g with y1 = y2 gives a zero-width rectangle; the rounding of
+    # the first image (~1e-11 of the edge) is no escape
+    cfg = write_offsets_config(
+        tmp_path / "cfg.json",
+        mode="system",
+        nonlinearity={"kind": "constant", "g": 1.0},
+        matrix={"a": 0.0, "b": 1.0, "c": 1.0, "d": 0.0},
+        mu_offsets=[-0.2, -0.05],
+        require_certificates=True,
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = read_rows(tmp_path / "out" / "sweep.csv")
+    assert [(r["certified"], r["violations"]) for r in rows] == [("1", "0")] * 2
 
 
 def test_f_table_without_rows_exits_2(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Cooperative 2x2 systems: algebra, rectangles, solves, cross-checks."""
 
-import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from groundstate import (
     RadialPotential,
     analyze_matrix,
-    assemble,
     block_solve,
     constant_profile,
     coupled_uniqueness_check,
@@ -47,16 +46,16 @@ POT = RadialPotential(lambda r: 1.0 + r**4, name="quartic3d")
 def ctx():
     grid = make_grid(3, 3.2, 300)
     spectrum = summarize_spectrum(grid, POT)
-    op = assemble(grid, POT, 0)
-    window = estimate_c0_delta0(spectrum, op)
+    op = spectrum.op
+    window = estimate_c0_delta0(spectrum)
     return grid, op, spectrum, window
 
 
 def make_problem(ctx, nl1, nl2, offset):
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
     lam_star = spectrum.Lambda - m.xi1
-    p = system_problem(op, spectrum, m, nl1, nl2)
+    p = system_problem(spectrum, m, nl1, nl2)
     return p, w, lam_star + offset
 
 
@@ -101,7 +100,7 @@ def test_analyze_matrix_keeps_tiny_coupling_exact_on_both_sides(ctx):
     # (sqrt(disc) - |a - d|)/2 they cancel, so this pair and its mirror
     # (a <-> d) must both carry them to full precision and pass the vector
     # groundstate identity
-    _, op, spectrum, _ = ctx
+    _, _, spectrum, _ = ctx
     with localcontext() as dec:
         dec.prec = 50
         small = float((Decimal(1) + Decimal("4e-12")).sqrt() / 2 - Decimal("0.5"))
@@ -112,7 +111,7 @@ def test_analyze_matrix_keeps_tiny_coupling_exact_on_both_sides(ctx):
     assert -mirror.p[1, 1] == pytest.approx(small, rel=1e-14, abs=0.0)
     for mat in (m, mirror):
         np.testing.assert_allclose(mat.p_inv @ mat.p, np.eye(2), atol=1e-15)
-        system_problem(op, spectrum, mat, nl, nl)
+        system_problem(spectrum, mat, nl, nl)
 
 
 def test_analyze_matrix_rejects_noncooperative():
@@ -130,7 +129,7 @@ def test_inherited_bounds_values():
 
 def test_decouple_cases(ctx):
     _, _, spectrum, _ = ctx
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
     g1, g2 = m.decouple(phi, phi)
     np.testing.assert_allclose(g1, 0.75 * phi, atol=1e-12)
@@ -175,20 +174,22 @@ def test_rectangle_scales_inversely_with_distance(ctx):
 
 
 def test_system_problem_rejects_inconsistent_pieces(ctx):
-    grid, op, _, _ = ctx
+    # a summary whose phi is not an eigenvector of its op fails the
+    # vector groundstate identity
+    grid, _, spectrum, _ = ctx
     other = summarize_spectrum(grid, RadialPotential(lambda r: r**2, name="osc"))
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
     nl = rational_profile(1.0, 2.0)
     with pytest.raises(SingularResolvent):
-        system_problem(op, other, m, nl, nl)
+        system_problem(replace(spectrum, phi=other.phi), m, nl, nl)
 
 
 # ------------------------------------------------------------------ solves
 
 
 def test_constant_profiles_give_eigenvector_multiple(ctx):
-    _, op, spectrum, w = ctx
-    phi = spectrum.phi.values
+    _, _, spectrum, w = ctx
+    phi = spectrum.phi
     p, _, mu = make_problem(ctx, constant_profile(1.0), constant_profile(2.0), -0.1)
     rep = solve_system(p, w, mu)
     assert rep.branch == "MP"
@@ -204,8 +205,8 @@ def test_constant_profiles_give_eigenvector_multiple(ctx):
 
 
 def test_rational_system_both_branches(ctx):
-    _, op, spectrum, w = ctx
-    phi = spectrum.phi.values
+    _, _, spectrum, w = ctx
+    phi = spectrum.phi
     nl = rational_profile(1.0, 2.0)
 
     p_lo, _, mu_lo = make_problem(ctx, nl, nl, -0.1)
@@ -237,7 +238,7 @@ def test_row_whose_limit_image_leaves_the_rectangle_is_uncertified(ctx, monkeypa
     nl = rational_profile(1.0, 2.0)
     p, _, mu = make_problem(ctx, nl, nl, offset)
     assert solve_system(p, w, mu).certified
-    upper = rectangle(p, mu).hi[0] * spectrum.phi.values[150]
+    upper = rectangle(p, mu).hi[0] * spectrum.phi[150]
     real = coop_system._system_sweep
 
     def lying(*args):
@@ -256,12 +257,12 @@ def test_row_whose_limit_image_leaves_the_rectangle_is_uncertified(ctx, monkeypa
 def test_zero_width_rectangle_rows_at_n1_stay_certified(offset_sign):
     # a = d and b = c give y1 = y2, and a constant g gives kappa = K: the
     # rectangle has zero width, and the image's rounding sits outside it
-    # (on MP by 1.3e-12 of the local edge, past the sweeps' 1e-12
-    # BRACKET_SLACK), far below CERT_SLACK
+    # (on MP by 1.3e-12 of the local edge, past the 1e-12 BRACKET_SLACK),
+    # far below the CERT_SLACK that the sweeps and the certificate admit
     spectrum = summarize_spectrum(make_grid(1, 4.0, 41), power_potential(1.0, 3.0))
-    w = estimate_c0_delta0(spectrum, spectrum.op)
+    w = estimate_c0_delta0(spectrum)
     nl = constant_profile(1.0)
-    p = system_problem(spectrum.op, spectrum, analyze_matrix(0.0, 0.125, 0.125, 0.0), nl, nl)
+    p = system_problem(spectrum, analyze_matrix(0.0, 0.125, 0.125, 0.0), nl, nl)
     mu = p.lambda_star + offset_sign * 0.0625 * window_system(p, w)
     rep = system_two_start(p, w, mu)
     assert rep.branch == ("MP" if offset_sign < 0 else "AMP")
@@ -307,7 +308,7 @@ def test_system_no_convergence_carries_trace(ctx):
 
 def test_block_solve_matches_diagonalization(ctx):
     _, op, spectrum, _ = ctx
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
     mu = spectrum.Lambda - m.xi1 - 0.1
     f1, f2 = phi, 3.0 * phi
@@ -322,7 +323,7 @@ def test_block_solve_matches_diagonalization(ctx):
 
 def test_block_solve_has_small_residual(ctx):
     grid, op, spectrum, _ = ctx
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     m = analyze_matrix(1.0, 2.0, 3.0, 2.0)
     mu = spectrum.Lambda - m.xi1 - 0.3
     rng = np.random.default_rng(3)
@@ -341,7 +342,7 @@ def test_block_solve_has_small_residual(ctx):
 
 def test_coupled_uniqueness_exact_zero_cases(ctx):
     _, op, spectrum, _ = ctx
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
     pair = (phi, 2.0 * phi)
     same = coupled_uniqueness_check(op, pair, pair, m)
@@ -356,7 +357,7 @@ def test_coupled_uniqueness_exact_zero_cases(ctx):
 
 def test_coupled_uniqueness_rejects_sign_mixed(ctx):
     _, op, spectrum, _ = ctx
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
     with pytest.raises(SignMixed):
         coupled_uniqueness_check(op, (phi, -2.0 * phi), (phi, 2.0 * phi), m)
@@ -364,7 +365,7 @@ def test_coupled_uniqueness_rejects_sign_mixed(ctx):
 
 def test_coupled_uniqueness_sqrt_identity(ctx):
     grid, op, spectrum, _ = ctx
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
     rng = np.random.default_rng(17)
     u_pair = (
@@ -414,24 +415,16 @@ def test_mp_system_limit_solves_the_coupled_problem(
     grid = make_grid(space_dim, 4.0, n)
     spectrum = summarize_spectrum(grid, power_potential(q0, s))
     op = spectrum.op
-    w = estimate_c0_delta0(spectrum, op)
+    w = estimate_c0_delta0(spectrum)
     m = analyze_matrix(a, b, c, d)
     nl = rational_profile(kappa, kappa * spread)
-    p = system_problem(op, spectrum, m, nl, nl)
+    p = system_problem(spectrum, m, nl, nl)
     mu = p.lambda_star - frac * window_system(p, w)
-    try:
-        rep = system_two_start(p, w, mu)
-    except RectangleEscape as exc:
-        # Known fault: with kappa = K and y1 = y2 the rectangle has zero
-        # width, and the rounding of the first image exceeds the 1e-12
-        # relative slack.  No other draw may escape.
-        assert spread == 1.0 and math.isclose(m.y[0], m.y[1], rel_tol=1e-9)
-        assert str(exc).endswith("on sweep 1")
-        return
+    rep = system_two_start(p, w, mu)
     assert rep.branch == "MP" and rep.certified
     assert rep.uniqueness.two_start_gap <= 1e-7
 
-    phi, r = spectrum.phi.values, grid.r
+    phi, r = spectrum.phi, grid.r
     u1, u2 = rep.u1.values, rep.u2.values
     b1, b2 = block_solve(op, m, mu, phi * nl(r, u1), phi * nl(r, u2))
     gap = max(x_norm(b1 - u1, phi), x_norm(b2 - u2, phi))

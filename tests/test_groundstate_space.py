@@ -8,7 +8,6 @@ from scipy.linalg import solve_banded
 
 from groundstate import (
     RadialPotential,
-    assemble,
     decompose,
     eigenpairs,
     estimate_c0_delta0,
@@ -17,7 +16,6 @@ from groundstate import (
     projected_resolvent_norm,
     summarize_spectrum,
     x_norm,
-    x_norm_location,
 )
 from groundstate.errors import MalformedInput
 from groundstate.groundstate_space import ROW_FLOOR
@@ -56,12 +54,12 @@ def dense_projected_resolvent_norm(op, phi, quad_weights, mu, block=512):
 def window_problem(pot, space_dim, r_max, n):
     grid = make_grid(space_dim, r_max, n)
     spectrum = summarize_spectrum(grid, pot)
-    op = assemble(grid, pot, 0)
-    return grid, op, spectrum, estimate_c0_delta0(spectrum, op)
+    op = spectrum.op
+    return grid, op, spectrum, estimate_c0_delta0(spectrum)
 
 
 def assert_estimate_matches_oracle(grid, op, spectrum, window):
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     for mu in window.mu_samples:
         est = projected_resolvent_norm(op, phi, grid.quad_weights, float(mu))
         exact = dense_projected_resolvent_norm(op, phi, grid.quad_weights, float(mu))
@@ -72,14 +70,14 @@ def assert_estimate_matches_oracle(grid, op, spectrum, window):
 def ctx():
     grid = make_grid(3, 3.2, 300)
     spectrum = summarize_spectrum(grid, POT)
-    op = assemble(grid, POT, 0)
-    window = estimate_c0_delta0(spectrum, op)
+    op = spectrum.op
+    window = estimate_c0_delta0(spectrum)
     return grid, op, spectrum, window
 
 
 def test_decompose_recovers_components(ctx):
     grid, op, spectrum, _ = ctx
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     _, vecs = eigenpairs(op, 2)
     phi2 = vecs[:, 1]
     gv = decompose(3.0 * phi + 2.0 * phi2, phi, grid.quad_weights)
@@ -91,7 +89,7 @@ def test_decompose_recovers_components(ctx):
 
 def test_decompose_perp_is_quadrature_orthogonal(ctx):
     grid, _, spectrum, _ = ctx
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     rng = np.random.default_rng(11)
     v = rng.standard_normal(grid.n) * phi
     gv = decompose(v, phi, grid.quad_weights)
@@ -100,7 +98,7 @@ def test_decompose_perp_is_quadrature_orthogonal(ctx):
 
 def test_x_norm_axioms(ctx):
     grid, _, spectrum, _ = ctx
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     rng = np.random.default_rng(5)
     u = rng.standard_normal(grid.n) * phi
     v = rng.standard_normal(grid.n) * phi
@@ -112,27 +110,10 @@ def test_x_norm_axioms(ctx):
 
 def test_x_norm_is_weighted_sup(ctx):
     grid, _, spectrum, _ = ctx
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     v = 2.5 * phi
     v[grid.n // 2] = 7.0 * phi[grid.n // 2]
     assert x_norm(v, phi) == pytest.approx(7.0)
-
-
-def test_x_norm_location_flags_tail_maximizer(ctx):
-    grid, op, spectrum, _ = ctx
-    phi = spectrum.phi.values
-    _, vecs = eigenpairs(op, 2)
-    # phi2/phi grows toward the boundary, so the max sits in the tail
-    val, idx, tail_flag = x_norm_location(vecs[:, 1], phi)
-    assert val == pytest.approx(x_norm(vecs[:, 1], phi))
-    assert idx >= int(0.95 * grid.n) - 1
-    assert tail_flag
-    # an interior maximizer is not flagged
-    bump = phi.copy()
-    bump[grid.n // 3] *= 5.0
-    _, idx2, tail_flag2 = x_norm_location(bump, phi)
-    assert idx2 == grid.n // 3
-    assert not tail_flag2
 
 
 def test_window_estimate_shape(ctx):
@@ -154,7 +135,7 @@ def test_c0_dominates_radial_floor(ctx):
 
 def test_c0_bounds_realized_projected_resolvent(ctx):
     grid, op, spectrum, w = ctx
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     rng = np.random.default_rng(23)
     for mu in w.mu_samples:
         f = rng.standard_normal(grid.n) * phi
@@ -167,7 +148,7 @@ def test_c0_bounds_realized_projected_resolvent(ctx):
 
 def test_projected_resolvent_norm_is_max_over_data(ctx):
     grid, op, spectrum, w = ctx
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     mu = spectrum.Lambda - w.delta0
     norm = projected_resolvent_norm(op, phi, grid.quad_weights, mu)
     # the operator norm is attained by some sign pattern; any specific
@@ -180,11 +161,11 @@ def test_projected_resolvent_norm_is_max_over_data(ctx):
 
 
 def test_estimate_rejects_bad_margin(ctx):
-    _, op, spectrum, _ = ctx
+    _, _, spectrum, _ = ctx
     with pytest.raises(MalformedInput):
-        estimate_c0_delta0(spectrum, op, margin=0.0)
+        estimate_c0_delta0(spectrum, margin=0.0)
     with pytest.raises(MalformedInput):
-        estimate_c0_delta0(spectrum, op, margin=1.0)
+        estimate_c0_delta0(spectrum, margin=1.0)
 
 
 @pytest.mark.parametrize(
@@ -214,14 +195,14 @@ def test_c0_estimate_on_admissible_power_wells(c, s, space_dim, n):
 
 
 def test_c0_estimate_is_bit_identical_on_rerun(ctx):
-    _, op, spectrum, window = ctx
-    assert estimate_c0_delta0(spectrum, op).c0 == window.c0
+    _, _, spectrum, window = ctx
+    assert estimate_c0_delta0(spectrum).c0 == window.c0
 
 
 def test_c0_estimate_leaves_global_random_state_alone(ctx):
-    _, op, spectrum, _ = ctx
+    _, _, spectrum, _ = ctx
     name, keys, pos, has_gauss, cached = np.random.get_state()
-    estimate_c0_delta0(spectrum, op)
+    estimate_c0_delta0(spectrum)
     after = np.random.get_state()
     assert (name, pos, has_gauss, cached) == (after[0], *after[2:])
     assert np.array_equal(keys, after[1])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from groundstate import (
     RadialPotential,
-    assemble,
     certify_theorem1,
     eigenpairs,
     estimate_c0_delta0,
@@ -29,16 +28,16 @@ POT = RadialPotential(lambda r: 1.0 + r**4, name="quartic3d")
 def ctx():
     grid = make_grid(3, 3.2, 400)
     spectrum = summarize_spectrum(grid, POT)
-    op = assemble(grid, POT, 0)
-    window = estimate_c0_delta0(spectrum, op)
+    op = spectrum.op
+    window = estimate_c0_delta0(spectrum)
     return grid, op, spectrum, window
 
 
 def test_groundstate_data_below_lambda(ctx):
     grid, op, spectrum, w = ctx
-    lam, phi = spectrum.Lambda, spectrum.phi.values
+    lam, phi = spectrum.Lambda, spectrum.phi
     mu = lam - 0.1
-    p = linear_problem(op, spectrum, phi)
+    p = linear_problem(spectrum, phi)
     assert p.sign_defect is None
     u = solve_linear(p, mu)
     assert u.c1 == pytest.approx(10.0, rel=1e-9)
@@ -49,9 +48,9 @@ def test_groundstate_data_below_lambda(ctx):
 
 
 def test_gsp_certificate_for_groundstate_data(ctx):
-    _, op, spectrum, w = ctx
-    lam, phi = spectrum.Lambda, spectrum.phi.values
-    p = linear_problem(op, spectrum, phi)
+    _, _, spectrum, w = ctx
+    lam, phi = spectrum.Lambda, spectrum.phi
+    p = linear_problem(spectrum, phi)
     cert = certify_theorem1(p, w, lam - 0.1)
     assert cert.in_window
     assert math.isinf(p.delta_f(w))
@@ -62,9 +61,9 @@ def test_gsp_certificate_for_groundstate_data(ctx):
 
 
 def test_gsn_certificate_above_lambda(ctx):
-    _, op, spectrum, w = ctx
-    lam, phi = spectrum.Lambda, spectrum.phi.values
-    cert = certify_theorem1(linear_problem(op, spectrum, phi), w, lam + 0.1)
+    _, _, spectrum, w = ctx
+    lam, phi = spectrum.Lambda, spectrum.phi
+    cert = certify_theorem1(linear_problem(spectrum, phi), w, lam + 0.1)
     assert cert.in_window
     assert cert.bound == pytest.approx(-10.0, rel=1e-9)
     assert cert.certified
@@ -72,24 +71,24 @@ def test_gsn_certificate_above_lambda(ctx):
 
 
 def test_solve_is_linear_in_data(ctx):
-    grid, op, spectrum, _ = ctx
-    lam, phi = spectrum.Lambda, spectrum.phi.values
+    grid, _, spectrum, _ = ctx
+    lam, phi = spectrum.Lambda, spectrum.phi
     rng = np.random.default_rng(7)
     g = rng.standard_normal(grid.n) * phi
     mu = lam - 0.3
-    u_f = solve_linear(linear_problem(op, spectrum, phi), mu).values
-    u_g = solve_linear(linear_problem(op, spectrum, g), mu).values
-    u_mix = solve_linear(linear_problem(op, spectrum, 2.0 * phi - 0.5 * g), mu).values
+    u_f = solve_linear(linear_problem(spectrum, phi), mu).values
+    u_g = solve_linear(linear_problem(spectrum, g), mu).values
+    u_mix = solve_linear(linear_problem(spectrum, 2.0 * phi - 0.5 * g), mu).values
     np.testing.assert_allclose(u_mix, 2.0 * u_f - 0.5 * u_g, atol=1e-8)
 
 
 def test_mixed_data_certifies_on_both_sides(ctx):
     _, op, spectrum, w = ctx
-    lam, phi = spectrum.Lambda, spectrum.phi.values
+    lam, phi = spectrum.Lambda, spectrum.phi
     _, vecs = eigenpairs(op, 2)
     f = phi + 0.5 * vecs[:, 1]
 
-    p = linear_problem(op, spectrum, f)
+    p = linear_problem(spectrum, f)
     lo = certify_theorem1(p, w, lam - 0.1)
     assert lo.in_window and lo.certified
     assert lo.bound is not None and 0.0 < lo.bound < 10.0
@@ -106,10 +105,10 @@ def test_mixed_data_certifies_on_both_sides(ctx):
 
 
 def test_out_of_window_reports_but_never_certifies(ctx):
-    _, op, spectrum, w = ctx
-    lam, phi = spectrum.Lambda, spectrum.phi.values
+    _, _, spectrum, w = ctx
+    lam, phi = spectrum.Lambda, spectrum.phi
     mu = lam - (w.delta0 + 0.5)
-    cert = certify_theorem1(linear_problem(op, spectrum, phi), w, mu)
+    cert = certify_theorem1(linear_problem(spectrum, phi), w, mu)
     assert not cert.in_window
     assert cert.bound is None
     assert not cert.certified
@@ -118,20 +117,20 @@ def test_out_of_window_reports_but_never_certifies(ctx):
 
 
 def test_singular_shifts_are_rejected(ctx):
-    _, op, spectrum, _ = ctx
-    phi = spectrum.phi.values
+    _, _, spectrum, _ = ctx
+    phi = spectrum.phi
     for mu in (spectrum.Lambda, spectrum.lambda2, spectrum.Lambda + 5e-9):
         with pytest.raises(SingularResolvent):
-            solve_linear(linear_problem(op, spectrum, phi), mu)
+            solve_linear(linear_problem(spectrum, phi), mu)
 
 
 def test_wrong_sign_data_is_rejected(ctx):
     _, op, spectrum, w = ctx
-    lam, phi = spectrum.Lambda, spectrum.phi.values
+    lam, phi = spectrum.Lambda, spectrum.phi
     _, vecs = eigenpairs(op, 2)
     for f in (-phi, vecs[:, 1] - 0.5 * phi):
         with pytest.raises(HypothesisViolated):
-            certify_theorem1(linear_problem(op, spectrum, f), w, lam - 0.1)
+            certify_theorem1(linear_problem(spectrum, f), w, lam - 0.1)
 
 
 @settings(max_examples=30)
@@ -147,13 +146,13 @@ def test_linear_invariants_on_random_admissible_problems(c, s, space_dim, n, coe
     grid = make_grid(space_dim, 4.0, n)
     spectrum = summarize_spectrum(grid, power_potential(c, s))
     op = spectrum.op
-    lam, phi = spectrum.Lambda, spectrum.phi.values
+    lam, phi = spectrum.Lambda, spectrum.phi
     assert np.all(phi > 0.0)
     assert lam < spectrum.lambda2
-    w = estimate_c0_delta0(spectrum, op)
+    w = estimate_c0_delta0(spectrum)
     _, vecs = eigenpairs(op, 2)
-    exact = linear_problem(op, spectrum, phi)
-    mixed = linear_problem(op, spectrum, phi + coeff * vecs[:, 1])
+    exact = linear_problem(spectrum, phi)
+    mixed = linear_problem(spectrum, phi + coeff * vecs[:, 1])
     for p in (exact, mixed):
         window = window_linear(p, w)
         for mu in (lam - frac * window, lam + frac * window):

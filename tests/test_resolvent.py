@@ -153,9 +153,7 @@ def test_singular_factorization_exits_3_without_output(tmp_path, monkeypatch):
 def setup():
     grid = make_grid(3, 3.2, 300)
     spectrum = summarize_spectrum(grid, QUARTIC_3D)
-    op = assemble(grid, QUARTIC_3D, 0)
-    w = estimate_c0_delta0(spectrum, op)
-    return op, spectrum, w
+    return spectrum, estimate_c0_delta0(spectrum)
 
 
 @pytest.fixture()
@@ -172,28 +170,28 @@ def factor_calls(monkeypatch):
 
 
 def test_semilinear_two_start_factors_once_per_start(setup, factor_calls):
-    op, spectrum, w = setup
-    rep = two_start_diagnostics(op, spectrum, w, rational_profile(1.0, 2.0), spectrum.Lambda - 0.1)
+    spectrum, w = setup
+    rep = two_start_diagnostics(spectrum, w, rational_profile(1.0, 2.0), spectrum.Lambda - 0.1)
     assert rep.certified
     assert len(factor_calls) == 2
 
 
 def test_system_two_start_factors_each_shift_once_per_start(setup, factor_calls):
-    op, spectrum, w = setup
+    spectrum, w = setup
     nl = rational_profile(1.0, 2.0)
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
-    p = system_problem(op, spectrum, m, nl, nl)
+    p = system_problem(spectrum, m, nl, nl)
     rep = system_two_start(p, w, spectrum.Lambda - m.xi1 - 0.1)
     assert rep.certified
     assert len(factor_calls) == 4
 
 
 def test_linear_and_monotone_solvers_factor_each_shift_once(setup, factor_calls):
-    op, spectrum, w = setup
+    spectrum, w = setup
     mu = spectrum.Lambda - 0.1
-    solve_linear(linear_problem(op, spectrum, spectrum.phi.values), mu)
+    solve_linear(linear_problem(spectrum, spectrum.phi), mu)
     assert len(factor_calls) == 1
-    monotone_solve(op, spectrum, w, rational_profile(1.0, 2.0), mu)
+    monotone_solve(spectrum, w, rational_profile(1.0, 2.0), mu)
     assert len(factor_calls) == 3  # mu - M for the sweeps, mu for the residual
 
 

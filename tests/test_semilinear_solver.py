@@ -9,7 +9,6 @@ from groundstate import (
     Nonlinearity,
     RadialPotential,
     apply_T,
-    assemble,
     brezis_oswald_check,
     constant_profile,
     estimate_c0_delta0,
@@ -44,8 +43,8 @@ POT = RadialPotential(lambda r: 1.0 + r**4, name="quartic3d")
 def ctx():
     grid = make_grid(3, 3.2, 400)
     spectrum = summarize_spectrum(grid, POT)
-    op = assemble(grid, POT, 0)
-    window = estimate_c0_delta0(spectrum, op)
+    op = spectrum.op
+    window = estimate_c0_delta0(spectrum)
     return grid, op, spectrum, window
 
 
@@ -127,7 +126,7 @@ def test_validate_nonlinearity_catches_flat_ratio():
 
 def test_make_bracket_orientation(ctx):
     _, _, spectrum, _ = ctx
-    lam, phi = spectrum.Lambda, spectrum.phi.values
+    lam, phi = spectrum.Lambda, spectrum.phi
     nl = rational_profile(1.0, 2.0)
     mp = make_bracket(spectrum, nl, lam - 0.5)
     assert mp.kind == "MP"
@@ -159,9 +158,9 @@ def test_window_semilinear_rule(ctx):
 
 def test_apply_T_from_zero_hits_upper_endpoint(ctx):
     grid, op, spectrum, _ = ctx
-    lam, phi = spectrum.Lambda, spectrum.phi.values
+    lam, phi = spectrum.Lambda, spectrum.phi
     nl = rational_profile(1.0, 2.0)
-    v = apply_T(op, spectrum, nl, op.factor(lam - 1.0), np.zeros(grid.n))
+    v = apply_T(spectrum, nl, op.factor(lam - 1.0), np.zeros(grid.n))
     np.testing.assert_allclose(v, 2.0 * phi, atol=1e-8)
 
 
@@ -169,10 +168,10 @@ def test_apply_T_from_zero_hits_upper_endpoint(ctx):
 
 
 def test_mp_solve_is_certified(ctx):
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     nl = rational_profile(1.0, 2.0)
     mu = spectrum.Lambda - 0.1
-    rep = solve_semilinear(op, spectrum, w, nl, mu)
+    rep = solve_semilinear(spectrum, w, nl, mu)
     assert rep.branch == "MP"
     assert rep.violations == 0
     assert rep.iterations < 500
@@ -187,10 +186,10 @@ def test_mp_solve_is_certified(ctx):
 
 
 def test_amp_solve_is_certified(ctx):
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     nl = rational_profile(1.0, 2.0)
     mu = spectrum.Lambda + 0.05
-    rep = solve_semilinear(op, spectrum, w, nl, mu)
+    rep = solve_semilinear(spectrum, w, nl, mu)
     assert rep.branch == "AMP"
     assert rep.violations == 0
     assert rep.certified
@@ -201,31 +200,31 @@ def test_amp_solve_is_certified(ctx):
 
 
 def test_solve_rejects_mu_outside_window(ctx):
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     nl = rational_profile(1.0, 2.0)
     window = window_semilinear(nl, w)
     with pytest.raises(WindowViolation):
-        solve_semilinear(op, spectrum, w, nl, spectrum.Lambda - (window + 0.1))
+        solve_semilinear(spectrum, w, nl, spectrum.Lambda - (window + 0.1))
     with pytest.raises(WindowViolation):
-        solve_semilinear(op, spectrum, w, nl, spectrum.Lambda)
+        solve_semilinear(spectrum, w, nl, spectrum.Lambda)
 
 
 def test_solve_validates_controls(ctx):
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     nl = rational_profile(1.0, 2.0)
     mu = spectrum.Lambda - 0.1
     with pytest.raises(MalformedInput):
-        solve_semilinear(op, spectrum, w, nl, mu, damping=0.0)
+        solve_semilinear(spectrum, w, nl, mu, damping=0.0)
     with pytest.raises(MalformedInput):
-        solve_semilinear(op, spectrum, w, nl, mu, damping=1.5)
+        solve_semilinear(spectrum, w, nl, mu, damping=1.5)
     with pytest.raises(MalformedInput):
-        solve_semilinear(op, spectrum, w, nl, mu, start="middle")
+        solve_semilinear(spectrum, w, nl, mu, start="middle")
     with pytest.raises(MalformedInput):
-        solve_semilinear(op, spectrum, w, nl, mu, start="custom")
+        solve_semilinear(spectrum, w, nl, mu, start="custom")
 
 
 def test_lying_profile_escapes_bracket(ctx):
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     liar = Nonlinearity(
         profile=lambda r, u: np.full_like(np.asarray(u, dtype=float), 50.0),
         kappa=1.0,
@@ -233,14 +232,14 @@ def test_lying_profile_escapes_bracket(ctx):
         strictly_decreasing_ratio=False,
     )
     with pytest.raises(BracketEscape):
-        solve_semilinear(op, spectrum, w, liar, spectrum.Lambda - 0.1)
+        solve_semilinear(spectrum, w, liar, spectrum.Lambda - 0.1)
 
 
 def test_no_convergence_carries_trace(ctx):
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     nl = rational_profile(1.0, 2.0)
     with pytest.raises(NoConvergence) as exc:
-        solve_semilinear(op, spectrum, w, nl, spectrum.Lambda - 0.1, max_iter=2)
+        solve_semilinear(spectrum, w, nl, spectrum.Lambda - 0.1, max_iter=2)
     assert exc.value.iterations == 2
     assert len(exc.value.trace) == 2
     assert all(step > 0 for step in exc.value.trace)
@@ -270,7 +269,7 @@ def steep_profile(spectrum, mu):
     fixed point v* ~ 1.37: the plain Picard iterate moves away from it
     into a two-cycle, while the secant-mixed step finds it.
     """
-    scale = (spectrum.Lambda - mu) / spectrum.phi.values
+    scale = (spectrum.Lambda - mu) / spectrum.phi
     return Nonlinearity(
         profile=lambda r, u: 1.0 + 1.0 / (1.0 + np.exp(8.0 * (u * scale - 1.3))),
         kappa=1.0,
@@ -282,10 +281,10 @@ def steep_profile(spectrum, mu):
 
 @pytest.mark.parametrize("offset", [-0.1, 0.1], ids=["MP", "AMP"])
 def test_mixed_steps_solve_a_map_picard_only_cycles_on(ctx, fixed_points, offset):
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     mu = spectrum.Lambda + offset
     nl = steep_profile(spectrum, mu)
-    rep = two_start_diagnostics(op, spectrum, w, nl, mu)
+    rep = two_start_diagnostics(spectrum, w, nl, mu)
     assert rep.certified and rep.violations == 0
     assert rep.uniqueness.two_start_gap <= 1e-7
     assert len(fixed_points) == 2
@@ -293,7 +292,7 @@ def test_mixed_steps_solve_a_map_picard_only_cycles_on(ctx, fixed_points, offset
         assert fp.undamped_sweeps == fp.iterations <= 20  # no switch to damping
     # damping = 1 neither mixes nor switches, and the plain Picard iterate only cycles
     with pytest.raises(NoConvergence):
-        solve_semilinear(op, spectrum, w, nl, mu, damping=1.0, max_iter=200)
+        solve_semilinear(spectrum, w, nl, mu, damping=1.0, max_iter=200)
 
 
 @pytest.mark.parametrize("shape", [(5,), (2, 5)], ids=["scalar", "system"])
@@ -365,15 +364,15 @@ def image_past_upper(monkeypatch, upper, node):
 def test_row_whose_limit_image_leaves_the_bracket_is_uncertified(ctx, monkeypatch, offset):
     # certified is decided on T(u): a clip(T) limit that T moves past the
     # bracket fails, although the clipped limit's own ratio lies inside it
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     nl = rational_profile(1.0, 2.0)
     mu = spectrum.Lambda + offset
     bracket = make_bracket(spectrum, nl, mu)
-    assert solve_semilinear(op, spectrum, w, nl, mu).certified
+    assert solve_semilinear(spectrum, w, nl, mu).certified
     image_past_upper(monkeypatch, bracket.upper, 200)
     for rep in (
-        solve_semilinear(op, spectrum, w, nl, mu),
-        two_start_diagnostics(op, spectrum, w, nl, mu),
+        solve_semilinear(spectrum, w, nl, mu),
+        two_start_diagnostics(spectrum, w, nl, mu),
     ):
         assert not rep.certified
         assert rep.violations >= rep.iterations
@@ -382,34 +381,35 @@ def test_row_whose_limit_image_leaves_the_bracket_is_uncertified(ctx, monkeypatc
 
 def test_monotone_row_whose_limit_image_leaves_the_bracket_is_uncertified(ctx, monkeypatch):
     # monotone_solve counts on the image T(u) it computes for residual_x
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     nl = rational_profile(1.0, 2.0)
     mu = spectrum.Lambda - 0.1
-    assert monotone_solve(op, spectrum, w, nl, mu).certified
+    assert monotone_solve(spectrum, w, nl, mu).certified
     bracket = make_bracket(spectrum, nl, mu)
     image_past_upper(monkeypatch, bracket.upper, 200)
-    rep = monotone_solve(op, spectrum, w, nl, mu)
+    rep = monotone_solve(spectrum, w, nl, mu)
     assert not rep.certified
-    assert rep.residual_x >= 0.01 * bracket.upper[200] / spectrum.phi.values[200]
+    assert rep.residual_x >= 0.01 * bracket.upper[200] / spectrum.phi[200]
 
 
 @pytest.mark.parametrize("n", [52, 57])
 def test_constant_profile_rows_at_n1_stay_certified(n):
     # A constant g gives a zero-width bracket, so the image's rounding sits
     # outside it: at N = 1 by ~1e-11 of the local edge, more than the
-    # 1e-12 BRACKET_SLACK of the sweeps and far below CERT_SLACK.
+    # 1e-12 BRACKET_SLACK and far below the CERT_SLACK that the sweeps and
+    # the certificate admit.
     grid = make_grid(1, 4.0, n)
     spectrum = summarize_spectrum(grid, power_potential(1.0, 3.0))
     op = spectrum.op
-    w = estimate_c0_delta0(spectrum, op)
+    w = estimate_c0_delta0(spectrum)
     nl = constant_profile(1.0)
     half = 0.0625 * window_semilinear(nl, w)
     excess = []
     for mu in (spectrum.Lambda - half, spectrum.Lambda + half):
-        rep = two_start_diagnostics(op, spectrum, w, nl, mu)
+        rep = two_start_diagnostics(spectrum, w, nl, mu)
         assert rep.certified
         b = make_bracket(spectrum, nl, mu)
-        t = apply_T(op, spectrum, nl, op.factor(mu), rep.solution.values)
+        t = apply_T(spectrum, nl, op.factor(mu), rep.solution.values)
         edge = np.maximum(np.abs(b.lower), np.abs(b.upper))
         excess.append(float(np.max(np.abs(t - np.clip(t, b.lower, b.upper)) / edge)))
     assert max(excess) > semilinear_solver.BRACKET_SLACK
@@ -417,8 +417,8 @@ def test_constant_profile_rows_at_n1_stay_certified(n):
 
 
 def test_contracting_map_never_switches(ctx, fixed_points):
-    _, op, spectrum, w = ctx
-    rep = solve_semilinear(op, spectrum, w, rational_profile(1.0, 2.0), spectrum.Lambda - 0.1)
+    _, _, spectrum, w = ctx
+    rep = solve_semilinear(spectrum, w, rational_profile(1.0, 2.0), spectrum.Lambda - 0.1)
     assert rep.certified
     assert fixed_points[0].undamped_sweeps == fixed_points[0].iterations == rep.iterations
 
@@ -437,23 +437,23 @@ def test_default_solve_is_certified_in_window(c, s, space_dim, n, kappa, spread,
     grid = make_grid(space_dim, 4.0, n)
     spectrum = summarize_spectrum(grid, power_potential(c, s))
     op = spectrum.op
-    w = estimate_c0_delta0(spectrum, op)
+    w = estimate_c0_delta0(spectrum)
     nl = rational_profile(kappa, kappa * spread)
     half = frac * window_semilinear(nl, w)
-    phi = spectrum.phi.values
+    phi = spectrum.phi
 
     mu = spectrum.Lambda - half
-    rep = two_start_diagnostics(op, spectrum, w, nl, mu)
+    rep = two_start_diagnostics(spectrum, w, nl, mu)
     assert rep.certified
     assert rep.uniqueness.two_start_gap <= 1e-7
-    mono = monotone_solve(op, spectrum, w, nl, mu)
+    mono = monotone_solve(spectrum, w, nl, mu)
     assert x_norm(rep.solution.values - mono.solution.values, phi) <= 1e-8 * mono.solution.x_norm
 
     # On the AMP side the bracket is not invariant (no maximum principle):
     # mostly for N <= 2 the first image T(bracket end) can leave it at more
     # than ESCAPE_FRACTION of the nodes.  That sweep precedes any step rule.
     try:
-        rep = two_start_diagnostics(op, spectrum, w, nl, spectrum.Lambda + half)
+        rep = two_start_diagnostics(spectrum, w, nl, spectrum.Lambda + half)
     except BracketEscape as exc:
         assert str(exc).endswith("on sweep 1")
     else:
@@ -465,14 +465,14 @@ def test_default_solve_is_certified_in_window(c, s, space_dim, n, kappa, spread,
 
 
 def test_monotone_solve_matches_damped(ctx):
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     from groundstate import x_norm
 
     nl = rational_profile(1.0, 2.0)
     mu = spectrum.Lambda - 0.1
-    mono = monotone_solve(op, spectrum, w, nl, mu)
-    damped = solve_semilinear(op, spectrum, w, nl, mu, tol_x=1e-10)
-    phi = spectrum.phi.values
+    mono = monotone_solve(spectrum, w, nl, mu)
+    damped = solve_semilinear(spectrum, w, nl, mu, tol_x=1e-10)
+    phi = spectrum.phi
     assert mono.uniqueness is not None
     assert mono.uniqueness.two_start_gap <= 1e-8
     assert mono.solution_upper is not None
@@ -484,26 +484,26 @@ def test_monotone_solve_matches_damped(ctx):
 
 
 def test_monotone_without_shift_breaks(ctx):
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     nl = rational_profile(1.0, 2.0)
     with pytest.raises(MonotonicityBroken):
-        monotone_solve(op, spectrum, w, nl, spectrum.Lambda - 0.1, shift=0.0)
+        monotone_solve(spectrum, w, nl, spectrum.Lambda - 0.1, shift=0.0)
     with pytest.raises(MalformedInput):
-        monotone_solve(op, spectrum, w, nl, spectrum.Lambda - 0.1, shift=-1.0)
+        monotone_solve(spectrum, w, nl, spectrum.Lambda - 0.1, shift=-1.0)
 
 
 def test_monotone_needs_mu_below_lambda(ctx):
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     nl = rational_profile(1.0, 2.0)
     with pytest.raises(WindowViolation):
-        monotone_solve(op, spectrum, w, nl, spectrum.Lambda + 0.05)
+        monotone_solve(spectrum, w, nl, spectrum.Lambda + 0.05)
 
 
 def test_monotone_no_convergence_reports_its_budget(ctx):
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     nl = rational_profile(1.0, 2.0)
     with pytest.raises(NoConvergence) as exc:
-        monotone_solve(op, spectrum, w, nl, spectrum.Lambda - 0.1, max_iter=1)
+        monotone_solve(spectrum, w, nl, spectrum.Lambda - 0.1, max_iter=1)
     assert exc.value.iterations == 1
 
 
@@ -512,7 +512,7 @@ def test_monotone_no_convergence_reports_its_budget(ctx):
 
 def test_brezis_oswald_exact_zero_cases(ctx):
     _, op, spectrum, _ = ctx
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     assert brezis_oswald_check(op, phi, phi) == (0.0, 0.0)
     assert brezis_oswald_check(op, phi, 2.0 * phi) == (0.0, 0.0)
 
@@ -521,7 +521,7 @@ def test_brezis_oswald_rejects_sign_mixed(ctx):
     _, op, spectrum, _ = ctx
     from groundstate import eigenpairs
 
-    phi = spectrum.phi.values
+    phi = spectrum.phi
     _, vecs = eigenpairs(op, 2)
     with pytest.raises(SignMixed):
         brezis_oswald_check(op, phi, vecs[:, 1])
@@ -536,19 +536,18 @@ def test_brezis_oswald_identity_gap_refines():
     for n in (399, 799):
         grid = make_grid(3, 3.2, n)
         spectrum = summarize_spectrum(grid, POT)
-        op = assemble(grid, POT, 0)
-        phi = spectrum.phi.values
+        phi = spectrum.phi
         u = phi * (1.0 + 0.1 / (1.0 + grid.r**2))
-        t_lhs, gap = brezis_oswald_check(op, u, phi)
+        t_lhs, gap = brezis_oswald_check(spectrum.op, u, phi)
         assert t_lhs > 0.0
         gaps.append(abs(gap))
     assert gaps[0] / gaps[1] >= 3.0
 
 
 def test_two_start_diagnostics_fields(ctx):
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     nl = rational_profile(1.0, 2.0)
-    rep = two_start_diagnostics(op, spectrum, w, nl, spectrum.Lambda - 0.1)
+    rep = two_start_diagnostics(spectrum, w, nl, spectrum.Lambda - 0.1)
     assert rep.uniqueness is not None
     assert rep.uniqueness.two_start_gap <= 1e-8
     assert abs(rep.uniqueness.brezis_oswald_residual) <= 1e-10
@@ -571,10 +570,10 @@ def one_sided_profile():
 
 
 def test_one_sided_mp_solve_reports_without_certificate(ctx):
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     nl = one_sided_profile()
     mu = spectrum.Lambda - 0.5
-    rep = solve_semilinear(op, spectrum, w, nl, mu)
+    rep = solve_semilinear(spectrum, w, nl, mu)
     assert rep.branch == "MP"
     # the bracket edges are reported, the certificate is not claimed
     assert rep.bound_lo == pytest.approx(-1.0, rel=1e-9)
@@ -586,23 +585,23 @@ def test_one_sided_mp_solve_reports_without_certificate(ctx):
 
 
 def test_one_sided_amp_branch_is_refused(ctx):
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     nl = one_sided_profile()
     with pytest.raises(WindowViolation, match="kappa > 0"):
-        solve_semilinear(op, spectrum, w, nl, spectrum.Lambda + 0.1)
+        solve_semilinear(spectrum, w, nl, spectrum.Lambda + 0.1)
 
 
 def test_one_sided_monotone_solve_agrees(ctx):
-    _, op, spectrum, w = ctx
+    _, _, spectrum, w = ctx
     from groundstate import x_norm
 
     nl = one_sided_profile()
     mu = spectrum.Lambda - 0.5
-    mono = monotone_solve(op, spectrum, w, nl, mu)
-    damped = solve_semilinear(op, spectrum, w, nl, mu, tol_x=1e-10)
+    mono = monotone_solve(spectrum, w, nl, mu)
+    damped = solve_semilinear(spectrum, w, nl, mu, tol_x=1e-10)
     assert mono.uniqueness.two_start_gap <= 1e-8
     assert not mono.certified
     assert (
-        x_norm(mono.solution.values - damped.solution.values, spectrum.phi.values)
+        x_norm(mono.solution.values - damped.solution.values, spectrum.phi)
         <= 1e-8
     )

@@ -155,8 +155,8 @@ def test_summary_consistency():
     s = summarize_spectrum(g, QUARTIC_3D)
     assert s.Lambda < s.lambda2 < s.radial_eigs[1]
     assert s.gap == pytest.approx(s.lambda2 - s.Lambda)
-    assert s.phi.c1 == pytest.approx(1.0, abs=1e-12)
-    assert s.phi.x_norm == pytest.approx(1.0, abs=1e-12)
+    assert np.all(s.phi > 0.0)
+    assert g.integrate(s.phi**2) == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(s.radial_eigs) > 0)
 
 
