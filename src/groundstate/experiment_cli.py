@@ -12,9 +12,9 @@ instead of in every run.  The artifacts:
                          floats at 17 significant digits;
 * ``solution_<offset>.csv`` -- full radial profiles on request, columns
                          ``r``, ``phi`` and the solution (``u``, or ``u1``
-                         and ``u2``); a run formats the ``r,phi`` text
-                         once and each dump formats only its solution
-                         columns.
+                         and ``u2``); a run renders the ``r,phi`` text
+                         once, into per-chunk format strings, and each
+                         dump fills them with its solution columns.
 
 ``groundstate report sweep.csv --out DIR`` derives the two plotting
 curves (sign-certificate and blow-up) from a previously written sweep,
@@ -31,8 +31,11 @@ reports, non-finite grid weights, a ``grid.spectral_scale``,
 (the message names the key), a ``grid.spectral_scale`` whose multiple q
 does not reach below r = 1e4 (the message names it), or a potential that is
 non-finite or nonpositive on the grid or decreases on grid nodes beyond
-its r0; 3 a solver raised (no convergence, singular solve, escaped
-bracket, window or hypothesis violation) or numpy/scipy did (``LinAlgError``,
+its r0, a NaN or infinite number in the ``potential``, ``f``,
+``nonlinearity``, ``nonlinearity2`` or ``solver`` block (the message names
+the key), or a negative ``--seed``; 3 a solver raised (no convergence,
+singular solve, escaped bracket, window or hypothesis violation) or
+numpy/scipy did (``LinAlgError``,
 an ``ArithmeticError`` such as ``OverflowError``, or a ``MemoryError``
 for a grid too large to allocate); 4 certificates were
 required but some row is uncertified.  The output directory is created only
@@ -98,7 +101,7 @@ from .semilinear_solver import (
     validate_nonlinearity,
     window_semilinear,
 )
-from .spectral import RADIAL_EIGS, eigenpairs, summarize_spectrum
+from .spectral import RADIAL_EIGS, eigenfunctions, summarize_spectrum
 
 CONFIG_ERRORS = (
     MalformedInput, NonPositivePotential, NotIncreasing, NotCooperative, UnboundedSearch,
@@ -262,8 +265,19 @@ def _jsonable(value):
     return value
 
 
+def _require_finite(key: str, block: dict) -> None:
+    """MalformedInput naming ``key.<name>`` for a NaN or infinite number in a config block.
+
+    JSON admits NaN and Infinity, and the schema's bounds let them through.
+    """
+    for name, value in block.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise MalformedInput(f"{key}.{name} = {value:g} must be finite")
+
+
 def build_potential(cfg: dict):
     block = cfg["potential"]
+    _require_finite("potential", block)
     kind = block["kind"]
     if kind == "power":
         if "c" not in block or "s" not in block:
@@ -316,7 +330,9 @@ def check_potential_on_grid(pot, grid) -> None:
     require_increasing(grid.r, q, pot.r0)
 
 
-def build_nonlinearity(block: dict):
+def build_nonlinearity(block: dict, key: str):
+    """The profile a ``nonlinearity`` block (config key ``key``) describes."""
+    _require_finite(key, block)
     kind = block["kind"]
     if kind == "constant":
         if "g" not in block:
@@ -333,13 +349,14 @@ def build_f(cfg: dict, spectrum) -> np.ndarray:
     block = cfg.get("f")
     if block is None:
         raise MalformedInput("linear mode needs an 'f' block")
+    _require_finite("f", block)
     kind = block["kind"]
     phi = spectrum.phi
     if kind == "phi":
         return phi.copy()
     if kind == "phi_plus_phi2":
-        _, vecs = eigenpairs(spectrum.op, 2)
-        return phi + block.get("coeff", 0.5) * vecs[:, 1]
+        phi2 = eigenfunctions(spectrum.op, spectrum.radial_eigs[:2])[:, 1]
+        return phi + block.get("coeff", 0.5) * phi2
     if "path" not in block:
         raise MalformedInput("table f needs 'path'")
     r_tab, f_tab = read_table(block["path"], "f", "f")
@@ -393,31 +410,37 @@ def _write_sweep(path: Path, rows: list[dict]) -> None:
 DUMP_ROWS = 256
 
 
-def _shared_profile_text(r: np.ndarray, phi: np.ndarray) -> list[str]:
-    """Each node's ``r,phi,`` f17 text, the first two cells of every dump row.
+def _profile_templates(r: np.ndarray, phi: np.ndarray, columns: int) -> list[str]:
+    """One format string per DUMP_ROWS chunk of a profile dump, built once per run.
 
-    Built once per run and reused by every dump, so it is a list, not an
-    iterator.
+    Each holds its rows' ``r,phi,`` f17 text and a ``%.17g`` slot for each
+    of the ``columns`` solution cells, so a chunk is one ``template % values``.
+    f17 text is digits, signs, ``.``, ``e``, ``nan`` and ``inf``, never a
+    ``%``, so the shared text needs no escaping.
     """
-    return list(map("%.17g,%.17g,".__mod__, zip(r.tolist(), phi.tolist())))
+    row = "%.17g,%.17g," + ",".join(["%%.17g"] * columns) + "\n"
+    pairs = list(zip(r.tolist(), phi.tolist()))
+    return [
+        "".join(map(row.__mod__, pairs[start : start + DUMP_ROWS]))
+        for start in range(0, len(pairs), DUMP_ROWS)
+    ]
 
 
 def _dump_profile(
-    path: Path, header: list[str], shared: list[str], solution: list[np.ndarray]
+    path: Path, header: list[str], templates: list[str], solution: list[np.ndarray]
 ) -> None:
-    """One row per node: its shared ``r,phi,`` text, then the solution columns.
+    """One row per node: its ``r,phi,`` text, then the solution columns as f17 text.
 
-    A run formats the ``r,phi`` text once (_shared_profile_text); each dump
-    formats only its solution columns, as f17 text, and streams the rows in
-    DUMP_ROWS chunks.
+    A run builds the chunk templates once (_profile_templates); each dump
+    fills them with its solution values, DUMP_ROWS rows at a time.  Two
+    columns are interleaved row by row in numpy before they become floats.
     """
-    line = ",".join(["%.17g"] * len(solution)) + "\n"
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        for start in range(0, len(shared), DUMP_ROWS):
-            stop = start + DUMP_ROWS
-            cols = zip(*[a[start:stop].tolist() for a in solution])
-            handle.writelines([head + line % row for head, row in zip(shared[start:stop], cols)])
+        for start, template in zip(range(0, len(solution[0]), DUMP_ROWS), templates):
+            chunk = [a[start : start + DUMP_ROWS] for a in solution]
+            values = chunk[0] if len(chunk) == 1 else np.column_stack(chunk).ravel()
+            handle.write(template % tuple(values.tolist()))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -431,6 +454,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     grid_scale = float(args.grid_scale)
     if not (math.isfinite(grid_scale) and grid_scale > 0):
         raise MalformedInput("--grid-scale must be finite and positive")
+    if args.seed is not None and args.seed < 0:
+        raise MalformedInput(f"--seed = {args.seed} must be >= 0")
     seed = int(args.seed) if args.seed is not None else int(cfg.get("seed", 0))
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     config_hash = hashlib.sha256(
@@ -470,9 +495,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         handle.write("\n")
     _write_sweep(out_dir / "sweep.csv", rows)
     if dumps:
-        shared = _shared_profile_text(grid.r, spectrum.phi)
+        columns = len(next(iter(dumps.values()))[1])
+        templates = _profile_templates(grid.r, spectrum.phi, columns)
         for offset, (header, solution) in dumps.items():
-            _dump_profile(out_dir / f"solution_{offset:g}.csv", header, shared, solution)
+            _dump_profile(out_dir / f"solution_{offset:g}.csv", header, templates, solution)
 
     print(f"wall_time_s {time.perf_counter() - t0:.3f}", file=sys.stderr)
     if cfg.get("require_certificates", False):
@@ -557,6 +583,7 @@ def _linear_setup(cfg, spectrum, w):
 def _solver_controls(cfg: dict) -> tuple[bool, str, dict]:
     """two_start, start and the damping/max_iter/tol_x kwargs, defaults filled in."""
     solver = cfg.get("solver", {})
+    _require_finite("solver", solver)
     kwargs = dict(
         damping=solver.get("damping", 0.5),
         max_iter=solver.get("max_iter", 500),
@@ -584,7 +611,7 @@ def _fixed_point_cells(rep) -> dict:
 def _semilinear_setup(cfg, spectrum, w):
     if "nonlinearity" not in cfg:
         raise MalformedInput("semilinear mode needs a 'nonlinearity' block")
-    nl = build_nonlinearity(cfg["nonlinearity"])
+    nl = build_nonlinearity(cfg["nonlinearity"], "nonlinearity")
     validate_nonlinearity(nl, spectrum.op.grid.r)
     lam = spectrum.Lambda
     two_start, start, kwargs = _solver_controls(cfg)
@@ -615,10 +642,12 @@ def _system_setup(cfg, spectrum, w):
         raise MalformedInput("system mode needs 'matrix' and 'nonlinearity' blocks")
     mspec = cfg["matrix"]
     m = analyze_matrix(mspec["a"], mspec["b"], mspec["c"], mspec["d"])
-    nl1 = build_nonlinearity(cfg["nonlinearity"])
-    nl2 = build_nonlinearity(cfg.get("nonlinearity2", cfg["nonlinearity"]))
-    for nl in (nl1, nl2):
+    # without a nonlinearity2 block both components share one profile, validated once
+    keys = [key for key in ("nonlinearity", "nonlinearity2") if key in cfg]
+    nls = [build_nonlinearity(cfg[key], key) for key in keys]
+    for nl in nls:
         validate_nonlinearity(nl, spectrum.op.grid.r)
+    nl1, nl2 = nls[0], nls[-1]
     p = system_problem(spectrum, m, nl1, nl2)
     phi = spectrum.phi
     two_start, start, kwargs = _solver_controls(cfg)

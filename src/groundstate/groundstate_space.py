@@ -11,7 +11,10 @@ weighted matrix norm || D_phi^-1 Pi (L-mu)^-1 Pi D_phi ||_inf is estimated
 at sampled mu across the window and the max is reported together with the
 samples used.  Each sample is a Higham-Tisseur block 1-norm estimate, which
 needs only products with the matrix and its transpose, i.e. banded solves,
-so it costs O(n) time and memory.  Such an estimate is a lower bound in
+so it costs O(n) time and memory.  The estimator works on its n x 2 blocks
+one column at a time, in the arithmetic and summation order of whole-block
+broadcasts and axis reductions, so c0 has their bits at a fraction of their
+cost (see projected_resolvent_norm).  Such an estimate is a lower bound in
 general (on the grids tested it equals the dense evaluation to rounding).
 Soundness does not rest on c0: every certificate is re-verified pointwise
 downstream, so a low c0 can widen a window but never make a claim wrong.
@@ -20,6 +23,7 @@ downstream, so a low c0 can widen a window but never make a claim wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -90,11 +94,37 @@ class WindowEstimate:
 
 
 def _resample_parallel(S: np.ndarray, S_old: np.ndarray, rng: np.random.Generator) -> None:
-    """Redraw +-1 columns of S parallel to an earlier column of S or to one of S_old."""
+    """Redraw +-1 columns of S parallel to an earlier column of S or to one of S_old.
+
+    The dot products of +-1 columns are integers, so they are exact in any order.
+    """
     n = S.shape[0]
     for j in range(S.shape[1]):
-        while np.any(np.abs(np.hstack((S[:, :j], S_old)).T @ S[:, j]) == n):
+        while any(abs(np.dot(other, S[:, j])) == n for other in (*S[:, :j].T, *S_old.T)):
             S[:, j] = rng.choice((-1.0, 1.0), size=n)
+
+
+def _top_k(h: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(-h, kind="stable")[:k]``, sorting only the k largest candidates.
+
+    np.partition finds the k-th value; every entry not beyond it (ties, and
+    NaN, which sorts last) is a candidate, and a stable sort of the
+    candidates in index order breaks ties as the full sort would.
+    """
+    neg = -h
+    if k >= len(h):
+        return np.argsort(neg, kind="stable")
+    cut = np.partition(neg, k - 1)[k - 1]
+    cand = np.flatnonzero(~(neg > cut))
+    return cand[np.argsort(neg[cand], kind="stable")][:k]
+
+
+def _column_sum(col: np.ndarray) -> float:
+    """Sum in index order: the bits an axis-0 sum of a C-ordered block gives.
+
+    A contiguous ``col.sum()`` adds pairwise, which changes the last bits.
+    """
+    return float(np.cumsum(col)[-1])
 
 
 def _block_one_norm(apply_a, apply_at, n: int, rng: np.random.Generator) -> float:
@@ -103,6 +133,8 @@ def _block_one_norm(apply_a, apply_at, n: int, rng: np.random.Generator) -> floa
     Needs only the products A @ X and A.T @ Y on n x NORMEST_BLOCK blocks.
     The value returned is the 1-norm of a column of A @ X for some X with
     unit-1-norm columns, so it never exceeds ||A||_1 (up to rounding).
+    Blocks are C-ordered; reductions over them go column by column, with
+    the bits of the matching axis reductions (_column_sum, np.maximum).
     """
     t = NORMEST_BLOCK
     X = np.ones((n, t))
@@ -115,9 +147,9 @@ def _block_one_norm(apply_a, apply_at, n: int, rng: np.random.Generator) -> floa
     ind = np.zeros(0, dtype=np.intp)
     for k in range(1, NORMEST_ITMAX + 2):
         Y = apply_a(X)
-        sums = np.abs(Y).sum(axis=0)
+        sums = [_column_sum(np.abs(col)) for col in Y.T]
         best = int(np.argmax(sums))
-        est = float(sums[best])
+        est = sums[best]
         if k >= 2 and est <= est_old:  # (1) no gain over the last iterate
             break
         est_old = est
@@ -127,10 +159,10 @@ def _block_one_norm(apply_a, apply_at, n: int, rng: np.random.Generator) -> floa
         if np.all(np.abs(S_old.T @ S).max(axis=0) == n):  # (2) sign vectors repeat
             break
         _resample_parallel(S, S_old, rng)
-        h = np.abs(apply_at(S)).max(axis=1)
+        h = reduce(np.maximum, np.abs(apply_at(S)).T)
         if k >= 2 and h.max() == h[ind[best]]:  # (4) no column promises more
             break
-        ind = np.argsort(-h, kind="stable")[: t + len(visited)]
+        ind = _top_k(h, t + len(visited))
         seen = np.isin(ind, visited)
         if seen[:t].all():  # (5) the most promising columns were all tried
             break
@@ -155,33 +187,55 @@ def projected_resolvent_norm(
     symmetric), against one ``op.factor(mu)`` per call.
     O(n) time and memory; the estimator draws from a fixed local seed, so
     the value is a deterministic function of the inputs.
+
+    The n x NORMEST_BLOCK blocks are worked on column by column, each
+    column with the products a broadcast would form.  They stay C-ordered
+    wherever BLAS reads them (``phi @ v``, ``wphi @ v``): gemv sums a
+    Fortran-ordered block in another order, which moves the last bits.
     """
     keep = phi >= ROW_FLOOR * phi.max()
-    inv_phi = np.divide(1.0, phi, out=np.zeros_like(phi), where=keep)[:, None]
-    phi_col = phi[:, None]
+    inv_phi = np.divide(1.0, phi, out=np.zeros_like(phi), where=keep)
     wphi = quad_weights * phi
-    scale = op.scale[:, None]
+    scale = op.scale
+    inv_scale = 1.0 / scale
+    s = op.start
     _, dl, d, du, du2, ipiv = op.factor(mu)
 
-    def resolve(b: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(b)
-        x, _ = dgttrs(dl, d, du, du2, ipiv, pre * b[op.start :])
-        out[op.start :] = post * x
+    def rows(a: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """a[:, None] * B, column by column, C-ordered."""
+        out = np.empty_like(B)
+        for j in range(B.shape[1]):
+            np.multiply(a, B[:, j], out=out[:, j])
+        return out
+
+    def project(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+        """v -= outer(a, b @ v) in place, one column at a time."""
+        for j, c in enumerate(b @ v):
+            v[:, j] -= a * c
+
+    def resolve(v: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+        rhs = np.empty((len(pre), v.shape[1]), order="F")
+        for j in range(v.shape[1]):
+            np.multiply(pre, v[s:, j], out=rhs[:, j])
+        x, _ = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
+        out = np.zeros_like(v)
+        for j in range(v.shape[1]):
+            np.multiply(post, x[:, j], out=out[s:, j])
         return out
 
     def apply_m(Y: np.ndarray) -> np.ndarray:  # A^T Y = mask * (M Y)
-        v = phi_col * Y
-        v -= np.outer(phi, wphi @ v)
-        v = resolve(v, scale, 1.0 / scale)
-        v -= np.outer(phi, wphi @ v)
-        return inv_phi * v
+        v = rows(phi, Y)
+        project(v, phi, wphi)
+        v = resolve(v, scale, inv_scale)
+        project(v, phi, wphi)
+        return rows(inv_phi, v)
 
     def apply_mt(X: np.ndarray) -> np.ndarray:  # A X = M^T (mask * X)
-        v = inv_phi * X
-        v -= np.outer(wphi, phi @ v)
-        v = resolve(v, 1.0 / scale, scale)
-        v -= np.outer(wphi, phi @ v)
-        return phi_col * v
+        v = rows(inv_phi, X)
+        project(v, wphi, phi)
+        v = resolve(v, inv_scale, scale)
+        project(v, wphi, phi)
+        return rows(phi, v)
 
     rng = np.random.default_rng(NORMEST_SEED)
     return _block_one_norm(apply_mt, apply_m, len(phi), rng)

@@ -138,7 +138,8 @@ def validate_nonlinearity(
     The box kappa <= g <= K is checked on a symmetric u-lattice (log-spaced
     positive values, their negatives, and zero); the ratio g(r, u)/u is
     checked for strict decrease along the positive lattice at every node.
-    Raises HypothesisViolated on the first failure.
+    One pass evaluates g once per lattice point.  Raises HypothesisViolated
+    on the first box failure, else on the first ratio failure.
     """
     if not (0 < u_lo < u_hi) or n_u < 4:
         raise MalformedInput("need 0 < u_lo < u_hi and n_u >= 4")
@@ -146,6 +147,8 @@ def validate_nonlinearity(
     upos = np.geomspace(u_lo, u_hi, n_u)
     lattice = np.concatenate([-upos[::-1], [0.0], upos])
     tol = 1e-9 * max(1.0, nl.k_upper)
+    prev = None
+    ratio_fails_at = None
     for uval in lattice:
         g = nl(r, np.full_like(r, uval))
         if g.min() < nl.kappa - tol or g.max() > nl.k_upper + tol:
@@ -153,15 +156,13 @@ def validate_nonlinearity(
                 f"profile leaves [kappa, K] at u = {uval:g}: "
                 f"range [{g.min():.6g}, {g.max():.6g}]"
             )
-    if nl.strictly_decreasing_ratio:
-        prev = None
-        for uval in upos:
-            ratio = nl(r, np.full_like(r, uval)) / uval
+        if nl.strictly_decreasing_ratio and uval > 0 and ratio_fails_at is None:
+            ratio = g / uval
             if prev is not None and np.any(ratio >= prev):
-                raise HypothesisViolated(
-                    f"g(r, u)/u fails to decrease strictly at u = {uval:g}"
-                )
+                ratio_fails_at = uval
             prev = ratio
+    if ratio_fails_at is not None:
+        raise HypothesisViolated(f"g(r, u)/u fails to decrease strictly at u = {ratio_fails_at:g}")
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,13 @@ M-matrix system with positive right-hand side, which keeps every iterate
 entrywise positive in floating point, so positivity of phi is structural
 rather than a sign fix.
 
-``summarize_spectrum`` assembles sector 0 once per run and bisects it once.
-The ``SpectrumSummary`` it returns is the one handle on that operator
-(``op``) and its groundstate (``Lambda`` and the positive ``phi``): the
-window estimate and the solvers take the summary and read ``op`` from it.
+``summarize_spectrum`` assembles sector 0 once per run and bisects it once,
+for RADIAL_EIGS eigenvalues; those values also give the principal
+eigenpair its shift, and ``eigenfunctions`` turns the first two into phi2
+(LAPACK stein) without a second bisection.  The ``SpectrumSummary`` it
+returns is the one handle on that operator (``op``) and its groundstate
+(``Lambda`` and the positive ``phi``): the window estimate and the solvers
+take the summary and read ``op`` from it.
 lambda2 needs sectors 0 and 1 only: for N >= 2 all sectors share the
 off-diagonal and T_{ell+1} - T_ell = (2 ell + N - 1)/r^2 is positive
 diagonal, so by Courant-Fischer sector ell's lowest eigenvalue rises with
@@ -48,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solveh_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dstein
 
 from .errors import ConvergenceFailure, MalformedInput, SingularResolvent
 from .radial_grid import Grid, RadialPotential
@@ -211,23 +214,46 @@ def eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     )
 
 
+def eigenfunctions(op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
+    """Quadrature-normalized full-grid eigenfunctions at op's lowest eigenvalues.
+
+    ``values`` are the first k eigenvalues from ``eigenvalues(op, k)``;
+    column j is the eigenfunction of values[j].  LAPACK stein runs the
+    inverse iteration that eigh_tridiagonal runs after its own bisection,
+    here on values already bisected, with T taken as one unreduced block.
+    Bisection splits T only where offdiag_j^2 < eps^2 |diag_j diag_(j-1)|,
+    which for offdiag = -1/h^2 needs q above ~1e15/h^2; short of that,
+    stein gets the inputs eigh_tridiagonal would give it.  Signs are not
+    normalized.
+    """
+    n = op.dim
+    iblock = np.ones(n, dtype=np.int32)
+    isplit = np.zeros(n, dtype=np.int32)
+    isplit[0] = n
+    vecs, info = dstein(op.diag, op.offdiag, values, iblock, isplit)
+    if info != 0:
+        raise ConvergenceFailure(f"{info} eigenvectors failed to converge")
+    return np.column_stack([op.extend(vecs[:, j]) for j in range(len(values))])
+
+
 def eigenpairs(op: DiscreteOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
     """First k eigenvalues and quadrature-normalized full-grid eigenvectors.
 
     Column j of the returned matrix is the j-th eigenfunction.  Signs are
     not normalized here; use principal_eigenpair for the groundstate.
     """
-    if not 1 <= k <= op.dim:
-        raise MalformedInput(f"k must lie in 1..{op.dim}, got {k}")
-    vals, vecs = eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, k - 1))
-    out = np.column_stack([op.extend(vecs[:, j]) for j in range(k)])
-    return vals, out
+    vals = eigenvalues(op, k)
+    return vals, eigenfunctions(op, vals)
 
 
-def principal_eigenpair(op: DiscreteOperator) -> tuple[float, np.ndarray]:
+def principal_eigenpair(
+    op: DiscreteOperator, lowest: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and positive normalized eigenfunction of a sector.
 
-    The eigenvalue interval comes from bisection; the vector from inverse
+    The eigenvalue interval comes from bisection (``lowest``, op's first
+    two or more eigenvalues, when the caller has bisected them already,
+    else ``eigenvalues(op, 2)``); the vector from inverse
     iteration at a shift strictly below the groundstate, which preserves
     entrywise positivity (see module docstring).  The residual bound
     ||L phi - Lambda phi|| <= 1e-10 * ||diag||_inf is enforced.
@@ -237,7 +263,7 @@ def principal_eigenpair(op: DiscreteOperator) -> tuple[float, np.ndarray]:
     """
     if op.sector != 0:
         raise MalformedInput("principal eigenpair is defined on the ell = 0 sector")
-    lo2 = eigenvalues(op, 2)
+    lo2 = eigenvalues(op, 2) if lowest is None else lowest
     lam, lam_next = float(lo2[0]), float(lo2[1])
     gap = lam_next - lam
     if gap <= 0:
@@ -315,10 +341,14 @@ class SpectrumSummary:
 
 
 def summarize_spectrum(grid: Grid, pot: RadialPotential) -> SpectrumSummary:
-    """(Lambda, phi), lambda2 across sectors and radial eigenvalues, on one op."""
+    """(Lambda, phi), lambda2 across sectors and radial eigenvalues, on one op.
+
+    Sector 0 is bisected once: its RADIAL_EIGS eigenvalues feed the
+    principal eigenpair, lambda2 and (through ``eigenfunctions``) phi2.
+    """
     op0 = assemble(grid, pot, 0)
-    lam, phi = principal_eigenpair(op0)
     radial = eigenvalues(op0, RADIAL_EIGS)
+    lam, phi = principal_eigenpair(op0, radial)
     lam2, sector = second_eigenvalue(grid, pot, radial)
     if not (0.0 < lam < lam2):
         raise ConvergenceFailure("spectral ordering 0 < Lambda < lambda2 violated")

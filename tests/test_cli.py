@@ -23,7 +23,7 @@ from groundstate.experiment_cli import (
     SCHEMA,
     _cell,
     _dump_profile,
-    _shared_profile_text,
+    _profile_templates,
     _write_sweep,
     f17,
     main,
@@ -445,6 +445,58 @@ def test_infinite_config_numbers_exit_2(tmp_path, capsys, changes, message):
     assert not (tmp_path / "out").exists()
 
 
+_EXP_DECAY = {"kind": "exp_decay", "kappa": 1.0, "K": 2.0}
+_SEMILINEAR = {"mode": "semilinear", "nonlinearity": {"kind": "rational", "kappa": 1.0, "K": 2.0}}
+
+
+@pytest.mark.parametrize(
+    "changes, key",
+    [
+        # r >= nan is false everywhere, so the class check was skipped
+        ({"potential": {"kind": "power", "c": 1.0, "s": 4.0, "r0": float("nan")}},
+         "potential.r0 = nan"),
+        ({"potential": {"kind": "power", "c": 1.0, "s": 4.0, "r0": float("inf")}},
+         "potential.r0 = inf"),
+        ({**_SEMILINEAR, "nonlinearity": {**_EXP_DECAY, "s": float("nan")}},
+         "nonlinearity.s = nan"),
+        ({**_SEMILINEAR, "nonlinearity": {**_EXP_DECAY, "s": float("inf")}},
+         "nonlinearity.s = inf"),
+        ({**_SEMILINEAR, "nonlinearity": {"kind": "constant", "g": float("inf")}},
+         "nonlinearity.g = inf"),
+        ({**_SEMILINEAR, "nonlinearity": {"kind": "rational", "kappa": 1.0, "K": float("inf")}},
+         "nonlinearity.K = inf"),
+        ({"mode": "system", "matrix": {"a": 0.0, "b": 1.0, "c": 4.0, "d": 0.0},
+          "nonlinearity": {"kind": "rational", "kappa": 1.0, "K": 2.0},
+          "nonlinearity2": {"kind": "rational", "kappa": 1.0, "K": float("inf")}},
+         "nonlinearity2.K = inf"),
+        ({"f": {"kind": "phi_plus_phi2", "coeff": float("nan")}}, "f.coeff = nan"),
+        ({"f": {"kind": "phi_plus_phi2", "coeff": float("inf")}}, "f.coeff = inf"),
+        # an infinite tolerance stopped every row after one sweep
+        ({**_SEMILINEAR, "solver": {"tol_x": float("inf")}}, "solver.tol_x = inf"),
+    ],
+    ids=[
+        "r0_nan", "r0_inf", "exp_decay_s_nan", "exp_decay_s_inf", "constant_g_inf",
+        "rational_K_inf", "nonlinearity2_K_inf", "coeff_nan", "coeff_inf", "tol_x_inf",
+    ],
+)
+def test_nonfinite_config_numbers_exit_2_naming_their_key(tmp_path, capsys, changes, key):
+    cfg = write_offsets_config(
+        tmp_path / "cfg.json", grid={"r_max": 3.2, "n": 120}, mu_offsets=[-0.05, 0.05], **changes
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_exits_2_like_a_negative_config_seed(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", mode="eigen")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
+    assert "--seed = -1" in capsys.readouterr().err
+    seeded = write_config(tmp_path / "seeded.json", mode="eigen", seed=-1)
+    assert main(["run", str(seeded), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_linalg_error_exits_3(tmp_path, capsys):
     # q = 1 + r**400 overflows the band; the Cholesky factorization gives up
     cfg = write_config(
@@ -580,8 +632,8 @@ def test_dump_profile_matches_the_csv_writer(tmp_path, length):
     _reference_dump(tmp_path / "ref.csv", header, [wide, single, ints, wide[::-1]])
     # the float32 column is phi, inside the shared text; the int64 and
     # reversed-view columns are solution columns
-    shared = _shared_profile_text(wide, single)
-    _dump_profile(tmp_path / "new.csv", header, shared, [ints, wide[::-1]])
+    templates = _profile_templates(wide, single, 2)
+    _dump_profile(tmp_path / "new.csv", header, templates, [ints, wide[::-1]])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrs
 
 from groundstate import (
     RadialPotential,
@@ -18,7 +19,7 @@ from groundstate import (
     x_norm,
 )
 from groundstate.errors import MalformedInput
-from groundstate.groundstate_space import ROW_FLOOR
+from groundstate.groundstate_space import NORMEST_ITMAX, NORMEST_SEED, ROW_FLOOR, _top_k
 
 POT = RadialPotential(lambda r: 1.0 + r**4, name="quartic3d")
 OSC = RadialPotential(lambda r: r**2, name="oscillator")
@@ -49,6 +50,87 @@ def dense_projected_resolvent_norm(op, phi, quad_weights, mu, block=512):
         py = y - np.outer(phi, wphi @ y)
         row_sums += np.abs(py[keep] / phi[keep, None]).sum(axis=1)
     return float(row_sums.max())
+
+
+def _reference_resample(S, S_old, rng):
+    n = S.shape[0]
+    for j in range(S.shape[1]):
+        while np.any(np.abs(np.hstack((S[:, :j], S_old)).T @ S[:, j]) == n):
+            S[:, j] = rng.choice((-1.0, 1.0), size=n)
+
+
+def _reference_block_one_norm(apply_a, apply_at, n, rng, t=2):
+    X = np.ones((n, t))
+    X[:, 1:] = rng.choice((-1.0, 1.0), size=(n, t - 1))
+    _reference_resample(X, np.empty((n, 0)), rng)
+    X /= n
+    S = np.zeros((n, t))
+    visited = np.zeros(0, dtype=np.intp)
+    est_old = 0.0
+    ind = np.zeros(0, dtype=np.intp)
+    for k in range(1, NORMEST_ITMAX + 2):
+        Y = apply_a(X)
+        sums = np.abs(Y).sum(axis=0)
+        best = int(np.argmax(sums))
+        est = float(sums[best])
+        if k >= 2 and est <= est_old:
+            break
+        est_old = est
+        if k > NORMEST_ITMAX:
+            break
+        S_old, S = S, np.where(Y >= 0.0, 1.0, -1.0)
+        if np.all(np.abs(S_old.T @ S).max(axis=0) == n):
+            break
+        _reference_resample(S, S_old, rng)
+        h = np.abs(apply_at(S)).max(axis=1)
+        if k >= 2 and h.max() == h[ind[best]]:
+            break
+        ind = np.argsort(-h, kind="stable")[: t + len(visited)]
+        seen = np.isin(ind, visited)
+        if seen[:t].all():
+            break
+        ind = np.concatenate((ind[~seen], ind[seen]))
+        X = np.zeros((n, t))
+        X[ind[:t], np.arange(t)] = 1.0
+        visited = np.concatenate((visited, ind[:t][~np.isin(ind[:t], visited)]))
+    return est_old
+
+
+def reference_projected_resolvent_norm(op, phi, quad_weights, mu):
+    """The block 1-norm estimate on whole n x 2 blocks, as first written.
+
+    Broadcasts, axis reductions and a full stable argsort per iteration:
+    the column-form projected_resolvent_norm must return these bits.
+    """
+    keep = phi >= ROW_FLOOR * phi.max()
+    inv_phi = np.divide(1.0, phi, out=np.zeros_like(phi), where=keep)[:, None]
+    phi_col = phi[:, None]
+    wphi = quad_weights * phi
+    scale = op.scale[:, None]
+    fac = op.factor(mu)
+
+    def resolve(b, pre, post):
+        out = np.zeros_like(b)
+        x, _ = dgttrs(fac.dl, fac.d, fac.du, fac.du2, fac.ipiv, pre * b[op.start :])
+        out[op.start :] = post * x
+        return out
+
+    def apply_m(Y):
+        v = phi_col * Y
+        v -= np.outer(phi, wphi @ v)
+        v = resolve(v, scale, 1.0 / scale)
+        v -= np.outer(phi, wphi @ v)
+        return inv_phi * v
+
+    def apply_mt(X):
+        v = inv_phi * X
+        v -= np.outer(wphi, phi @ v)
+        v = resolve(v, 1.0 / scale, scale)
+        v -= np.outer(wphi, phi @ v)
+        return phi_col * v
+
+    rng = np.random.default_rng(NORMEST_SEED)
+    return _reference_block_one_norm(apply_mt, apply_m, len(phi), rng)
 
 
 def window_problem(pot, space_dim, r_max, n):
@@ -206,3 +288,39 @@ def test_c0_estimate_leaves_global_random_state_alone(ctx):
     after = np.random.get_state()
     assert (name, pos, has_gauss, cached) == (after[0], *after[2:])
     assert np.array_equal(keys, after[1])
+
+
+@settings(max_examples=20)
+@given(
+    c=st.floats(0.05, 5.0),
+    s=st.floats(2.0, 6.0, exclude_min=True),
+    space_dim=st.integers(1, 5),
+    n=st.integers(8, 2400),
+)
+def test_column_form_estimate_has_the_reference_bits(c, s, space_dim, n):
+    grid, op, spectrum, window = window_problem(power_potential(c, s), space_dim, 4.0, n)
+    reference = max(
+        reference_projected_resolvent_norm(op, spectrum.phi, grid.quad_weights, float(mu))
+        for mu in window.mu_samples
+    )
+    assert window.c0 == reference
+
+
+@settings(max_examples=60)
+@given(
+    h=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5, float("inf"), float("nan")]), min_size=1,
+               max_size=40),
+    extra=st.integers(0, 45),
+)
+def test_top_k_is_the_head_of_a_stable_argsort(h, extra):
+    # few distinct values, so most draws have ties across the cut
+    h = np.array(h)
+    k = 1 + extra  # k >= len(h) included
+    assert np.array_equal(_top_k(h, k), np.argsort(-h, kind="stable")[:k])
+
+
+def test_top_k_with_ties_at_the_cut():
+    h = np.array([1.0, 3.0, 2.0, 3.0, 2.0, 2.0, 0.5, 2.0])
+    assert _top_k(h, 4).tolist() == [1, 3, 2, 4]
+    assert _top_k(h, 8).tolist() == np.argsort(-h, kind="stable").tolist()
+    assert _top_k(h, 20).tolist() == np.argsort(-h, kind="stable").tolist()

@@ -121,6 +121,35 @@ def test_validate_nonlinearity_catches_flat_ratio():
         validate_nonlinearity(relaxed, r, u_lo=1.0, u_hi=0.5)
 
 
+def test_validate_nonlinearity_evaluates_each_lattice_point_once():
+    r = np.linspace(0.1, 3.0, 20)
+    nl = rational_profile(1.0, 2.0)
+    calls = []
+
+    def counting(r, u):
+        calls.append(u[0])
+        return nl.profile(r, u)
+
+    validate_nonlinearity(Nonlinearity(counting, 1.0, 2.0), r, n_u=64)
+    # 64 positive points, their negatives and zero; the ratio check reuses them
+    assert len(calls) == 129
+    assert len(set(calls)) == 129
+
+
+def test_validate_nonlinearity_reports_a_box_failure_before_a_ratio_failure():
+    r = np.linspace(0.1, 3.0, 20)
+    # g/u is flat between 0.5 and 2 (an early ratio failure), and g leaves
+    # [kappa, K] = [0.5, 2] above u = 100, later on the lattice
+    both = Nonlinearity(
+        profile=lambda r, u: np.clip(np.asarray(u, dtype=float), 0.5, 2.0)
+        + (np.asarray(u, dtype=float) > 100.0),
+        kappa=0.5,
+        k_upper=2.0,
+    )
+    with pytest.raises(HypothesisViolated, match="leaves"):
+        validate_nonlinearity(both, r)
+
+
 # ------------------------------------------------------ brackets and window
 
 

@@ -205,11 +205,13 @@ def test_lambda2_matches_the_full_sector_scan(c, s, space_dim, n):
 def test_linear_run_assembles_and_bisects_each_sector_once(tmp_path, monkeypatch):
     """Sector 0 once and sector 1 once per run; no eigenvalues of sectors >= 2.
 
-    Bisections: principal pair, the RADIAL_EIGS sweep, sector 1, and the
-    second eigenvector behind f = phi + coeff*phi2.
+    Bisections: the RADIAL_EIGS sweep of sector 0, which also feeds the
+    principal pair, and sector 1.  The second eigenvector behind
+    f = phi + coeff*phi2 is one stein call on the sweep's values.
     """
-    assembled, bisected = [], []
+    assembled, bisected, inverse_iterations = [], [], []
     real_assemble, real_eigh = spectral.assemble, spectral.eigh_tridiagonal
+    real_stein = spectral.dstein
 
     def counting_assemble(grid, pot, sector):
         assembled.append(sector)
@@ -219,8 +221,13 @@ def test_linear_run_assembles_and_bisects_each_sector_once(tmp_path, monkeypatch
         bisected.append(args)
         return real_eigh(*args, **kwargs)
 
+    def counting_stein(*args, **kwargs):
+        inverse_iterations.append(args)
+        return real_stein(*args, **kwargs)
+
     monkeypatch.setattr(spectral, "assemble", counting_assemble)
     monkeypatch.setattr(spectral, "eigh_tridiagonal", counting_eigh)
+    monkeypatch.setattr(spectral, "dstein", counting_stein)
     cfg = {
         "mode": "linear",
         "space_dim": 3,
@@ -234,4 +241,5 @@ def test_linear_run_assembles_and_bisects_each_sector_once(tmp_path, monkeypatch
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path)]) == 0
     assert sorted(assembled) == [0, 1]
-    assert len(bisected) == 4
+    assert len(bisected) == 2
+    assert len(inverse_iterations) == 1
