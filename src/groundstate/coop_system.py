@@ -259,7 +259,6 @@ class SystemReport:
     residual_x: float
     violations: int
     branch: str
-    mu: float
     window: float
     v2_bound: float
     v2_ok: bool
@@ -330,7 +329,6 @@ def solve_system(
         residual_x=fp.residual_x,
         violations=fp.violations,
         branch=rect.kind,
-        mu=mu,
         window=window,
         v2_bound=v2_bound,
         v2_ok=v2_x <= v2_bound,

@@ -3,6 +3,9 @@
 Every failure mode that callers are expected to branch on gets its own
 class here; modules raise these instead of bare ValueError wherever the
 condition is part of the documented contract.
+
+Subclasses of ConfigError say the input is at fault, not the numerics:
+the command line exits 2 on them and 3 on any other GroundstateError.
 """
 
 
@@ -10,15 +13,19 @@ class GroundstateError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonPositivePotential(GroundstateError):
+class ConfigError(GroundstateError):
+    """Base class for errors in the input itself rather than in the numerics."""
+
+
+class NonPositivePotential(ConfigError):
     """A potential sample was <= 0; q must be positive everywhere."""
 
 
-class NotIncreasing(GroundstateError):
+class NotIncreasing(ConfigError):
     """The potential decreases somewhere beyond its stated radius R0."""
 
 
-class UnboundedSearch(GroundstateError):
+class UnboundedSearch(ConfigError):
     """No truncation radius below the hard cap satisfied the criterion."""
 
 
@@ -59,7 +66,7 @@ class SignMixed(GroundstateError):
     """An input expected to be one-signed changes sign on the grid."""
 
 
-class NotCooperative(GroundstateError):
+class NotCooperative(ConfigError):
     """Coupling matrix has a nonpositive off-diagonal entry."""
 
 
@@ -71,5 +78,5 @@ class WindowViolation(GroundstateError):
     """The requested mu lies outside the admissible window around Lambda."""
 
 
-class MalformedInput(GroundstateError):
+class MalformedInput(ConfigError):
     """A data file or config payload does not match its documented format."""

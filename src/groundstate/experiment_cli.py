@@ -33,7 +33,9 @@ does not reach below r = 1e4 (the message names it), or a potential that is
 non-finite or nonpositive on the grid or decreases on grid nodes beyond
 its r0, a NaN or infinite number in the ``potential``, ``f``,
 ``nonlinearity``, ``nonlinearity2`` or ``solver`` block (the message names
-the key), or a negative ``--seed``; 3 a solver raised (no convergence,
+the key), a ``solver.tol_x`` above CERT_SLACK, or a negative ``--seed``
+(the errors that subclass ConfigError, and unreadable files); 3 a solver
+raised (no convergence,
 singular solve, escaped bracket, window or hypothesis violation) or
 numpy/scipy did (``LinAlgError``,
 an ``ArithmeticError`` such as ``OverflowError``, or a ``MemoryError``
@@ -67,15 +69,8 @@ from .coop_system import (
     window_system,
     WINDOW_RULE_SYSTEM,
 )
-from .errors import (
-    GroundstateError,
-    MalformedInput,
-    NonPositivePotential,
-    NotCooperative,
-    NotIncreasing,
-    UnboundedSearch,
-)
-from .groundstate_space import estimate_c0_delta0, x_norm
+from .errors import ConfigError, GroundstateError, MalformedInput, NonPositivePotential
+from .groundstate_space import CERT_SLACK, estimate_c0_delta0, x_norm
 from .linear_solver import (
     WINDOW_RULE_LINEAR,
     certify_theorem1,
@@ -102,10 +97,6 @@ from .semilinear_solver import (
     window_semilinear,
 )
 from .spectral import RADIAL_EIGS, eigenfunctions, summarize_spectrum
-
-CONFIG_ERRORS = (
-    MalformedInput, NonPositivePotential, NotIncreasing, NotCooperative, UnboundedSearch,
-)
 
 _NUMBER = {"type": "number"}
 
@@ -248,21 +239,6 @@ def _cell(value) -> str:
     if isinstance(value, str):
         return value
     return f17(value)
-
-
-def _jsonable(value):
-    """Recursively convert numerics so json output is plain and stable."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
 
 
 def _require_finite(key: str, block: dict) -> None:
@@ -491,7 +467,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "spectrum.json", "w") as handle:
-        json.dump(_jsonable(meta), handle, indent=2, sort_keys=True)
+        # meta's numpy values: float64 scalars (floats) and arrays (radial_eigs, mu_samples, y)
+        json.dump(meta, handle, indent=2, sort_keys=True, default=lambda v: v.tolist())
         handle.write("\n")
     _write_sweep(out_dir / "sweep.csv", rows)
     if dumps:
@@ -581,7 +558,11 @@ def _linear_setup(cfg, spectrum, w):
 
 
 def _solver_controls(cfg: dict) -> tuple[bool, str, dict]:
-    """two_start, start and the damping/max_iter/tol_x kwargs, defaults filled in."""
+    """two_start, start and the damping/max_iter/tol_x kwargs, defaults filled in.
+
+    A tol_x above CERT_SLACK is refused: the image check that certifies a
+    row passes an iterate stopped that early (T maps the MP bracket into itself).
+    """
     solver = cfg.get("solver", {})
     _require_finite("solver", solver)
     kwargs = dict(
@@ -589,6 +570,8 @@ def _solver_controls(cfg: dict) -> tuple[bool, str, dict]:
         max_iter=solver.get("max_iter", 500),
         tol_x=solver.get("tol_x", 1e-9),
     )
+    if kwargs["tol_x"] > CERT_SLACK:
+        raise MalformedInput(f"solver.tol_x = {kwargs['tol_x']:g} must be <= {CERT_SLACK:g}")
     return solver.get("two_start", True), solver.get("start", "lower"), kwargs
 
 
@@ -743,7 +726,7 @@ def main(argv: list[str] | None = None) -> int:
     except (json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GroundstateError as exc:

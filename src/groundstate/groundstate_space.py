@@ -54,15 +54,15 @@ NORMEST_SEED = 20001
 
 @dataclass(frozen=True)
 class GroundstateVector:
-    """A grid function with its groundstate decomposition attached.
+    """A grid function with its groundstate component attached.
 
-    values = c1*phi + perp exactly, with quadrature(perp * phi) = 0 and
-    x_norm = sup |values|/phi over the nodes.
+    c1 = quadrature(values * phi) is the quadrature projection onto phi,
+    so values - c1*phi is quadrature-orthogonal to phi; a reader that needs
+    that part forms it.  x_norm = sup |values|/phi over the nodes.
     """
 
     values: np.ndarray
     c1: float
-    perp: np.ndarray
     x_norm: float
 
 
@@ -72,11 +72,10 @@ def x_norm(v: np.ndarray, phi: np.ndarray) -> float:
 
 
 def decompose(v: np.ndarray, phi: np.ndarray, quad_weights: np.ndarray) -> GroundstateVector:
-    """Split v into its phi component and the quadrature-orthogonal rest."""
+    """v with its phi component c1 and its X-norm; the orthogonal rest is not stored."""
     v = np.asarray(v, dtype=float)
     c1 = float(np.dot(quad_weights, v * phi))
-    perp = v - c1 * phi
-    return GroundstateVector(values=v, c1=c1, perp=perp, x_norm=x_norm(v, phi))
+    return GroundstateVector(values=v, c1=c1, x_norm=x_norm(v, phi))
 
 
 @dataclass(frozen=True)

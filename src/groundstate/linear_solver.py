@@ -53,7 +53,8 @@ def linear_problem(spectrum: SpectrumSummary, f_values: np.ndarray) -> LinearPro
     """Decompose f against phi, measure its orthogonal part in X, check f1 > 0."""
     phi = spectrum.phi
     f = decompose(f_values, phi, spectrum.op.grid.quad_weights)
-    perp_x = x_norm(f.perp, phi) if np.any(f.perp) else 0.0
+    f_perp = f.values - f.c1 * phi
+    perp_x = x_norm(f_perp, phi) if np.any(f_perp) else 0.0
     if f.c1 <= 0.0:
         sign_defect = "sign certificates need f1 = quadrature(f*phi) > 0"
     elif not math.isfinite(x_norm(f.values, phi)):
@@ -99,7 +100,6 @@ class LinearCertificate:
     """
 
     solution: GroundstateVector
-    mu: float
     in_window: bool
     bound: float | None
     certified: bool
@@ -143,7 +143,6 @@ def certify_theorem1(p: LinearProblem, w: WindowEstimate, mu: float) -> LinearCe
             certified = bool(bound < 0.0 and max_ratio <= bound * (1.0 - CERT_SLACK))
     return LinearCertificate(
         solution=u,
-        mu=mu,
         in_window=in_window,
         bound=bound,
         certified=certified,

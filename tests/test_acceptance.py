@@ -103,7 +103,7 @@ def test_criterion_03_linear_certificates(osc1d):
     _, vecs = eigenpairs(op, 2)
     f_values = phi + 0.5 * vecs[:, 1]
     f = decompose(f_values, phi, grid.quad_weights)
-    perp_x = x_norm(f.perp, phi)
+    perp_x = x_norm(f.values - f.c1 * phi, phi)
     window = min(w.delta0, f.c1 / (w.c0 * perp_x))
 
     worst = np.inf

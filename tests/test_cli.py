@@ -201,6 +201,18 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["run", str(zero)]) == 2
 
 
+def test_config_error_base_holds_exactly_the_exit_2_errors():
+    # main maps ConfigError to exit 2 and every other GroundstateError to 3
+    errors = groundstate.errors
+    config = {
+        errors.ConfigError, errors.MalformedInput, errors.NonPositivePotential,
+        errors.NotIncreasing, errors.NotCooperative, errors.UnboundedSearch,
+    }
+    classes = [c for c in vars(errors).values() if isinstance(c, type)]
+    assert {c for c in classes if issubclass(c, errors.ConfigError)} == config
+    assert groundstate.ConfigError is errors.ConfigError
+
+
 def _tiny_coupling(coupling: float) -> dict:
     return {
         "mode": "system",
@@ -556,6 +568,104 @@ def test_bad_f_table_exits_2(tmp_path, capsys, text, message):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_SWEEP = {"from_offset": -0.1, "to_offset": 0.1, "steps": 2}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"potential": {"kind": "power", "c": 1.0}}, "power potential needs 'c' and 's'"),
+        ({"potential": {"kind": "table"}}, "table potential needs 'path'"),
+        ({"grid": {"r_max": 3.2}}, "grid needs either (r_max, n) or spectral_scale"),
+        ({"grid": {"r_max": 3.2, "n": 60, "spectral_scale": 10}},
+         "grid needs either (r_max, n) or spectral_scale"),
+        ({**_SEMILINEAR, "nonlinearity": {"kind": "constant"}}, "constant nonlinearity needs 'g'"),
+        ({**_SEMILINEAR, "nonlinearity": {"kind": "rational", "kappa": 1.0}},
+         "rational nonlinearity needs 'kappa' and 'K'"),
+        ({**_SEMILINEAR, "nonlinearity": {"kind": "exp_decay", "K": 2.0}},
+         "exp_decay nonlinearity needs 'kappa' and 'K'"),
+        ({"f": None}, "linear mode needs an 'f' block"),
+        ({"f": {"kind": "table"}}, "table f needs 'path'"),
+        ({"mu_offsets": [-0.1], "sweep": _SWEEP}, "give exactly one of 'mu_offsets' or 'sweep'"),
+        ({"sweep": None}, "give exactly one of 'mu_offsets' or 'sweep'"),
+        ({"mode": "semilinear"}, "semilinear mode needs a 'nonlinearity' block"),
+        ({**_SEMILINEAR, "mode": "system"},
+         "system mode needs 'matrix' and 'nonlinearity' blocks"),
+        (None, "sweep file is empty"),
+    ],
+    ids=[
+        "power_without_s", "table_potential_without_path", "grid_neither_form",
+        "grid_both_forms", "constant_without_g", "rational_without_K",
+        "exp_decay_without_kappa", "linear_without_f", "table_f_without_path",
+        "offsets_and_sweep", "neither_offsets_nor_sweep", "semilinear_without_nonlinearity",
+        "system_without_matrix", "report_on_empty_sweep",
+    ],
+)
+def test_input_missing_a_required_part_exits_2(tmp_path, capsys, changes, message):
+    out = tmp_path / "out"
+    if changes is None:
+        empty = tmp_path / "sweep.csv"
+        empty.write_text("")
+        argv = ["report", str(empty), "--out", str(out)]
+    else:
+        base = write_config(tmp_path / "base.json", grid={"r_max": 3.2, "n": 60})
+        base = json.loads(base.read_text())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_invalid(base, **changes)))
+        argv = ["run", str(path), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "tol_x, code", [(1e10, 2), (1.0, 2), (1e-6, 0)], ids=["1e10", "1", "cert_slack"]
+)
+def test_solver_tol_x_above_the_certificate_slack_exits_2(tmp_path, capsys, tol_x, code):
+    # a large finite tolerance stopped each row after 1-2 sweeps, and the
+    # image check still certified it (residual_x up to 0.68)
+    cfg = write_offsets_config(
+        tmp_path / "cfg.json", grid={"r_max": 3.2, "n": 120}, mu_offsets=[-0.05, 0.05],
+        require_certificates=True, solver={"tol_x": tol_x}, **_SEMILINEAR,
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == code
+    if code == 2:
+        assert f"error: solver.tol_x = {tol_x:g} must be <= 1e-06\n" == capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    else:
+        rows = read_rows(tmp_path / "out" / "sweep.csv")
+        assert all(float(row["residual_x"]) <= 1e-6 for row in rows)
+
+
+def test_semilinear_exp_decay_run_is_certified(tmp_path):
+    cfg = write_offsets_config(
+        tmp_path / "cfg.json", grid={"r_max": 3.2, "n": 120}, mu_offsets=[-0.05, 0.05],
+        require_certificates=True, mode="semilinear",
+        nonlinearity={**_EXP_DECAY, "s": 0.5},
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = read_rows(tmp_path / "out" / "sweep.csv")
+    assert [(row["branch"], row["certified"]) for row in rows] == [("MP", "1"), ("AMP", "1")]
+    assert all(float(row["two_start_gap"]) <= 1e-7 for row in rows)
+
+
+def test_table_f_sampled_at_the_nodes_reproduces_the_phi_run(tmp_path):
+    # the table holds phi at every grid node, where interpolation returns it exactly
+    phi_cfg = write_offsets_config(
+        tmp_path / "phi.json", mu_offsets=[-0.05, 0.05], dump_solutions=[-0.05]
+    )
+    assert main(["run", str(phi_cfg), "--out", str(tmp_path / "phi")]) == 0
+    _, *lines = (tmp_path / "phi" / "solution_-0.05.csv").read_text().splitlines(keepends=True)
+    table = tmp_path / "f.csv"
+    table.write_text("r,f,u\n" + "".join(lines))
+    table_cfg = write_offsets_config(
+        tmp_path / "table.json", mu_offsets=[-0.05, 0.05], f={"kind": "table", "path": str(table)}
+    )
+    assert main(["run", str(table_cfg), "--out", str(tmp_path / "table")]) == 0
+    sweep = (tmp_path / "table" / "sweep.csv").read_bytes()
+    assert sweep == (tmp_path / "phi" / "sweep.csv").read_bytes()
 
 
 def test_schema_passes_its_metaschema():

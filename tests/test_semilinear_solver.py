@@ -117,8 +117,6 @@ def test_validate_nonlinearity_catches_flat_ratio():
         profile=plateau.profile, kappa=0.5, k_upper=2.0, strictly_decreasing_ratio=False
     )
     validate_nonlinearity(relaxed, r)
-    with pytest.raises(MalformedInput):
-        validate_nonlinearity(relaxed, r, u_lo=1.0, u_hi=0.5)
 
 
 def test_validate_nonlinearity_evaluates_each_lattice_point_once():
@@ -130,7 +128,7 @@ def test_validate_nonlinearity_evaluates_each_lattice_point_once():
         calls.append(u[0])
         return nl.profile(r, u)
 
-    validate_nonlinearity(Nonlinearity(counting, 1.0, 2.0), r, n_u=64)
+    validate_nonlinearity(Nonlinearity(counting, 1.0, 2.0), r)
     # 64 positive points, their negatives and zero; the ratio check reuses them
     assert len(calls) == 129
     assert len(set(calls)) == 129
@@ -304,7 +302,6 @@ def steep_profile(spectrum, mu):
         kappa=1.0,
         k_upper=2.0,
         strictly_decreasing_ratio=False,
-        name="steep",
     )
 
 
@@ -443,6 +440,26 @@ def test_constant_profile_rows_at_n1_stay_certified(n):
         excess.append(float(np.max(np.abs(t - np.clip(t, b.lower, b.upper)) / edge)))
     assert max(excess) > semilinear_solver.BRACKET_SLACK
     assert max(excess) <= 1e-9
+
+
+def test_sweep_floor_keeps_a_steep_amp_row_certified(monkeypatch):
+    # The AMP bracket is not invariant.  T's first image from the lower end
+    # leaves it by more than CERT_SLACK of the local edge at 97 of 201
+    # nodes, all in phi's tail (r > 2); only 45 of them lie past
+    # BRACKET_SLACK of the largest edge too.  A sweep counts a node only
+    # past both, so the row converges to a certified fixed point.  Counted
+    # by outside_count alone, 97 nodes exceed ESCAPE_FRACTION on sweep 1.
+    grid = make_grid(1, 4.0, 200)
+    spectrum = summarize_spectrum(grid, power_potential(1.0, 6.0))
+    w = estimate_c0_delta0(spectrum)
+    nl = rational_profile(1.0, 3.0)
+    mu = spectrum.Lambda + 0.2 * window_semilinear(nl, w)
+    rep = two_start_diagnostics(spectrum, w, nl, mu)
+    assert (rep.branch, rep.certified, rep.violations, rep.iterations) == ("AMP", True, 45, 6)
+    assert rep.uniqueness.two_start_gap <= 1e-11
+    monkeypatch.setattr(semilinear_solver, "BRACKET_SLACK", 0.0)
+    with pytest.raises(BracketEscape, match="at 97/201 nodes on sweep 1"):
+        two_start_diagnostics(spectrum, w, nl, mu)
 
 
 def test_contracting_map_never_switches(ctx, fixed_points):
@@ -594,7 +611,6 @@ def one_sided_profile():
         kappa=-0.5,
         k_upper=1.5,
         strictly_decreasing_ratio=False,
-        name="one_sided",
     )
 
 
