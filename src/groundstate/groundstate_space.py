@@ -68,7 +68,7 @@ class GroundstateVector:
 
 def x_norm(v: np.ndarray, phi: np.ndarray) -> float:
     """sup over nodes of |v|/phi (the groundstate-weighted sup norm)."""
-    return float(np.max(np.abs(v) / phi))
+    return float((np.abs(v) / phi).max())
 
 
 def decompose(v: np.ndarray, phi: np.ndarray, quad_weights: np.ndarray) -> GroundstateVector:

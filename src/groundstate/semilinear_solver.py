@@ -16,9 +16,11 @@ ESCAPE_FRACTION of the nodes, which raises BracketEscape on sweep 1
 has the bracket's sign: u >= kappa*phi/(Lambda-mu) on the MP branch
 (groundstate positivity, blowing up like 1/(Lambda-mu)) and
 u <= kappa*phi/(Lambda-mu) < 0 on the AMP branch.  The iteration
-(clipped_fixed_point) takes secant-mixed steps until its Picard residual
-stops falling, then damped ones, and its iterates lie in the bracket by
-clipping, so the limit's own ratio proves nothing.  The certificate is
+(clipped_fixed_point) takes one Picard sweep, then clipped Newton steps
+on the exact tridiagonal Jacobian L - mu - diag(phi g_u) until their
+rate predicts convergence, then one plain sweep (damped sweeps instead
+once a step stops falling); its iterates lie in the bracket by clipping,
+so the limit's own ratio proves nothing.  The certificate is
 checked on the image T(u) of the limit instead: a row is certified when
 kappa > 0 and T(u) leaves the bracket at no node by more than CERT_SLACK
 of the larger edge there (outside_count).  A limit of clip(T) that is not
@@ -57,6 +59,8 @@ from .spectral import DiscreteOperator, Factors, SpectrumSummary
 WINDOW_RULE_SEMILINEAR = "min(delta0, kappa/(2*c0*K))"
 BRACKET_SLACK = 1e-12
 ESCAPE_FRACTION = 0.25
+SLOPE_RTOL = 0.1  # slack of the derivative check, relative to the larger |g_u| of an interval
+SLOPE_EVERY = 8  # the derivative check takes one lattice interval in every SLOPE_EVERY
 
 
 @dataclass(frozen=True)
@@ -69,13 +73,16 @@ class Nonlinearity:
     bounded above), where the MP-side solve still works but the GSP
     certificate is skipped.  strictly_decreasing_ratio asserts that
     u -> profile(r, u)/u is strictly decreasing on u > 0, the hypothesis
-    behind the uniqueness diagnostics.
+    behind the uniqueness diagnostics.  derivative(r, u) is the
+    u-derivative g_u of profile: solve_semilinear takes Newton steps with
+    it, and without it the secant-mixed steps the system solves take.
     """
 
     profile: Callable[[np.ndarray, np.ndarray], np.ndarray]
     kappa: float
     k_upper: float
     strictly_decreasing_ratio: bool = True
+    derivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if not (self.kappa <= self.k_upper) or self.k_upper <= 0.0:
@@ -94,11 +101,12 @@ def constant_profile(g0: float) -> Nonlinearity:
         kappa=g0,
         k_upper=g0,
         strictly_decreasing_ratio=True,
+        derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
     )
 
 
 def rational_profile(kappa: float, k_upper: float) -> Nonlinearity:
-    """g(r, u) = kappa + (K - kappa)/(1 + u^2)."""
+    """g(r, u) = kappa + (K - kappa)/(1 + u^2), g_u = -2 (K - kappa) u/(1 + u^2)^2."""
     if not (0.0 < kappa <= k_upper):
         raise MalformedInput("need 0 < kappa <= K")
     return Nonlinearity(
@@ -106,11 +114,16 @@ def rational_profile(kappa: float, k_upper: float) -> Nonlinearity:
         kappa=kappa,
         k_upper=k_upper,
         strictly_decreasing_ratio=True,
+        derivative=lambda r, u: (-2.0 * (k_upper - kappa)) * np.asarray(u, dtype=float)
+        / (1.0 + np.asarray(u, dtype=float) ** 2) ** 2,
     )
 
 
 def exp_decay_profile(kappa: float, k_upper: float, s: float = 1.0) -> Nonlinearity:
-    """g(r, u) = kappa + (K - kappa)*exp(-s*|u|)."""
+    """g(r, u) = kappa + (K - kappa)*exp(-s*|u|), g_u = -s (K - kappa) sign(u) exp(-s*|u|).
+
+    g has a kink at u = 0, where g_u reads 0; no bracket reaches it.
+    """
     if not (0.0 < kappa <= k_upper) or s <= 0:
         raise MalformedInput("need 0 < kappa <= K and s > 0")
     return Nonlinearity(
@@ -119,18 +132,29 @@ def exp_decay_profile(kappa: float, k_upper: float, s: float = 1.0) -> Nonlinear
         kappa=kappa,
         k_upper=k_upper,
         strictly_decreasing_ratio=True,
+        derivative=lambda r, u: (-s * (k_upper - kappa)) * np.sign(u)
+        * np.exp(-s * np.abs(np.asarray(u, dtype=float))),
     )
 
 
 def validate_nonlinearity(nl: Nonlinearity, r: np.ndarray) -> None:
-    """Sample-check the box bounds and the decreasing-ratio hypothesis.
+    """Sample-check the box bounds, the decreasing-ratio hypothesis and g_u.
 
     The box kappa <= g <= K is checked on a symmetric u-lattice (64
     log-spaced values from 1e-3 to 1e3, their negatives, and zero); the
     ratio g(r, u)/u is checked for strict decrease along the positive
-    lattice at every node.  One pass evaluates g once per lattice point.
-    Raises HypothesisViolated on the first box failure, else on the first
-    ratio failure.
+    lattice at every node.  With a derivative, one interval [a, b] of
+    neighbouring lattice points in every SLOPE_EVERY (8 positive and 7
+    negative ones, one every ~0.76 decade of |u|; none ends at u = 0,
+    exp_decay's kink) must have its difference quotient
+    (g(b) - g(a))/(b - a), which g_u takes somewhere in between, inside
+    the range of g_u(a) and g_u(b) widened by SLOPE_RTOL of the larger
+    |g_u| there: a g_u of the wrong sign fails wherever it is not
+    negligible, and one off by a factor of 2 wherever it also changes
+    little across an interval.  One pass evaluates g once per lattice
+    point, and g_u at the two ends of each checked interval.  Raises HypothesisViolated on the first box
+    failure, else on the first ratio failure, else on the first
+    derivative failure.
     """
     r = np.asarray(r, dtype=float)
     upos = np.geomspace(1e-3, 1e3, 64)
@@ -138,8 +162,11 @@ def validate_nonlinearity(nl: Nonlinearity, r: np.ndarray) -> None:
     tol = 1e-9 * max(1.0, nl.k_upper)
     prev = None
     ratio_fails_at = None
-    for uval in lattice:
-        g = nl(r, np.full_like(r, uval))
+    slope_fails_at = None
+    last = None  # (u, g, g_u) at the previous lattice point
+    for j, uval in enumerate(lattice):
+        u = np.full_like(r, uval)
+        g = nl(r, u)
         if g.min() < nl.kappa - tol or g.max() > nl.k_upper + tol:
             raise HypothesisViolated(
                 f"profile leaves [kappa, K] at u = {uval:g}: "
@@ -150,8 +177,25 @@ def validate_nonlinearity(nl: Nonlinearity, r: np.ndarray) -> None:
             if prev is not None and np.any(ratio >= prev):
                 ratio_fails_at = uval
             prev = ratio
+        phase = j % SLOPE_EVERY  # a checked interval runs from phase SLOPE_EVERY - 1 to 0
+        if nl.derivative is None or slope_fails_at is not None or 0 < phase < SLOPE_EVERY - 1:
+            continue
+        gu = np.asarray(nl.derivative(r, u), dtype=float)
+        if phase == 0 and last is not None and last[0] * uval > 0.0:
+            u0, g0, gu0 = last
+            dq = (g - g0) / (uval - u0)
+            lo, hi = np.minimum(gu0, gu), np.maximum(gu0, gu)
+            slack = SLOPE_RTOL * np.maximum(hi, -lo) + tol / (uval - u0)
+            if ((dq < lo - slack) | (dq > hi + slack)).any():
+                slope_fails_at = (u0, uval)
+        last = (uval, g, gu)
     if ratio_fails_at is not None:
         raise HypothesisViolated(f"g(r, u)/u fails to decrease strictly at u = {ratio_fails_at:g}")
+    if slope_fails_at is not None:
+        raise HypothesisViolated(
+            "g_u disagrees with the difference quotient of g between u = "
+            f"{slope_fails_at[0]:g} and u = {slope_fails_at[1]:g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -245,13 +289,14 @@ class SemilinearReport:
 class FixedPoint:
     """Limit of clipped_fixed_point: the iterate and its statistics.
 
-    residual_x is the X-norm of u - T(u) at the limit and aux the second
-    value the map returned there.  outside_at_limit is outside_count of
-    that image T(u): the nodes where it leaves [lower, upper] beyond the
-    certificate slack, 0 when the limit of clip(T) is a fixed point of T
-    in the set.  undamped_sweeps counts the sweeps taken before the switch
-    to the damped step, secant-mixed or plain (all of them if it never
-    came).
+    iterations counts the steps taken: verified sweeps and accepted Newton
+    steps.  residual_x is the X-norm of u - T(u) at the limit and aux the
+    second value the map returned there.  outside_at_limit is
+    outside_count of that image T(u): the nodes where it leaves
+    [lower, upper] beyond the certificate slack, 0 when the limit of
+    clip(T) is a fixed point of T in the set.  undamped_sweeps counts the
+    steps taken before the switch to the damped step, plain, Newton or
+    secant-mixed (all of them if it never came).
     """
 
     u: np.ndarray
@@ -274,7 +319,7 @@ def outside_count(
     lie farther than floor from the set.
     """
     slack = np.maximum(floor, CERT_SLACK * np.maximum(np.abs(lower), np.abs(upper)))
-    return int(np.count_nonzero(np.abs(t - np.clip(t, lower, upper)) > slack))
+    return int(np.count_nonzero(np.abs(t - np.minimum(np.maximum(t, lower), upper)) > slack))
 
 
 def clipped_fixed_point(
@@ -287,63 +332,94 @@ def clipped_fixed_point(
     damping: float,
     max_iter: int,
     tol_x: float,
+    newton: Callable[[np.ndarray], np.ndarray | None] | None = None,
 ) -> FixedPoint:
-    """Clipped fixed-point iteration, secant-mixed first, on scalar or k-component iterates.
+    """Clipped fixed-point iteration, Newton or secant-mixed first, on scalar or k-component u.
 
     sweep(u) returns (T(u), aux) for an iterate u of shape (n,) for a
     scalar problem or (k, n) for a k-component system; phi broadcasts
     against it.  Each sweep forms g = clip(T(u), lower, upper) and the
     weighted residual f = (g - u)/phi, whose largest entry is the Picard
-    residual ||g - u||_X.  Steps are secant-mixed first (Anderson mixing
-    with one stored pair, see _secant_step): with the previous sweep's
-    pair (f', g'), u <- clip(g - gamma*(g - g'), lower, upper) for
-    gamma = <f - f', f>/||f - f'||^2 over all k*n nodes; the first sweep,
-    and a sweep with f = f' or a non-finite gamma, takes the plain step
-    u <- g.  At the first sweep whose Picard residual is not below the
-    previous sweep's, the pair is dropped and the iteration switches, for
-    the rest of the solve, to u <- (1-damping)*u + damping*g.  With
-    damping = 1 every step is the plain u <- g (Picard iteration): no
-    mixing and no switch.  An image node is counted as a violation when it
-    lies farther from [lower, upper] than both BRACKET_SLACK of the set's
-    largest edge and CERT_SLACK of its own larger edge (outside_count; the
-    second admits the rounding of a zero-width set's image), and a sweep
-    with more than ESCAPE_FRACTION of all k*n nodes outside raises escape.
-    Convergence is an X-norm step below tol_x: the Picard residual before
+    residual ||g - u||_X.  Sweep 1 takes the plain step u <- g.  With
+    damping = 1 every step is a plain sweep u <- g (Picard iteration):
+    no Newton or mixed step and no switch.  Otherwise the steps after
+    sweep 1 are accelerated until the first step whose X-norm step is not
+    below the previous step's; from there on, for the rest of the solve,
+    each step is a damped sweep u <- (1-damping)*u + damping*g.
+
+    With newton (scalar callers), newton(u) returns the unclipped Newton
+    iterate at u, or None, and a step is u <- clip(newton(u), lower,
+    upper) with no sweep; a Newton step refused by the rule above (or
+    None) is replaced by a damped sweep.  When the rate step/previous
+    puts the next Newton step below tol_x (step**2/previous < tol_x), one
+    plain sweep follows: it accepts u <- g when its Picard residual is
+    below tol_x, else hands back to Newton steps if that residual fell,
+    else switches to the damped sweeps.  Without newton the accelerated
+    steps are secant-mixed sweeps (Anderson mixing with one stored pair,
+    see _secant_step): with the previous sweep's pair (f', g'),
+    u <- clip(g - gamma*(g - g')) for gamma = <f - f', f>/||f - f'||^2
+    over all k*n nodes.
+
+    An image node is counted as a violation when it lies farther from
+    [lower, upper] than both BRACKET_SLACK of the set's largest edge and
+    CERT_SLACK of its own larger edge (outside_count; the second admits
+    the rounding of a zero-width set's image), and a sweep with more than
+    ESCAPE_FRACTION of all k*n nodes outside raises escape.  Convergence
+    is an X-norm step below tol_x on a sweep: the Picard residual before
     the switch, which accepts u <- g, and the damped step after it.
-    Failure raises NoConvergence carrying the step trace.  The map is
-    applied once more at the limit for residual_x, aux and
-    outside_at_limit.  The caller's sweep holds the factorizations it
-    solves with.
+    Failure raises NoConvergence carrying the step trace (sweeps and
+    Newton steps).  The map is applied once more at the limit for
+    residual_x, aux and outside_at_limit, so these come only from sweep,
+    never from a Newton solve.  The caller's sweep and newton hold the
+    factorizations they solve with.
     """
     if not (0.0 < damping <= 1.0):
         raise MalformedInput("damping must lie in (0, 1]")
-    slack = BRACKET_SLACK * max(float(np.max(np.abs(lower))), float(np.max(np.abs(upper))))
-    violations = 0
+    slack = BRACKET_SLACK * max(float(np.abs(lower).max()), float(np.abs(upper).max()))
+    violations = sweeps = 0
     trace: list[float] = []
-    undamped = None  # sweeps before the switch to the damped step
+    undamped = None  # steps before the switch to the damped step
     pair = None  # (f, g) of the previous sweep while steps are mixed
+    newton_next = False  # the next step is a Newton step
+    closing = False  # the Newton steps before this sweep predict convergence
     for k in range(1, max_iter + 1):
+        if newton_next:
+            v = newton(u)
+            if v is not None:
+                np.minimum(v, upper, out=v)
+                np.maximum(v, lower, out=v)
+                step = x_norm(v - u, phi)
+                if step < trace[-1]:
+                    # at the rate step/previous the next step is step**2/previous
+                    closing = step * step < tol_x * trace[-1]
+                    trace.append(step)
+                    u, newton_next = v, not closing
+                    continue
+            v, newton_next, undamped = None, False, k - 1
         t, _ = sweep(u)
-        g = np.clip(t, lower, upper)
+        sweeps += 1
+        g = np.minimum(t, upper)
+        np.maximum(g, lower, out=g)
         out = int(np.count_nonzero(np.abs(t - g) > slack))
         if out:  # a zero-width set's image lies outside it by its rounding
             out = outside_count(t, lower, upper, floor=slack)
         if out > ESCAPE_FRACTION * u.size:
             raise escape(
-                f"iterate left the invariant region at {out}/{u.size} nodes on sweep {k}"
+                f"iterate left the invariant region at {out}/{u.size} nodes on sweep {sweeps}"
             )
         violations += out
         if undamped is None:
             f = (g - u) / phi
-            step = float(np.max(np.abs(f)))
-            if damping < 1.0 and trace and step >= trace[-1]:
+            step = float(np.abs(f).max())
+            if damping < 1.0 and trace and step >= trace[-1] and not (closing and step < tol_x):
                 undamped, pair = k - 1, None
+            closing = False
         if undamped is not None:
             g = (1.0 - damping) * u + damping * g
             step = x_norm(g - u, phi)
         trace.append(step)
         if step < tol_x:
-            u, f, pair = g, None, None  # the final map application holds only the limit
+            u, t, f, pair = g, None, None, None  # the final map application holds only the limit
             t, aux = sweep(u)
             return FixedPoint(
                 u=u, iterations=k, residual_x=x_norm(u - t, phi),
@@ -352,11 +428,14 @@ def clipped_fixed_point(
                 outside_at_limit=outside_count(t, lower, upper),
             )
         if undamped is None and damping < 1.0:
-            u, pair = _secant_step(f, g, pair, lower, upper), (f, g)
+            if newton is None:
+                u, pair = _secant_step(f, g, pair, lower, upper), (f, g)
+            else:  # a Newton step holds no sweep's arrays
+                u, t, f, newton_next = g, None, None, True
         else:
             u = g
     raise NoConvergence(
-        f"no X-norm step below {tol_x:g} within {max_iter} sweeps",
+        f"no X-norm step below {tol_x:g} within {max_iter} steps",
         iterations=max_iter,
         trace=trace,
     )
@@ -377,7 +456,41 @@ def _secant_step(f, g, pair, lower, upper) -> np.ndarray:
     gamma = float(np.vdot(df, f)) / denom if denom > 0.0 else math.nan
     if not math.isfinite(gamma):
         return g
-    return np.clip(g - gamma * (g - g_prev), lower, upper)
+    step = g - gamma * (g - g_prev)
+    np.minimum(step, upper, out=step)
+    return np.maximum(step, lower, out=step)
+
+
+class _ScalarMaps:
+    """T and its Newton step at one shift mu, for clipped_fixed_point.
+
+    sweep(u) is (T(u), None), solved with the factors of T - mu; newton(u)
+    drops those factors, so a Newton step holds only its own solve's, and
+    the next sweep makes them again.
+    """
+
+    def __init__(self, spectrum: SpectrumSummary, nl: Nonlinearity, mu: float) -> None:
+        self.spectrum, self.nl, self.mu = spectrum, nl, mu
+        self.fac: Factors | None = None
+
+    def sweep(self, u: np.ndarray) -> tuple[np.ndarray, None]:
+        if self.fac is None:
+            self.fac = self.spectrum.op.factor(self.mu)
+        return apply_T(self.spectrum, self.nl, self.fac, u), None
+
+    def newton(self, u: np.ndarray) -> np.ndarray | None:
+        """u - J^{-1}((L - mu) u - phi g) = J^{-1}(phi (g - g_u u)), J = L - mu - diag(phi g_u).
+
+        The right-hand form needs no product with L; like a sweep, it is
+        one fresh tridiagonal solve of the whole iterate.
+        """
+        self.fac = None
+        spectrum, nl = self.spectrum, self.nl
+        phi, r = spectrum.phi, spectrum.op.grid.r
+        slope = phi * nl.derivative(r, u)
+        rhs = phi * nl(r, u)
+        rhs -= slope * u
+        return spectrum.op.solve_unverified(self.mu, slope, rhs)
 
 
 def solve_semilinear(
@@ -392,14 +505,20 @@ def solve_semilinear(
 ) -> SemilinearReport:
     """Clipped fixed-point iteration of T inside the bracket.
 
-    Factors T - mu once and runs clipped_fixed_point on the scalar iterate
-    from the requested bracket end, every sweep solving with those factors:
-    steps are secant-mixed until the Picard residual stops falling, then
-    damped by damping for the rest of the solve; damping = 1 takes plain
-    Picard steps throughout.  Clipped nodes count as bracket violations, a
-    sweep clipping more than ESCAPE_FRACTION of the nodes raises
-    BracketEscape, and failure to converge in the X-norm raises
-    NoConvergence carrying the step-size trace.
+    Runs clipped_fixed_point on the scalar iterate from the requested
+    bracket end.  Sweep 1 is a verified Picard sweep; then, with the
+    profile's derivative, clipped Newton steps on the tridiagonal Jacobian
+    L - mu - diag(phi g_u) run until their rate predicts convergence, and
+    one plain verified sweep and the verified image of the limit close
+    the solve (without a derivative the steps are secant-mixed).  A step
+    whose X-norm step does not fall switches to sweeps damped by damping
+    for the rest of the solve; damping = 1 takes plain Picard steps
+    throughout.  The sweeps factor T - mu once, the Newton steps drop
+    those factors, and the closing sweeps factor T - mu again (see
+    _ScalarMaps).  Clipped nodes count as bracket violations, a sweep
+    clipping more than ESCAPE_FRACTION of the nodes raises BracketEscape,
+    and failure to converge in the X-norm raises NoConvergence carrying
+    the step-size trace.
     """
     window = window_semilinear(nl, w)
     lam = spectrum.Lambda
@@ -413,11 +532,11 @@ def solve_semilinear(
     if start not in ("lower", "upper"):
         raise MalformedInput("start must be 'lower' or 'upper'")
     u = bracket.lower if start == "lower" else bracket.upper
-    fac = spectrum.op.factor(mu)
+    maps = _ScalarMaps(spectrum, nl, mu)
     fp = clipped_fixed_point(
-        lambda v: (apply_T(spectrum, nl, fac, v), None),
-        bracket.lower, bracket.upper, u, spectrum.phi,
+        maps.sweep, bracket.lower, bracket.upper, u, spectrum.phi,
         BracketEscape, damping, max_iter, tol_x,
+        newton=None if nl.derivative is None else maps.newton,
     )
     return _finish_report(
         spectrum, w, nl, mu, fp.u,

@@ -31,15 +31,20 @@ diagonal, so by Courant-Fischer sector ell's lowest eigenvalue rises with
 ell (N = 1 has two sectors).
 
 Resolvent solves go through ``DiscreteOperator.solve_shifted``, the one
-verified banded solve.  ``DiscreteOperator.factor(mu)`` LU-factors
-``T - mu`` (LAPACK gttrf, partial pivoting, valid on both sides of the
-spectrum) into an immutable ``Factors`` record that carries its shift;
-each ``solve_shifted(fac, f)`` is one gttrs back-substitution, checked
-against a backward-error residual bound before it is returned.  The
-operator keeps no state: each solver driver factors its own shifts once
-(solve_linear mu; solve_semilinear mu; solve_system mu + xi1 and
+verified banded solve.  The Newton steps of solve_semilinear solve the
+Jacobian ``T - mu - diag(d)`` with ``DiscreteOperator.solve_unverified``
+(one LAPACK gtsv) instead: those solutions are search directions, not
+claims, so they need no residual check, and the limit they lead to is
+verified through ``solve_shifted``.  ``DiscreteOperator.factor(mu)``
+LU-factors ``T - mu`` (LAPACK gttrf, partial pivoting, valid on both
+sides of the spectrum) into an immutable ``Factors`` record that carries
+its shift; each ``solve_shifted(fac, f)`` is one gttrs
+back-substitution, checked against a backward-error residual bound
+before it is returned.  The operator keeps no state: each solver driver
+factors its own shifts (solve_linear mu; solve_semilinear mu, once
+before its Newton steps and once after; solve_system mu + xi1 and
 mu + xi2; monotone_solve mu - M and mu) and the record goes when the
-driver returns or raises.
+driver returns, raises or starts its Newton steps.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solveh_banded
-from scipy.linalg.lapack import dgttrf, dgttrs, dstein
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dstein
 
 from .errors import ConvergenceFailure, MalformedInput, SingularResolvent
 from .radial_grid import Grid, RadialPotential
@@ -108,7 +113,8 @@ class DiscreteOperator:
 
     def restrict(self, u: np.ndarray) -> np.ndarray:
         """Full-grid function -> internal coordinates."""
-        return self.scale * np.asarray(u, dtype=float)[self.start :]
+        u = np.asarray(u, dtype=float)
+        return self.scale * (u[self.start :] if self.start else u)
 
     def extend(self, x: np.ndarray) -> np.ndarray:
         """Internal coordinates -> full-grid function (zero at excluded nodes)."""
@@ -144,10 +150,12 @@ class DiscreteOperator:
         factor).
         """
         mu = fac.mu
+        s = self.start
         b = self.restrict(f)
         x, _ = dgttrs(fac.dl, fac.d, fac.du, fac.du2, fac.ipiv, b)
-        r = self._product(x) - mu * x - b
-        s = self.start
+        r = self._product(x)
+        r -= mu * x
+        r -= b
         outside = np.dot(self.grid.quad_weights[:s], np.asarray(f)[:s] ** 2) if s else 0.0
         resid = math.sqrt(np.dot(r, r) + outside)
         f_norm = math.sqrt(np.dot(b, b) + outside)
@@ -157,7 +165,31 @@ class DiscreteOperator:
                 f"resolvent solve at mu = {mu:.12g} misses the 1e-10 backward-error bound "
                 f"(residual {resid:.3g}); mu too close to spectrum, or data not finite or too large"
             )
-        return self.extend(x)
+        return self._extend_own(x)
+
+    def solve_unverified(self, mu: float, d: np.ndarray, f: np.ndarray) -> np.ndarray | None:
+        """Solve (L - mu - diag(d)) u = f for full-grid functions d, f, u, unchecked.
+
+        For search directions only (the Newton steps of solve_semilinear,
+        whose limits solve_shifted verifies): one LAPACK gtsv elimination
+        with partial pivoting, made afresh at each call, with no residual
+        check.  None when the matrix has an exactly zero pivot.
+        """
+        s = self.start
+        b = self.restrict(f)
+        dm = self.diag - mu
+        dm -= d[s:]
+        *_, x, info = dgtsv(self.offdiag, dm, self.offdiag, b, overwrite_d=1, overwrite_b=1)
+        if info != 0:
+            return None
+        return self._extend_own(x)
+
+    def _extend_own(self, x: np.ndarray) -> np.ndarray:
+        """extend for an x nothing else holds: divided in place when no node is excluded."""
+        if self.start:
+            return self.extend(x)
+        x /= self.scale
+        return x
 
     def factor(self, mu: float) -> Factors:
         """gttrf factors of T - mu; a zero pivot raises SingularResolvent."""

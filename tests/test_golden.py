@@ -4,12 +4,14 @@ Each config below is run through ``main(["run", cfg, "--out", tmp])`` and
 the sha256 digest of every file it writes (``spectrum.json``,
 ``sweep.csv``, each ``solution_*.csv``) is compared with DIGESTS.  The
 semilinear and system modes are pinned both as two-start runs and as
-single-start runs with one profile dump each; these take secant-mixed
-fixed-point steps (Anderson mixing with one stored pair) until the Picard
-residual stops falling.  Both modes are pinned once more with
-``damping = 1``, where every step is the plain Picard step ``u <- clip(T u)``
-with no mixing and no switch to damping, pinned to their bytes from before
-the undamped-first and secant-mixed step rules.  Each config keeps a fixed
+single-start runs with one profile dump each.  The semilinear runs take
+one Picard sweep, clipped Newton steps on the tridiagonal Jacobian and a
+closing Picard sweep; the system runs take secant-mixed fixed-point steps
+(Anderson mixing with one stored pair) until the Picard residual stops
+falling.  Both modes are pinned once more with ``damping = 1``, where
+every step is the plain Picard step ``u <- clip(T u)`` with no Newton or
+mixed step and no switch to damping, pinned to their bytes from before
+the undamped-first, secant-mixed and Newton step rules.  Each config keeps a fixed
 ``output_dir`` string because ``config_hash`` (inside
 ``spectrum.json``) covers it; the files go to ``--out``.
 
@@ -99,16 +101,16 @@ DIGESTS = {
     },
     "semilinear": {
         "spectrum.json": "5706e4ffc90aff57a4e18bdb0c894f6c858bd2c64351331e1919da5ded09ebe1",
-        "sweep.csv": "243754a126039dc855685bbdfaa60e3193e74b3d1f2e7dca0fc5278479995da2",
+        "sweep.csv": "87f98286bedd64ec0e6fcf670741898260849fa46b61ef887ed52a738b92d6a3",
     },
     "system": {
         "spectrum.json": "60edf5cd2b069fe5fbb3040e8eca184763ccbee632a573a033a1de75fdb3472e",
         "sweep.csv": "532eb4867182a146e6f7a91e4b8f8a8df8838b249f446da9fb7cb025a86857af",
     },
     "semilinear_single": {
-        "solution_0.05.csv": "8a93eb38ff58bad46ae8431a95cdf6c4db506c197e23b286b98d61f76412d94e",
+        "solution_0.05.csv": "997674fdb872d003af23b77100b4e06610508b2819d904342b8fc8f70362988a",
         "spectrum.json": "9dbaa970ca05a7d4008a5770c1171f220e5b67efae1a9f698f47432c963cacce",
-        "sweep.csv": "f44790c2a4372da52d7c965823e49c99d11cdd40635e153734116f89a63a6d05",
+        "sweep.csv": "85e5d5d02b6d5c2ae8764d547b8abf8198c2f5d4a68d0707042bcb783bf4d62c",
     },
     "system_single": {
         "solution_-0.2.csv": "08b65118e8e53e8c3739c760b352c999b8baeae6880ceb3d99497f2e8679c618",

@@ -2,9 +2,10 @@
 
 ``DiscreteOperator.factor`` factors ``T - mu`` with LAPACK gttrf, and
 ``DiscreteOperator.solve_shifted`` back-substitutes with gttrs against
-those factors; each solver driver factors its own shifts once per solve,
-which the counts below pin per driver and per ``groundstate run``, next to
-the ``solve_shifted`` calls of two-start fixed-point runs.  The
+those factors; each solver driver factors its own shifts once per solve
+(a semilinear solve twice, around its Newton steps), which the counts
+below pin per driver and per ``groundstate run``, next to the
+``solve_shifted`` calls of two-start fixed-point runs.  The
 reference below is the plain ``solve_banded`` path it replaced, kept here
 only as the oracle: for a (1, 1) band scipy runs gtsv, which performs the
 same pivoted elimination, so the two must agree bit for bit.
@@ -123,6 +124,37 @@ def test_exactly_singular_shift_raises_singular_resolvent():
         op.factor(0.0)
 
 
+@pytest.mark.parametrize(
+    "space_dim, r_max, pot, sector",
+    [(3, 3.2, QUARTIC_3D, 0), (1, 4.0, QUARTIC_1D, 1)],
+    ids=["N3-radial", "N1-odd"],
+)
+def test_unverified_solve_matches_a_dense_solve(space_dim, r_max, pot, sector):
+    # the Newton solve of (L - mu - diag(d)) u = f, on the operator's nodes
+    op = assemble(make_grid(space_dim, r_max, 120), pot, sector)
+    lam = float(eigenvalues(op, 1)[0])
+    rng = np.random.default_rng(11)
+    s = op.start
+    for mu in (lam - 0.1, lam + 0.1):
+        d = rng.uniform(-1.0, 1.0, len(op.grid.r))
+        f = rng.standard_normal(len(op.grid.r))
+        u = op.solve_unverified(mu, d, f)
+        dense = np.diag(op.diag - mu - d[s:]) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)
+        x = np.linalg.solve(dense, op.restrict(f))
+        assert np.allclose(op.restrict(u), x, rtol=1e-9, atol=1e-9 * np.max(np.abs(x)))
+        assert np.all(u[:s] == 0.0)
+        # with d = 0 it solves what solve_shifted solves, without the check
+        plain = op.solve_unverified(mu, np.zeros_like(d), f * (np.arange(len(f)) >= s))
+        assert np.allclose(plain, op.solve_shifted(op.factor(mu), f * (np.arange(len(f)) >= s)))
+
+
+def test_unverified_solve_of_a_singular_matrix_is_none():
+    base = assemble(make_grid(3, 1.0, 3), QUARTIC_3D, 0)
+    op = replace(base, diag=np.array([1.0, 2.0, 1.0]), offdiag=np.array([1.0, 1.0]))
+    assert op.solve_unverified(0.0, np.zeros(3), np.ones(3)) is None
+    assert op.solve_unverified(0.0, np.array([0.0, 0.0, -1.0]), np.ones(3)) is not None
+
+
 def test_singular_factorization_exits_3_without_output(tmp_path, monkeypatch):
     real = spectral.dgttrf
 
@@ -169,11 +201,14 @@ def factor_calls(monkeypatch):
     return calls
 
 
-def test_semilinear_two_start_factors_once_per_start(setup, factor_calls):
+def test_semilinear_two_start_factors_twice_per_start(setup, factor_calls):
+    # each start factors mu for sweep 1 and again for its closing sweep and
+    # image: the Newton steps between drop those factors and solve their
+    # Jacobians with gtsv, which makes no gttrf call
     spectrum, w = setup
     rep = two_start_diagnostics(spectrum, w, rational_profile(1.0, 2.0), spectrum.Lambda - 0.1)
     assert rep.certified
-    assert len(factor_calls) == 2
+    assert len(factor_calls) == 4
 
 
 def test_system_two_start_factors_each_shift_once_per_start(setup, factor_calls):
@@ -212,8 +247,9 @@ WINDOW_SAMPLES = 8  # estimate_c0_delta0 factors T - mu at each of its samples
     [
         ("eigen", {}, 0),
         ("linear", {"f": {"kind": "phi_plus_phi2", "coeff": 0.5}}, 1),
-        ("semilinear", {"nonlinearity": _RATIONAL, "solver": {"two_start": True}}, 2),
-        ("semilinear", {"nonlinearity": _RATIONAL, "solver": {"two_start": False}}, 1),
+        # a semilinear solve factors mu twice: before and after its Newton steps
+        ("semilinear", {"nonlinearity": _RATIONAL, "solver": {"two_start": True}}, 4),
+        ("semilinear", {"nonlinearity": _RATIONAL, "solver": {"two_start": False}}, 2),
         ("system", {**_SYSTEM, "solver": {"two_start": True}}, 4),
     ],
     ids=["eigen", "linear", "semilinear-two-start", "semilinear-single", "system-two-start"],
@@ -242,7 +278,7 @@ def solve_calls(monkeypatch):
 @pytest.mark.parametrize(
     "mode, extra, solves",
     [
-        ("semilinear", {"nonlinearity": _RATIONAL, "solver": {"two_start": True}}, 56),
+        ("semilinear", {"nonlinearity": _RATIONAL, "solver": {"two_start": True}}, 24),
         ("system", {**_SYSTEM, "solver": {"two_start": True}}, 122),
     ],
     ids=["semilinear-two-start", "system-two-start"],
@@ -252,7 +288,10 @@ def test_run_pins_the_solves_of_the_mixed_iteration(tmp_path, solve_calls, mode,
 
     Before the secant-mixed steps, with undamped Picard steps only, the
     same runs made 112 (semilinear) and 242 (system) calls; a change that
-    loses the acceleration fails here.
+    loses the acceleration fails here.  The semilinear run made 56 with
+    secant-mixed steps; with Newton steps each start makes 3 verified
+    solves (sweep 1, the closing sweep and the image of the limit), 24 in
+    all, because the Newton solves are search directions, not verified.
     """
     cfg = {**_RUN, "mode": mode, **extra}
     path = tmp_path / "cfg.json"

@@ -1,5 +1,8 @@
 """Semilinear fixed-point solves, brackets, and uniqueness diagnostics."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +151,40 @@ def test_validate_nonlinearity_reports_a_box_failure_before_a_ratio_failure():
         validate_nonlinearity(both, r)
 
 
+@pytest.mark.parametrize(
+    "nl",
+    [
+        constant_profile(1.3),
+        rational_profile(0.5, 3.0),
+        exp_decay_profile(1.0, 2.0, s=0.7),
+        exp_decay_profile(0.2, 5.0, s=40.0),
+    ],
+    ids=["constant", "rational", "exp_decay", "exp_decay-steep"],
+)
+def test_validate_nonlinearity_accepts_the_cli_derivatives(nl):
+    r = np.linspace(0.1, 3.0, 20)
+    assert nl.derivative is not None
+    validate_nonlinearity(nl, r)
+
+
+@pytest.mark.parametrize("factor", [-1.0, 2.0, 0.5], ids=["sign", "double", "half"])
+@pytest.mark.parametrize(
+    "base",
+    [rational_profile(1.0, 2.0), exp_decay_profile(1.0, 3.0, s=0.7)],
+    ids=["rational", "exp_decay"],
+)
+def test_validate_nonlinearity_catches_a_wrong_derivative(base, factor):
+    r = np.linspace(0.1, 3.0, 20)
+    wrong = Nonlinearity(
+        profile=base.profile,
+        kappa=base.kappa,
+        k_upper=base.k_upper,
+        derivative=lambda r, u: factor * base.derivative(r, u),
+    )
+    with pytest.raises(HypothesisViolated, match="g_u disagrees"):
+        validate_nonlinearity(wrong, r)
+
+
 # ------------------------------------------------------ brackets and window
 
 
@@ -290,18 +327,24 @@ def fixed_points(monkeypatch):
 
 
 def steep_profile(spectrum, mu):
-    """g = 1 + 1/(1 + exp(8 (v - 1.3))) of the ratio v = (Lambda - mu) u/phi.
+    """g = 1 + p, p = 1/(1 + exp(8 (v - 1.3))), of the ratio v = (Lambda - mu) u/phi.
 
     From a multiple of phi, T maps v to g(v) exactly, and g' ~ -1.9 at the
     fixed point v* ~ 1.37: the plain Picard iterate moves away from it
-    into a two-cycle, while the secant-mixed step finds it.
+    into a two-cycle, while the Newton step (g_u = -8 p (1 - p) dv/du)
+    finds it.
     """
     scale = (spectrum.Lambda - mu) / spectrum.phi
+
+    def logistic(u):
+        return 1.0 / (1.0 + np.exp(8.0 * (u * scale - 1.3)))
+
     return Nonlinearity(
-        profile=lambda r, u: 1.0 + 1.0 / (1.0 + np.exp(8.0 * (u * scale - 1.3))),
+        profile=lambda r, u: 1.0 + logistic(u),
         kappa=1.0,
         k_upper=2.0,
         strictly_decreasing_ratio=False,
+        derivative=lambda r, u: -8.0 * scale * logistic(u) * (1.0 - logistic(u)),
     )
 
 
@@ -375,15 +418,18 @@ def test_limit_whose_image_leaves_the_set_is_counted(shape):
 
 
 def image_past_upper(monkeypatch, upper, node):
-    """Make apply_T return T(u) with node set 1% of |upper| past upper."""
+    """Make apply_T return T(u) with node set 1% of |upper| past upper; returns its calls."""
     real = semilinear_solver.apply_T
+    calls = []
 
     def lying(*args):
+        calls.append(None)
         t = real(*args)
         t[node] = upper[node] + 0.01 * abs(upper[node])
         return t
 
     monkeypatch.setattr(semilinear_solver, "apply_T", lying)
+    return calls
 
 
 @pytest.mark.parametrize("offset", [-0.1, 0.05], ids=["MP", "AMP"])
@@ -395,14 +441,35 @@ def test_row_whose_limit_image_leaves_the_bracket_is_uncertified(ctx, monkeypatc
     mu = spectrum.Lambda + offset
     bracket = make_bracket(spectrum, nl, mu)
     assert solve_semilinear(spectrum, w, nl, mu).certified
-    image_past_upper(monkeypatch, bracket.upper, 200)
-    for rep in (
-        solve_semilinear(spectrum, w, nl, mu),
-        two_start_diagnostics(spectrum, w, nl, mu),
-    ):
+    calls = image_past_upper(monkeypatch, bracket.upper, 200)
+    single = solve_semilinear(spectrum, w, nl, mu)
+    sweeps = len(calls) - 1  # every apply_T but the image of the limit is a sweep
+    assert single.violations >= sweeps  # each verified sweep counts node 200
+    for rep in (single, two_start_diagnostics(spectrum, w, nl, mu)):
         assert not rep.certified
-        assert rep.violations >= rep.iterations
+        assert rep.violations == single.violations
         assert bracket.lower[200] <= rep.solution.values[200] <= bracket.upper[200]
+
+
+def test_escape_message_counts_sweeps_not_newton_steps(ctx, monkeypatch):
+    # the second apply_T is the closing sweep after the Newton steps; its
+    # image, moved past the whole bracket, escapes on sweep 2
+    _, _, spectrum, w = ctx
+    nl = rational_profile(1.0, 2.0)
+    mu = spectrum.Lambda - 0.1
+    assert solve_semilinear(spectrum, w, nl, mu).iterations > 3
+    upper = make_bracket(spectrum, nl, mu).upper
+    real = semilinear_solver.apply_T
+    calls = []
+
+    def escaping_second(*args):
+        calls.append(None)
+        t = real(*args)
+        return 2.0 * upper if len(calls) == 2 else t
+
+    monkeypatch.setattr(semilinear_solver, "apply_T", escaping_second)
+    with pytest.raises(BracketEscape, match=r"at 400/400 nodes on sweep 2$"):
+        solve_semilinear(spectrum, w, nl, mu)
 
 
 def test_monotone_row_whose_limit_image_leaves_the_bracket_is_uncertified(ctx, monkeypatch):
@@ -455,7 +522,7 @@ def test_sweep_floor_keeps_a_steep_amp_row_certified(monkeypatch):
     nl = rational_profile(1.0, 3.0)
     mu = spectrum.Lambda + 0.2 * window_semilinear(nl, w)
     rep = two_start_diagnostics(spectrum, w, nl, mu)
-    assert (rep.branch, rep.certified, rep.violations, rep.iterations) == ("AMP", True, 45, 6)
+    assert (rep.branch, rep.certified, rep.violations, rep.iterations) == ("AMP", True, 45, 5)
     assert rep.uniqueness.two_start_gap <= 1e-11
     monkeypatch.setattr(semilinear_solver, "BRACKET_SLACK", 0.0)
     with pytest.raises(BracketEscape, match="at 97/201 nodes on sweep 1"):
@@ -505,6 +572,66 @@ def test_default_solve_is_certified_in_window(c, s, space_dim, n, kappa, spread,
     else:
         assert rep.certified
         assert rep.uniqueness.two_start_gap <= 1e-7
+
+
+@settings(max_examples=30)
+@given(
+    c=st.floats(0.05, 5.0),
+    s=st.floats(2.0, 6.0, exclude_min=True),
+    space_dim=st.integers(1, 5),
+    n=st.integers(40, 300),
+    kappa=st.floats(0.2, 2.0),
+    spread=st.floats(1.0, 4.0),
+    frac=st.floats(0.05, 0.95),
+    side=st.sampled_from([-1.0, 1.0]),
+)
+def test_newton_limit_matches_the_picard_limit(c, s, space_dim, n, kappa, spread, frac, side):
+    # The Newton steps are unverified search directions: the two-start
+    # limits must be the ones plain Picard sweeps (damping = 1) reach, with
+    # the same certificate, and the verified residual must meet tol_x.
+    grid = make_grid(space_dim, 4.0, n)
+    spectrum = summarize_spectrum(grid, power_potential(c, s))
+    w = estimate_c0_delta0(spectrum)
+    nl = rational_profile(kappa, kappa * spread)
+    mu = spectrum.Lambda + side * frac * window_semilinear(nl, w)
+    tol_x = 1e-9
+    try:
+        picard = two_start_diagnostics(spectrum, w, nl, mu, damping=1.0, tol_x=tol_x)
+    except BracketEscape as exc:  # sweep 1 is the same Picard sweep in both solves
+        with pytest.raises(BracketEscape, match=re.escape(str(exc))):
+            two_start_diagnostics(spectrum, w, nl, mu, tol_x=tol_x)
+        return
+    rep = two_start_diagnostics(spectrum, w, nl, mu, tol_x=tol_x)
+    phi = spectrum.phi
+    for got, want in ((rep.solution, picard.solution), (rep.solution_upper, picard.solution_upper)):
+        assert x_norm(got.values - want.values, phi) <= 1e-10 * want.x_norm
+    assert rep.certified == picard.certified
+    assert rep.residual_x <= tol_x
+
+
+def test_newton_solve_holds_no_more_memory_than_the_secant_solve():
+    # tracemalloc transient of one solve on the semilinear_sweep bench
+    # problem; the secant-mixed solve it replaced peaked at 55760 bytes
+    # (MP) and 55744 (AMP) above the memory held before the call
+    grid = make_grid(3, 3.2, 400)
+    spectrum = summarize_spectrum(grid, power_potential(1.0, 4.0))
+    w = estimate_c0_delta0(spectrum)
+    nl = rational_profile(1.0, 2.0)
+    tracing = tracemalloc.is_tracing()
+    for mu in (spectrum.Lambda - 0.2, spectrum.Lambda + 0.2):
+        solve_semilinear(spectrum, w, nl, mu)  # fills the operator's cached norm bound
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            rep = solve_semilinear(spectrum, w, nl, mu)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert rep.certified
+        assert peak <= 55760
 
 
 # ---------------------------------------------------------------- monotone
@@ -605,12 +732,16 @@ def test_two_start_diagnostics_fields(ctx):
 
 
 def one_sided_profile():
+    """g = -0.5 + 1.5 exp(-(u/10)^2), g_u = -0.03 u exp(-(u/10)^2)."""
     return Nonlinearity(
         profile=lambda r, u: -0.5
         + 1.5 * np.exp(-((np.asarray(u, dtype=float) / 10.0) ** 2)),
         kappa=-0.5,
         k_upper=1.5,
         strictly_decreasing_ratio=False,
+        derivative=lambda r, u: -0.03
+        * np.asarray(u, dtype=float)
+        * np.exp(-((np.asarray(u, dtype=float) / 10.0) ** 2)),
     )
 
 
