@@ -24,8 +24,8 @@ coupling part of T2 has the closed square form
 
 node by node, hence is nonpositive; when the nonlinearity ratios are
 strictly decreasing both sides are pinched to zero exactly when the two
-candidate pairs coincide.  A run reports T1 and checks that the closed
-square cross term is nonpositive; T2 itself is not evaluated.
+candidate pairs coincide.  A run reports T1 and checks that it is not
+below -1e-8; T2 is not evaluated.
 
 A SystemProblem holds (L, A, F) for a whole sweep, L as the spectrum
 summary that carries it, and is checked against the vector groundstate
@@ -51,7 +51,7 @@ from .errors import (
 )
 from .groundstate_space import GroundstateVector, WindowEstimate, decompose, x_norm
 from .semilinear_solver import Nonlinearity, UniquenessDiagnostics, clipped_fixed_point
-from .semilinear_solver import _ratio_form, _ratio_forms
+from .semilinear_solver import _ratio_forms
 from .spectral import DiscreteOperator, Factors, SpectrumSummary
 
 WINDOW_RULE_SYSTEM = "min(delta0, kappa'/(2*c0*K'), (xi1-xi2)/2, lambda2-Lambda)"
@@ -383,53 +383,26 @@ def block_solve(
     return u1, u2
 
 
-@dataclass(frozen=True)
-class CoupledUniqueness:
-    """Coupled Brezis-Oswald diagnostics for two candidate pairs.
-
-    t1 is the weighted Laplacian form (nonnegative up to quadrature
-    error), cross_term the closed square form of the coupling part
-    (nonpositive by construction) and cross_term_raw the same quantity
-    evaluated directly from the ratio differences.
-    """
-
-    t1: float
-    cross_term: float
-    cross_term_raw: float
-
-
 def coupled_uniqueness_check(
     op: DiscreteOperator,
     u_pair: tuple[np.ndarray, np.ndarray],
     v_pair: tuple[np.ndarray, np.ndarray],
     m: CoopMatrix,
-) -> CoupledUniqueness:
-    """Evaluate the coupled uniqueness identity on two candidate pairs.
+) -> float:
+    """The coupled Brezis-Oswald form T1 = T(u1, v1)/b + T(u2, v2)/c of two candidate pairs.
 
-    All four components must share one strict sign (an all-negative
-    quartet is flipped).  Sanity postconditions t1 >= -1e-8 and
-    cross_term <= 1e-8 are enforced; genuine candidate pairs violate them
-    only through sign mixing or hypothesis failure.
+    T is semilinear_solver.brezis_oswald_check's form.  All four
+    components must share one strict sign, else SignMixed is raised.  T1
+    is nonnegative up to quadrature error, so T1 < -1e-8 raises
+    HypothesisViolated.
     """
-    ((u1f, v1f), (u2f, v2f)), lap = _ratio_forms(
+    lap = _ratio_forms(
         op, zip(u_pair, v_pair), "all four components must be strictly one-signed, same sign"
     )
-    s = op.start
-    u1, u2, v1, v2 = u1f[s:], u2f[s:], v1f[s:], v2f[s:]
-    wq = op.grid.quad_weights[s:]
     t1 = lap[0] / m.b + lap[1] / m.c
-
-    cross_raw = _ratio_form(wq, u2, u1, v2, v1) + _ratio_form(wq, u1, u2, v1, v2)
-    cross = -float(
-        np.dot(wq, (np.sqrt(u2 * v1**2 / u1) - np.sqrt(u1 * v2**2 / u2)) ** 2)
-        + np.dot(wq, (np.sqrt(v2 * u1**2 / v1) - np.sqrt(v1 * u2**2 / v2)) ** 2)
-    )
-
     if t1 < -1e-8:
         raise HypothesisViolated(f"coupled form T1 = {t1:.3g} below -1e-8")
-    if cross > 1e-8:
-        raise HypothesisViolated(f"coupling cross term {cross:.3g} above 1e-8")
-    return CoupledUniqueness(t1=t1, cross_term=cross, cross_term_raw=cross_raw)
+    return t1
 
 
 def system_two_start(
@@ -448,8 +421,8 @@ def system_two_start(
         x_norm(hi.u1.values - lo.u1.values, phi),
         x_norm(hi.u2.values - lo.u2.values, phi),
     )
-    cu = coupled_uniqueness_check(
+    t1 = coupled_uniqueness_check(
         p.spectrum.op, (lo.u1.values, lo.u2.values), (hi.u1.values, hi.u2.values), p.matrix
     )
-    diag = UniquenessDiagnostics(two_start_gap=gap, brezis_oswald_residual=cu.t1)
+    diag = UniquenessDiagnostics(two_start_gap=gap, brezis_oswald_residual=t1)
     return replace(lo, uniqueness=diag)

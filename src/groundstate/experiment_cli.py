@@ -26,7 +26,9 @@ increase, or too few rows), a ``dump_solutions`` entry that matches no
 shift offset, a ``power`` potential with ``s <= 2`` (the
 message names ``potential.s``), a non-finite shift offset or matrix entry,
 a grid with fewer nodes than the six radial eigenvalues the spectrum
-reports, non-finite grid weights, a ``grid.spectral_scale``,
+reports or with more than a numpy array holds (the message names
+``grid.n``, ``grid.points_per_unit`` or ``--grid-scale``), non-finite
+grid weights, a ``grid.spectral_scale``,
 ``grid.points_per_unit`` or ``grid.truncation_factor`` that is not finite
 (the message names the key), a ``grid.spectral_scale`` whose multiple q
 does not reach below r = 1e4 (the message names it), or a potential that is
@@ -39,7 +41,7 @@ raised (no convergence,
 singular solve, escaped bracket, window or hypothesis violation) or
 numpy/scipy did (``LinAlgError``,
 an ``ArithmeticError`` such as ``OverflowError``, or a ``MemoryError``
-for a grid too large to allocate); 4 certificates were
+for a grid numpy can size but memory cannot hold); 4 certificates were
 required but some row is uncertified.  The output directory is created only
 once every row is computed, so a run that exits 2 or 3 creates none.
 Wall-clock time goes to stderr only, keeping files reproducible.
@@ -81,6 +83,7 @@ from .radial_grid import (
     build_grid,
     exp_potential,
     make_grid,
+    node_count,
     power_potential,
     read_table,
     require_increasing,
@@ -272,8 +275,8 @@ def build_the_grid(cfg: dict, pot, grid_scale: float):
     if direct == ("spectral_scale" in g):
         raise MalformedInput("grid needs either (r_max, n) or spectral_scale")
     if direct:
-        n = int(math.ceil(g["n"] * grid_scale))
-        grid = make_grid(cfg["space_dim"], g["r_max"], n)
+        key = "grid.n" if grid_scale == 1.0 else "grid.n times --grid-scale"
+        grid = make_grid(cfg["space_dim"], g["r_max"], node_count(g["n"] * grid_scale, key))
     else:
         grid = build_grid(
             pot,
@@ -578,7 +581,6 @@ def _solver_controls(cfg: dict) -> tuple[bool, str, dict]:
 def _fixed_point_cells(rep) -> dict:
     """Cells a semilinear or system report fills the same way."""
     diag = rep.uniqueness
-    bo = None if diag is None else diag.brezis_oswald_residual
     return dict(
         branch=rep.branch,
         certified=rep.certified,
@@ -587,7 +589,7 @@ def _fixed_point_cells(rep) -> dict:
         residual_x=rep.residual_x,
         violations=rep.violations,
         two_start_gap="" if diag is None else diag.two_start_gap,
-        bo_residual="" if bo is None else bo,
+        bo_residual="" if diag is None else diag.brezis_oswald_residual,
     )
 
 

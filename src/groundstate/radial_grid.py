@@ -201,6 +201,20 @@ class Grid:
         return float(pot(np.array([self.r_max]))[0] / spectral_scale)
 
 
+def node_count(points: float, key: str) -> int:
+    """ceil(points) grid nodes, or MalformedInput naming ``key`` when numpy cannot hold them.
+
+    numpy refuses an array of more than intp.max // 8 eight-byte entries
+    with a ValueError, before allocating anything; a count below that
+    which memory cannot hold still fails in make_grid, with MemoryError.
+    """
+    if not points < np.iinfo(np.intp).max // 8:
+        raise MalformedInput(
+            f"{key} asks for {points:.3g} grid nodes, more than a numpy array holds"
+        )
+    return int(math.ceil(points))
+
+
 def make_grid(space_dim: int, r_max: float, n: int) -> Grid:
     """Construct a grid directly from (N, r_max, n)."""
     if space_dim < 1:
@@ -244,8 +258,9 @@ def build_grid(
     Raises
     ------
     MalformedInput
-        If a parameter is not finite and positive; the message names its
-        config key (grid.<name>).
+        If a parameter is not finite and positive, or if the grid has more
+        nodes than a numpy array holds; the message names its config key
+        (grid.<name>).
     UnboundedSearch
         If no radius below the hard cap reaches the threshold; the message
         names grid.spectral_scale.
@@ -277,5 +292,5 @@ def build_grid(
         if hi - lo < 1e-9:
             break
     r_max = hi
-    n = int(math.ceil(points_per_unit * r_max))
+    n = node_count(points_per_unit * r_max, "grid.points_per_unit")
     return make_grid(space_dim, r_max, max(n, 2))

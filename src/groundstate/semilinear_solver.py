@@ -29,9 +29,10 @@ a fixed point of T fails that check.
 A classical monotone iteration from the bracket endpoints is provided as
 an independent cross-check, and a discrete Brezis-Oswald identity gives a
 uniqueness diagnostic: for two positive candidates the quadratic form
-quadrature((Lu/u - Lv/v)(u^2 - v^2)) equals a manifestly nonnegative
-gradient-ratio quadrature, so its value (and the gap between the two
-iteration limits) measures how far the pair is from coinciding.
+quadrature((Lu/u - Lv/v)(u^2 - v^2)) agrees, to second order in the grid
+step, with a manifestly nonnegative gradient-ratio quadrature, so its
+value (and the gap between the two iteration limits) measures how far
+the pair is from coinciding.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .errors import (
     WindowViolation,
 )
 from .groundstate_space import CERT_SLACK, GroundstateVector, WindowEstimate, decompose, x_norm
-from .radial_grid import sphere_area
 from .spectral import DiscreteOperator, Factors, SpectrumSummary
 
 WINDOW_RULE_SEMILINEAR = "min(delta0, kappa/(2*c0*K))"
@@ -71,18 +71,18 @@ class Nonlinearity:
     kappa <= profile <= k_upper.  The full certificate theory needs
     kappa > 0; kappa <= 0 is admitted for the one-sided regime (data only
     bounded above), where the MP-side solve still works but the GSP
-    certificate is skipped.  strictly_decreasing_ratio asserts that
-    u -> profile(r, u)/u is strictly decreasing on u > 0, the hypothesis
-    behind the uniqueness diagnostics.  derivative(r, u) is the
-    u-derivative g_u of profile: solve_semilinear takes Newton steps with
-    it, and without it the secant-mixed steps the system solves take.
+    certificate is skipped.  derivative(r, u) is the u-derivative g_u of
+    profile, with which solve_semilinear takes its Newton steps (the
+    system solves use only profile).  strictly_decreasing_ratio asserts
+    that u -> profile(r, u)/u is strictly decreasing on u > 0, the
+    hypothesis behind the uniqueness diagnostics.
     """
 
     profile: Callable[[np.ndarray, np.ndarray], np.ndarray]
     kappa: float
     k_upper: float
+    derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
     strictly_decreasing_ratio: bool = True
-    derivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if not (self.kappa <= self.k_upper) or self.k_upper <= 0.0:
@@ -143,7 +143,7 @@ def validate_nonlinearity(nl: Nonlinearity, r: np.ndarray) -> None:
     The box kappa <= g <= K is checked on a symmetric u-lattice (64
     log-spaced values from 1e-3 to 1e3, their negatives, and zero); the
     ratio g(r, u)/u is checked for strict decrease along the positive
-    lattice at every node.  With a derivative, one interval [a, b] of
+    lattice at every node.  For g_u, one interval [a, b] of
     neighbouring lattice points in every SLOPE_EVERY (8 positive and 7
     negative ones, one every ~0.76 decade of |u|; none ends at u = 0,
     exp_decay's kink) must have its difference quotient
@@ -178,7 +178,7 @@ def validate_nonlinearity(nl: Nonlinearity, r: np.ndarray) -> None:
                 ratio_fails_at = uval
             prev = ratio
         phase = j % SLOPE_EVERY  # a checked interval runs from phase SLOPE_EVERY - 1 to 0
-        if nl.derivative is None or slope_fails_at is not None or 0 < phase < SLOPE_EVERY - 1:
+        if slope_fails_at is not None or 0 < phase < SLOPE_EVERY - 1:
             continue
         gu = np.asarray(nl.derivative(r, u), dtype=float)
         if phase == 0 and last is not None and last[0] * uval > 0.0:
@@ -246,7 +246,13 @@ def apply_T(
 
 @dataclass(frozen=True)
 class UniquenessDiagnostics:
-    """Two-start gap and Brezis-Oswald identity value for one solve."""
+    """Uniqueness diagnostics of one two-start or monotone solve.
+
+    two_start_gap is the X-distance between the limits from the two ends;
+    brezis_oswald_residual is the Brezis-Oswald form of the two limits
+    (brezis_oswald_check, or coop_system.coupled_uniqueness_check's T1 for
+    a system), not an identity gap, and None when it is not evaluated.
+    """
 
     two_start_gap: float | None
     brezis_oswald_residual: float | None
@@ -506,11 +512,10 @@ def solve_semilinear(
     """Clipped fixed-point iteration of T inside the bracket.
 
     Runs clipped_fixed_point on the scalar iterate from the requested
-    bracket end.  Sweep 1 is a verified Picard sweep; then, with the
-    profile's derivative, clipped Newton steps on the tridiagonal Jacobian
-    L - mu - diag(phi g_u) run until their rate predicts convergence, and
-    one plain verified sweep and the verified image of the limit close
-    the solve (without a derivative the steps are secant-mixed).  A step
+    bracket end.  Sweep 1 is a verified Picard sweep; then clipped Newton
+    steps on the tridiagonal Jacobian L - mu - diag(phi g_u) run until
+    their rate predicts convergence, and one plain verified sweep and the
+    verified image of the limit close the solve.  A step
     whose X-norm step does not fall switches to sweeps damped by damping
     for the rest of the solve; damping = 1 takes plain Picard steps
     throughout.  The sweeps factor T - mu once, the Newton steps drop
@@ -536,7 +541,7 @@ def solve_semilinear(
     fp = clipped_fixed_point(
         maps.sweep, bracket.lower, bracket.upper, u, spectrum.phi,
         BracketEscape, damping, max_iter, tol_x,
-        newton=None if nl.derivative is None else maps.newton,
+        newton=maps.newton,
     )
     return _finish_report(
         spectrum, w, nl, mu, fp.u,
@@ -682,65 +687,39 @@ def monotone_solve(
     )
 
 
-def _ratio_form(wq, fa, a, fb, b) -> float:
-    """quadrature((fa/a - fb/b)(a^2 - b^2)) with weights wq; fa, fb are images of a, b."""
-    return float(np.dot(wq, (fa / a - fb / b) * (a**2 - b**2)))
+def _ratio_forms(op: DiscreteOperator, pairs: Iterable, sign_message: str) -> list[float]:
+    """quadrature((La/a - Lb/b)(a^2 - b^2)) per pair (a, b) on the operator's nodes.
 
-
-def _ratio_forms(op: DiscreteOperator, pairs: Iterable, sign_message: str) -> tuple[list, list]:
-    """Pairs (a, b) made positive, and quadrature((La/a - Lb/b)(a^2 - b^2)) per pair.
-
-    All functions must share one strict sign on the operator's nodes (an
-    all-negative set is flipped), else SignMixed(sign_message) is raised.
+    All functions must share one strict sign there, else SignMixed(sign_message)
+    is raised; the form of (-a, -b) is that of (a, b), bit for bit.
     """
     s = op.start
     pairs = [(np.asarray(a, dtype=float), np.asarray(b, dtype=float)) for a, b in pairs]
     if not all(np.all(x[s:] > 0) for pair in pairs for x in pair):
         if not all(np.all(x[s:] < 0) for pair in pairs for x in pair):
             raise SignMixed(sign_message)
-        pairs = [(-a, -b) for a, b in pairs]
     wq = op.grid.quad_weights[s:]
     forms = []
     for a, b in pairs:
-        la, lb, a_s, b_s = op.matvec(a)[s:], op.matvec(b)[s:], a[s:], b[s:]
-        forms.append(_ratio_form(wq, la, a_s, lb, b_s))
-    return pairs, forms
+        la, lb, a, b = op.matvec(a)[s:], op.matvec(b)[s:], a[s:], b[s:]
+        forms.append(float(np.dot(wq, (la / a - lb / b) * (a**2 - b**2))))
+    return forms
 
 
-def brezis_oswald_check(
-    op: DiscreteOperator, u: np.ndarray, v: np.ndarray
-) -> tuple[float, float]:
-    """Discrete Brezis-Oswald quadratic form and its identity gap.
+def brezis_oswald_check(op: DiscreteOperator, u: np.ndarray, v: np.ndarray) -> float:
+    """Discrete Brezis-Oswald quadratic form of two one-signed functions.
 
-    For one-signed u, v (both positive, or both negative -- then absolute
-    values are used) the form
+    For u, v both strictly positive or both strictly negative on the
+    operator's nodes, returns
 
-        T = quadrature((Lu/u - Lv/v) * (u^2 - v^2))
+        T = quadrature((Lu/u - Lv/v) * (u^2 - v^2)).
 
-    equals the edge-midpoint quadrature of
-    v_mid^2*((u/v)')^2 + u_mid^2*((v/u)')^2 over interior edges, which is
-    nonnegative and vanishes iff u/v is constant.  Returns (T, T - rhs);
-    the gap shrinks at second order under grid refinement and certifies
-    that T's sign is structural, not a quadrature artifact.  Mixed signs
-    raise SignMixed.
+    T agrees, to second order in the grid step, with a quadrature of
+    v^2*((u/v)')^2 + u^2*((v/u)')^2, which is nonnegative and vanishes iff
+    u/v is constant.  Mixed signs raise SignMixed.
     """
-    ((u, v),), (t_lhs,) = _ratio_forms(
-        op, [(u, v)], "u and v must both be strictly one-signed, same sign"
-    )
-    s = op.start
-    us, vs = u[s:], v[s:]
-    grid = op.grid
-    r = grid.r[s:]
-    h = grid.h
-    area = sphere_area(grid.space_dim)
-    r_mid = 0.5 * (r[:-1] + r[1:])
-    w_mid = area * r_mid ** (grid.space_dim - 1) * h
-    u_mid = 0.5 * (us[:-1] + us[1:])
-    v_mid = 0.5 * (vs[:-1] + vs[1:])
-    duv = np.diff(us / vs) / h
-    dvu = np.diff(vs / us) / h
-    rhs = float(np.dot(w_mid, v_mid**2 * duv**2 + u_mid**2 * dvu**2))
-    return t_lhs, t_lhs - rhs
+    (form,) = _ratio_forms(op, [(u, v)], "u and v must both be strictly one-signed, same sign")
+    return form
 
 
 def two_start_diagnostics(
@@ -755,9 +734,10 @@ def two_start_diagnostics(
     """Solve from both bracket ends and attach uniqueness diagnostics.
 
     two_start_gap is the X-distance between the two limits;
-    brezis_oswald_residual is the identity gap of the discrete form on
-    the pair (a genuine uniqueness indicator only when the decreasing-
-    ratio hypothesis holds, which is recorded on the nonlinearity).
+    brezis_oswald_residual is the Brezis-Oswald form T of the pair
+    (brezis_oswald_check), which is near 0 when the limits coincide (a
+    uniqueness indicator only when the decreasing-ratio hypothesis holds,
+    which is recorded on the nonlinearity).
     """
     lo = solve_semilinear(
         spectrum, w, nl, mu, start="lower",
@@ -768,6 +748,6 @@ def two_start_diagnostics(
         damping=damping, max_iter=max_iter, tol_x=tol_x,
     )
     gap = x_norm(hi.solution.values - lo.solution.values, spectrum.phi)
-    t_lhs, _ = brezis_oswald_check(spectrum.op, lo.solution.values, hi.solution.values)
-    diag = UniquenessDiagnostics(two_start_gap=gap, brezis_oswald_residual=t_lhs)
+    form = brezis_oswald_check(spectrum.op, lo.solution.values, hi.solution.values)
+    diag = UniquenessDiagnostics(two_start_gap=gap, brezis_oswald_residual=form)
     return replace(lo, uniqueness=diag, solution_upper=hi.solution)

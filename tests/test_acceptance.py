@@ -9,12 +9,12 @@ import json
 
 import numpy as np
 import pytest
+from brezis_oswald_reference import brezis_oswald_identity, coupled_cross_terms
 
 from groundstate import (
     RadialPotential,
     analyze_matrix,
     block_solve,
-    brezis_oswald_check,
     certify_theorem1,
     constant_profile,
     coupled_uniqueness_check,
@@ -160,7 +160,7 @@ def test_criterion_05_uniqueness_diagnostics(quart):
     diff = mono.solution_upper.values - mono.solution.values
     ordered = float(diff.min()) >= -1e-10 * float(np.max(np.abs(mono.solution.values)))
 
-    t_lhs, identity_gap = brezis_oswald_check(
+    t_lhs, identity_gap = brezis_oswald_identity(
         op, two.solution.values, two.solution_upper.values
     )
     rhs = t_lhs - identity_gap
@@ -173,7 +173,7 @@ def test_criterion_05_uniqueness_diagnostics(quart):
         g = make_grid(3, 3.2, n)
         s = summarize_spectrum(g, QUARTIC)
         u = s.phi * (1.0 + 0.1 / (1.0 + g.r**2))
-        gaps.append(abs(brezis_oswald_check(s.op, u, s.phi)[1]))
+        gaps.append(abs(brezis_oswald_identity(s.op, u, s.phi)[1]))
     refines = gaps[1] <= gaps[0] / 1.8
 
     ok = gap <= 1e-7 and ordered and bo_ok and refines
@@ -235,10 +235,10 @@ def test_criterion_08_system_suite(quart):
 
         lo = solve_system(p, w, lam_star + offset, start="lower")
         hi = solve_system(p, w, lam_star + offset, start="upper")
-        cu = coupled_uniqueness_check(
-            op, (lo.u1.values, lo.u2.values), (hi.u1.values, hi.u2.values), m
-        )
-        worst_cross = max(worst_cross, cu.cross_term)
+        lo_pair, hi_pair = (lo.u1.values, lo.u2.values), (hi.u1.values, hi.u2.values)
+        coupled_uniqueness_check(op, lo_pair, hi_pair, m)  # raises when T1 < -1e-8
+        cross, _ = coupled_cross_terms(op, lo_pair, hi_pair)
+        worst_cross = max(worst_cross, cross)
     checks.append(worst_gap <= 1e-7)
     checks.append(worst_cross <= 1e-8)
     ok = all(checks)

@@ -519,6 +519,24 @@ def test_linalg_error_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "grid, flags, key",
+    [
+        ({"r_max": 3.2, "n": 10**20}, [], "grid.n"),
+        ({"spectral_scale": 10, "points_per_unit": 1e300}, [], "grid.points_per_unit"),
+        ({"r_max": 3.2, "n": 300}, ["--grid-scale", "1e300"], "--grid-scale"),
+    ],
+    ids=["n", "points_per_unit", "grid_scale"],
+)
+def test_grid_past_numpy_size_limit_exits_2_naming_its_key(tmp_path, capsys, grid, flags, key):
+    # each node count is above intp.max // 8, which numpy refuses before allocating
+    cfg = write_config(tmp_path / "cfg.json", mode="eigen", grid=grid)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "more than a numpy array holds" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unallocatable_grid_exits_3(tmp_path, capsys):
     # 10**15 nodes ask numpy for 7 PiB, which fails at once without touching memory
     cfg = write_config(tmp_path / "cfg.json", grid={"r_max": 3.2, "n": 10**15})

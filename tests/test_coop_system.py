@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from brezis_oswald_reference import coupled_cross_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -286,6 +287,7 @@ def test_lying_profile_escapes_rectangle(ctx):
         profile=lambda r, u: np.full_like(np.asarray(u, dtype=float), 50.0),
         kappa=1.0,
         k_upper=2.0,
+        derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
         strictly_decreasing_ratio=False,
     )
     p, w, mu = make_problem(ctx, liar, liar, -0.1)
@@ -345,14 +347,16 @@ def test_coupled_uniqueness_exact_zero_cases(ctx):
     phi = spectrum.phi
     m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
     pair = (phi, 2.0 * phi)
-    same = coupled_uniqueness_check(op, pair, pair, m)
-    assert same.t1 == 0.0
-    assert same.cross_term == 0.0
-    assert same.cross_term_raw == 0.0
+    assert coupled_uniqueness_check(op, pair, pair, m) == 0.0
+    cross, cross_raw = coupled_cross_terms(op, pair, pair)
+    assert cross == 0.0
+    assert cross_raw == 0.0
 
-    scaled = coupled_uniqueness_check(op, pair, (3.0 * phi, 6.0 * phi), m)
-    assert scaled.cross_term_raw == pytest.approx(0.0, abs=1e-12)
-    assert scaled.cross_term == pytest.approx(0.0, abs=1e-12)
+    scaled = (3.0 * phi, 6.0 * phi)
+    coupled_uniqueness_check(op, pair, scaled, m)  # raises when T1 < -1e-8
+    cross, cross_raw = coupled_cross_terms(op, pair, scaled)
+    assert cross_raw == pytest.approx(0.0, abs=1e-12)
+    assert cross == pytest.approx(0.0, abs=1e-12)
 
 
 def test_coupled_uniqueness_rejects_sign_mixed(ctx):
@@ -376,12 +380,13 @@ def test_coupled_uniqueness_sqrt_identity(ctx):
         phi * (1.0 + 0.1 * rng.random(grid.n)),
         2.0 * phi * (1.0 + 0.1 * rng.random(grid.n)),
     )
-    cu = coupled_uniqueness_check(op, u_pair, v_pair, m)
+    t1 = coupled_uniqueness_check(op, u_pair, v_pair, m)
+    cross, cross_raw = coupled_cross_terms(op, u_pair, v_pair)
     # the raw coupling form and its closed-square rewrite agree exactly
-    scale = max(1.0, abs(cu.cross_term))
-    assert abs(cu.cross_term_raw - cu.cross_term) <= 1e-10 * scale
-    assert cu.cross_term <= 1e-12
-    assert cu.t1 >= -1e-8
+    scale = max(1.0, abs(cross))
+    assert abs(cross_raw - cross) <= 1e-10 * scale
+    assert cross <= 1e-12
+    assert t1 >= -1e-8
 
 
 def test_system_two_start_diagnostics(ctx):
@@ -392,6 +397,20 @@ def test_system_two_start_diagnostics(ctx):
     assert rep.uniqueness.two_start_gap <= 1e-7
     assert abs(rep.uniqueness.brezis_oswald_residual) <= 1e-6
     assert rep.certified
+
+
+@pytest.mark.parametrize("offset", [-0.1, 0.1], ids=["MP", "AMP"])
+def test_system_two_start_row_holds_the_form_of_its_two_limits(ctx, offset):
+    # the bo_residual column is the coupled form T1 of the two limits
+    nl = rational_profile(1.0, 2.0)
+    p, w, mu = make_problem(ctx, nl, nl, offset)
+    rep = system_two_start(p, w, mu)
+    lo = solve_system(p, w, mu, start="lower")
+    hi = solve_system(p, w, mu, start="upper")
+    t1 = coupled_uniqueness_check(
+        p.spectrum.op, (lo.u1.values, lo.u2.values), (hi.u1.values, hi.u2.values), p.matrix
+    )
+    assert rep.uniqueness.brezis_oswald_residual == t1
 
 
 @settings(max_examples=40)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from brezis_oswald_reference import brezis_oswald_identity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,13 +73,15 @@ def test_bare_nonlinearity_admits_nonpositive_kappa():
         profile=lambda r, u: np.full_like(np.asarray(u, dtype=float), 1.0),
         kappa=-1.0,
         k_upper=2.0,
+        derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
         strictly_decreasing_ratio=False,
     )
     assert nl.kappa == -1.0
+    identity = dict(profile=lambda r, u: u, derivative=lambda r, u: np.ones_like(u))
     with pytest.raises(MalformedInput):
-        Nonlinearity(profile=lambda r, u: u, kappa=3.0, k_upper=2.0)
+        Nonlinearity(kappa=3.0, k_upper=2.0, **identity)
     with pytest.raises(MalformedInput):
-        Nonlinearity(profile=lambda r, u: u, kappa=-2.0, k_upper=-1.0)
+        Nonlinearity(kappa=-2.0, k_upper=-1.0, **identity)
 
 
 def test_exp_decay_profile_is_even_in_u():
@@ -96,12 +99,19 @@ def test_validate_nonlinearity_catches_lying_box():
         profile=lambda r, u: np.full_like(np.asarray(u, dtype=float), 2.0),
         kappa=0.5,
         k_upper=1.0,
+        derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
         strictly_decreasing_ratio=False,
     )
     with pytest.raises(HypothesisViolated):
         validate_nonlinearity(liar, r)
     honest = rational_profile(1.0, 2.0)
     validate_nonlinearity(honest, r)  # should not raise
+
+
+def clip_slope(r, u):
+    """g_u of g = clip(u, 0.5, 2): 1 inside (0.5, 2), 0 outside."""
+    u = np.asarray(u, dtype=float)
+    return ((u > 0.5) & (u < 2.0)).astype(float)
 
 
 def test_validate_nonlinearity_catches_flat_ratio():
@@ -111,13 +121,18 @@ def test_validate_nonlinearity_catches_flat_ratio():
         profile=lambda r, u: np.clip(np.asarray(u, dtype=float), 0.5, 2.0),
         kappa=0.5,
         k_upper=2.0,
+        derivative=clip_slope,
         strictly_decreasing_ratio=True,
     )
     with pytest.raises(HypothesisViolated):
         validate_nonlinearity(plateau, r)
     # the same profile with the hypothesis not claimed passes
     relaxed = Nonlinearity(
-        profile=plateau.profile, kappa=0.5, k_upper=2.0, strictly_decreasing_ratio=False
+        profile=plateau.profile,
+        kappa=0.5,
+        k_upper=2.0,
+        derivative=clip_slope,
+        strictly_decreasing_ratio=False,
     )
     validate_nonlinearity(relaxed, r)
 
@@ -131,7 +146,7 @@ def test_validate_nonlinearity_evaluates_each_lattice_point_once():
         calls.append(u[0])
         return nl.profile(r, u)
 
-    validate_nonlinearity(Nonlinearity(counting, 1.0, 2.0), r)
+    validate_nonlinearity(Nonlinearity(counting, 1.0, 2.0, nl.derivative), r)
     # 64 positive points, their negatives and zero; the ratio check reuses them
     assert len(calls) == 129
     assert len(set(calls)) == 129
@@ -146,6 +161,7 @@ def test_validate_nonlinearity_reports_a_box_failure_before_a_ratio_failure():
         + (np.asarray(u, dtype=float) > 100.0),
         kappa=0.5,
         k_upper=2.0,
+        derivative=clip_slope,
     )
     with pytest.raises(HypothesisViolated, match="leaves"):
         validate_nonlinearity(both, r)
@@ -215,6 +231,7 @@ def test_window_semilinear_rule(ctx):
         profile=lambda r, u: np.full_like(np.asarray(u, dtype=float), 1.0),
         kappa=-1.0,
         k_upper=2.0,
+        derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
         strictly_decreasing_ratio=False,
     )
     assert window_semilinear(one_sided, w) == w.delta0
@@ -293,6 +310,7 @@ def test_lying_profile_escapes_bracket(ctx):
         profile=lambda r, u: np.full_like(np.asarray(u, dtype=float), 50.0),
         kappa=1.0,
         k_upper=2.0,
+        derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
         strictly_decreasing_ratio=False,
     )
     with pytest.raises(BracketEscape):
@@ -686,8 +704,8 @@ def test_monotone_no_convergence_reports_its_budget(ctx):
 def test_brezis_oswald_exact_zero_cases(ctx):
     _, op, spectrum, _ = ctx
     phi = spectrum.phi
-    assert brezis_oswald_check(op, phi, phi) == (0.0, 0.0)
-    assert brezis_oswald_check(op, phi, 2.0 * phi) == (0.0, 0.0)
+    assert brezis_oswald_identity(op, phi, phi) == (0.0, 0.0)
+    assert brezis_oswald_identity(op, phi, 2.0 * phi) == (0.0, 0.0)
 
 
 def test_brezis_oswald_rejects_sign_mixed(ctx):
@@ -711,7 +729,7 @@ def test_brezis_oswald_identity_gap_refines():
         spectrum = summarize_spectrum(grid, POT)
         phi = spectrum.phi
         u = phi * (1.0 + 0.1 / (1.0 + grid.r**2))
-        t_lhs, gap = brezis_oswald_check(spectrum.op, u, phi)
+        t_lhs, gap = brezis_oswald_identity(spectrum.op, u, phi)
         assert t_lhs > 0.0
         gaps.append(abs(gap))
     assert gaps[0] / gaps[1] >= 3.0
@@ -726,6 +744,15 @@ def test_two_start_diagnostics_fields(ctx):
     assert abs(rep.uniqueness.brezis_oswald_residual) <= 1e-10
     assert rep.solution_upper is not None
     assert rep.certified
+
+
+@pytest.mark.parametrize("offset", [-0.1, 0.1], ids=["MP", "AMP"])
+def test_two_start_row_holds_the_form_of_its_two_limits(ctx, offset):
+    # the bo_residual column is the Brezis-Oswald form of the two limits
+    _, op, spectrum, w = ctx
+    rep = two_start_diagnostics(spectrum, w, rational_profile(1.0, 2.0), spectrum.Lambda + offset)
+    form = brezis_oswald_check(op, rep.solution.values, rep.solution_upper.values)
+    assert rep.uniqueness.brezis_oswald_residual == form
 
 
 # ----------------------------------------------------- one-sided regime
