@@ -13,7 +13,11 @@ the image T(U) of its limit: T(U) may leave the rectangle at no node by
 more than the certificate slack (semilinear_solver.outside_count), which
 fails for a limit of clip(T) that is not a fixed point of T.  Inside the
 window the rectangle has the branch sign (kappa' > 0), so that check is
-the whole GSP/GSN certificate.
+the whole GSP/GSN certificate.  The iteration is the scalar one
+(semilinear_solver.clipped_fixed_point): verified Picard sweeps around
+Newton steps, here block Gauss-Seidel steps that solve the decoupled
+Jacobian L - mu - xi_i - M_ii once per component, M = P^{-1} D P with D
+the nodewise derivative of F.
 
 Uniqueness diagnostics extend Brezis-Oswald: the coupled quadratic form
 T1 (Laplacian ratios, weighted 1/b and 1/c) equals T2 (coupling plus
@@ -236,6 +240,50 @@ def _system_sweep(
     return t, (v1, v2)
 
 
+def _system_newton(p: SystemProblem, mu: float, u: np.ndarray) -> np.ndarray | None:
+    """Block Gauss-Seidel Newton iterate at the 2 x n iterate U, or None on a zero pivot.
+
+    In the diagonalized coordinates v = P^{-1}U, with
+    G = P^{-1}(phi g1(u1), phi g2(u2)) and, node by node, M = P^{-1} D P
+    for D = diag(phi g1_u(u1), phi g2_u(u2)), the Newton system
+    (L - mu - xi_i) w_i - (M w)_i = G_i - (M v)_i is solved block
+    lower-triangularly (M12 w2 taken at w2 = v2):
+
+        w1 = (L - mu - xi1 - M11)^{-1} (G1 - M11 v1)
+        w2 = (L - mu - xi2 - M22)^{-1} (G2 - M22 v2 + M21 (w1 - v1))
+
+    Since G - M v = P^{-1}(F - D U), the right-hand sides are formed as
+    (P^{-1}(F - D U))_1 + M12 v2 and (P^{-1}(F - D U))_2 + M21 w1, which
+    need v2 only.  Each w_i is one unverified tridiagonal solve
+    (solve_unverified, a fresh elimination); the returned P w is a search
+    direction, whose limit the sweeps verify.
+    """
+    op, m = p.spectrum.op, p.matrix
+    r, phi = op.grid.r, p.spectrum.phi
+    pi, pp = m.p_inv, m.p
+    d1 = phi * p.nl1.derivative(r, u[0])
+    d2 = phi * p.nl2.derivative(r, u[1])
+
+    def entry(i: int, j: int) -> np.ndarray:  # M_ij = sum_k (P^{-1})_ik D_k P_kj
+        return (pi[i, 0] * pp[0, j]) * d1 + (pi[i, 1] * pp[1, j]) * d2
+
+    def newton_rhs(nl: Nonlinearity, ui: np.ndarray, di: np.ndarray) -> np.ndarray:
+        h = phi * nl(r, ui)  # (F - D U)_i
+        h -= di * ui
+        return h
+
+    q1, q2 = m.decouple(newton_rhs(p.nl1, u[0], d1), newton_rhs(p.nl2, u[1], d2))
+    q1 += entry(0, 1) * (pi[1, 0] * u[0] + pi[1, 1] * u[1])
+    w1 = op.solve_unverified(mu + m.xi1, entry(0, 0), q1)
+    if w1 is None:
+        return None
+    q2 += entry(1, 0) * w1
+    w2 = op.solve_unverified(mu + m.xi2, entry(1, 1), q2)
+    if w2 is None:
+        return None
+    return np.vstack([pp[0, 0] * w1 + pp[0, 1] * w2, pp[1, 0] * w1 + pp[1, 1] * w2])
+
+
 @dataclass(frozen=True)
 class SystemReport:
     """Outcome of one system solve in both coordinate systems.
@@ -281,14 +329,18 @@ def solve_system(
 
     Factors T - (mu + xi1) and T - (mu + xi2) once and runs
     clipped_fixed_point on the 2 x n iterate from the requested rectangle
-    corner, every sweep solving with those factors: steps are secant-mixed
-    over both components until the Picard residual stops falling, then
-    damped by damping for the rest of the solve; damping = 1 takes plain
-    Picard steps throughout.  Clipped
-    nodes count as rectangle violations, a sweep clipping more than
-    ESCAPE_FRACTION of all nodes raises RectangleEscape, and convergence
-    is measured in the componentwise max X-norm.  The row is certified
-    when the limit's image leaves the rectangle at no node.
+    corner, every sweep solving with those factors.  Sweep 1 is a verified
+    Picard sweep; then block Gauss-Seidel Newton steps in the diagonalized
+    coordinates (_system_newton, two unverified tridiagonal solves each)
+    run until their rate predicts convergence, and one plain verified
+    sweep and the verified image of the limit close the solve.  A step
+    whose X-norm step does not fall switches to sweeps damped by damping
+    for the rest of the solve; damping = 1 takes plain Picard steps
+    throughout.  Clipped nodes count as rectangle violations, a sweep
+    clipping more than ESCAPE_FRACTION of all nodes raises
+    RectangleEscape, and convergence is measured in the componentwise max
+    X-norm.  The row is certified when the limit's image leaves the
+    rectangle at no node.
     """
     window = window_system(p, w)
     dist = abs(p.lambda_star - mu)
@@ -306,6 +358,7 @@ def solve_system(
     fp = clipped_fixed_point(
         lambda u: _system_sweep(p, fac1, fac2, u), lo, hi, lo if start == "lower" else hi, phi,
         RectangleEscape, damping, max_iter, tol_x,
+        newton=lambda u: _system_newton(p, mu, u),
     )
     u = fp.u
     v1, v2 = fp.aux

@@ -35,7 +35,10 @@ does not reach below r = 1e4 (the message names it), or a potential that is
 non-finite or nonpositive on the grid or decreases on grid nodes beyond
 its r0, a NaN or infinite number in the ``potential``, ``f``,
 ``nonlinearity``, ``nonlinearity2`` or ``solver`` block (the message names
-the key), a ``solver.tol_x`` above CERT_SLACK, or a negative ``--seed``
+the key), a JSON integer past the double range anywhere in the config
+(the message names the key) or too long for Python to read, a
+``sweep.steps`` above what a numpy array holds, a ``solver.tol_x`` above
+CERT_SLACK, or a negative ``--seed``
 (the errors that subclass ConfigError, and unreadable files); 3 a solver
 raised (no convergence,
 singular solve, escaped bracket, window or hypothesis violation) or
@@ -80,6 +83,7 @@ from .linear_solver import (
     window_linear,
 )
 from .radial_grid import (
+    MAX_ARRAY_LENGTH,
     build_grid,
     exp_potential,
     make_grid,
@@ -254,6 +258,31 @@ def _require_finite(key: str, block: dict) -> None:
             raise MalformedInput(f"{key}.{name} = {value:g} must be finite")
 
 
+def _require_double_range(value, key: str) -> None:
+    """MalformedInput naming ``key`` for a JSON integer in ``value`` that no double holds.
+
+    json reads an integer literal exactly, so 10**400 arrives as an int
+    that float() and numpy refuse with OverflowError or a casting error;
+    as a double it is infinite.  Dicts and lists are walked, a list entry
+    named ``key[i]``.
+    """
+    if isinstance(value, dict):
+        for name, item in value.items():
+            _require_double_range(item, f"{key}.{name}" if key else name)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_double_range(item, f"{key}[{i}]")
+    elif isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            digits = str(abs(value))
+            sign = "-" if value < 0 else ""
+            raise MalformedInput(
+                f"{key} = {sign}{digits[0]}e+{len(digits) - 1} must be finite"
+            ) from None
+
+
 def build_potential(cfg: dict):
     block = cfg["potential"]
     _require_finite("potential", block)
@@ -353,6 +382,10 @@ def resolve_offsets(cfg: dict) -> list[float]:
         offsets = [float(x) for x in cfg["mu_offsets"]]
     else:
         s = cfg["sweep"]
+        if not s["steps"] < MAX_ARRAY_LENGTH:
+            raise MalformedInput(
+                f"sweep.steps = {s['steps']} asks for more shifts than a numpy array holds"
+            )
         with np.errstate(invalid="ignore"):  # an infinite end gives a non-finite offset
             offsets = [float(x) for x in np.linspace(s["from_offset"], s["to_offset"], s["steps"])]
     for off in offsets:
@@ -425,10 +458,16 @@ def _dump_profile(
 def cmd_run(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     with open(args.config) as handle:
-        cfg = json.load(handle)
+        try:
+            cfg = json.load(handle)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:  # an integer literal past int's digit limit for str
+            raise MalformedInput(f"config unreadable: {exc}") from exc
     error = best_match(CONFIG_VALIDATOR.iter_errors(cfg))
     if error is not None:
         raise MalformedInput(f"config invalid: {error.message}") from error
+    _require_double_range(cfg, "")
 
     grid_scale = float(args.grid_scale)
     if not (math.isfinite(grid_scale) and grid_scale > 0):

@@ -201,14 +201,18 @@ class Grid:
         return float(pot(np.array([self.r_max]))[0] / spectral_scale)
 
 
+#: numpy refuses an array of more eight-byte entries than this with a
+#: ValueError, before allocating anything
+MAX_ARRAY_LENGTH = np.iinfo(np.intp).max // 8
+
+
 def node_count(points: float, key: str) -> int:
     """ceil(points) grid nodes, or MalformedInput naming ``key`` when numpy cannot hold them.
 
-    numpy refuses an array of more than intp.max // 8 eight-byte entries
-    with a ValueError, before allocating anything; a count below that
+    A count from MAX_ARRAY_LENGTH up is refused here; a count below it
     which memory cannot hold still fails in make_grid, with MemoryError.
     """
-    if not points < np.iinfo(np.intp).max // 8:
+    if not points < MAX_ARRAY_LENGTH:
         raise MalformedInput(
             f"{key} asks for {points:.3g} grid nodes, more than a numpy array holds"
         )

@@ -37,7 +37,6 @@ the pair is from coinciding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
@@ -72,8 +71,8 @@ class Nonlinearity:
     kappa > 0; kappa <= 0 is admitted for the one-sided regime (data only
     bounded above), where the MP-side solve still works but the GSP
     certificate is skipped.  derivative(r, u) is the u-derivative g_u of
-    profile, with which solve_semilinear takes its Newton steps (the
-    system solves use only profile).  strictly_decreasing_ratio asserts
+    profile, with which solve_semilinear and solve_system take their
+    Newton steps.  strictly_decreasing_ratio asserts
     that u -> profile(r, u)/u is strictly decreasing on u > 0, the
     hypothesis behind the uniqueness diagnostics.
     """
@@ -301,8 +300,8 @@ class FixedPoint:
     outside_count of that image T(u): the nodes where it leaves
     [lower, upper] beyond the certificate slack, 0 when the limit of
     clip(T) is a fixed point of T in the set.  undamped_sweeps counts the
-    steps taken before the switch to the damped step, plain, Newton or
-    secant-mixed (all of them if it never came).
+    steps taken before the switch to the damped step, plain or Newton
+    (all of them if it never came).
     """
 
     u: np.ndarray
@@ -338,33 +337,26 @@ def clipped_fixed_point(
     damping: float,
     max_iter: int,
     tol_x: float,
-    newton: Callable[[np.ndarray], np.ndarray | None] | None = None,
+    newton: Callable[[np.ndarray], np.ndarray | None],
 ) -> FixedPoint:
-    """Clipped fixed-point iteration, Newton or secant-mixed first, on scalar or k-component u.
+    """Clipped fixed-point iteration, Newton steps first, on scalar or k-component u.
 
     sweep(u) returns (T(u), aux) for an iterate u of shape (n,) for a
     scalar problem or (k, n) for a k-component system; phi broadcasts
-    against it.  Each sweep forms g = clip(T(u), lower, upper) and the
-    weighted residual f = (g - u)/phi, whose largest entry is the Picard
-    residual ||g - u||_X.  Sweep 1 takes the plain step u <- g.  With
-    damping = 1 every step is a plain sweep u <- g (Picard iteration):
-    no Newton or mixed step and no switch.  Otherwise the steps after
-    sweep 1 are accelerated until the first step whose X-norm step is not
-    below the previous step's; from there on, for the rest of the solve,
-    each step is a damped sweep u <- (1-damping)*u + damping*g.
-
-    With newton (scalar callers), newton(u) returns the unclipped Newton
-    iterate at u, or None, and a step is u <- clip(newton(u), lower,
-    upper) with no sweep; a Newton step refused by the rule above (or
-    None) is replaced by a damped sweep.  When the rate step/previous
-    puts the next Newton step below tol_x (step**2/previous < tol_x), one
-    plain sweep follows: it accepts u <- g when its Picard residual is
-    below tol_x, else hands back to Newton steps if that residual fell,
-    else switches to the damped sweeps.  Without newton the accelerated
-    steps are secant-mixed sweeps (Anderson mixing with one stored pair,
-    see _secant_step): with the previous sweep's pair (f', g'),
-    u <- clip(g - gamma*(g - g')) for gamma = <f - f', f>/||f - f'||^2
-    over all k*n nodes.
+    against it.  newton(u) returns an unclipped Newton iterate at u of
+    u's shape, or None.  Each sweep forms g = clip(T(u), lower, upper),
+    whose Picard residual is the X-norm step ||g - u||_X.  Sweep 1 takes
+    the plain step u <- g.  With damping = 1 every step is a plain sweep
+    u <- g (Picard iteration): no Newton step and no switch.  Otherwise
+    the steps after sweep 1 are Newton steps u <- clip(newton(u), lower,
+    upper), with no sweep, until the first step whose X-norm step is not
+    below the previous step's (or a None); that step is replaced by a
+    damped sweep u <- (1-damping)*u + damping*g, and so is every step for
+    the rest of the solve.  When the rate step/previous puts the next
+    Newton step below tol_x (step**2/previous < tol_x), one plain sweep
+    follows: it accepts u <- g when its Picard residual is below tol_x,
+    else hands back to Newton steps if that residual fell, else switches
+    to the damped sweeps.
 
     An image node is counted as a violation when it lies farther from
     [lower, upper] than both BRACKET_SLACK of the set's largest edge and
@@ -385,7 +377,6 @@ def clipped_fixed_point(
     violations = sweeps = 0
     trace: list[float] = []
     undamped = None  # steps before the switch to the damped step
-    pair = None  # (f, g) of the previous sweep while steps are mixed
     newton_next = False  # the next step is a Newton step
     closing = False  # the Newton steps before this sweep predict convergence
     for k in range(1, max_iter + 1):
@@ -415,17 +406,16 @@ def clipped_fixed_point(
             )
         violations += out
         if undamped is None:
-            f = (g - u) / phi
-            step = float(np.abs(f).max())
+            step = x_norm(g - u, phi)
             if damping < 1.0 and trace and step >= trace[-1] and not (closing and step < tol_x):
-                undamped, pair = k - 1, None
+                undamped = k - 1
             closing = False
         if undamped is not None:
             g = (1.0 - damping) * u + damping * g
             step = x_norm(g - u, phi)
         trace.append(step)
         if step < tol_x:
-            u, t, f, pair = g, None, None, None  # the final map application holds only the limit
+            u, t = g, None  # the final map application holds only the limit
             t, aux = sweep(u)
             return FixedPoint(
                 u=u, iterations=k, residual_x=x_norm(u - t, phi),
@@ -433,38 +423,13 @@ def clipped_fixed_point(
                 undamped_sweeps=k if undamped is None else undamped,
                 outside_at_limit=outside_count(t, lower, upper),
             )
-        if undamped is None and damping < 1.0:
-            if newton is None:
-                u, pair = _secant_step(f, g, pair, lower, upper), (f, g)
-            else:  # a Newton step holds no sweep's arrays
-                u, t, f, newton_next = g, None, None, True
-        else:
-            u = g
+        # a Newton step holds no sweep's arrays
+        u, t, newton_next = g, None, undamped is None and damping < 1.0
     raise NoConvergence(
         f"no X-norm step below {tol_x:g} within {max_iter} steps",
         iterations=max_iter,
         trace=trace,
     )
-
-
-def _secant_step(f, g, pair, lower, upper) -> np.ndarray:
-    """Anderson depth-1 step clip(g - gamma*(g - g'), lower, upper).
-
-    pair is the previous sweep's (f', g'); gamma = <f - f', f>/||f - f'||^2
-    minimizes ||f - gamma*(f - f')|| over the flattened residuals.  Without
-    a pair, with f = f' or with a non-finite gamma the step is plain g.
-    """
-    if pair is None:
-        return g
-    f_prev, g_prev = pair
-    df = f - f_prev
-    denom = float(np.vdot(df, df))
-    gamma = float(np.vdot(df, f)) / denom if denom > 0.0 else math.nan
-    if not math.isfinite(gamma):
-        return g
-    step = g - gamma * (g - g_prev)
-    np.minimum(step, upper, out=step)
-    return np.maximum(step, lower, out=step)
 
 
 class _ScalarMaps:

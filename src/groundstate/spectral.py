@@ -31,9 +31,11 @@ diagonal, so by Courant-Fischer sector ell's lowest eigenvalue rises with
 ell (N = 1 has two sectors).
 
 Resolvent solves go through ``DiscreteOperator.solve_shifted``, the one
-verified banded solve.  The Newton steps of solve_semilinear solve the
-Jacobian ``T - mu - diag(d)`` with ``DiscreteOperator.solve_unverified``
-(one LAPACK gtsv) instead: those solutions are search directions, not
+verified banded solve.  The Newton steps of solve_semilinear, and the
+block Gauss-Seidel Newton steps of solve_system (one per diagonalized
+component, at mu + xi1 and mu + xi2), solve a Jacobian
+``T - mu - diag(d)`` with ``DiscreteOperator.solve_unverified`` (one
+LAPACK gtsv) instead: those solutions are search directions, not
 claims, so they need no residual check, and the limit they lead to is
 verified through ``solve_shifted``.  ``DiscreteOperator.factor(mu)``
 LU-factors ``T - mu`` (LAPACK gttrf, partial pivoting, valid on both
@@ -43,8 +45,9 @@ back-substitution, checked against a backward-error residual bound
 before it is returned.  The operator keeps no state: each solver driver
 factors its own shifts (solve_linear mu; solve_semilinear mu, once
 before its Newton steps and once after; solve_system mu + xi1 and
-mu + xi2; monotone_solve mu - M and mu) and the record goes when the
-driver returns, raises or starts its Newton steps.
+mu + xi2, once for all its steps; monotone_solve mu - M and mu) and the
+record goes when the driver returns or raises, or when solve_semilinear
+starts its Newton steps.
 """
 
 from __future__ import annotations
@@ -170,10 +173,11 @@ class DiscreteOperator:
     def solve_unverified(self, mu: float, d: np.ndarray, f: np.ndarray) -> np.ndarray | None:
         """Solve (L - mu - diag(d)) u = f for full-grid functions d, f, u, unchecked.
 
-        For search directions only (the Newton steps of solve_semilinear,
-        whose limits solve_shifted verifies): one LAPACK gtsv elimination
-        with partial pivoting, made afresh at each call, with no residual
-        check.  None when the matrix has an exactly zero pivot.
+        For search directions only (the Newton steps of solve_semilinear
+        and solve_system, whose limits solve_shifted verifies): one LAPACK
+        gtsv elimination with partial pivoting, made afresh at each call,
+        with no residual check.  None when the matrix has an exactly zero
+        pivot.
         """
         s = self.start
         b = self.restrict(f)

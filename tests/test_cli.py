@@ -443,8 +443,27 @@ def test_subquadratic_power_potential_exits_2(tmp_path, capsys, s):
          "offsets must be finite"),
         ({"mode": "system", "matrix": {"a": 0.0, "b": float("inf"), "c": 1.0, "d": 0.0},
           "nonlinearity": {"kind": "constant", "g": 1.0}}, "matrix entries must be finite"),
+        # numpy refused 10**20 steps with a ValueError traceback
+        ({"mu_offsets": None, "sweep": {"from_offset": -0.1, "to_offset": 0.1, "steps": 10**20}},
+         "sweep.steps = 100000000000000000000 asks for more shifts than a numpy array holds"),
+        # an integer past the double range failed to cast inside np.linspace
+        ({"mu_offsets": None, "sweep": {"from_offset": -10**400, "to_offset": 0.1, "steps": 2}},
+         "sweep.from_offset = -1e+400 must be finite"),
+        # the rest exited 3 with an OverflowError
+        ({"mu_offsets": [-0.05, 10**400]}, "mu_offsets[1] = 1e+400 must be finite"),
+        ({"grid": {"r_max": 3.2, "n": 10**400}}, "grid.n = 1e+400 must be finite"),
+        ({"grid": {"r_max": 10**400, "n": 120}}, "grid.r_max = 1e+400 must be finite"),
+        ({"grid": {"spectral_scale": 10**400}}, "grid.spectral_scale = 1e+400 must be finite"),
+        ({"grid": {"spectral_scale": 10, "points_per_unit": 10**400}},
+         "grid.points_per_unit = 1e+400 must be finite"),
+        ({"grid": {"spectral_scale": 10, "truncation_factor": 10**400}},
+         "grid.truncation_factor = 1e+400 must be finite"),
     ],
-    ids=["offset", "sweep_end", "matrix"],
+    ids=[
+        "offset", "sweep_end", "matrix", "sweep_steps_huge", "sweep_end_huge", "offset_huge",
+        "n_huge", "r_max_huge", "spectral_scale_huge", "points_per_unit_huge",
+        "truncation_factor_huge",
+    ],
 )
 def test_infinite_config_numbers_exit_2(tmp_path, capsys, changes, message):
     # JSON parsing admits Infinity; such a shift or coupling is a config error
@@ -485,10 +504,24 @@ _SEMILINEAR = {"mode": "semilinear", "nonlinearity": {"kind": "rational", "kappa
         ({"f": {"kind": "phi_plus_phi2", "coeff": float("inf")}}, "f.coeff = inf"),
         # an infinite tolerance stopped every row after one sweep
         ({**_SEMILINEAR, "solver": {"tol_x": float("inf")}}, "solver.tol_x = inf"),
+        # JSON integers past the double range exited 3 with an OverflowError
+        ({"potential": {"kind": "power", "c": 10**400, "s": 4.0}}, "potential.c = 1e+400"),
+        ({"potential": {"kind": "power", "c": 1.0, "s": 10**400}}, "potential.s = 1e+400"),
+        ({"potential": {"kind": "power", "c": 1.0, "s": 4.0, "r0": 10**400}},
+         "potential.r0 = 1e+400"),
+        ({"f": {"kind": "phi_plus_phi2", "coeff": 10**400}}, "f.coeff = 1e+400"),
+        ({**_SEMILINEAR, "nonlinearity": {"kind": "rational", "kappa": 1.0, "K": 10**400}},
+         "nonlinearity.K = 1e+400"),
+        ({"mode": "system", "matrix": {"a": 0.0, "b": 10**400, "c": 4.0, "d": 0.0},
+          "nonlinearity": {"kind": "rational", "kappa": 1.0, "K": 2.0}}, "matrix.b = 1e+400"),
+        ({**_SEMILINEAR, "solver": {"tol_x": 10**400}}, "solver.tol_x = 1e+400"),
+        ({"dump_solutions": [-10**400]}, "dump_solutions[0] = -1e+400"),
     ],
     ids=[
         "r0_nan", "r0_inf", "exp_decay_s_nan", "exp_decay_s_inf", "constant_g_inf",
         "rational_K_inf", "nonlinearity2_K_inf", "coeff_nan", "coeff_inf", "tol_x_inf",
+        "c_huge", "s_huge", "r0_huge", "coeff_huge", "K_huge", "matrix_b_huge", "tol_x_huge",
+        "dump_huge",
     ],
 )
 def test_nonfinite_config_numbers_exit_2_naming_their_key(tmp_path, capsys, changes, key):
@@ -497,6 +530,17 @@ def test_nonfinite_config_numbers_exit_2_naming_their_key(tmp_path, capsys, chan
     )
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"error: {key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_literal_too_long_to_read_exits_2(tmp_path, capsys):
+    # json refuses an integer literal of more than 4300 digits with a plain
+    # ValueError (Python's int-to-str digit limit), which ended in a traceback
+    text = write_config(tmp_path / "base.json").read_text()
+    path = tmp_path / "cfg.json"
+    path.write_text(text[:-1] + ', "seed": ' + "1" * 5000 + "}")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
 
 

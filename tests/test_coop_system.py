@@ -1,5 +1,6 @@
 """Cooperative 2x2 systems: algebra, rectangles, solves, cross-checks."""
 
+import re
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -37,7 +38,7 @@ from groundstate.errors import (
     SingularResolvent,
     WindowViolation,
 )
-from groundstate import coop_system
+from groundstate import coop_system, spectral
 from groundstate.semilinear_solver import Nonlinearity
 
 POT = RadialPotential(lambda r: 1.0 + r**4, name="quartic3d")
@@ -241,16 +242,21 @@ def test_row_whose_limit_image_leaves_the_rectangle_is_uncertified(ctx, monkeypa
     assert solve_system(p, w, mu).certified
     upper = rectangle(p, mu).hi[0] * spectrum.phi[150]
     real = coop_system._system_sweep
+    calls = []
 
     def lying(*args):
+        calls.append(None)
         t, aux = real(*args)
         t[0, 150] = upper + 0.01 * abs(upper)
         return t, aux
 
     monkeypatch.setattr(coop_system, "_system_sweep", lying)
-    for rep in (solve_system(p, w, mu), system_two_start(p, w, mu)):
+    single = solve_system(p, w, mu)
+    sweeps = len(calls) - 1  # every map application but the image of the limit is a sweep
+    assert single.violations >= sweeps  # each verified sweep counts node 150
+    for rep in (single, system_two_start(p, w, mu)):
         assert not rep.certified
-        assert rep.violations >= rep.iterations
+        assert rep.violations == single.violations
         assert rep.u1.values[150] <= upper
 
 
@@ -293,6 +299,31 @@ def test_lying_profile_escapes_rectangle(ctx):
     p, w, mu = make_problem(ctx, liar, liar, -0.1)
     with pytest.raises(RectangleEscape):
         solve_system(p, w, mu)
+
+
+@pytest.mark.parametrize("offset", [-0.1, 0.05], ids=["MP", "AMP"])
+def test_refused_newton_steps_fall_back_to_damped_sweeps(ctx, monkeypatch, offset):
+    # with every tridiagonal Newton solve refused (a zero pivot), the first
+    # Newton step switches the solve to damped sweeps, which reach the limit
+    nl = rational_profile(1.0, 2.0)
+    p, w, mu = make_problem(ctx, nl, nl, offset)
+    phi = p.spectrum.phi
+    want = solve_system(p, w, mu)
+    seen = []
+    real = coop_system.clipped_fixed_point
+
+    def recording(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(coop_system, "clipped_fixed_point", recording)
+    monkeypatch.setattr(spectral.DiscreteOperator, "solve_unverified", lambda *args: None)
+    got = solve_system(p, w, mu)
+    (fp,) = seen
+    assert fp.undamped_sweeps == 1 < fp.iterations == got.iterations
+    assert got.certified and got.violations == 0
+    for u, v in ((got.u1, want.u1), (got.u2, want.u2)):
+        assert x_norm(u.values - v.values, phi) <= 1e-8 * v.x_norm
 
 
 def test_system_no_convergence_carries_trace(ctx):
@@ -448,3 +479,46 @@ def test_mp_system_limit_solves_the_coupled_problem(
     b1, b2 = block_solve(op, m, mu, phi * nl(r, u1), phi * nl(r, u2))
     gap = max(x_norm(b1 - u1, phi), x_norm(b2 - u2, phi))
     assert gap <= 1e-8 * max(rep.u1.x_norm, rep.u2.x_norm)
+
+
+@settings(max_examples=40)
+@given(
+    q0=st.floats(0.05, 5.0),
+    s=st.floats(2.0, 6.0, exclude_min=True),
+    space_dim=st.integers(1, 5),
+    n=st.integers(40, 300),
+    a=st.floats(-3.0, 3.0),
+    b=st.floats(0.1, 4.0),
+    c=st.floats(0.1, 4.0),
+    d=st.floats(-3.0, 3.0),
+    kappa=st.floats(0.2, 2.0),
+    spread=st.floats(1.0, 4.0),
+    frac=st.floats(0.05, 0.95),
+    side=st.sampled_from([-1.0, 1.0]),
+)
+def test_system_newton_limit_matches_the_picard_limit(
+    q0, s, space_dim, n, a, b, c, d, kappa, spread, frac, side
+):
+    # The block Newton steps are unverified search directions: from each
+    # corner the limit must be the one plain Picard sweeps (damping = 1)
+    # reach, with the same certificate, or both raise the same sweep-1
+    # RectangleEscape (sweep 1 is the same Picard sweep in both solves).
+    grid = make_grid(space_dim, 4.0, n)
+    spectrum = summarize_spectrum(grid, power_potential(q0, s))
+    w = estimate_c0_delta0(spectrum)
+    nl = rational_profile(kappa, kappa * spread)
+    p = system_problem(spectrum, analyze_matrix(a, b, c, d), nl, nl)
+    mu = p.lambda_star + side * frac * window_system(p, w)
+    phi = spectrum.phi
+    for start in ("lower", "upper"):
+        try:
+            picard = solve_system(p, w, mu, damping=1.0, start=start)
+        except RectangleEscape as exc:
+            assert str(exc).endswith("on sweep 1")
+            with pytest.raises(RectangleEscape, match=re.escape(str(exc))):
+                solve_system(p, w, mu, start=start)
+            continue
+        rep = solve_system(p, w, mu, start=start)
+        for got, want in ((rep.u1, picard.u1), (rep.u2, picard.u2)):
+            assert x_norm(got.values - want.values, phi) <= 1e-10 * want.x_norm
+        assert rep.certified == picard.certified

@@ -4,16 +4,16 @@ Each config below is run through ``main(["run", cfg, "--out", tmp])`` and
 the sha256 digest of every file it writes (``spectrum.json``,
 ``sweep.csv``, each ``solution_*.csv``) is compared with DIGESTS.  The
 semilinear and system modes are pinned both as two-start runs and as
-single-start runs with one profile dump each.  The semilinear runs take
-one Picard sweep, clipped Newton steps on the tridiagonal Jacobian and a
-closing Picard sweep; the system runs take secant-mixed fixed-point steps
-(Anderson mixing with one stored pair) until the Picard residual stops
-falling.  Both modes are pinned once more with ``damping = 1``, where
-every step is the plain Picard step ``u <- clip(T u)`` with no Newton or
-mixed step and no switch to damping, pinned to their bytes from before
-the undamped-first, secant-mixed and Newton step rules.  Each config keeps a fixed
-``output_dir`` string because ``config_hash`` (inside
-``spectrum.json``) covers it; the files go to ``--out``.
+single-start runs with one profile dump each.  Both take one Picard
+sweep, clipped Newton steps and a closing Picard sweep: the semilinear
+runs on the tridiagonal Jacobian, the system runs block Gauss-Seidel
+steps on the two decoupled tridiagonal blocks.  Both modes are pinned
+once more with ``damping = 1``, where every step is the plain Picard
+step ``u <- clip(T u)`` with no Newton step and no switch to damping,
+pinned to their bytes from before the undamped-first, secant-mixed and
+Newton step rules.  Each config keeps a fixed ``output_dir`` string
+because ``config_hash`` (inside ``spectrum.json``) covers it; the files
+go to ``--out``.
 
 The digests were recorded with the numpy/scipy builds of the development
 environment; another LAPACK or numpy version may round differently.  A
@@ -105,7 +105,7 @@ DIGESTS = {
     },
     "system": {
         "spectrum.json": "60edf5cd2b069fe5fbb3040e8eca184763ccbee632a573a033a1de75fdb3472e",
-        "sweep.csv": "532eb4867182a146e6f7a91e4b8f8a8df8838b249f446da9fb7cb025a86857af",
+        "sweep.csv": "c3a387f0f33393b2f45ae808b9b84ffc4a0a911058ce6076ca7b0d88c119240f",
     },
     "semilinear_single": {
         "solution_0.05.csv": "997674fdb872d003af23b77100b4e06610508b2819d904342b8fc8f70362988a",
@@ -113,9 +113,9 @@ DIGESTS = {
         "sweep.csv": "85e5d5d02b6d5c2ae8764d547b8abf8198c2f5d4a68d0707042bcb783bf4d62c",
     },
     "system_single": {
-        "solution_-0.2.csv": "08b65118e8e53e8c3739c760b352c999b8baeae6880ceb3d99497f2e8679c618",
+        "solution_-0.2.csv": "29b2bd2967a16c7df9866db96660a8cb11cb2b47a05f0736b9033c60b6838982",
         "spectrum.json": "4edc008d2a40ff6f2b7d345dfced817f9d477caae08a8b89a2ab4f2bb230e065",
-        "sweep.csv": "dea93d6e4998e28ef1fa76250c47723699232369be2628bb8de019702abb231a",
+        "sweep.csv": "a26e3dd8689e0c163dacb240ba26d105f011727ef20628ef05fb09a265073618",
     },
     "semilinear_damping1": {
         "spectrum.json": "5a163e701eb0496c5f86391b05a5a73544b25c5165f066a28c46ba3af80c52bb",

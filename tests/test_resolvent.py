@@ -279,7 +279,7 @@ def solve_calls(monkeypatch):
     "mode, extra, solves",
     [
         ("semilinear", {"nonlinearity": _RATIONAL, "solver": {"two_start": True}}, 24),
-        ("system", {**_SYSTEM, "solver": {"two_start": True}}, 122),
+        ("system", {**_SYSTEM, "solver": {"two_start": True}}, 48),
     ],
     ids=["semilinear-two-start", "system-two-start"],
 )
@@ -288,10 +288,11 @@ def test_run_pins_the_solves_of_the_mixed_iteration(tmp_path, solve_calls, mode,
 
     Before the secant-mixed steps, with undamped Picard steps only, the
     same runs made 112 (semilinear) and 242 (system) calls; a change that
-    loses the acceleration fails here.  The semilinear run made 56 with
-    secant-mixed steps; with Newton steps each start makes 3 verified
-    solves (sweep 1, the closing sweep and the image of the limit), 24 in
-    all, because the Newton solves are search directions, not verified.
+    loses the acceleration fails here.  With secant-mixed steps they made
+    56 and 122.  With Newton steps each start makes 3 verified map
+    applications (sweep 1, the closing sweep and the image of the limit),
+    one solve each for a scalar and two for a system: 24 and 48 in all,
+    because the Newton solves are search directions, not verified.
     """
     cfg = {**_RUN, "mode": mode, **extra}
     path = tmp_path / "cfg.json"

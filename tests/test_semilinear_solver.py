@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from groundstate import (
     Nonlinearity,
     RadialPotential,
+    analyze_matrix,
     apply_T,
     brezis_oswald_check,
     constant_profile,
@@ -23,7 +24,9 @@ from groundstate import (
     power_potential,
     rational_profile,
     solve_semilinear,
+    solve_system,
     summarize_spectrum,
+    system_problem,
     two_start_diagnostics,
     validate_nonlinearity,
     window_semilinear,
@@ -385,10 +388,10 @@ def test_mixed_steps_solve_a_map_picard_only_cycles_on(ctx, fixed_points, offset
 @pytest.mark.parametrize("shape", [(5,), (2, 5)], ids=["scalar", "system"])
 def test_residual_growing_under_mixing_switches_to_damping(shape):
     # T maps the ratio v = u/phi to 1 - tanh(4 v): slope ~ -2.6 at the fixed
-    # point, so plain Picard steps cycle.  From u = 0 sweep 1 takes the plain
-    # step and sweeps 2 and 3 mixed ones, each at a lower residual; the
-    # residual of the last mixed iterate is not lower, so sweep 4 switches
-    # to the damped steps, which converge.
+    # point, so plain Picard steps cycle.  The Newton callable returns the
+    # Picard image, so from u = 0 its steps fall only while the iterate
+    # closes in on the two-cycle; the first that does not fall is replaced
+    # by a damped sweep, and the damped sweeps converge.
     phi = np.linspace(0.5, 1.0, 5)
     lower, upper = -2.0 * phi * np.ones(shape), 2.0 * phi * np.ones(shape)
 
@@ -397,17 +400,19 @@ def test_residual_growing_under_mixing_switches_to_damping(shape):
 
     def solve(damping, max_iter):
         return semilinear_solver.clipped_fixed_point(
-            sweep, lower, upper, np.zeros(shape), phi, BracketEscape, damping, max_iter, 1e-10
+            sweep, lower, upper, np.zeros(shape), phi, BracketEscape, damping, max_iter, 1e-10,
+            newton=lambda u: sweep(u)[0],
         )
 
-    with pytest.raises(NoConvergence) as exc:
-        solve(0.5, 4)
-    plain, mixed, mixed_again, damped = exc.value.trace
-    assert plain > mixed > mixed_again
-    # sweep 4 records the damped step, half its Picard residual
-    assert damped >= 0.5 * mixed_again
     fp = solve(0.5, 200)
-    assert fp.undamped_sweeps == 3 < fp.iterations
+    switch = fp.undamped_sweeps
+    assert 3 < switch < fp.iterations
+    with pytest.raises(NoConvergence) as exc:
+        solve(0.5, switch + 1)
+    *falling, damped = exc.value.trace
+    assert all(a > b for a, b in zip(falling, falling[1:]))
+    # the damped step is half a Picard residual that did not fall
+    assert damped >= 0.5 * falling[-1] * (1.0 - 1e-12)
     v = fp.u / phi
     assert np.max(np.abs(v - (1.0 - np.tanh(4.0 * v)))) <= 1e-9
     assert fp.violations == 0 and fp.outside_at_limit == 0
@@ -418,19 +423,22 @@ def test_residual_growing_under_mixing_switches_to_damping(shape):
 @pytest.mark.parametrize("shape", [(5,), (2, 5)], ids=["scalar", "system"])
 def test_limit_whose_image_leaves_the_set_is_counted(shape):
     # The map is constant, phi except 1% past upper at node 2 of each
-    # component (under ESCAPE_FRACTION of the nodes).  The clipped iterate
-    # converges on sweep 2 to a fixed point of clip(T) that T moves.
+    # component (under ESCAPE_FRACTION of the nodes).  The Newton callable
+    # returns that image, so the clipped iterate reaches a fixed point of
+    # clip(T) that T moves on the Newton step after sweep 1, and the
+    # closing sweep 3 accepts it.
     phi = np.linspace(0.5, 1.0, 5)
     lower, upper = -2.0 * phi * np.ones(shape), 2.0 * phi * np.ones(shape)
     t = phi * np.ones(shape)
     t[..., 2] = 1.01 * upper[..., 2]
     fp = semilinear_solver.clipped_fixed_point(
-        lambda u: (t, None), lower, upper, np.zeros(shape), phi, BracketEscape, 0.5, 50, 1e-10
+        lambda u: (t, None), lower, upper, np.zeros(shape), phi, BracketEscape, 0.5, 50, 1e-10,
+        newton=lambda u: t.copy(),
     )
     per_sweep = t.size // 5
-    assert fp.iterations == 2
+    assert fp.iterations == 3
     assert fp.outside_at_limit == per_sweep
-    assert fp.violations == 2 * per_sweep
+    assert fp.violations == 2 * per_sweep  # sweeps 1 and 3 count the node
     assert fp.residual_x == pytest.approx(0.01 * 2.0)
     assert np.all(fp.u == np.clip(t, lower, upper))
 
@@ -628,28 +636,36 @@ def test_newton_limit_matches_the_picard_limit(c, s, space_dim, n, kappa, spread
 
 
 def test_newton_solve_holds_no_more_memory_than_the_secant_solve():
-    # tracemalloc transient of one solve on the semilinear_sweep bench
-    # problem; the secant-mixed solve it replaced peaked at 55760 bytes
-    # (MP) and 55744 (AMP) above the memory held before the call
+    # tracemalloc transient of one solve on the semilinear_sweep and
+    # system_sweep bench problems, above the memory held before the call;
+    # the secant-mixed solves the Newton steps replaced peaked at 55760
+    # (MP) and 55744 (AMP) bytes for the scalar, 109384 and 109328 for the
+    # system
     grid = make_grid(3, 3.2, 400)
     spectrum = summarize_spectrum(grid, power_potential(1.0, 4.0))
     w = estimate_c0_delta0(spectrum)
     nl = rational_profile(1.0, 2.0)
+    p = system_problem(spectrum, analyze_matrix(0.0, 1.0, 4.0, 0.0), nl, nl)
+    solves = (
+        (lambda mu: solve_semilinear(spectrum, w, nl, mu), spectrum.Lambda, 55760),
+        (lambda mu: solve_system(p, w, mu), p.lambda_star, 109384),
+    )
     tracing = tracemalloc.is_tracing()
-    for mu in (spectrum.Lambda - 0.2, spectrum.Lambda + 0.2):
-        solve_semilinear(spectrum, w, nl, mu)  # fills the operator's cached norm bound
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            rep = solve_semilinear(spectrum, w, nl, mu)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
+    for solve, center, limit in solves:
+        for mu in (center - 0.2, center + 0.2):
+            solve(mu)  # fills the operator's cached norm bound
             if not tracing:
-                tracemalloc.stop()
-        assert rep.certified
-        assert peak <= 55760
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                rep = solve(mu)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+            assert rep.certified
+            assert peak <= limit
 
 
 # ---------------------------------------------------------------- monotone
