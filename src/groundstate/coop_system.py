@@ -17,7 +17,9 @@ the whole GSP/GSN certificate.  The iteration is the scalar one
 (semilinear_solver.clipped_fixed_point): verified Picard sweeps around
 Newton steps, here block Gauss-Seidel steps that solve the decoupled
 Jacobian L - mu - xi_i - M_ii once per component, M = P^{-1} D P with D
-the nodewise derivative of F.
+the nodewise derivative of F.  Each sweep and each Newton step eliminates
+its shifted operators afresh (one gtsv per component), so a solve holds
+no factorization of T - (mu + xi1) or T - (mu + xi2).
 
 Uniqueness diagnostics extend Brezis-Oswald: the coupled quadratic form
 T1 (Laplacian ratios, weighted 1/b and 1/c) equals T2 (coupling plus
@@ -56,7 +58,7 @@ from .errors import (
 from .groundstate_space import GroundstateVector, WindowEstimate, decompose, x_norm
 from .semilinear_solver import Nonlinearity, UniquenessDiagnostics, clipped_fixed_point
 from .semilinear_solver import _ratio_forms
-from .spectral import DiscreteOperator, Factors, SpectrumSummary
+from .spectral import DiscreteOperator, SpectrumSummary
 
 WINDOW_RULE_SYSTEM = "min(delta0, kappa'/(2*c0*K'), (xi1-xi2)/2, lambda2-Lambda)"
 ALGEBRA_RTOL = 1e-10
@@ -222,20 +224,17 @@ def rectangle(p: SystemProblem, mu: float) -> Rectangle:
     return Rectangle(lo=b, hi=a, kind="AMP")
 
 
-def _system_sweep(
-    p: SystemProblem, fac1: Factors, fac2: Factors, u: np.ndarray
-) -> tuple[np.ndarray, tuple]:
+def _system_sweep(p: SystemProblem, mu: float, u: np.ndarray) -> tuple[np.ndarray, tuple]:
     """One map U -> P solve(P^{-1} F(U)) on the 2 x n iterate; returns (U', (v1, v2)).
 
-    The two scalar solves use the factors of T - (mu + xi1) and
-    T - (mu + xi2), which solve_system makes once for the whole iteration.
+    The two scalar solves are verified solves at mu + xi1 and mu + xi2.
     """
     op, m = p.spectrum.op, p.matrix
     r = op.grid.r
     phi = p.spectrum.phi
     g1, g2 = m.decouple(phi * p.nl1(r, u[0]), phi * p.nl2(r, u[1]))
-    v1 = op.solve_shifted(fac1, g1)
-    v2 = op.solve_shifted(fac2, g2)
+    v1 = op.solve_shifted(mu + m.xi1, g1)
+    v2 = op.solve_shifted(mu + m.xi2, g2)
     t = np.vstack([m.p[0, 0] * v1 + m.p[0, 1] * v2, m.p[1, 0] * v1 + m.p[1, 1] * v2])
     return t, (v1, v2)
 
@@ -327,16 +326,17 @@ def solve_system(
 ) -> SystemReport:
     """Clipped rectangle iteration for the cooperative system at shift mu.
 
-    Factors T - (mu + xi1) and T - (mu + xi2) once and runs
-    clipped_fixed_point on the 2 x n iterate from the requested rectangle
-    corner, every sweep solving with those factors.  Sweep 1 is a verified
-    Picard sweep; then block Gauss-Seidel Newton steps in the diagonalized
-    coordinates (_system_newton, two unverified tridiagonal solves each)
-    run until their rate predicts convergence, and one plain verified
-    sweep and the verified image of the limit close the solve.  A step
-    whose X-norm step does not fall switches to sweeps damped by damping
-    for the rest of the solve; damping = 1 takes plain Picard steps
-    throughout.  Clipped nodes count as rectangle violations, a sweep
+    Runs clipped_fixed_point on the 2 x n iterate from the requested
+    rectangle corner, every sweep one verified solve at mu + xi1 and one
+    at mu + xi2.  Sweep 1 is a verified Picard sweep; then block
+    Gauss-Seidel Newton steps in the diagonalized coordinates
+    (_system_newton, two unverified tridiagonal solves each) run until
+    their rate predicts convergence, and one plain verified sweep and the
+    verified image of the limit close the solve.  A step whose X-norm step
+    does not fall, or Newton steps that do not halve it (see
+    clipped_fixed_point), switch to sweeps damped by damping for the rest
+    of the solve; damping = 1 takes plain Picard steps throughout.
+    Clipped nodes count as rectangle violations, a sweep
     clipping more than ESCAPE_FRACTION of all nodes raises
     RectangleEscape, and convergence is measured in the componentwise max
     X-norm.  The row is certified when the limit's image leaves the
@@ -354,9 +354,8 @@ def solve_system(
     hi = rect.hi[:, None] * phi[None, :]
     if start not in ("lower", "upper"):
         raise MalformedInput("start must be 'lower' or 'upper'")
-    fac1, fac2 = op.factor(mu + p.matrix.xi1), op.factor(mu + p.matrix.xi2)
     fp = clipped_fixed_point(
-        lambda u: _system_sweep(p, fac1, fac2, u), lo, hi, lo if start == "lower" else hi, phi,
+        lambda u: _system_sweep(p, mu, u), lo, hi, lo if start == "lower" else hi, phi,
         RectangleEscape, damping, max_iter, tol_x,
         newton=lambda u: _system_newton(p, mu, u),
     )

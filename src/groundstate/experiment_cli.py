@@ -258,13 +258,27 @@ def _require_finite(key: str, block: dict) -> None:
             raise MalformedInput(f"{key}.{name} = {value:g} must be finite")
 
 
-def _require_double_range(value, key: str) -> None:
-    """MalformedInput naming ``key`` for a JSON integer in ``value`` that no double holds.
+def _past_double(value) -> str | None:
+    """An int that no double holds as its order of magnitude ("1e+400"), else None.
 
     json reads an integer literal exactly, so 10**400 arrives as an int
     that float() and numpy refuse with OverflowError or a casting error;
-    as a double it is infinite.  Dicts and lists are walked, a list entry
-    named ``key[i]``.
+    as a double it is infinite.
+    """
+    if not isinstance(value, int):
+        return None
+    try:
+        float(value)
+    except OverflowError:
+        digits = str(abs(value))
+        return f"{'-' if value < 0 else ''}{digits[0]}e+{len(digits) - 1}"
+    return None
+
+
+def _require_double_range(value, key: str) -> None:
+    """MalformedInput naming ``key`` for a JSON integer in ``value`` that no double holds.
+
+    Dicts and lists are walked, a list entry named ``key[i]``.
     """
     if isinstance(value, dict):
         for name, item in value.items():
@@ -272,15 +286,24 @@ def _require_double_range(value, key: str) -> None:
     elif isinstance(value, list):
         for i, item in enumerate(value):
             _require_double_range(item, f"{key}[{i}]")
-    elif isinstance(value, int):
-        try:
-            float(value)
-        except OverflowError:
-            digits = str(abs(value))
-            sign = "-" if value < 0 else ""
-            raise MalformedInput(
-                f"{key} = {sign}{digits[0]}e+{len(digits) - 1} must be finite"
-            ) from None
+    elif (magnitude := _past_double(value)) is not None:
+        raise MalformedInput(f"{key} = {magnitude} must be finite")
+
+
+def _schema_message(error) -> str:
+    """The jsonschema message of ``error``, naming the key of a value no double holds.
+
+    jsonschema echoes the offending value in full, all 401 digits of
+    10**400; that value is replaced by ``key = 1e+400``.  Every other
+    message is returned as jsonschema wrote it.
+    """
+    magnitude = _past_double(error.instance)
+    if magnitude is None:
+        return error.message
+    key = ""
+    for part in error.absolute_path:
+        key += f"[{part}]" if isinstance(part, int) else f"{'.' if key else ''}{part}"
+    return error.message.replace(repr(error.instance), f"{key} = {magnitude}", 1)
 
 
 def build_potential(cfg: dict):
@@ -466,7 +489,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise MalformedInput(f"config unreadable: {exc}") from exc
     error = best_match(CONFIG_VALIDATOR.iter_errors(cfg))
     if error is not None:
-        raise MalformedInput(f"config invalid: {error.message}") from error
+        raise MalformedInput(f"config invalid: {_schema_message(error)}") from error
     _require_double_range(cfg, "")
 
     grid_scale = float(args.grid_scale)

@@ -11,10 +11,13 @@ weighted matrix norm || D_phi^-1 Pi (L-mu)^-1 Pi D_phi ||_inf is estimated
 at sampled mu across the window and the max is reported together with the
 samples used.  Each sample is a Higham-Tisseur block 1-norm estimate, which
 needs only products with the matrix and its transpose, i.e. banded solves,
-so it costs O(n) time and memory.  The estimator works on its n x 2 blocks
-one column at a time, in the arithmetic and summation order of whole-block
-broadcasts and axis reductions, so c0 has their bits at a fraction of their
-cost (see projected_resolvent_norm).  Such an estimate is a lower bound in
+so it costs O(n) time and memory.  Those solves share one gttrf
+factorization of T - mu per sample, the one place the package reuses LU
+factors; every other resolvent solve is a fresh gtsv elimination.  The
+estimator works on its n x 2 blocks one column at a time, in the
+arithmetic and summation order of whole-block broadcasts and axis
+reductions, so c0 has their bits at a fraction of their cost (see
+projected_resolvent_norm).  Such an estimate is a lower bound in
 general (on the grids tested it equals the dense evaluation to rounding).
 Soundness does not rest on c0: every certificate is re-verified pointwise
 downstream, so a low c0 can widen a window but never make a claim wrong.
@@ -27,9 +30,9 @@ from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg.lapack import dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import MalformedInput
+from .errors import MalformedInput, SingularResolvent
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from .spectral import DiscreteOperator, SpectrumSummary
@@ -183,7 +186,9 @@ def projected_resolvent_norm(
     to those columns, which the block 1-norm estimator evaluates from
     products with A and A^T alone.  Each product is one banded solve with
     (L-mu)^-1 = S^-1 (T-mu)^-1 S, its transpose S (T-mu)^-1 S^-1 (T is
-    symmetric), against one ``op.factor(mu)`` per call.
+    symmetric).  T - mu is LU-factored (LAPACK gttrf) once per call and
+    each product is one gttrs back-substitution against those factors;
+    a zero pivot raises SingularResolvent.
     O(n) time and memory; the estimator draws from a fixed local seed, so
     the value is a deterministic function of the inputs.
 
@@ -198,7 +203,9 @@ def projected_resolvent_norm(
     scale = op.scale
     inv_scale = 1.0 / scale
     s = op.start
-    _, dl, d, du, du2, ipiv = op.factor(mu)
+    dl, d, du, du2, ipiv, info = dgttrf(op.offdiag, op.diag - mu, op.offdiag)
+    if info != 0:
+        raise SingularResolvent(f"T - mu is singular at mu = {mu:.12g}")
 
     def rows(a: np.ndarray, B: np.ndarray) -> np.ndarray:
         """a[:, None] * B, column by column, C-ordered."""

@@ -80,7 +80,7 @@ def solve_linear(p: LinearProblem, mu: float) -> GroundstateVector:
     """
     p.spectrum.check_off_spectrum(mu)
     op = p.spectrum.op
-    u = op.solve_shifted(op.factor(mu), p.f.values)
+    u = op.solve_shifted(mu, p.f.values)
     ug = decompose(u, p.spectrum.phi, op.grid.quad_weights)
     expected = p.f.c1 / (p.spectrum.Lambda - mu)
     if abs(ug.c1 - expected) > 1e-6 * max(abs(expected), 1e-300):

@@ -19,7 +19,10 @@ u <= kappa*phi/(Lambda-mu) < 0 on the AMP branch.  The iteration
 (clipped_fixed_point) takes one Picard sweep, then clipped Newton steps
 on the exact tridiagonal Jacobian L - mu - diag(phi g_u) until their
 rate predicts convergence, then one plain sweep (damped sweeps instead
-once a step stops falling); its iterates lie in the bracket by clipping,
+once a step stops falling, or once a Newton step is above
+NEWTON_CONTRACTION of the step two before it); every sweep and Newton
+step is one fresh tridiagonal elimination, and no step holds a
+factorization.  Its iterates lie in the bracket by clipping,
 so the limit's own ratio proves nothing.  The certificate is
 checked on the image T(u) of the limit instead: a row is certified when
 kappa > 0 and T(u) leaves the bracket at no node by more than CERT_SLACK
@@ -53,11 +56,16 @@ from .errors import (
     WindowViolation,
 )
 from .groundstate_space import CERT_SLACK, GroundstateVector, WindowEstimate, decompose, x_norm
-from .spectral import DiscreteOperator, Factors, SpectrumSummary
+from .spectral import DiscreteOperator, SpectrumSummary
 
 WINDOW_RULE_SEMILINEAR = "min(delta0, kappa/(2*c0*K))"
 BRACKET_SLACK = 1e-12
 ESCAPE_FRACTION = 0.25
+#: a Newton step is accepted only when it falls below the previous step and
+#: is at most this fraction of the step before that: two steps that do not
+#: halve the step hand over to damped sweeps (a lone first Newton step,
+#: which may still be far from the quadratic regime, only has to fall)
+NEWTON_CONTRACTION = 0.5
 SLOPE_RTOL = 0.1  # slack of the derivative check, relative to the larger |g_u| of an interval
 SLOPE_EVERY = 8  # the derivative check takes one lattice interval in every SLOPE_EVERY
 
@@ -231,16 +239,15 @@ def window_semilinear(nl: Nonlinearity, w: WindowEstimate) -> float:
 
 
 def apply_T(
-    spectrum: SpectrumSummary, nl: Nonlinearity, fac: Factors, u: np.ndarray
+    spectrum: SpectrumSummary, nl: Nonlinearity, mu: float, u: np.ndarray
 ) -> np.ndarray:
     """One fixed-point map T(u) = (L - mu)^{-1} [phi * g(r, u)], L = spectrum.op.
 
-    fac is ``spectrum.op.factor(mu)``, which the caller makes once per
-    solve; the solve is verified inside solve_shifted: a residual above
-    1e-10 raises SingularResolvent.
+    The solve is verified inside solve_shifted: a residual above 1e-10
+    raises SingularResolvent.
     """
     op = spectrum.op
-    return op.solve_shifted(fac, spectrum.phi * nl(op.grid.r, u))
+    return op.solve_shifted(mu, spectrum.phi * nl(op.grid.r, u))
 
 
 @dataclass(frozen=True)
@@ -349,14 +356,16 @@ def clipped_fixed_point(
     the plain step u <- g.  With damping = 1 every step is a plain sweep
     u <- g (Picard iteration): no Newton step and no switch.  Otherwise
     the steps after sweep 1 are Newton steps u <- clip(newton(u), lower,
-    upper), with no sweep, until the first step whose X-norm step is not
-    below the previous step's (or a None); that step is replaced by a
-    damped sweep u <- (1-damping)*u + damping*g, and so is every step for
-    the rest of the solve.  When the rate step/previous puts the next
-    Newton step below tol_x (step**2/previous < tol_x), one plain sweep
-    follows: it accepts u <- g when its Picard residual is below tol_x,
-    else hands back to Newton steps if that residual fell, else switches
-    to the damped sweeps.
+    upper), with no sweep, until the first step (or a None) whose X-norm
+    step is not below the previous step's, or is above NEWTON_CONTRACTION
+    times the step before that: Newton steps that stagnate are refused.
+    That step is replaced by a damped sweep u <- (1-damping)*u +
+    damping*g, and so is every step for the rest of the solve.  When the
+    rate step/previous puts the next Newton step below tol_x
+    (step**2/previous < tol_x), one plain sweep follows: it accepts
+    u <- g when its Picard residual is below tol_x, else hands back to
+    Newton steps if that residual fell, else switches to the damped
+    sweeps.
 
     An image node is counted as a violation when it lies farther from
     [lower, upper] than both BRACKET_SLACK of the set's largest edge and
@@ -368,8 +377,7 @@ def clipped_fixed_point(
     Failure raises NoConvergence carrying the step trace (sweeps and
     Newton steps).  The map is applied once more at the limit for
     residual_x, aux and outside_at_limit, so these come only from sweep,
-    never from a Newton solve.  The caller's sweep and newton hold the
-    factorizations they solve with.
+    never from a Newton solve.
     """
     if not (0.0 < damping <= 1.0):
         raise MalformedInput("damping must lie in (0, 1]")
@@ -386,7 +394,9 @@ def clipped_fixed_point(
                 np.minimum(v, upper, out=v)
                 np.maximum(v, lower, out=v)
                 step = x_norm(v - u, phi)
-                if step < trace[-1]:
+                if step < trace[-1] and (
+                    len(trace) < 2 or step <= NEWTON_CONTRACTION * trace[-2]
+                ):
                     # at the rate step/previous the next step is step**2/previous
                     closing = step * step < tol_x * trace[-1]
                     trace.append(step)
@@ -432,36 +442,19 @@ def clipped_fixed_point(
     )
 
 
-class _ScalarMaps:
-    """T and its Newton step at one shift mu, for clipped_fixed_point.
+def _scalar_newton(
+    spectrum: SpectrumSummary, nl: Nonlinearity, mu: float, u: np.ndarray
+) -> np.ndarray | None:
+    """u - J^{-1}((L - mu) u - phi g) = J^{-1}(phi (g - g_u u)), J = L - mu - diag(phi g_u).
 
-    sweep(u) is (T(u), None), solved with the factors of T - mu; newton(u)
-    drops those factors, so a Newton step holds only its own solve's, and
-    the next sweep makes them again.
+    The right-hand form needs no product with L; like a sweep, it is one
+    tridiagonal elimination of the whole iterate, here unverified.
     """
-
-    def __init__(self, spectrum: SpectrumSummary, nl: Nonlinearity, mu: float) -> None:
-        self.spectrum, self.nl, self.mu = spectrum, nl, mu
-        self.fac: Factors | None = None
-
-    def sweep(self, u: np.ndarray) -> tuple[np.ndarray, None]:
-        if self.fac is None:
-            self.fac = self.spectrum.op.factor(self.mu)
-        return apply_T(self.spectrum, self.nl, self.fac, u), None
-
-    def newton(self, u: np.ndarray) -> np.ndarray | None:
-        """u - J^{-1}((L - mu) u - phi g) = J^{-1}(phi (g - g_u u)), J = L - mu - diag(phi g_u).
-
-        The right-hand form needs no product with L; like a sweep, it is
-        one fresh tridiagonal solve of the whole iterate.
-        """
-        self.fac = None
-        spectrum, nl = self.spectrum, self.nl
-        phi, r = spectrum.phi, spectrum.op.grid.r
-        slope = phi * nl.derivative(r, u)
-        rhs = phi * nl(r, u)
-        rhs -= slope * u
-        return spectrum.op.solve_unverified(self.mu, slope, rhs)
+    phi, r = spectrum.phi, spectrum.op.grid.r
+    slope = phi * nl.derivative(r, u)
+    rhs = phi * nl(r, u)
+    rhs -= slope * u
+    return spectrum.op.solve_unverified(mu, slope, rhs)
 
 
 def solve_semilinear(
@@ -480,15 +473,15 @@ def solve_semilinear(
     bracket end.  Sweep 1 is a verified Picard sweep; then clipped Newton
     steps on the tridiagonal Jacobian L - mu - diag(phi g_u) run until
     their rate predicts convergence, and one plain verified sweep and the
-    verified image of the limit close the solve.  A step
-    whose X-norm step does not fall switches to sweeps damped by damping
-    for the rest of the solve; damping = 1 takes plain Picard steps
-    throughout.  The sweeps factor T - mu once, the Newton steps drop
-    those factors, and the closing sweeps factor T - mu again (see
-    _ScalarMaps).  Clipped nodes count as bracket violations, a sweep
-    clipping more than ESCAPE_FRACTION of the nodes raises BracketEscape,
-    and failure to converge in the X-norm raises NoConvergence carrying
-    the step-size trace.
+    verified image of the limit close the solve.  A step whose X-norm
+    step does not fall, or Newton steps that do not halve it (see
+    clipped_fixed_point), switch to sweeps damped by damping for the rest
+    of the solve; damping = 1 takes plain Picard steps throughout.  Every
+    solve is one fresh elimination, so no step holds a factorization.
+    Clipped nodes count as bracket violations, a sweep clipping more than
+    ESCAPE_FRACTION of the nodes raises BracketEscape, and failure to
+    converge in the X-norm raises NoConvergence carrying the step-size
+    trace.
     """
     window = window_semilinear(nl, w)
     lam = spectrum.Lambda
@@ -502,11 +495,10 @@ def solve_semilinear(
     if start not in ("lower", "upper"):
         raise MalformedInput("start must be 'lower' or 'upper'")
     u = bracket.lower if start == "lower" else bracket.upper
-    maps = _ScalarMaps(spectrum, nl, mu)
     fp = clipped_fixed_point(
-        maps.sweep, bracket.lower, bracket.upper, u, spectrum.phi,
-        BracketEscape, damping, max_iter, tol_x,
-        newton=maps.newton,
+        lambda u: (apply_T(spectrum, nl, mu, u), None), bracket.lower, bracket.upper, u,
+        spectrum.phi, BracketEscape, damping, max_iter, tol_x,
+        newton=lambda u: _scalar_newton(spectrum, nl, mu, u),
     )
     return _finish_report(
         spectrum, w, nl, mu, fp.u,
@@ -596,9 +588,8 @@ def monotone_solve(
     start decreases.  A step that breaks monotonicity beyond rounding
     raises MonotonicityBroken.  Returns the lower limit as solution, the
     upper limit in solution_upper, and their X-gap in uniqueness.  The
-    sweeps share one factorization of T - mu + M; the image T(u) of the
-    lower limit, which gives residual_x and the certificate's
-    outside_count, uses one of T - mu.
+    sweeps solve at the shift mu - M; the image T(u) of the lower limit,
+    which gives residual_x and the certificate's outside_count, at mu.
     """
     lam = spectrum.Lambda
     if mu >= lam:
@@ -610,10 +601,8 @@ def monotone_solve(
     if m_shift < 0:
         raise MalformedInput("shift must be >= 0")
 
-    shifted = op.factor(mu - m_shift)
-
     def sweep(u: np.ndarray) -> np.ndarray:
-        return op.solve_shifted(shifted, phi * nl(r, u) + m_shift * u)
+        return op.solve_shifted(mu - m_shift, phi * nl(r, u) + m_shift * u)
 
     limits = []
     total_iters = 0
@@ -634,7 +623,7 @@ def monotone_solve(
             raise NoConvergence(f"monotone sweep stalled above {tol_x:g}", iterations=max_iter)
         limits.append(u)
     lower_limit, upper_limit = limits
-    t = apply_T(spectrum, nl, op.factor(mu), lower_limit)
+    t = apply_T(spectrum, nl, mu, lower_limit)
     gap = x_norm(upper_limit - lower_limit, phi)
     report = _finish_report(
         spectrum, w, nl, mu, lower_limit,

@@ -31,23 +31,21 @@ diagonal, so by Courant-Fischer sector ell's lowest eigenvalue rises with
 ell (N = 1 has two sectors).
 
 Resolvent solves go through ``DiscreteOperator.solve_shifted``, the one
-verified banded solve.  The Newton steps of solve_semilinear, and the
-block Gauss-Seidel Newton steps of solve_system (one per diagonalized
-component, at mu + xi1 and mu + xi2), solve a Jacobian
-``T - mu - diag(d)`` with ``DiscreteOperator.solve_unverified`` (one
-LAPACK gtsv) instead: those solutions are search directions, not
-claims, so they need no residual check, and the limit they lead to is
-verified through ``solve_shifted``.  ``DiscreteOperator.factor(mu)``
-LU-factors ``T - mu`` (LAPACK gttrf, partial pivoting, valid on both
-sides of the spectrum) into an immutable ``Factors`` record that carries
-its shift; each ``solve_shifted(fac, f)`` is one gttrs
-back-substitution, checked against a backward-error residual bound
-before it is returned.  The operator keeps no state: each solver driver
-factors its own shifts (solve_linear mu; solve_semilinear mu, once
-before its Newton steps and once after; solve_system mu + xi1 and
-mu + xi2, once for all its steps; monotone_solve mu - M and mu) and the
-record goes when the driver returns or raises, or when solve_semilinear
-starts its Newton steps.
+verified banded solve: ``solve_shifted(mu, f)`` eliminates ``T - mu``
+with one LAPACK gtsv (partial pivoting, valid on both sides of the
+spectrum) and checks the solution against a backward-error residual
+bound before it is returned.  The Newton steps of solve_semilinear, and
+the block Gauss-Seidel Newton steps of solve_system (one per
+diagonalized component, at mu + xi1 and mu + xi2), solve a Jacobian
+``T - mu - diag(d)`` with ``DiscreteOperator.solve_unverified``, the
+same elimination without the check: those solutions are search
+directions, not claims, and the limit they lead to is verified through
+``solve_shifted``.  No solve keeps a factorization: the solver drivers
+pass shifts, and one gtsv elimination returns the bits of gttrf LU
+factors and a gttrs back-substitution against them.  The window estimate
+(groundstate_space.projected_resolvent_norm), which makes several
+block solves at each sample shift, is the one place that factors
+``T - mu`` once and reuses the factors.
 """
 
 from __future__ import annotations
@@ -55,11 +53,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solveh_banded
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dstein
+from scipy.linalg.lapack import dgtsv, dstein
 
 from .errors import ConvergenceFailure, MalformedInput, SingularResolvent
 from .radial_grid import Grid, RadialPotential
@@ -73,17 +70,6 @@ RADIAL_EIGS = 6  # sector-0 eigenvalues summarize_spectrum reports
 
 def _centrifugal(space_dim: int, sector: int) -> float:
     return (space_dim - 1) * (space_dim - 3) / 4.0 + sector * (sector + space_dim - 2)
-
-
-class Factors(NamedTuple):
-    """gttrf factors of T - mu together with the shift mu they belong to."""
-
-    mu: float
-    dl: np.ndarray
-    d: np.ndarray
-    du: np.ndarray
-    du2: np.ndarray
-    ipiv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -136,26 +122,25 @@ class DiscreteOperator:
         y[1:] += self.offdiag * x[:-1]
         return y
 
-    def solve_shifted(self, fac: Factors, f: np.ndarray) -> np.ndarray:
+    def solve_shifted(self, mu: float, f: np.ndarray) -> np.ndarray:
         """Solve (L - mu) u = f for full-grid functions f, u, verified.
 
-        ``fac`` is ``self.factor(mu)``, made once per shift by the caller
-        (partial pivoting, so valid on both sides of the spectrum), and
-        each call is one back-substitution.  The solution is accepted only if
+        One gtsv elimination of T - mu (partial pivoting, so valid on both
+        sides of the spectrum).  The solution is accepted only if
         ||(L - mu)u - f|| <= 1e-10 * (||f|| + (||L|| + |mu|) * ||u||): the
         backward-error scaling, since near Lambda ||u|| can dwarf ||f||.
         The grid norms are taken in internal coordinates, where they are
         plain l2 norms of x, b = scale * f and T x - mu x - b; the weighted
         f at excluded nodes, where u and L u vanish, enters both the
-        residual and ||f||.  Raises SingularResolvent when the residual
-        bound fails, which includes any NaN in f or u, and when the bound
-        itself overflows to inf (an exactly zero pivot already raised in
-        factor).
+        residual and ||f||.  Raises SingularResolvent on an exactly zero
+        pivot, when the residual bound fails, which includes any NaN in f
+        or u, and when the bound itself overflows to inf.
         """
-        mu = fac.mu
         s = self.start
         b = self.restrict(f)
-        x, _ = dgttrs(fac.dl, fac.d, fac.du, fac.du2, fac.ipiv, b)
+        x = self._eliminate(mu, None, b.copy())
+        if x is None:
+            raise SingularResolvent(f"T - mu is singular at mu = {mu:.12g}")
         r = self._product(x)
         r -= mu * x
         r -= b
@@ -174,19 +159,24 @@ class DiscreteOperator:
         """Solve (L - mu - diag(d)) u = f for full-grid functions d, f, u, unchecked.
 
         For search directions only (the Newton steps of solve_semilinear
-        and solve_system, whose limits solve_shifted verifies): one LAPACK
-        gtsv elimination with partial pivoting, made afresh at each call,
-        with no residual check.  None when the matrix has an exactly zero
-        pivot.
+        and solve_system, whose limits solve_shifted verifies): the
+        elimination of solve_shifted with no residual check.  None when
+        the matrix has an exactly zero pivot.
         """
-        s = self.start
-        b = self.restrict(f)
+        x = self._eliminate(mu, d, self.restrict(f))
+        return None if x is None else self._extend_own(x)
+
+    def _eliminate(self, mu: float, d: np.ndarray | None, b: np.ndarray) -> np.ndarray | None:
+        """x with (T - mu - diag(d)) x = b, d a full-grid function or None for 0.
+
+        One LAPACK gtsv elimination with partial pivoting, which overwrites
+        b with x; None on an exactly zero pivot.
+        """
         dm = self.diag - mu
-        dm -= d[s:]
+        if d is not None:
+            dm -= d[self.start :]
         *_, x, info = dgtsv(self.offdiag, dm, self.offdiag, b, overwrite_d=1, overwrite_b=1)
-        if info != 0:
-            return None
-        return self._extend_own(x)
+        return x if info == 0 else None
 
     def _extend_own(self, x: np.ndarray) -> np.ndarray:
         """extend for an x nothing else holds: divided in place when no node is excluded."""
@@ -194,13 +184,6 @@ class DiscreteOperator:
             return self.extend(x)
         x /= self.scale
         return x
-
-    def factor(self, mu: float) -> Factors:
-        """gttrf factors of T - mu; a zero pivot raises SingularResolvent."""
-        dl, d, du, du2, ipiv, info = dgttrf(self.offdiag, self.diag - mu, self.offdiag)
-        if info != 0:
-            raise SingularResolvent(f"T - mu is singular at mu = {mu:.12g}")
-        return Factors(mu, dl, d, du, du2, ipiv)
 
     def quadratic_form(self, u: np.ndarray) -> float:
         """Discrete V-norm squared: quadrature of (Lu)*u.

@@ -765,6 +765,31 @@ def test_config_invalid_message_matches_jsonschema(tmp_path, capsys, changes):
     assert capsys.readouterr().err == f"error: config invalid: {info.value.message}\n"
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"margin": 10**400}, "margin = 1e+400 is greater than or equal to the maximum of 1"),
+        ({"margin": -10**400}, "margin = -1e+400 is less than or equal to the minimum of 0"),
+        ({"space_dim": 10**400}, "space_dim = 1e+400 is greater than the maximum of 12"),
+        ({"grid": {"r_max": 3.2, "n": -10**400}}, "grid.n = -1e+400 is less than the minimum of 2"),
+        ({"mode": 10**400}, "mode = 1e+400 is not one of"),
+    ],
+    ids=["margin", "margin_negative", "space_dim", "grid_n", "mode"],
+)
+def test_schema_error_on_a_huge_integer_names_the_key_and_elides_it(
+    tmp_path, capsys, changes, message
+):
+    # jsonschema's message carried all 401 digits of the value
+    base = json.loads(write_config(tmp_path / "base.json").read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_invalid(base, **changes)))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config invalid: {message}")
+    assert len(err) < 120
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_does_not_recheck_the_schema(tmp_path, monkeypatch):
     def refuse(cls, schema, *args, **kwargs):
         raise jsonschema.SchemaError("metaschema check during a run")

@@ -1,14 +1,14 @@
-"""The verified resolvent solve: factor counts, bit-identity and failure modes.
+"""The verified resolvent solve: bit-identity, solve counts and failure modes.
 
-``DiscreteOperator.factor`` factors ``T - mu`` with LAPACK gttrf, and
-``DiscreteOperator.solve_shifted`` back-substitutes with gttrs against
-those factors; each solver driver factors its own shifts once per solve
-(a semilinear solve twice, around its Newton steps), which the counts
-below pin per driver and per ``groundstate run``, next to the
-``solve_shifted`` calls of two-start fixed-point runs.  The
-reference below is the plain ``solve_banded`` path it replaced, kept here
-only as the oracle: for a (1, 1) band scipy runs gtsv, which performs the
-same pivoted elimination, so the two must agree bit for bit.
+``DiscreteOperator.solve_shifted(mu, f)`` eliminates ``T - mu`` with one
+LAPACK gtsv per call and keeps no factorization; only the window
+estimate factors ``T - mu`` (gttrf) and reuses the factors, which the
+count below pins per ``groundstate run``, next to the ``solve_shifted``
+calls of two-start fixed-point runs.  Two references are kept here only
+as oracles: the plain ``solve_banded`` path (for a (1, 1) band scipy runs
+gtsv), and gttrf LU factors with a gttrs back-substitution, the solve
+that held factors; both perform the same pivoted elimination, so each
+must agree with ``solve_shifted`` bit for bit.
 """
 
 import json
@@ -16,25 +16,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
-from groundstate import (
-    RadialPotential,
-    analyze_matrix,
-    assemble,
-    eigenvalues,
-    estimate_c0_delta0,
-    linear_problem,
-    make_grid,
-    monotone_solve,
-    rational_profile,
-    solve_linear,
-    summarize_spectrum,
-    system_problem,
-    system_two_start,
-    two_start_diagnostics,
-)
-from groundstate import spectral
+from groundstate import RadialPotential, assemble, eigenvalues, make_grid
+from groundstate import groundstate_space, spectral
 from groundstate.errors import SingularResolvent
 from groundstate.experiment_cli import main
 
@@ -51,8 +39,17 @@ def reference_solve(op, mu: float, f: np.ndarray) -> np.ndarray:
     return op.extend(solve_banded((1, 1), ab, op.restrict(f)))
 
 
+def factored_solve(op, mu: float, f: np.ndarray) -> np.ndarray:
+    """The solve that held factors: gttrf LU of T - mu, then one gttrs back-substitution."""
+    dl, d, du, du2, ipiv, info = dgttrf(op.offdiag, op.diag - mu, op.offdiag)
+    assert info == 0
+    x, info = dgttrs(dl, d, du, du2, ipiv, op.restrict(f))
+    assert info == 0
+    return op.extend(x)
+
+
 def row_interchanges(op, mu: float) -> int:
-    ipiv = spectral.dgttrf(op.offdiag, op.diag - mu, op.offdiag)[4]
+    ipiv = dgttrf(op.offdiag, op.diag - mu, op.offdiag)[4]
     return int(np.count_nonzero(ipiv != np.arange(1, op.dim + 1)))
 
 
@@ -69,12 +66,42 @@ def test_solve_shifted_is_bit_identical_to_banded_reference(space_dim, r_max, po
     for mu in (lam - 0.1, lam + 0.1):
         if mu > lam:
             assert row_interchanges(op, mu) > 0  # the pivoted path is exercised
-        fac = op.factor(mu)
         for _ in range(3):
             f = rng.standard_normal(len(op.grid.r))
             f[: op.start] = 0.0  # the odd sector vanishes at the origin
-            # repeated calls reuse the factors and must not drift either
-            assert np.array_equal(op.solve_shifted(fac, f), reference_solve(op, mu, f))
+            # repeated calls at one shift must not drift either
+            assert np.array_equal(op.solve_shifted(mu, f), reference_solve(op, mu, f))
+
+
+OPERATORS = {
+    "N3-radial": assemble(make_grid(3, 3.2, 300), QUARTIC_3D, 0),
+    "N1-odd": assemble(make_grid(1, 4.0, 300), QUARTIC_1D, 1),
+}
+LOWEST = {name: eigenvalues(op, 6) for name, op in OPERATORS.items()}
+
+
+@settings(max_examples=40)
+@given(
+    name=st.sampled_from(sorted(OPERATORS)),
+    region=st.sampled_from(["below the lowest", "between the lowest two", "above the second"]),
+    place=st.floats(0.01, 0.99),
+    upper=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_shifted_is_bit_identical_to_held_factors(name, region, place, upper, seed):
+    # shifts below the operator's lowest eigenvalue, in the gap above it
+    # and between higher eigenvalues, where the pivoted elimination
+    # interchanges rows
+    op, vals = OPERATORS[name], LOWEST[name]
+    if region == "below the lowest":
+        mu = vals[0] - place * (vals[1] - vals[0])
+    elif region == "between the lowest two":
+        mu = vals[0] + place * (vals[1] - vals[0])
+    else:
+        mu = vals[upper - 1] + place * (vals[upper] - vals[upper - 1])
+    f = np.random.default_rng(seed).standard_normal(len(op.grid.r))
+    f[: op.start] = 0.0
+    assert np.array_equal(op.solve_shifted(float(mu), f), factored_solve(op, float(mu), f))
 
 
 def test_nan_right_hand_side_raises_instead_of_returning_nan():
@@ -83,7 +110,7 @@ def test_nan_right_hand_side_raises_instead_of_returning_nan():
     f = np.ones(len(op.grid.r))
     f[17] = np.nan
     with pytest.raises(SingularResolvent):
-        op.solve_shifted(op.factor(mu), f)
+        op.solve_shifted(mu, f)
 
 
 def test_overflowing_bound_raises_instead_of_accepting_inf_le_inf():
@@ -92,7 +119,7 @@ def test_overflowing_bound_raises_instead_of_accepting_inf_le_inf():
     op = assemble(make_grid(3, 3.2, 200), QUARTIC_3D, 0)
     vals, vecs = spectral.eigenpairs(op, 1)
     with np.errstate(over="ignore"), pytest.raises(SingularResolvent):
-        op.solve_shifted(op.factor(float(vals[0]) - 0.1), 1e300 * vecs[:, 0])
+        op.solve_shifted(float(vals[0]) - 0.1, 1e300 * vecs[:, 0])
 
 
 def test_data_at_an_excluded_node_fails_the_residual_check():
@@ -101,16 +128,15 @@ def test_data_at_an_excluded_node_fails_the_residual_check():
     op = assemble(make_grid(1, 4.0, 300), QUARTIC_1D, 1)
     assert op.start == 1 and op.grid.quad_weights[0] > 0.0
     mu = float(eigenvalues(op, 1)[0]) - 0.1
-    fac = op.factor(mu)
     f = np.zeros(len(op.grid.r))
     f[0] = 1.0
     with pytest.raises(SingularResolvent):
-        op.solve_shifted(fac, f)
+        op.solve_shifted(mu, f)
     f[1:] = 1.0
     with pytest.raises(SingularResolvent):
-        op.solve_shifted(fac, f)
+        op.solve_shifted(mu, f)
     f[0] = 0.0
-    assert op.solve_shifted(fac, f)[0] == 0.0
+    assert op.solve_shifted(mu, f)[0] == 0.0
 
 
 def test_exactly_singular_shift_raises_singular_resolvent():
@@ -120,8 +146,24 @@ def test_exactly_singular_shift_raises_singular_resolvent():
     f = np.ones(3)
     with pytest.raises(np.linalg.LinAlgError):
         reference_solve(op, 0.0, f)
-    with pytest.raises(SingularResolvent):
-        op.factor(0.0)
+    with pytest.raises(SingularResolvent, match="singular at mu = 0$"):
+        op.solve_shifted(0.0, f)
+
+
+def test_zero_gtsv_pivot_raises_singular_resolvent_naming_mu(monkeypatch):
+    op = assemble(make_grid(3, 3.2, 200), QUARTIC_3D, 0)
+    mu = float(eigenvalues(op, 1)[0]) - 0.1
+    f = np.ones(len(op.grid.r))
+    real = spectral.dgtsv
+
+    def zero_pivot(*args, **kwargs):
+        *lu, _ = real(*args, **kwargs)
+        return (*lu, 1)
+
+    monkeypatch.setattr(spectral, "dgtsv", zero_pivot)
+    with pytest.raises(SingularResolvent, match=f"singular at mu = {mu:.12g}$"):
+        op.solve_shifted(mu, f)
+    assert op.solve_unverified(mu, np.zeros_like(f), f) is None
 
 
 @pytest.mark.parametrize(
@@ -145,7 +187,7 @@ def test_unverified_solve_matches_a_dense_solve(space_dim, r_max, pot, sector):
         assert np.all(u[:s] == 0.0)
         # with d = 0 it solves what solve_shifted solves, without the check
         plain = op.solve_unverified(mu, np.zeros_like(d), f * (np.arange(len(f)) >= s))
-        assert np.allclose(plain, op.solve_shifted(op.factor(mu), f * (np.arange(len(f)) >= s)))
+        assert np.allclose(plain, op.solve_shifted(mu, f * (np.arange(len(f)) >= s)))
 
 
 def test_unverified_solve_of_a_singular_matrix_is_none():
@@ -156,13 +198,14 @@ def test_unverified_solve_of_a_singular_matrix_is_none():
 
 
 def test_singular_factorization_exits_3_without_output(tmp_path, monkeypatch):
-    real = spectral.dgttrf
+    # a zero pivot in the linear row's resolvent solve
+    real = spectral.dgtsv
 
     def zero_pivot(*args, **kwargs):
         *lu, _ = real(*args, **kwargs)
         return (*lu, 1)
 
-    monkeypatch.setattr(spectral, "dgttrf", zero_pivot)
+    monkeypatch.setattr(spectral, "dgtsv", zero_pivot)
     cfg = {
         "mode": "linear",
         "space_dim": 3,
@@ -178,56 +221,7 @@ def test_singular_factorization_exits_3_without_output(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-# ------------------------------------------------------------ factor counts
-
-
-@pytest.fixture()
-def setup():
-    grid = make_grid(3, 3.2, 300)
-    spectrum = summarize_spectrum(grid, QUARTIC_3D)
-    return spectrum, estimate_c0_delta0(spectrum)
-
-
-@pytest.fixture()
-def factor_calls(monkeypatch):
-    calls = []
-    real = spectral.dgttrf
-
-    def counting(dl, d, du):
-        calls.append(None)
-        return real(dl, d, du)
-
-    monkeypatch.setattr(spectral, "dgttrf", counting)
-    return calls
-
-
-def test_semilinear_two_start_factors_twice_per_start(setup, factor_calls):
-    # each start factors mu for sweep 1 and again for its closing sweep and
-    # image: the Newton steps between drop those factors and solve their
-    # Jacobians with gtsv, which makes no gttrf call
-    spectrum, w = setup
-    rep = two_start_diagnostics(spectrum, w, rational_profile(1.0, 2.0), spectrum.Lambda - 0.1)
-    assert rep.certified
-    assert len(factor_calls) == 4
-
-
-def test_system_two_start_factors_each_shift_once_per_start(setup, factor_calls):
-    spectrum, w = setup
-    nl = rational_profile(1.0, 2.0)
-    m = analyze_matrix(0.0, 1.0, 4.0, 0.0)
-    p = system_problem(spectrum, m, nl, nl)
-    rep = system_two_start(p, w, spectrum.Lambda - m.xi1 - 0.1)
-    assert rep.certified
-    assert len(factor_calls) == 4
-
-
-def test_linear_and_monotone_solvers_factor_each_shift_once(setup, factor_calls):
-    spectrum, w = setup
-    mu = spectrum.Lambda - 0.1
-    solve_linear(linear_problem(spectrum, spectrum.phi), mu)
-    assert len(factor_calls) == 1
-    monotone_solve(spectrum, w, rational_profile(1.0, 2.0), mu)
-    assert len(factor_calls) == 3  # mu - M for the sweeps, mu for the residual
+# ------------------------------------------------------------ call counts
 
 
 _RUN = {
@@ -235,7 +229,7 @@ _RUN = {
     "potential": {"kind": "power", "c": 1.0, "s": 4.0},
     "grid": {"r_max": 3.2, "n": 200},
     "mu_offsets": [-0.2, -0.05, 0.05, 0.2],
-    "output_dir": "factor-count-out",
+    "output_dir": "call-count-out",
 }
 _RATIONAL = {"kind": "rational", "kappa": 1.0, "K": 2.0}
 _SYSTEM = {"nonlinearity": _RATIONAL, "matrix": {"a": 0.0, "b": 1.0, "c": 4.0, "d": 0.0}}
@@ -243,23 +237,32 @@ WINDOW_SAMPLES = 8  # estimate_c0_delta0 factors T - mu at each of its samples
 
 
 @pytest.mark.parametrize(
-    "mode, extra, per_shift",
+    "mode, extra",
     [
-        ("eigen", {}, 0),
-        ("linear", {"f": {"kind": "phi_plus_phi2", "coeff": 0.5}}, 1),
-        # a semilinear solve factors mu twice: before and after its Newton steps
-        ("semilinear", {"nonlinearity": _RATIONAL, "solver": {"two_start": True}}, 4),
-        ("semilinear", {"nonlinearity": _RATIONAL, "solver": {"two_start": False}}, 2),
-        ("system", {**_SYSTEM, "solver": {"two_start": True}}, 4),
+        ("eigen", {}),
+        ("linear", {"f": {"kind": "phi_plus_phi2", "coeff": 0.5}}),
+        ("semilinear", {"nonlinearity": _RATIONAL, "solver": {"two_start": True}}),
+        ("semilinear", {"nonlinearity": _RATIONAL, "solver": {"two_start": False}}),
+        ("system", {**_SYSTEM, "solver": {"two_start": True}}),
     ],
     ids=["eigen", "linear", "semilinear-two-start", "semilinear-single", "system-two-start"],
 )
-def test_run_makes_one_factorization_per_shift_and_solve(tmp_path, factor_calls, mode, extra, per_shift):
+def test_run_factors_only_for_the_window_estimate(tmp_path, monkeypatch, mode, extra):
+    # the resolvent solves eliminate afresh, so a run's only gttrf calls
+    # are the window estimate's, one per sample shift, whatever the mode
+    calls = []
+    real = groundstate_space.dgttrf
+
+    def counting(dl, d, du):
+        calls.append(None)
+        return real(dl, d, du)
+
+    monkeypatch.setattr(groundstate_space, "dgttrf", counting)
     cfg = {**_RUN, "mode": mode, **extra}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
-    assert len(factor_calls) == WINDOW_SAMPLES + per_shift * len(cfg["mu_offsets"])
+    assert len(calls) == WINDOW_SAMPLES
 
 
 @pytest.fixture()
@@ -267,9 +270,9 @@ def solve_calls(monkeypatch):
     calls = []
     real = spectral.DiscreteOperator.solve_shifted
 
-    def counting(self, fac, f):
+    def counting(self, mu, f):
         calls.append(None)
-        return real(self, fac, f)
+        return real(self, mu, f)
 
     monkeypatch.setattr(spectral.DiscreteOperator, "solve_shifted", counting)
     return calls

@@ -244,7 +244,7 @@ def test_apply_T_from_zero_hits_upper_endpoint(ctx):
     grid, op, spectrum, _ = ctx
     lam, phi = spectrum.Lambda, spectrum.phi
     nl = rational_profile(1.0, 2.0)
-    v = apply_T(spectrum, nl, op.factor(lam - 1.0), np.zeros(grid.n))
+    v = apply_T(spectrum, nl, lam - 1.0, np.zeros(grid.n))
     np.testing.assert_allclose(v, 2.0 * phi, atol=1e-8)
 
 
@@ -390,8 +390,9 @@ def test_residual_growing_under_mixing_switches_to_damping(shape):
     # T maps the ratio v = u/phi to 1 - tanh(4 v): slope ~ -2.6 at the fixed
     # point, so plain Picard steps cycle.  The Newton callable returns the
     # Picard image, so from u = 0 its steps fall only while the iterate
-    # closes in on the two-cycle; the first that does not fall is replaced
-    # by a damped sweep, and the damped sweeps converge.
+    # closes in on the two-cycle, and barely: the first Newton step falls,
+    # the second does not halve the step of sweep 1 and is replaced by a
+    # damped sweep, and the damped sweeps converge.
     phi = np.linspace(0.5, 1.0, 5)
     lower, upper = -2.0 * phi * np.ones(shape), 2.0 * phi * np.ones(shape)
 
@@ -406,18 +407,44 @@ def test_residual_growing_under_mixing_switches_to_damping(shape):
 
     fp = solve(0.5, 200)
     switch = fp.undamped_sweeps
-    assert 3 < switch < fp.iterations
+    assert switch == 2 < fp.iterations
     with pytest.raises(NoConvergence) as exc:
         solve(0.5, switch + 1)
     *falling, damped = exc.value.trace
     assert all(a > b for a, b in zip(falling, falling[1:]))
-    # the damped step is half a Picard residual that did not fall
-    assert damped >= 0.5 * falling[-1] * (1.0 - 1e-12)
+    # the damped step is half the Picard residual, which the refused Newton
+    # step (the Picard image) would have taken: above NEWTON_CONTRACTION of
+    # the step before the last
+    assert damped > 0.5 * semilinear_solver.NEWTON_CONTRACTION * falling[-2]
     v = fp.u / phi
     assert np.max(np.abs(v - (1.0 - np.tanh(4.0 * v)))) <= 1e-9
     assert fp.violations == 0 and fp.outside_at_limit == 0
     with pytest.raises(NoConvergence):
         solve(1.0, 200)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 5)], ids=["scalar", "system"])
+def test_stagnating_newton_steps_hand_over_to_damped_sweeps(shape):
+    # T maps the ratio v = u/phi to 1 - v/2, a contraction, and the Newton
+    # callable moves only 5% of the way to the Picard image, so each of its
+    # steps is 0.925 of the last: strictly falling, but taking some 300
+    # steps to reach tol_x.  Sweep 1 takes the step 1 and the first two
+    # Newton steps 0.025 and 0.023; the third does not halve the first
+    # Newton step, and the damped sweeps (rate 1/4) take over.
+    phi = np.linspace(0.5, 1.0, 5)
+    lower, upper = -2.0 * phi * np.ones(shape), 2.0 * phi * np.ones(shape)
+
+    def sweep(u):
+        return phi - 0.5 * u, None
+
+    fp = semilinear_solver.clipped_fixed_point(
+        sweep, lower, upper, np.zeros(shape), phi, BracketEscape, 0.5, 100, 1e-10,
+        newton=lambda u: u + 0.05 * (sweep(u)[0] - u),
+    )
+    assert fp.undamped_sweeps == 3
+    assert fp.iterations <= 25
+    assert np.max(np.abs(fp.u / phi - 2.0 / 3.0)) <= 1e-9
+    assert fp.violations == 0 and fp.outside_at_limit == 0
 
 
 @pytest.mark.parametrize("shape", [(5,), (2, 5)], ids=["scalar", "system"])
@@ -528,7 +555,7 @@ def test_constant_profile_rows_at_n1_stay_certified(n):
         rep = two_start_diagnostics(spectrum, w, nl, mu)
         assert rep.certified
         b = make_bracket(spectrum, nl, mu)
-        t = apply_T(spectrum, nl, op.factor(mu), rep.solution.values)
+        t = apply_T(spectrum, nl, mu, rep.solution.values)
         edge = np.maximum(np.abs(b.lower), np.abs(b.upper))
         excess.append(float(np.max(np.abs(t - np.clip(t, b.lower, b.upper)) / edge)))
     assert max(excess) > semilinear_solver.BRACKET_SLACK
