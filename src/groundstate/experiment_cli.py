@@ -22,28 +22,24 @@ copying cell text verbatim so repeated runs stay byte-identical.
 
 Exit codes: 0 success; 2 malformed config, unreadable input (including
 a ``q`` or ``f`` table with a non-finite entry, radii that do not strictly
-increase, or too few rows), a ``dump_solutions`` entry that matches no
-shift offset, a ``power`` potential with ``s <= 2`` (the
-message names ``potential.s``), a non-finite shift offset or matrix entry,
-a grid with fewer nodes than the six radial eigenvalues the spectrum
+increase, or too few rows), a NaN, infinite number or integer past the
+double range anywhere in the config (checked before the schema; the
+message names the key, as ``grid.n`` or ``mu_offsets[1]``), an integer
+literal too long for Python to read, a ``dump_solutions`` entry that
+matches no shift offset, a ``power`` potential with ``s <= 2`` (the
+message names ``potential.s``), a sweep whose shift offsets overflow, a
+grid with fewer nodes than the six radial eigenvalues the spectrum
 reports or with more than a numpy array holds (the message names
 ``grid.n``, ``grid.points_per_unit`` or ``--grid-scale``), non-finite
-grid weights, a ``grid.spectral_scale``,
-``grid.points_per_unit`` or ``grid.truncation_factor`` that is not finite
-(the message names the key), a ``grid.spectral_scale`` whose multiple q
-does not reach below r = 1e4 (the message names it), or a potential that is
-non-finite or nonpositive on the grid or decreases on grid nodes beyond
-its r0, a NaN or infinite number in the ``potential``, ``f``,
-``nonlinearity``, ``nonlinearity2`` or ``solver`` block (the message names
-the key), a JSON integer past the double range anywhere in the config
-(the message names the key) or too long for Python to read, a
+grid weights, a ``grid.spectral_scale`` whose multiple q does not reach
+below r = 1e4 (the message names it), or a potential that is non-finite
+or nonpositive on the grid or decreases on grid nodes beyond its r0, a
 ``sweep.steps`` above what a numpy array holds, a ``solver.tol_x`` above
 CERT_SLACK, or a negative ``--seed``
 (the errors that subclass ConfigError, and unreadable files); 3 a solver
-raised (no convergence,
-singular solve, escaped bracket, window or hypothesis violation) or
-numpy/scipy did (``LinAlgError``,
-an ``ArithmeticError`` such as ``OverflowError``, or a ``MemoryError``
+raised (no convergence, singular solve, escaped bracket, window or
+hypothesis violation), a LAPACK call failed (``LinAlgError``) or numpy
+did (an ``ArithmeticError`` such as ``OverflowError``, or a ``MemoryError``
 for a grid numpy can size but memory cannot hold); 4 certificates were
 required but some row is uncertified.  The output directory is created only
 once every row is computed, so a run that exits 2 or 3 creates none.
@@ -248,67 +244,31 @@ def _cell(value) -> str:
     return f17(value)
 
 
-def _require_finite(key: str, block: dict) -> None:
-    """MalformedInput naming ``key.<name>`` for a NaN or infinite number in a config block.
+def _require_finite(value, key: str = "") -> None:
+    """MalformedInput naming ``key`` for a number in ``value`` that is not a finite double.
 
-    JSON admits NaN and Infinity, and the schema's bounds let them through.
-    """
-    for name, value in block.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise MalformedInput(f"{key}.{name} = {value:g} must be finite")
-
-
-def _past_double(value) -> str | None:
-    """An int that no double holds as its order of magnitude ("1e+400"), else None.
-
-    json reads an integer literal exactly, so 10**400 arrives as an int
-    that float() and numpy refuse with OverflowError or a casting error;
-    as a double it is infinite.
-    """
-    if not isinstance(value, int):
-        return None
-    try:
-        float(value)
-    except OverflowError:
-        digits = str(abs(value))
-        return f"{'-' if value < 0 else ''}{digits[0]}e+{len(digits) - 1}"
-    return None
-
-
-def _require_double_range(value, key: str) -> None:
-    """MalformedInput naming ``key`` for a JSON integer in ``value`` that no double holds.
-
-    Dicts and lists are walked, a list entry named ``key[i]``.
+    JSON admits NaN and Infinity, which the schema's bounds let through,
+    and json reads an integer literal exactly, so 10**400 arrives as an
+    int that float() and numpy refuse; as a double it is infinite and is
+    named by its order of magnitude ("1e+400").  Dicts and lists are
+    walked, a list entry named ``key[i]``.
     """
     if isinstance(value, dict):
         for name, item in value.items():
-            _require_double_range(item, f"{key}.{name}" if key else name)
+            _require_finite(item, f"{key}.{name}" if key else name)
     elif isinstance(value, list):
         for i, item in enumerate(value):
-            _require_double_range(item, f"{key}[{i}]")
-    elif (magnitude := _past_double(value)) is not None:
-        raise MalformedInput(f"{key} = {magnitude} must be finite")
-
-
-def _schema_message(error) -> str:
-    """The jsonschema message of ``error``, naming the key of a value no double holds.
-
-    jsonschema echoes the offending value in full, all 401 digits of
-    10**400; that value is replaced by ``key = 1e+400``.  Every other
-    message is returned as jsonschema wrote it.
-    """
-    magnitude = _past_double(error.instance)
-    if magnitude is None:
-        return error.message
-    key = ""
-    for part in error.absolute_path:
-        key += f"[{part}]" if isinstance(part, int) else f"{'.' if key else ''}{part}"
-    return error.message.replace(repr(error.instance), f"{key} = {magnitude}", 1)
+            _require_finite(item, f"{key}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise MalformedInput(f"{key} = {value:g} must be finite")
+    elif isinstance(value, int) and abs(value) > sys.float_info.max:
+        digits = str(abs(value))
+        sign = "-" if value < 0 else ""
+        raise MalformedInput(f"{key} = {sign}{digits[0]}e+{len(digits) - 1} must be finite")
 
 
 def build_potential(cfg: dict):
     block = cfg["potential"]
-    _require_finite("potential", block)
     kind = block["kind"]
     if kind == "power":
         if "c" not in block or "s" not in block:
@@ -361,9 +321,8 @@ def check_potential_on_grid(pot, grid) -> None:
     require_increasing(grid.r, q, pot.r0)
 
 
-def build_nonlinearity(block: dict, key: str):
-    """The profile a ``nonlinearity`` block (config key ``key``) describes."""
-    _require_finite(key, block)
+def build_nonlinearity(block: dict):
+    """The profile a ``nonlinearity`` block describes."""
     kind = block["kind"]
     if kind == "constant":
         if "g" not in block:
@@ -380,7 +339,6 @@ def build_f(cfg: dict, spectrum) -> np.ndarray:
     block = cfg.get("f")
     if block is None:
         raise MalformedInput("linear mode needs an 'f' block")
-    _require_finite("f", block)
     kind = block["kind"]
     phi = spectrum.phi
     if kind == "phi":
@@ -409,7 +367,8 @@ def resolve_offsets(cfg: dict) -> list[float]:
             raise MalformedInput(
                 f"sweep.steps = {s['steps']} asks for more shifts than a numpy array holds"
             )
-        with np.errstate(invalid="ignore"):  # an infinite end gives a non-finite offset
+        # ends more than the double range apart overflow the step to inf
+        with np.errstate(over="ignore", invalid="ignore"):
             offsets = [float(x) for x in np.linspace(s["from_offset"], s["to_offset"], s["steps"])]
     for off in offsets:
         if not math.isfinite(off):
@@ -487,10 +446,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise
         except ValueError as exc:  # an integer literal past int's digit limit for str
             raise MalformedInput(f"config unreadable: {exc}") from exc
+    _require_finite(cfg)
     error = best_match(CONFIG_VALIDATOR.iter_errors(cfg))
     if error is not None:
-        raise MalformedInput(f"config invalid: {_schema_message(error)}") from error
-    _require_double_range(cfg, "")
+        raise MalformedInput(f"config invalid: {error.message}") from error
 
     grid_scale = float(args.grid_scale)
     if not (math.isfinite(grid_scale) and grid_scale > 0):
@@ -629,7 +588,6 @@ def _solver_controls(cfg: dict) -> tuple[bool, str, dict]:
     row passes an iterate stopped that early (T maps the MP bracket into itself).
     """
     solver = cfg.get("solver", {})
-    _require_finite("solver", solver)
     kwargs = dict(
         damping=solver.get("damping", 0.5),
         max_iter=solver.get("max_iter", 500),
@@ -658,7 +616,7 @@ def _fixed_point_cells(rep) -> dict:
 def _semilinear_setup(cfg, spectrum, w):
     if "nonlinearity" not in cfg:
         raise MalformedInput("semilinear mode needs a 'nonlinearity' block")
-    nl = build_nonlinearity(cfg["nonlinearity"], "nonlinearity")
+    nl = build_nonlinearity(cfg["nonlinearity"])
     validate_nonlinearity(nl, spectrum.op.grid.r)
     lam = spectrum.Lambda
     two_start, start, kwargs = _solver_controls(cfg)
@@ -691,7 +649,7 @@ def _system_setup(cfg, spectrum, w):
     m = analyze_matrix(mspec["a"], mspec["b"], mspec["c"], mspec["d"])
     # without a nonlinearity2 block both components share one profile, validated once
     keys = [key for key in ("nonlinearity", "nonlinearity2") if key in cfg]
-    nls = [build_nonlinearity(cfg[key], key) for key in keys]
+    nls = [build_nonlinearity(cfg[key]) for key in keys]
     for nl in nls:
         validate_nonlinearity(nl, spectrum.op.grid.r)
     nl1, nl2 = nls[0], nls[-1]

@@ -11,9 +11,9 @@ weighted matrix norm || D_phi^-1 Pi (L-mu)^-1 Pi D_phi ||_inf is estimated
 at sampled mu across the window and the max is reported together with the
 samples used.  Each sample is a Higham-Tisseur block 1-norm estimate, which
 needs only products with the matrix and its transpose, i.e. banded solves,
-so it costs O(n) time and memory.  Those solves share one gttrf
-factorization of T - mu per sample, the one place the package reuses LU
-factors; every other resolvent solve is a fresh gtsv elimination.  The
+so it costs O(n) time and memory.  Each product is one gtsv elimination
+of T - mu through the operator (DiscreteOperator._eliminate, the
+elimination of every resolvent solve), on the whole n x 2 block.  The
 estimator works on its n x 2 blocks one column at a time, in the
 arithmetic and summation order of whole-block broadcasts and axis
 reductions, so c0 has their bits at a fraction of their cost (see
@@ -30,9 +30,8 @@ from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import MalformedInput, SingularResolvent
+from .errors import MalformedInput
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from .spectral import DiscreteOperator, SpectrumSummary
@@ -186,9 +185,10 @@ def projected_resolvent_norm(
     to those columns, which the block 1-norm estimator evaluates from
     products with A and A^T alone.  Each product is one banded solve with
     (L-mu)^-1 = S^-1 (T-mu)^-1 S, its transpose S (T-mu)^-1 S^-1 (T is
-    symmetric).  T - mu is LU-factored (LAPACK gttrf) once per call and
-    each product is one gttrs back-substitution against those factors;
-    a zero pivot raises SingularResolvent.
+    symmetric), and each solve with T - mu is one gtsv elimination of the
+    F-ordered block through op._eliminate; a zero pivot raises
+    SingularResolvent naming mu.  S and S^-1 are applied here as
+    multiplies (op.extend divides by S, which can round differently).
     O(n) time and memory; the estimator draws from a fixed local seed, so
     the value is a deterministic function of the inputs.
 
@@ -203,9 +203,6 @@ def projected_resolvent_norm(
     scale = op.scale
     inv_scale = 1.0 / scale
     s = op.start
-    dl, d, du, du2, ipiv, info = dgttrf(op.offdiag, op.diag - mu, op.offdiag)
-    if info != 0:
-        raise SingularResolvent(f"T - mu is singular at mu = {mu:.12g}")
 
     def rows(a: np.ndarray, B: np.ndarray) -> np.ndarray:
         """a[:, None] * B, column by column, C-ordered."""
@@ -223,7 +220,7 @@ def projected_resolvent_norm(
         rhs = np.empty((len(pre), v.shape[1]), order="F")
         for j in range(v.shape[1]):
             np.multiply(pre, v[s:, j], out=rhs[:, j])
-        x, _ = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
+        x = op._eliminate(mu, None, rhs)
         out = np.zeros_like(v)
         for j in range(v.shape[1]):
             np.multiply(post, x[:, j], out=out[s:, j])

@@ -11,12 +11,12 @@ means parity: the even sector folds the line at the origin (Neumann row,
 one off-diagonal becomes -sqrt(2)/h^2 after symmetrization against the
 half-weight origin node), the odd sector is Dirichlet at 0.
 
-Eigenvalues come from LAPACK bisection on the tridiagonal form.  The
-principal eigenvector is computed by shifted inverse iteration with a
-positive definite shift strictly below Lambda: each solve is then an
-M-matrix system with positive right-hand side, which keeps every iterate
-entrywise positive in floating point, so positivity of phi is structural
-rather than a sign fix.
+Eigenvalues come from LAPACK bisection (stebz) on the tridiagonal form.
+The principal eigenvector is computed by shifted inverse iteration with a
+positive definite shift strictly below Lambda, one LAPACK ptsv solve per
+step: each solve is then an M-matrix system with positive right-hand
+side, which keeps every iterate entrywise positive in floating point, so
+positivity of phi is structural rather than a sign fix.
 
 ``summarize_spectrum`` assembles sector 0 once per run and bisects it once,
 for RADIAL_EIGS eigenvalues; those values also give the principal
@@ -30,22 +30,20 @@ off-diagonal and T_{ell+1} - T_ell = (2 ell + N - 1)/r^2 is positive
 diagonal, so by Courant-Fischer sector ell's lowest eigenvalue rises with
 ell (N = 1 has two sectors).
 
-Resolvent solves go through ``DiscreteOperator.solve_shifted``, the one
-verified banded solve: ``solve_shifted(mu, f)`` eliminates ``T - mu``
-with one LAPACK gtsv (partial pivoting, valid on both sides of the
-spectrum) and checks the solution against a backward-error residual
-bound before it is returned.  The Newton steps of solve_semilinear, and
-the block Gauss-Seidel Newton steps of solve_system (one per
-diagonalized component, at mu + xi1 and mu + xi2), solve a Jacobian
-``T - mu - diag(d)`` with ``DiscreteOperator.solve_unverified``, the
-same elimination without the check: those solutions are search
-directions, not claims, and the limit they lead to is verified through
-``solve_shifted``.  No solve keeps a factorization: the solver drivers
-pass shifts, and one gtsv elimination returns the bits of gttrf LU
-factors and a gttrs back-substitution against them.  The window estimate
-(groundstate_space.projected_resolvent_norm), which makes several
-block solves at each sample shift, is the one place that factors
-``T - mu`` once and reuses the factors.
+Every tridiagonal solve of ``T - mu`` is one LAPACK gtsv elimination
+(partial pivoting, valid on both sides of the spectrum) in
+``DiscreteOperator``, and no solve keeps a factorization.
+``solve_shifted(mu, f)``, the one verified resolvent solve, checks the
+solution against a backward-error residual bound before it is returned.
+The Newton steps of solve_semilinear, and the block Gauss-Seidel Newton
+steps of solve_system (one per diagonalized component, at mu + xi1 and
+mu + xi2), solve a Jacobian ``T - mu - diag(d)`` with
+``solve_unverified``, the same elimination without the check: those
+solutions are search directions, not claims, and the limit they lead to
+is verified through ``solve_shifted``.  The window estimate
+(groundstate_space.projected_resolvent_norm) eliminates its n x 2 blocks
+through the same gtsv call.  This module is the package's one caller of
+LAPACK (gtsv, ptsv, stebz, stein).
 """
 
 from __future__ import annotations
@@ -55,8 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solveh_banded
-from scipy.linalg.lapack import dgtsv, dstein
+from scipy.linalg.lapack import dgtsv, dptsv, dstebz, dstein
 
 from .errors import ConvergenceFailure, MalformedInput, SingularResolvent
 from .radial_grid import Grid, RadialPotential
@@ -139,8 +136,6 @@ class DiscreteOperator:
         s = self.start
         b = self.restrict(f)
         x = self._eliminate(mu, None, b.copy())
-        if x is None:
-            raise SingularResolvent(f"T - mu is singular at mu = {mu:.12g}")
         r = self._product(x)
         r -= mu * x
         r -= b
@@ -163,20 +158,27 @@ class DiscreteOperator:
         elimination of solve_shifted with no residual check.  None when
         the matrix has an exactly zero pivot.
         """
-        x = self._eliminate(mu, d, self.restrict(f))
-        return None if x is None else self._extend_own(x)
+        try:
+            x = self._eliminate(mu, d, self.restrict(f))
+        except SingularResolvent:
+            return None
+        return self._extend_own(x)
 
-    def _eliminate(self, mu: float, d: np.ndarray | None, b: np.ndarray) -> np.ndarray | None:
+    def _eliminate(self, mu: float, d: np.ndarray | None, b: np.ndarray) -> np.ndarray:
         """x with (T - mu - diag(d)) x = b, d a full-grid function or None for 0.
 
-        One LAPACK gtsv elimination with partial pivoting, which overwrites
-        b with x; None on an exactly zero pivot.
+        b is one right-hand side or an n x k block (Fortran-ordered to be
+        solved in place).  One LAPACK gtsv elimination with partial
+        pivoting, which overwrites b with x; SingularResolvent naming mu on
+        an exactly zero pivot.
         """
         dm = self.diag - mu
         if d is not None:
             dm -= d[self.start :]
         *_, x, info = dgtsv(self.offdiag, dm, self.offdiag, b, overwrite_d=1, overwrite_b=1)
-        return x if info == 0 else None
+        if info != 0:
+            raise SingularResolvent(f"T - mu is singular at mu = {mu:.12g}")
+        return x
 
     def _extend_own(self, x: np.ndarray) -> np.ndarray:
         """extend for an x nothing else holds: divided in place when no node is excluded."""
@@ -225,24 +227,28 @@ def assemble(grid: Grid, pot: RadialPotential, sector: int) -> DiscreteOperator:
 
 
 def eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
-    """First k eigenvalues of the sector operator (ascending)."""
+    """First k eigenvalues of the sector operator (ascending).
+
+    LAPACK stebz bisection for the eigenvalues of index 1..k, to full
+    accuracy (tol 0), in ascending order.  Raises LinAlgError if some
+    eigenvalue fails to converge.
+    """
     if not 1 <= k <= op.dim:
         raise MalformedInput(f"k must lie in 1..{op.dim}, got {k}")
-    return eigh_tridiagonal(
-        op.diag, op.offdiag, select="i", select_range=(0, k - 1), eigvals_only=True
-    )
+    m, w, _, _, info = dstebz(op.diag, op.offdiag, 2, 0.0, 1.0, 1, k, 0.0, "E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stebz did not converge (LAPACK info={info})")
+    return w[:m]
 
 
 def eigenfunctions(op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
     """Quadrature-normalized full-grid eigenfunctions at op's lowest eigenvalues.
 
-    ``values`` are the first k eigenvalues from ``eigenvalues(op, k)``;
-    column j is the eigenfunction of values[j].  LAPACK stein runs the
-    inverse iteration that eigh_tridiagonal runs after its own bisection,
-    here on values already bisected, with T taken as one unreduced block.
+    ``values`` are the first k eigenvalues from ``eigenvalues(op, k)``
+    (stebz bisection); column j is the eigenfunction of values[j], from
+    LAPACK stein inverse iteration with T taken as one unreduced block.
     Bisection splits T only where offdiag_j^2 < eps^2 |diag_j diag_(j-1)|,
-    which for offdiag = -1/h^2 needs q above ~1e15/h^2; short of that,
-    stein gets the inputs eigh_tridiagonal would give it.  Signs are not
+    which for offdiag = -1/h^2 needs q above ~1e15/h^2.  Signs are not
     normalized.
     """
     n = op.dim
@@ -273,12 +279,15 @@ def principal_eigenpair(
     The eigenvalue interval comes from bisection (``lowest``, op's first
     two or more eigenvalues, when the caller has bisected them already,
     else ``eigenvalues(op, 2)``); the vector from inverse
-    iteration at a shift strictly below the groundstate, which preserves
-    entrywise positivity (see module docstring).  The residual bound
-    ||L phi - Lambda phi|| <= 1e-10 * ||diag||_inf is enforced.
+    iteration at a shift sigma strictly below the groundstate, which
+    preserves entrywise positivity (see module docstring): each step is
+    one LAPACK ptsv solve with the positive definite T - sigma.  The
+    residual bound ||L phi - Lambda phi|| <= 1e-10 * ||diag||_inf is
+    enforced.
 
     Raises ConvergenceFailure if the iteration budget or the residual
-    bound is exceeded.
+    bound is exceeded, LinAlgError if T - sigma is not numerically
+    positive definite.
     """
     if op.sector != 0:
         raise MalformedInput("principal eigenpair is defined on the ell = 0 sector")
@@ -289,11 +298,8 @@ def principal_eigenpair(
         raise ConvergenceFailure("degenerate groundstate in sector 0")
     sigma = lam - 0.05 * gap
 
-    n = op.dim
-    ab = np.zeros((2, n))
-    ab[0, 1:] = op.offdiag
-    ab[1, :] = op.diag - sigma
-    x = np.ones(n)
+    d = op.diag - sigma
+    x = np.ones(op.dim)
     x /= np.linalg.norm(x)
     scale_bound = float(np.max(np.abs(op.diag)))
     rho = lam
@@ -302,7 +308,9 @@ def principal_eigenpair(
     # factor-2 gain in a step) or reaches eps-level relative to the scale.
     prev_res = math.inf
     for _ in range(EIGEN_BUDGET):
-        x = solveh_banded(ab, x, lower=False)
+        _, _, x, info = dptsv(d, op.offdiag, x)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
         x /= np.linalg.norm(x)
         y = op._product(x)
         rho = float(np.dot(x, y))
@@ -310,7 +318,7 @@ def principal_eigenpair(
         if res <= 1e-14 * scale_bound or res > 0.5 * prev_res:
             break
         prev_res = res
-    if np.linalg.norm(y - rho * x) > RESIDUAL_RTOL * scale_bound:
+    if res > RESIDUAL_RTOL * scale_bound:
         raise ConvergenceFailure("inverse iteration residual above bound")
     if np.min(x) <= 0:
         raise ConvergenceFailure("groundstate lost positivity")

@@ -1,17 +1,19 @@
 """The verified resolvent solve: bit-identity, solve counts and failure modes.
 
 ``DiscreteOperator.solve_shifted(mu, f)`` eliminates ``T - mu`` with one
-LAPACK gtsv per call and keeps no factorization; only the window
-estimate factors ``T - mu`` (gttrf) and reuses the factors, which the
-count below pins per ``groundstate run``, next to the ``solve_shifted``
-calls of two-start fixed-point runs.  Two references are kept here only
-as oracles: the plain ``solve_banded`` path (for a (1, 1) band scipy runs
-gtsv), and gttrf LU factors with a gttrs back-substitution, the solve
-that held factors; both perform the same pivoted elimination, so each
+LAPACK gtsv per call and keeps no factorization.  That elimination is the
+package's only one: the Newton steps and the window estimate's block
+solves make it too, which the count below pins per ``groundstate run``,
+next to the ``solve_shifted`` calls of two-start fixed-point runs.  Two
+references are kept here only as oracles: the plain ``solve_banded`` path
+(for a (1, 1) band scipy runs gtsv), and gttrf LU factors with a gttrs
+back-substitution; both perform the same pivoted elimination, so each
 must agree with ``solve_shifted`` bit for bit.
 """
 
+import importlib
 import json
+import pkgutil
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+import groundstate
 from groundstate import RadialPotential, assemble, eigenvalues, make_grid
 from groundstate import groundstate_space, spectral
 from groundstate.errors import SingularResolvent
@@ -40,7 +43,7 @@ def reference_solve(op, mu: float, f: np.ndarray) -> np.ndarray:
 
 
 def factored_solve(op, mu: float, f: np.ndarray) -> np.ndarray:
-    """The solve that held factors: gttrf LU of T - mu, then one gttrs back-substitution."""
+    """gttrf LU factors of T - mu, then one gttrs back-substitution against them."""
     dl, d, du, du2, ipiv, info = dgttrf(op.offdiag, op.diag - mu, op.offdiag)
     assert info == 0
     x, info = dgttrs(dl, d, du, du2, ipiv, op.restrict(f))
@@ -197,8 +200,25 @@ def test_unverified_solve_of_a_singular_matrix_is_none():
     assert op.solve_unverified(0.0, np.array([0.0, 0.0, -1.0]), np.ones(3)) is not None
 
 
+def test_window_estimate_zero_pivot_raises_singular_resolvent_naming_mu(monkeypatch):
+    grid = make_grid(3, 3.2, 200)
+    summary = spectral.summarize_spectrum(grid, QUARTIC_3D)
+    mu = summary.Lambda - 0.1
+    real = spectral.dgtsv
+
+    def zero_pivot(*args, **kwargs):
+        *lu, _ = real(*args, **kwargs)
+        return (*lu, 1)
+
+    monkeypatch.setattr(spectral, "dgtsv", zero_pivot)
+    with pytest.raises(SingularResolvent, match=f"singular at mu = {mu:.12g}$"):
+        groundstate_space.projected_resolvent_norm(
+            summary.op, summary.phi, grid.quad_weights, mu
+        )
+
+
 def test_singular_factorization_exits_3_without_output(tmp_path, monkeypatch):
-    # a zero pivot in the linear row's resolvent solve
+    # a zero pivot in every elimination: the window estimate's first one raises
     real = spectral.dgtsv
 
     def zero_pivot(*args, **kwargs):
@@ -233,7 +253,7 @@ _RUN = {
 }
 _RATIONAL = {"kind": "rational", "kappa": 1.0, "K": 2.0}
 _SYSTEM = {"nonlinearity": _RATIONAL, "matrix": {"a": 0.0, "b": 1.0, "c": 4.0, "d": 0.0}}
-WINDOW_SAMPLES = 8  # estimate_c0_delta0 factors T - mu at each of its samples
+WINDOW_SAMPLES = 8  # estimate_c0_delta0 eliminates T - mu at each of its samples
 
 
 @pytest.mark.parametrize(
@@ -247,22 +267,49 @@ WINDOW_SAMPLES = 8  # estimate_c0_delta0 factors T - mu at each of its samples
     ],
     ids=["eigen", "linear", "semilinear-two-start", "semilinear-single", "system-two-start"],
 )
-def test_run_factors_only_for_the_window_estimate(tmp_path, monkeypatch, mode, extra):
-    # the resolvent solves eliminate afresh, so a run's only gttrf calls
-    # are the window estimate's, one per sample shift, whatever the mode
-    calls = []
-    real = groundstate_space.dgttrf
+def test_run_eliminates_only_through_the_operator(tmp_path, monkeypatch, mode, extra):
+    # every gtsv of a run is one DiscreteOperator._eliminate, the window
+    # estimate's at least two block solves per sample shift included
+    gtsv, eliminations, samples = [], [], []
+    real_gtsv = spectral.dgtsv
+    real_eliminate = spectral.DiscreteOperator._eliminate
+    real_norm = groundstate_space.projected_resolvent_norm
 
-    def counting(dl, d, du):
-        calls.append(None)
-        return real(dl, d, du)
+    def counting_gtsv(*args, **kwargs):
+        gtsv.append(None)
+        return real_gtsv(*args, **kwargs)
 
-    monkeypatch.setattr(groundstate_space, "dgttrf", counting)
+    def counting_eliminate(self, mu, d, b):
+        eliminations.append(None)
+        return real_eliminate(self, mu, d, b)
+
+    def window_eliminations(*args):
+        before = len(eliminations)
+        value = real_norm(*args)
+        samples.append(len(eliminations) - before)
+        return value
+
+    monkeypatch.setattr(spectral, "dgtsv", counting_gtsv)
+    monkeypatch.setattr(spectral.DiscreteOperator, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(groundstate_space, "projected_resolvent_norm", window_eliminations)
     cfg = {**_RUN, "mode": mode, **extra}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == WINDOW_SAMPLES
+    assert len(gtsv) == len(eliminations)
+    assert len(samples) == WINDOW_SAMPLES and min(samples) >= 2
+
+
+def test_only_spectral_binds_lapack_routines():
+    # no module holds gttrf/gttrs LU factors or calls LAPACK beside spectral
+    bound = {}
+    for info in pkgutil.iter_modules(groundstate.__path__):
+        module = importlib.import_module(f"groundstate.{info.name}")
+        bound[info.name] = {
+            name for name, value in vars(module).items() if type(value).__name__ == "fortran"
+        }
+    assert bound.pop("spectral") == {"dgtsv", "dptsv", "dstebz", "dstein"}
+    assert not any(bound.values())
 
 
 @pytest.fixture()

@@ -6,17 +6,20 @@ dimension-reduction identity lambda(N=3, 1+r^4) = 1 + lambda_odd(1D, r^4).
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal, solveh_banded
 
 from groundstate import (
     RadialPotential,
     assemble,
     eigenpairs,
     eigenvalues,
+    exp_potential,
     make_grid,
     power_potential,
     principal_eigenpair,
@@ -210,23 +213,23 @@ def test_linear_run_assembles_and_bisects_each_sector_once(tmp_path, monkeypatch
     f = phi + coeff*phi2 is one stein call on the sweep's values.
     """
     assembled, bisected, inverse_iterations = [], [], []
-    real_assemble, real_eigh = spectral.assemble, spectral.eigh_tridiagonal
+    real_assemble, real_stebz = spectral.assemble, spectral.dstebz
     real_stein = spectral.dstein
 
     def counting_assemble(grid, pot, sector):
         assembled.append(sector)
         return real_assemble(grid, pot, sector)
 
-    def counting_eigh(*args, **kwargs):
+    def counting_stebz(*args, **kwargs):
         bisected.append(args)
-        return real_eigh(*args, **kwargs)
+        return real_stebz(*args, **kwargs)
 
     def counting_stein(*args, **kwargs):
         inverse_iterations.append(args)
         return real_stein(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "assemble", counting_assemble)
-    monkeypatch.setattr(spectral, "eigh_tridiagonal", counting_eigh)
+    monkeypatch.setattr(spectral, "dstebz", counting_stebz)
     monkeypatch.setattr(spectral, "dstein", counting_stein)
     cfg = {
         "mode": "linear",
@@ -243,3 +246,83 @@ def test_linear_run_assembles_and_bisects_each_sector_once(tmp_path, monkeypatch
     assert sorted(assembled) == [0, 1]
     assert len(bisected) == 2
     assert len(inverse_iterations) == 1
+
+
+def reference_principal_eigenpair(op, lowest):
+    """principal_eigenpair as first written: solveh_banded on a 2-row band, which is ptsv."""
+    lam, gap = float(lowest[0]), float(lowest[1] - lowest[0])
+    sigma = lam - 0.05 * gap
+    ab = np.zeros((2, op.dim))
+    ab[0, 1:] = op.offdiag
+    ab[1, :] = op.diag - sigma
+    x = np.ones(op.dim)
+    x /= np.linalg.norm(x)
+    scale_bound = float(np.max(np.abs(op.diag)))
+    prev_res = math.inf
+    for _ in range(spectral.EIGEN_BUDGET):
+        x = solveh_banded(ab, x, lower=False)
+        x /= np.linalg.norm(x)
+        y = op._product(x)
+        rho = float(np.dot(x, y))
+        res = float(np.linalg.norm(y - rho * x))
+        if res <= 1e-14 * scale_bound or res > 0.5 * prev_res:
+            break
+        prev_res = res
+    u = op.extend(x)
+    u /= np.sqrt(op.grid.integrate(u * u))
+    return rho, u
+
+
+def random_operators(count: int, seed: int):
+    """Admissible sector operators: power and exp wells, N 1-5, n 8-2400, both N = 1 parities."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        space_dim = int(rng.integers(1, 6))
+        n = int(np.exp(rng.uniform(np.log(8), np.log(2400))))
+        if rng.random() < 0.5:
+            pot = power_potential(float(rng.uniform(0.1, 3.0)), float(rng.uniform(2.1, 6.0)))
+        else:
+            pot = exp_potential()
+        grid = make_grid(space_dim, float(rng.uniform(2.0, 5.0)), n)
+        yield assemble(grid, pot, int(rng.integers(0, 2)))
+
+
+def test_direct_lapack_calls_are_bit_identical_to_the_scipy_wrappers():
+    # stebz is what eigh_tridiagonal(select="i") runs, ptsv what
+    # solveh_banded runs for a 2-row band; the direct calls keep their bits
+    sectors = set()
+    for op in random_operators(48, seed=25):
+        sectors.add((op.grid.space_dim == 1, op.sector))
+        k = min(spectral.RADIAL_EIGS, op.dim)
+        vals = eigenvalues(op, k)
+        wrapped = eigh_tridiagonal(
+            op.diag, op.offdiag, select="i", select_range=(0, k - 1), eigvals_only=True
+        )
+        assert np.array_equal(vals, wrapped)
+        if op.sector == 0:
+            lam, phi = principal_eigenpair(op, vals)
+            ref_lam, ref_phi = reference_principal_eigenpair(op, vals)
+            assert lam == ref_lam and np.array_equal(phi, ref_phi)
+    assert sectors == {(True, 0), (True, 1), (False, 0), (False, 1)}
+
+
+def test_bisection_failure_exits_3_without_output(tmp_path, monkeypatch, capsys):
+    real = spectral.dstebz
+
+    def no_convergence(*args):
+        *out, _ = real(*args)
+        return (*out, 1)
+
+    monkeypatch.setattr(spectral, "dstebz", no_convergence)
+    cfg = {
+        "mode": "eigen",
+        "space_dim": 3,
+        "potential": {"kind": "power", "c": 1.0, "s": 4.0},
+        "grid": {"r_max": 3.2, "n": 200},
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 3
+    assert "numerical failure: LinAlgError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
