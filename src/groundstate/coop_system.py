@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     HypothesisViolated,
@@ -388,51 +387,6 @@ def solve_system(
         min_ratio=min_ratio,
         max_ratio=max_ratio,
     )
-
-
-def block_solve(
-    op: DiscreteOperator,
-    m: CoopMatrix,
-    mu: float,
-    f1: np.ndarray,
-    f2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Direct coupled solve of (L - A - mu)U = F without diagonalizing.
-
-    The two components are interleaved into one pentadiagonal system and
-    solved in a single banded pass; used as an independent cross-check of
-    the diagonalization route.  Residuals of both physical equations are
-    verified to 1e-10 relative.
-    """
-    g1 = op.restrict(f1)
-    g2 = op.restrict(f2)
-    n = len(g1)
-    ab = np.zeros((5, 2 * n))
-    ab[2, 0::2] = op.diag - mu - m.a
-    ab[2, 1::2] = op.diag - mu - m.d
-    ab[1, 1::2] = -m.b
-    ab[3, 0:-1:2] = -m.c
-    ab[0, 2::2] = op.offdiag
-    ab[0, 3::2] = op.offdiag
-    ab[4, 0:-2:2] = op.offdiag
-    ab[4, 1:-2:2] = op.offdiag
-    rhs = np.empty(2 * n)
-    rhs[0::2] = g1
-    rhs[1::2] = g2
-    x = solve_banded((2, 2), ab, rhs)
-    u1 = op.extend(x[0::2])
-    u2 = op.extend(x[1::2])
-    r1 = op.matvec(u1) - mu * u1 - m.a * u1 - m.b * u2 - np.asarray(f1, dtype=float)
-    r2 = op.matvec(u2) - mu * u2 - m.c * u1 - m.d * u2 - np.asarray(f2, dtype=float)
-    mat_norm = op.norm_bound + abs(mu) + max(
-        abs(m.a) + abs(m.b), abs(m.c) + abs(m.d)
-    )
-    denom = max(op.grid.norm(f1), op.grid.norm(f2)) + mat_norm * max(
-        op.grid.norm(u1), op.grid.norm(u2)
-    )
-    if denom > 0 and max(op.grid.norm(r1), op.grid.norm(r2)) > 1e-10 * denom:
-        raise SingularResolvent("coupled block solve residual above 1e-10")
-    return u1, u2
 
 
 def coupled_uniqueness_check(

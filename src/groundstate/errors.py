@@ -58,10 +58,6 @@ class BracketEscape(GroundstateError):
     """Too many iterate entries left the sub/supersolution bracket."""
 
 
-class MonotonicityBroken(GroundstateError):
-    """Monotone iteration lost its nodewise ordering; the shift is too small."""
-
-
 class SignMixed(GroundstateError):
     """An input expected to be one-signed changes sign on the grid."""
 

@@ -30,8 +30,10 @@ matches no shift offset, a ``power`` potential with ``s <= 2`` (the
 message names ``potential.s``), a sweep whose shift offsets overflow, a
 grid with fewer nodes than the six radial eigenvalues the spectrum
 reports or with more than a numpy array holds (the message names
-``grid.n``, ``grid.points_per_unit`` or ``--grid-scale``), non-finite
-grid weights, a ``grid.spectral_scale`` whose multiple q does not reach
+``grid.n``, ``grid.points_per_unit`` or ``--grid-scale``), grid weights
+that overflow or underflow to 0, a step h whose 2/h**2 or its square is
+not finite (the message names ``grid.r_max`` and ``grid.n``), a
+``grid.spectral_scale`` whose multiple q does not reach
 below r = 1e4 (the message names it), or a potential that is non-finite
 or nonpositive on the grid or decreases on grid nodes beyond its r0, a
 ``sweep.steps`` above what a numpy array holds, a ``solver.tol_x`` above

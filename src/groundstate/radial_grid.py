@@ -192,14 +192,6 @@ class Grid:
         """L2 norm over R^N under the grid quadrature."""
         return math.sqrt(max(self.integrate(np.asarray(values) ** 2), 0.0))
 
-    def ball_volume(self) -> float:
-        """Closed-form volume of the ball of radius r_max (quadrature oracle)."""
-        return sphere_area(self.space_dim) * self.r_max**self.space_dim / self.space_dim
-
-    def truncation_margin(self, pot: RadialPotential, spectral_scale: float) -> float:
-        """q(r_max)/spectral_scale; adequacy means this exceeds the factor in use."""
-        return float(pot(np.array([self.r_max]))[0] / spectral_scale)
-
 
 #: numpy refuses an array of more eight-byte entries than this with a
 #: ValueError, before allocating anything
@@ -220,7 +212,14 @@ def node_count(points: float, key: str) -> int:
 
 
 def make_grid(space_dim: int, r_max: float, n: int) -> Grid:
-    """Construct a grid directly from (N, r_max, n)."""
+    """Construct a grid directly from (N, r_max, n).
+
+    MalformedInput naming grid.r_max when a quadrature weight overflows or
+    underflows to 0, and naming grid.r_max and grid.n when the step h is
+    so small that 2/h**2, the scale of the operator's entries, or its
+    square, which stebz bisection forms from the off-diagonal, is not a
+    finite double.
+    """
     if space_dim < 1:
         raise MalformedInput("space_dim must be >= 1")
     if r_max <= 0 or n < 2:
@@ -237,8 +236,18 @@ def make_grid(space_dim: int, r_max: float, n: int) -> Grid:
         with np.errstate(over="ignore"):
             w = area * r ** (space_dim - 1) * h
     if not np.all(np.isfinite(w) & (w > 0)):
+        way = "too large (a weight overflows)"
+        if np.all(np.isfinite(w)):
+            way = "too small (a weight underflows to 0)"
         raise MalformedInput(
-            "grid quadrature weights are not finite and positive (r_max too large)"
+            f"grid quadrature weights are not finite and positive: grid.r_max = {r_max:g} is {way}"
+        )
+    h2 = float(h) * float(h)
+    diag = 2.0 / h2 if h2 > 0 else math.inf
+    if not math.isfinite(diag * diag):
+        raise MalformedInput(
+            f"grid.r_max = {r_max:g} and grid.n = {n}: the step h = {h:g} is too small "
+            "for double precision (2/h**2 or its square is not finite)"
         )
     return Grid(space_dim=space_dim, r_max=float(r_max), n=int(n), h=float(h), r=r, quad_weights=w)
 

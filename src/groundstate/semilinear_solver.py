@@ -29,13 +29,15 @@ kappa > 0 and T(u) leaves the bracket at no node by more than CERT_SLACK
 of the larger edge there (outside_count).  A limit of clip(T) that is not
 a fixed point of T fails that check.
 
-A classical monotone iteration from the bracket endpoints is provided as
-an independent cross-check, and a discrete Brezis-Oswald identity gives a
-uniqueness diagnostic: for two positive candidates the quadratic form
+A discrete Brezis-Oswald identity gives a uniqueness diagnostic: for two
+positive candidates the quadratic form
 quadrature((Lu/u - Lv/v)(u^2 - v^2)) agrees, to second order in the grid
 step, with a manifestly nonnegative gradient-ratio quadrature, so its
 value (and the gap between the two iteration limits) measures how far
-the pair is from coinciding.
+the pair is from coinciding.  The classical monotone iteration from the
+bracket endpoints, an independent cross-check of these solves, lives
+with the tests (tests/reference_oracles.py), as do those identities
+(tests/brezis_oswald_reference.py).
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .errors import (
     GroundstateError,
     HypothesisViolated,
     MalformedInput,
-    MonotonicityBroken,
     NoConvergence,
     SignMixed,
     WindowViolation,
@@ -252,7 +253,7 @@ def apply_T(
 
 @dataclass(frozen=True)
 class UniquenessDiagnostics:
-    """Uniqueness diagnostics of one two-start or monotone solve.
+    """Uniqueness diagnostics of one two-start solve.
 
     two_start_gap is the X-distance between the limits from the two ends;
     brezis_oswald_residual is the Brezis-Oswald form of the two limits
@@ -526,8 +527,7 @@ def _finish_report(
 ) -> SemilinearReport:
     """Report of a limit u whose image T(u) leaves the bracket at outside nodes.
 
-    Shared by the two solvers.  One-sided data (kappa <= 0) claim no sign
-    certificate.
+    One-sided data (kappa <= 0) claim no sign certificate.
     """
     phi = spectrum.phi
     lam = spectrum.Lambda
@@ -552,92 +552,6 @@ def _finish_report(
         certified=nl.kappa > 0.0 and outside == 0,
         min_ratio=min_ratio,
         max_ratio=max_ratio,
-    )
-
-
-def _lipschitz_estimate(
-    nl: Nonlinearity, r: np.ndarray, phi: np.ndarray, bracket: Bracket
-) -> float:
-    """Finite-difference bound on the u-Lipschitz constant of phi*g(r, u)."""
-    lo = float(np.min(bracket.lower))
-    hi = float(np.max(bracket.upper))
-    us = np.linspace(lo, hi, 33)
-    best = 0.0
-    prev = phi * nl(r, np.full_like(r, us[0]))
-    for uval in us[1:]:
-        cur = phi * nl(r, np.full_like(r, uval))
-        best = max(best, float(np.max(np.abs(cur - prev))) / (us[1] - us[0]))
-        prev = cur
-    return best
-
-
-def monotone_solve(
-    spectrum: SpectrumSummary,
-    w: WindowEstimate,
-    nl: Nonlinearity,
-    mu: float,
-    shift: float | None = None,
-    max_iter: int = 2000,
-    tol_x: float = 1e-10,
-) -> SemilinearReport:
-    """Monotone iteration u_{k+1} = (L - mu + M)^{-1}(f(u_k) + M u_k).
-
-    Needs mu < Lambda: the bracket endpoints are then genuine sub- and
-    supersolutions, and with M at least the Lipschitz constant of f the
-    scheme is order-preserving, so the lower start increases and the upper
-    start decreases.  A step that breaks monotonicity beyond rounding
-    raises MonotonicityBroken.  Returns the lower limit as solution, the
-    upper limit in solution_upper, and their X-gap in uniqueness.  The
-    sweeps solve at the shift mu - M; the image T(u) of the lower limit,
-    which gives residual_x and the certificate's outside_count, at mu.
-    """
-    lam = spectrum.Lambda
-    if mu >= lam:
-        raise WindowViolation("monotone scheme needs mu < Lambda")
-    op, phi = spectrum.op, spectrum.phi
-    r = op.grid.r
-    bracket = make_bracket(spectrum, nl, mu)
-    m_shift = 1.5 * _lipschitz_estimate(nl, r, phi, bracket) if shift is None else float(shift)
-    if m_shift < 0:
-        raise MalformedInput("shift must be >= 0")
-
-    def sweep(u: np.ndarray) -> np.ndarray:
-        return op.solve_shifted(mu - m_shift, phi * nl(r, u) + m_shift * u)
-
-    limits = []
-    total_iters = 0
-    for u, direction in ((bracket.lower.copy(), +1.0), (bracket.upper.copy(), -1.0)):
-        converged = False
-        for k in range(1, max_iter + 1):
-            un = sweep(u)
-            drift = float(np.min(direction * (un - u)))
-            if drift < -1e-10 * max(1.0, float(np.max(np.abs(u)))):
-                raise MonotonicityBroken(f"ordered iterate moved the wrong way by {-drift:.3g}")
-            step = x_norm(un - u, phi)
-            u = un
-            if step < tol_x:
-                total_iters += k
-                converged = True
-                break
-        if not converged:
-            raise NoConvergence(f"monotone sweep stalled above {tol_x:g}", iterations=max_iter)
-        limits.append(u)
-    lower_limit, upper_limit = limits
-    t = apply_T(spectrum, nl, mu, lower_limit)
-    gap = x_norm(upper_limit - lower_limit, phi)
-    report = _finish_report(
-        spectrum, w, nl, mu, lower_limit,
-        iterations=total_iters,
-        residual_x=x_norm(lower_limit - t, phi),
-        violations=0,
-        outside=outside_count(t, bracket.lower, bracket.upper),
-        branch="MP",
-        window=window_semilinear(nl, w),
-    )
-    return replace(
-        report,
-        uniqueness=UniquenessDiagnostics(two_start_gap=gap, brezis_oswald_residual=None),
-        solution_upper=decompose(upper_limit, phi, op.grid.quad_weights),
     )
 
 

@@ -187,15 +187,6 @@ class DiscreteOperator:
         x /= self.scale
         return x
 
-    def quadratic_form(self, u: np.ndarray) -> float:
-        """Discrete V-norm squared: quadrature of (Lu)*u.
-
-        Summation by parts makes this the grid realization of
-        the integral of |grad u|^2 + q u^2 over R^N (Dirichlet truncated).
-        """
-        x = self.restrict(u)
-        return float(np.dot(x, self._product(x)))
-
 
 def assemble(grid: Grid, pot: RadialPotential, sector: int) -> DiscreteOperator:
     """Build the symmetrized tridiagonal operator for one angular sector."""
@@ -229,9 +220,12 @@ def assemble(grid: Grid, pot: RadialPotential, sector: int) -> DiscreteOperator:
 def eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     """First k eigenvalues of the sector operator (ascending).
 
-    LAPACK stebz bisection for the eigenvalues of index 1..k, to full
-    accuracy (tol 0), in ascending order.  Raises LinAlgError if some
-    eigenvalue fails to converge.
+    LAPACK stebz bisection for the eigenvalues of index 1..k, in
+    ascending order.  ABSTOL is passed as 0, which stebz reads as
+    ulp*||T||_1: each eigenvalue is bisected to an absolute width of
+    about 4*eps/h**2 here (||T||_1 is 4/h**2 plus the largest diagonal
+    potential term), not to full relative accuracy.  Raises LinAlgError
+    if some eigenvalue fails to converge.
     """
     if not 1 <= k <= op.dim:
         raise MalformedInput(f"k must lie in 1..{op.dim}, got {k}")
@@ -259,16 +253,6 @@ def eigenfunctions(op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ConvergenceFailure(f"{info} eigenvectors failed to converge")
     return np.column_stack([op.extend(vecs[:, j]) for j in range(len(values))])
-
-
-def eigenpairs(op: DiscreteOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """First k eigenvalues and quadrature-normalized full-grid eigenvectors.
-
-    Column j of the returned matrix is the j-th eigenfunction.  Signs are
-    not normalized here; use principal_eigenpair for the groundstate.
-    """
-    vals = eigenvalues(op, k)
-    return vals, eigenfunctions(op, vals)
 
 
 def principal_eigenpair(

@@ -10,18 +10,17 @@ import json
 import numpy as np
 import pytest
 from brezis_oswald_reference import brezis_oswald_identity, coupled_cross_terms
+from reference_oracles import block_solve, eigenpairs, monotone_solve
 
 from groundstate import (
     RadialPotential,
     analyze_matrix,
-    block_solve,
     certify_theorem1,
     constant_profile,
     coupled_uniqueness_check,
     estimate_c0_delta0,
     linear_problem,
     make_grid,
-    monotone_solve,
     rational_profile,
     solve_linear,
     solve_semilinear,
@@ -98,7 +97,7 @@ def test_criterion_02_linear_exactness(osc1d):
 def test_criterion_03_linear_certificates(osc1d):
     grid, op, spectrum, w = osc1d
     lam, phi = spectrum.Lambda, spectrum.phi
-    from groundstate import decompose, eigenpairs
+    from groundstate import decompose
 
     _, vecs = eigenpairs(op, 2)
     f_values = phi + 0.5 * vecs[:, 1]

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -424,6 +425,34 @@ def test_overflowing_grid_exits_2(tmp_path, capsys, r_max):
     cfg = write_config(tmp_path / "cfg.json", grid={"r_max": r_max, "n": 50})
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "space_dim, r_max, message",
+    [
+        # 2/h**2 overflows: an overflow warning in assemble, then stebz failed (exit 3)
+        (1, 1e-160, "grid.r_max = 1e-160 and grid.n = 10"),
+        (2, 1e-155, "grid.r_max = 1e-155 and grid.n = 10"),
+        # h**2 underflows to 0: ZeroDivisionError in assemble (exit 3)
+        (1, 1e-170, "grid.r_max = 1e-170 and grid.n = 10"),
+        # 2/h**2 is finite but its square, which stebz forms, is not (exit 3)
+        (1, 1e-100, "grid.r_max = 1e-100 and grid.n = 10"),
+        # the weights underflow to 0, once reported as "(r_max too large)"
+        (3, 1e-160, "grid.r_max = 1e-160 is too small (a weight underflows to 0)"),
+    ],
+    ids=["N1_overflow", "N2_overflow", "N1_h2_zero", "N1_square", "N3_weights"],
+)
+def test_grid_too_fine_for_double_precision_exits_2(tmp_path, capsys, space_dim, r_max, message):
+    cfg = write_config(
+        tmp_path / "cfg.json", mode="eigen", space_dim=space_dim, grid={"r_max": r_max, "n": 10}
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert not (tmp_path / "out").exists()
 
 

@@ -9,11 +9,11 @@ import pytest
 from brezis_oswald_reference import coupled_cross_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_oracles import block_solve
 
 from groundstate import (
     RadialPotential,
     analyze_matrix,
-    block_solve,
     constant_profile,
     coupled_uniqueness_check,
     estimate_c0_delta0,

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_oracles import eigenpairs
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from groundstate import (
     RadialPotential,
     decompose,
-    eigenpairs,
     estimate_c0_delta0,
     make_grid,
     power_potential,

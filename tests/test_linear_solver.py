@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_oracles import eigenpairs
+
 from groundstate import (
     RadialPotential,
     certify_theorem1,
-    eigenpairs,
     estimate_c0_delta0,
     linear_problem,
     make_grid,

