@@ -180,7 +180,8 @@ def system_problem(
     for i in range(2):
         resid = m.y[i] * lphi - (arr[i, 0] * m.y[0] + arr[i, 1] * m.y[1]) * phi \
             - lam_star * m.y[i] * phi
-        if op.grid.norm(resid) > (1e-8 * scale + floor) * m.y[i]:
+        # measured in units of scale: resid**2 can overflow where resid does not
+        if op.grid.norm(resid / scale) > (1e-8 + floor / scale) * m.y[i]:
             raise SingularResolvent("system groundstate identity failed; data inconsistent")
     kappa = min(nl1.kappa, nl2.kappa)
     k_upper = max(nl1.k_upper, nl2.k_upper)

@@ -12,9 +12,11 @@ instead of in every run.  The artifacts:
                          floats at 17 significant digits;
 * ``solution_<offset>.csv`` -- full radial profiles on request, columns
                          ``r``, ``phi`` and the solution (``u``, or ``u1``
-                         and ``u2``); a run renders the ``r,phi`` text
-                         once, into per-chunk format strings, and each
-                         dump fills them with its solution columns.
+                         and ``u2``); the dumps are written together, one
+                         DUMP_ROWS chunk of rows at a time: the chunk's
+                         ``r,phi`` text is rendered once, into a format
+                         string each dump fills with its solution columns,
+                         so a run holds one chunk's text, whatever n is.
 
 ``groundstate report sweep.csv --out DIR`` derives the two plotting
 curves (sign-certificate and blow-up) from a previously written sweep,
@@ -28,6 +30,9 @@ message names the key, as ``grid.n`` or ``mu_offsets[1]``), an integer
 literal too long for Python to read, a ``dump_solutions`` entry that
 matches no shift offset, a ``power`` potential with ``s <= 2`` (the
 message names ``potential.s``), a sweep whose shift offsets overflow, a
+shift offset that vanishes against the shift origin (origin + offset ==
+origin, so mu would be Lambda or Lambda*; the message names the
+``mu_offsets`` entry, or ``sweep``), a
 grid with fewer nodes than the six radial eigenvalues the spectrum
 reports or with more than a numpy array holds (the message names
 ``grid.n``, ``grid.points_per_unit`` or ``--grid-scale``), grid weights
@@ -402,41 +407,38 @@ def _write_sweep(path: Path, rows: list[dict]) -> None:
             handle.write(",".join([_cell(row.get(col, "")) for col in COLUMNS]) + "\n")
 
 
-#: rows per chunk of a profile dump; bounds the memory a dump holds at once
+#: rows per chunk of a profile dump; bounds the text a run's dumps hold at once
 DUMP_ROWS = 256
 
 
-def _profile_templates(r: np.ndarray, phi: np.ndarray, columns: int) -> list[str]:
-    """One format string per DUMP_ROWS chunk of a profile dump, built once per run.
-
-    Each holds its rows' ``r,phi,`` f17 text and a ``%.17g`` slot for each
-    of the ``columns`` solution cells, so a chunk is one ``template % values``.
-    f17 text is digits, signs, ``.``, ``e``, ``nan`` and ``inf``, never a
-    ``%``, so the shared text needs no escaping.
-    """
-    row = "%.17g,%.17g," + ",".join(["%%.17g"] * columns) + "\n"
-    pairs = list(zip(r.tolist(), phi.tolist()))
-    return [
-        "".join(map(row.__mod__, pairs[start : start + DUMP_ROWS]))
-        for start in range(0, len(pairs), DUMP_ROWS)
-    ]
-
-
-def _dump_profile(
-    path: Path, header: list[str], templates: list[str], solution: list[np.ndarray]
+def _dump_profiles(
+    r: np.ndarray, phi: np.ndarray, dumps: dict[Path, tuple[list[str], list[np.ndarray]]]
 ) -> None:
-    """One row per node: its ``r,phi,`` text, then the solution columns as f17 text.
+    """One file per dump, one row per node: ``r,phi``, then the solution columns, as f17 text.
 
-    A run builds the chunk templates once (_profile_templates); each dump
-    fills them with its solution values, DUMP_ROWS rows at a time.  Two
-    columns are interleaved row by row in numpy before they become floats.
+    The rows go out one DUMP_ROWS chunk at a time: the chunk's ``r,phi,``
+    text is formatted once, into a format string with a ``%.17g`` slot for
+    each solution cell, and each dump fills it with its own values
+    (``template % values``), so a chunk's text is the only text held.  f17
+    text is digits, signs, ``.``, ``e``, ``nan`` and ``inf``, never a
+    ``%``, so the shared text needs no escaping.  Two columns are
+    interleaved row by row in numpy before they become floats.  Every dump
+    has the same column count; one file is open at a time (headers are
+    written, then each chunk is appended to each file in turn).
     """
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for start, template in zip(range(0, len(solution[0]), DUMP_ROWS), templates):
-            chunk = [a[start : start + DUMP_ROWS] for a in solution]
+    columns = len(next(iter(dumps.values()))[1])
+    row = "%.17g,%.17g," + ",".join(["%%.17g"] * columns) + "\n"
+    for path, (header, _) in dumps.items():
+        with open(path, "w", newline="") as handle:
+            handle.write(",".join(header) + "\n")
+    for start in range(0, len(r), DUMP_ROWS):
+        stop = start + DUMP_ROWS
+        template = "".join(map(row.__mod__, zip(r[start:stop].tolist(), phi[start:stop].tolist())))
+        for path, (_, solution) in dumps.items():
+            chunk = [a[start:stop] for a in solution]
             values = chunk[0] if len(chunk) == 1 else np.column_stack(chunk).ravel()
-            handle.write(template % tuple(values.tolist()))
+            with open(path, "a", newline="") as handle:
+                handle.write(template % tuple(values.tolist()))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -498,10 +500,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         handle.write("\n")
     _write_sweep(out_dir / "sweep.csv", rows)
     if dumps:
-        columns = len(next(iter(dumps.values()))[1])
-        templates = _profile_templates(grid.r, spectrum.phi, columns)
-        for offset, (header, solution) in dumps.items():
-            _dump_profile(out_dir / f"solution_{offset:g}.csv", header, templates, solution)
+        # offsets that print alike share a file, which the last of them fills
+        paths = {out_dir / f"solution_{offset:g}.csv": dump for offset, dump in dumps.items()}
+        _dump_profiles(grid.r, spectrum.phi, paths)
 
     print(f"wall_time_s {time.perf_counter() - t0:.3f}", file=sys.stderr)
     if cfg.get("require_certificates", False):
@@ -534,8 +535,11 @@ def _sweep_rows(cfg: dict, spectrum, w, meta: dict) -> tuple[list[dict], dict]:
 
     The mode's setup (MODE_SETUPS) supplies the shift origin (Lambda or
     Lambda*), its meta entries, the names of the dumped solution columns
-    and a function mu -> (row cells, solution arrays).  Returning before
-    the files are written lets everything the last row built be freed.
+    and a function mu -> (row cells, solution arrays).  An offset that
+    vanishes against the origin (origin + offset == origin) raises
+    MalformedInput naming its ``mu_offsets`` entry, or ``sweep``, before
+    any row is computed.  Returning before the files are written lets
+    everything the last row built be freed.
     """
     if cfg["mode"] == "eigen":
         meta.update(window=w.delta0, window_rule="delta0")
@@ -545,6 +549,16 @@ def _sweep_rows(cfg: dict, spectrum, w, meta: dict) -> tuple[list[dict], dict]:
     rows: list[dict] = []
     dumps: dict[float, tuple[list[str], list[np.ndarray]]] = {}
     offsets = resolve_offsets(cfg)
+    for offset in offsets:
+        if origin + offset == origin:  # resolve_offsets sorted them: find the entry
+            if "sweep" in cfg:
+                name = "sweep offset"
+            else:
+                name = f"mu_offsets[{[float(x) for x in cfg['mu_offsets']].index(offset)}] ="
+            raise MalformedInput(
+                f"{name} {offset:g} vanishes against the shift origin {origin:.6g} "
+                "(mu = origin has no resolvent)"
+            )
     wanted = _dump_offsets(cfg, offsets)
     for offset in offsets:
         mu = origin + offset

@@ -11,16 +11,18 @@ weighted matrix norm || D_phi^-1 Pi (L-mu)^-1 Pi D_phi ||_inf is estimated
 at sampled mu across the window and the max is reported together with the
 samples used.  Each sample is a Higham-Tisseur block 1-norm estimate, which
 needs only products with the matrix and its transpose, i.e. banded solves,
-so it costs O(n) time and memory.  Each product is one gtsv elimination
-of T - mu through the operator (DiscreteOperator._eliminate, the
-elimination of every resolvent solve), on the whole n x 2 block.  The
-estimator works on its n x 2 blocks one column at a time, in the
-arithmetic and summation order of whole-block broadcasts and axis
-reductions, so c0 has their bits at a fraction of their cost (see
-projected_resolvent_norm).  Such an estimate is a lower bound in
-general (on the grids tested it equals the dense evaluation to rounding).
-Soundness does not rest on c0: every certificate is re-verified pointwise
-downstream, so a low c0 can widen a window but never make a claim wrong.
+so it costs O(n) time and memory: a sample's transient peak is about
+7.7 n x 2 blocks of doubles, each block freed once it is dead.  Each
+product is one gtsv elimination of T - mu through the operator
+(DiscreteOperator._eliminate, the elimination of every resolvent solve),
+on the whole n x 2 block.  The estimator works on its n x 2 blocks one
+column at a time, in the arithmetic and summation order of whole-block
+broadcasts and axis reductions, so c0 has their bits at a fraction of
+their cost (see projected_resolvent_norm).  Such an estimate is a lower
+bound in general (on the grids tested it equals the dense evaluation to
+rounding).  Soundness does not rest on c0: every certificate is
+re-verified pointwise downstream, so a low c0 can widen a window but
+never make a claim wrong.
 """
 
 from __future__ import annotations
@@ -136,6 +138,8 @@ def _block_one_norm(apply_a, apply_at, n: int, rng: np.random.Generator) -> floa
     unit-1-norm columns, so it never exceeds ||A||_1 (up to rounding).
     Blocks are C-ordered; reductions over them go column by column, with
     the bits of the matching axis reductions (_column_sum, np.maximum).
+    Each block is dropped as soon as it is dead, so while a product runs
+    the estimator itself holds only S and the product's input.
     """
     t = NORMEST_BLOCK
     X = np.ones((n, t))
@@ -148,6 +152,7 @@ def _block_one_norm(apply_a, apply_at, n: int, rng: np.random.Generator) -> floa
     ind = np.zeros(0, dtype=np.intp)
     for k in range(1, NORMEST_ITMAX + 2):
         Y = apply_a(X)
+        del X
         sums = [_column_sum(np.abs(col)) for col in Y.T]
         best = int(np.argmax(sums))
         est = sums[best]
@@ -157,10 +162,14 @@ def _block_one_norm(apply_a, apply_at, n: int, rng: np.random.Generator) -> floa
         if k > NORMEST_ITMAX:
             break
         S_old, S = S, np.where(Y >= 0.0, 1.0, -1.0)
+        del Y
         if np.all(np.abs(S_old.T @ S).max(axis=0) == n):  # (2) sign vectors repeat
             break
         _resample_parallel(S, S_old, rng)
-        h = reduce(np.maximum, np.abs(apply_at(S)).T)
+        del S_old
+        Z = apply_at(S)
+        h = reduce(np.maximum, np.abs(Z, out=Z).T)
+        del Z
         if k >= 2 and h.max() == h[ind[best]]:  # (4) no column promises more
             break
         ind = _top_k(h, t + len(visited))
@@ -204,9 +213,10 @@ def projected_resolvent_norm(
     inv_scale = 1.0 / scale
     s = op.start
 
-    def rows(a: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """a[:, None] * B, column by column, C-ordered."""
-        out = np.empty_like(B)
+    def rows(a: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """a[:, None] * B, column by column, C-ordered; out may be B itself."""
+        if out is None:
+            out = np.empty_like(B)
         for j in range(B.shape[1]):
             np.multiply(a, B[:, j], out=out[:, j])
         return out
@@ -217,28 +227,29 @@ def projected_resolvent_norm(
             v[:, j] -= a * c
 
     def resolve(v: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+        """post * (T - mu)^-1 (pre * v) on the operator's nodes, 0 before them, into v."""
         rhs = np.empty((len(pre), v.shape[1]), order="F")
         for j in range(v.shape[1]):
             np.multiply(pre, v[s:, j], out=rhs[:, j])
         x = op._eliminate(mu, None, rhs)
-        out = np.zeros_like(v)
+        v[:s] = 0.0
         for j in range(v.shape[1]):
-            np.multiply(post, x[:, j], out=out[s:, j])
-        return out
+            np.multiply(post, x[:, j], out=v[s:, j])
+        return v
 
     def apply_m(Y: np.ndarray) -> np.ndarray:  # A^T Y = mask * (M Y)
         v = rows(phi, Y)
         project(v, phi, wphi)
         v = resolve(v, scale, inv_scale)
         project(v, phi, wphi)
-        return rows(inv_phi, v)
+        return rows(inv_phi, v, out=v)
 
     def apply_mt(X: np.ndarray) -> np.ndarray:  # A X = M^T (mask * X)
         v = rows(inv_phi, X)
         project(v, wphi, phi)
         v = resolve(v, inv_scale, scale)
         project(v, wphi, phi)
-        return rows(phi, v)
+        return rows(phi, v, out=v)
 
     rng = np.random.default_rng(NORMEST_SEED)
     return _block_one_norm(apply_mt, apply_m, len(phi), rng)

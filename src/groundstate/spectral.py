@@ -224,15 +224,16 @@ def eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     ascending order.  ABSTOL is passed as 0, which stebz reads as
     ulp*||T||_1: each eigenvalue is bisected to an absolute width of
     about 4*eps/h**2 here (||T||_1 is 4/h**2 plus the largest diagonal
-    potential term), not to full relative accuracy.  Raises LinAlgError
-    if some eigenvalue fails to converge.
+    potential term), not to full relative accuracy.  The k values are
+    returned in an array of their own.  Raises LinAlgError if some
+    eigenvalue fails to converge.
     """
     if not 1 <= k <= op.dim:
         raise MalformedInput(f"k must lie in 1..{op.dim}, got {k}")
     m, w, _, _, info = dstebz(op.diag, op.offdiag, 2, 0.0, 1.0, 1, k, 0.0, "E")
     if info != 0:
         raise np.linalg.LinAlgError(f"stebz did not converge (LAPACK info={info})")
-    return w[:m]
+    return w[:m].copy()  # a view would keep stebz's n-length output alive
 
 
 def eigenfunctions(op: DiscreteOperator, values: np.ndarray) -> np.ndarray:

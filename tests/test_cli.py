@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,8 +24,7 @@ from groundstate.experiment_cli import (
     DUMP_ROWS,
     SCHEMA,
     _cell,
-    _dump_profile,
-    _profile_templates,
+    _dump_profiles,
     _write_sweep,
     f17,
     main,
@@ -456,6 +456,55 @@ def test_grid_too_fine_for_double_precision_exits_2(tmp_path, capsys, space_dim,
     assert not (tmp_path / "out").exists()
 
 
+MODE_BLOCKS = {
+    "linear": {"f": {"kind": "phi"}},
+    "semilinear": {"nonlinearity": {"kind": "rational", "kappa": 1.0, "K": 2.0}},
+    "system": {
+        "nonlinearity": {"kind": "rational", "kappa": 1.0, "K": 2.0},
+        "matrix": {"a": 0.0, "b": 1.0, "c": 4.0, "d": 0.0},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "mode, shifts, message",
+    [
+        # once ZeroDivisionError (exit 3)
+        ("linear", {"mu_offsets": [0.5, -0.1]}, "mu_offsets[1] = -0.1 vanishes"),
+        ("linear", {"sweep": {"from_offset": -0.1, "to_offset": 0.1, "steps": 2}},
+         "sweep offset -0.1 vanishes"),
+        # once "|Lambda - mu| = 0 outside the certified window" (exit 3)
+        ("semilinear", {"mu_offsets": [0.5, -0.1]}, "mu_offsets[1] = -0.1 vanishes"),
+        # once an overflow warning in system_problem, then exit 3
+        ("system", {"mu_offsets": [0.5, -0.1]}, "mu_offsets[1] = -0.1 vanishes"),
+    ],
+    ids=["linear", "linear_sweep", "semilinear", "system"],
+)
+def test_offset_that_vanishes_against_the_shift_origin_exits_2(
+    tmp_path, capsys, mode, shifts, message
+):
+    # Lambda = 1.09e152 on this grid, so Lambda - 0.1 == Lambda
+    cfg = {
+        "mode": mode,
+        "space_dim": 1,
+        "potential": {"kind": "power", "c": 1.0, "s": 4.0},
+        "grid": {"r_max": 1.5e-76, "n": 10},
+        "output_dir": str(tmp_path / "out"),
+        **MODE_BLOCKS[mode],
+        **shifts,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(path)]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert "shift origin 1.09476e+152" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("s", [2.0, 1.5])
 def test_subquadratic_power_potential_exits_2(tmp_path, capsys, s):
     # c + r**s lies in the admissible class exactly when s > 2
@@ -836,7 +885,7 @@ def test_run_does_not_recheck_the_schema(tmp_path, monkeypatch):
 
 
 def _reference_dump(path: Path, header: list[str], arrays: list[np.ndarray]) -> None:
-    """The per-cell csv.writer dump that _dump_profile must match byte for byte."""
+    """The per-cell csv.writer dump that _dump_profiles must match byte for byte."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -865,9 +914,43 @@ def test_dump_profile_matches_the_csv_writer(tmp_path, length):
     _reference_dump(tmp_path / "ref.csv", header, [wide, single, ints, wide[::-1]])
     # the float32 column is phi, inside the shared text; the int64 and
     # reversed-view columns are solution columns
-    templates = _profile_templates(wide, single, 2)
-    _dump_profile(tmp_path / "new.csv", header, templates, [ints, wide[::-1]])
+    _dump_profiles(wide, single, {tmp_path / "new.csv": (header, [ints, wide[::-1]])})
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # two dumps share each chunk's r,phi text; each file gets its own columns
+    _reference_dump(tmp_path / "ref2.csv", header, [wide, single, wide[::-1], ints])
+    _dump_profiles(wide, single, {
+        tmp_path / "a.csv": (header, [ints, wide[::-1]]),
+        tmp_path / "b.csv": (header, [wide[::-1], ints]),
+    })
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "ref2.csv").read_bytes()
+
+
+def test_dump_memory_is_bounded_by_the_chunk_not_the_grid(tmp_path):
+    # tracemalloc transient of a two-column dump of 100 000 rows, above
+    # the memory held before the call: about 72 KB, the same at 1000 and
+    # 10 000 rows; rendering every row's r,phi text before the first dump
+    # (as an earlier writer did) held 16 MB at this size
+    length = 100_000
+    rng = np.random.default_rng(0)
+    r, phi = rng.standard_normal(length), rng.standard_normal(length)
+    solution = list(rng.standard_normal((2, length)))
+    dumps = {tmp_path / "solution.csv": (["r", "phi", "u1", "u2"], solution)}
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _dump_profiles(r, phi, dumps)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 384 * DUMP_ROWS
+    for path in dumps:
+        with open(path) as handle:
+            assert sum(1 for _ in handle) == length + 1
 
 
 def test_sweep_csv_matches_the_csv_writer(tmp_path):

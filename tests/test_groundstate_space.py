@@ -1,5 +1,7 @@
 """Groundstate-weighted decomposition, X-norm, and resolvent-window tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,6 +283,31 @@ def test_c0_estimate_on_admissible_power_wells(c, s, space_dim, n):
 def test_c0_estimate_is_bit_identical_on_rerun(ctx):
     _, _, spectrum, window = ctx
     assert estimate_c0_delta0(spectrum).c0 == window.c0
+
+
+def test_window_sample_memory_is_pinned_in_bytes():
+    # tracemalloc transient of one projected_resolvent_norm call on the
+    # linear_fine bench problem (N = 3, q = 1 + r^4, r_max 3.2, n = 2400),
+    # above the memory held before the call, at each of its 8 shifts: at
+    # most 295473 bytes, 7.7 n x 2 blocks of doubles.  Before each block
+    # was freed once dead, and written in place where its input was a
+    # temporary, it was about 372000 bytes (9.7 blocks)
+    grid, op, spectrum, window = window_problem(power_potential(1.0, 4.0), 3, 3.2, 2400)
+    phi, weights = spectrum.phi, grid.quad_weights
+    tracing = tracemalloc.is_tracing()
+    for mu in window.mu_samples:
+        projected_resolvent_norm(op, phi, weights, float(mu))  # warm-up at this shift
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            projected_resolvent_norm(op, phi, weights, float(mu))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 296_000
 
 
 def test_c0_estimate_leaves_global_random_state_alone(ctx):

@@ -163,6 +163,15 @@ def test_summary_consistency():
     assert np.all(np.diff(s.radial_eigs) > 0)
 
 
+def test_radial_eigs_own_their_data():
+    # a view into stebz's n-length output would keep all of it alive for
+    # as long as the summary lives (the whole run)
+    s = summarize_spectrum(make_grid(3, 3.2, 2400), QUARTIC_3D)
+    assert s.radial_eigs.shape == (spectral.RADIAL_EIGS,)
+    assert s.radial_eigs.base is None
+    assert eigenvalues(s.op, 2).base is None
+
+
 def test_eigenvalues_rejects_bad_count():
     op = assemble(make_grid(3, 3.2, 60), QUARTIC_3D, 0)
     with pytest.raises(MalformedInput):
