@@ -28,8 +28,9 @@ increase, or too few rows), a NaN, infinite number or integer past the
 double range anywhere in the config (checked before the schema; the
 message names the key, as ``grid.n`` or ``mu_offsets[1]``), an integer
 literal too long for Python to read, a ``dump_solutions`` entry that
-matches no shift offset, a ``power`` potential with ``s <= 2`` (the
-message names ``potential.s``), a sweep whose shift offsets overflow, a
+matches no shift offset, two ``dump_solutions`` entries whose offsets
+would share a ``solution_<offset>.csv`` name, a ``power`` potential
+with ``s <= 2`` (the message names ``potential.s``), a sweep whose shift offsets overflow, a
 shift offset that vanishes against the shift origin (origin + offset ==
 origin, so mu would be Lambda or Lambda*; the message names the
 ``mu_offsets`` entry, or ``sweep``), a
@@ -500,8 +501,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         handle.write("\n")
     _write_sweep(out_dir / "sweep.csv", rows)
     if dumps:
-        # offsets that print alike share a file, which the last of them fills
-        paths = {out_dir / f"solution_{offset:g}.csv": dump for offset, dump in dumps.items()}
+        paths = {out_dir / _dump_name(offset): dump for offset, dump in dumps.items()}
         _dump_profiles(grid.r, spectrum.phi, paths)
 
     print(f"wall_time_s {time.perf_counter() - t0:.3f}", file=sys.stderr)
@@ -515,19 +515,35 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _dump_name(offset: float) -> str:
+    return f"solution_{offset:g}.csv"  # 6 significant digits
+
+
 def _dump_offsets(cfg: dict, offsets: list[float]) -> set[float]:
     """The shift offsets whose profiles dump_solutions asks for.
 
     An entry matches an offset within 1e-12 relative; one that matches
-    none raises MalformedInput naming it.
+    none raises MalformedInput naming it, and so do two entries whose
+    offsets would share a dump file name.
     """
-    chosen = set()
-    for want in cfg.get("dump_solutions", []):
-        match = {off for off in offsets if abs(want - off) <= 1e-12 * max(1.0, abs(off))}
+    wants = cfg.get("dump_solutions", [])
+    chosen: dict[float, int] = {}  # offset -> index of its first matching entry
+    for i, want in enumerate(wants):
+        match = [off for off in offsets if abs(want - off) <= 1e-12 * max(1.0, abs(off))]
         if not match:
             raise MalformedInput(f"dump_solutions entry {want:g} matches no mu offset")
-        chosen |= match
-    return chosen
+        for off in match:
+            chosen.setdefault(off, i)
+    named: dict[str, float] = {}
+    for off, i in chosen.items():
+        first = named.setdefault(_dump_name(off), off)
+        if first != off:
+            j = chosen[first]
+            raise MalformedInput(
+                f"dump_solutions[{j}] = {wants[j]!r} and dump_solutions[{i}] = {wants[i]!r} "
+                f"ask for offsets {first!r} and {off!r}, both dumped to {_dump_name(off)}"
+            )
+    return set(chosen)
 
 
 def _sweep_rows(cfg: dict, spectrum, w, meta: dict) -> tuple[list[dict], dict]:

@@ -211,7 +211,6 @@ def projected_resolvent_norm(
     wphi = quad_weights * phi
     scale = op.scale
     inv_scale = 1.0 / scale
-    s = op.start
 
     def rows(a: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """a[:, None] * B, column by column, C-ordered; out may be B itself."""
@@ -227,14 +226,13 @@ def projected_resolvent_norm(
             v[:, j] -= a * c
 
     def resolve(v: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-        """post * (T - mu)^-1 (pre * v) on the operator's nodes, 0 before them, into v."""
-        rhs = np.empty((len(pre), v.shape[1]), order="F")
+        """post * (T - mu)^-1 (pre * v), into v."""
+        rhs = np.empty(v.shape, order="F")
         for j in range(v.shape[1]):
-            np.multiply(pre, v[s:, j], out=rhs[:, j])
+            np.multiply(pre, v[:, j], out=rhs[:, j])
         x = op._eliminate(mu, None, rhs)
-        v[:s] = 0.0
         for j in range(v.shape[1]):
-            np.multiply(post, x[:, j], out=v[s:, j])
+            np.multiply(post, x[:, j], out=v[:, j])
         return v
 
     def apply_m(Y: np.ndarray) -> np.ndarray:  # A^T Y = mask * (M Y)

@@ -81,16 +81,16 @@ class Nonlinearity:
     bounded above), where the MP-side solve still works but the GSP
     certificate is skipped.  derivative(r, u) is the u-derivative g_u of
     profile, with which solve_semilinear and solve_system take their
-    Newton steps.  strictly_decreasing_ratio asserts
-    that u -> profile(r, u)/u is strictly decreasing on u > 0, the
-    hypothesis behind the uniqueness diagnostics.
+    Newton steps.  The uniqueness diagnostics assume that
+    u -> profile(r, u)/u is strictly decreasing on u > 0, which
+    validate_nonlinearity checks on a sample lattice for every profile
+    a run uses.
     """
 
     profile: Callable[[np.ndarray, np.ndarray], np.ndarray]
     kappa: float
     k_upper: float
     derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    strictly_decreasing_ratio: bool = True
 
     def __post_init__(self) -> None:
         if not (self.kappa <= self.k_upper) or self.k_upper <= 0.0:
@@ -108,7 +108,6 @@ def constant_profile(g0: float) -> Nonlinearity:
         profile=lambda r, u: np.full_like(np.asarray(u, dtype=float), g0),
         kappa=g0,
         k_upper=g0,
-        strictly_decreasing_ratio=True,
         derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
     )
 
@@ -121,7 +120,6 @@ def rational_profile(kappa: float, k_upper: float) -> Nonlinearity:
         profile=lambda r, u: kappa + (k_upper - kappa) / (1.0 + np.asarray(u, dtype=float) ** 2),
         kappa=kappa,
         k_upper=k_upper,
-        strictly_decreasing_ratio=True,
         derivative=lambda r, u: (-2.0 * (k_upper - kappa)) * np.asarray(u, dtype=float)
         / (1.0 + np.asarray(u, dtype=float) ** 2) ** 2,
     )
@@ -139,7 +137,6 @@ def exp_decay_profile(kappa: float, k_upper: float, s: float = 1.0) -> Nonlinear
         + (k_upper - kappa) * np.exp(-s * np.abs(np.asarray(u, dtype=float))),
         kappa=kappa,
         k_upper=k_upper,
-        strictly_decreasing_ratio=True,
         derivative=lambda r, u: (-s * (k_upper - kappa)) * np.sign(u)
         * np.exp(-s * np.abs(np.asarray(u, dtype=float))),
     )
@@ -180,7 +177,7 @@ def validate_nonlinearity(nl: Nonlinearity, r: np.ndarray) -> None:
                 f"profile leaves [kappa, K] at u = {uval:g}: "
                 f"range [{g.min():.6g}, {g.max():.6g}]"
             )
-        if nl.strictly_decreasing_ratio and uval > 0 and ratio_fails_at is None:
+        if uval > 0 and ratio_fails_at is None:
             ratio = g / uval
             if prev is not None and np.any(ratio >= prev):
                 ratio_fails_at = uval
@@ -556,20 +553,20 @@ def _finish_report(
 
 
 def _ratio_forms(op: DiscreteOperator, pairs: Iterable, sign_message: str) -> list[float]:
-    """quadrature((La/a - Lb/b)(a^2 - b^2)) per pair (a, b) on the operator's nodes.
+    """quadrature((La/a - Lb/b)(a^2 - b^2)) per pair (a, b) of grid functions.
 
-    All functions must share one strict sign there, else SignMixed(sign_message)
-    is raised; the form of (-a, -b) is that of (a, b), bit for bit.
+    All functions must share one strict sign on the grid, else
+    SignMixed(sign_message) is raised; the form of (-a, -b) is that of
+    (a, b), bit for bit.
     """
-    s = op.start
     pairs = [(np.asarray(a, dtype=float), np.asarray(b, dtype=float)) for a, b in pairs]
-    if not all(np.all(x[s:] > 0) for pair in pairs for x in pair):
-        if not all(np.all(x[s:] < 0) for pair in pairs for x in pair):
+    if not all(np.all(x > 0) for pair in pairs for x in pair):
+        if not all(np.all(x < 0) for pair in pairs for x in pair):
             raise SignMixed(sign_message)
-    wq = op.grid.quad_weights[s:]
+    wq = op.grid.quad_weights
     forms = []
     for a, b in pairs:
-        la, lb, a, b = op.matvec(a)[s:], op.matvec(b)[s:], a[s:], b[s:]
+        la, lb = op.matvec(a), op.matvec(b)
         forms.append(float(np.dot(wq, (la / a - lb / b) * (a**2 - b**2))))
     return forms
 
@@ -578,7 +575,7 @@ def brezis_oswald_check(op: DiscreteOperator, u: np.ndarray, v: np.ndarray) -> f
     """Discrete Brezis-Oswald quadratic form of two one-signed functions.
 
     For u, v both strictly positive or both strictly negative on the
-    operator's nodes, returns
+    grid, returns
 
         T = quadrature((Lu/u - Lv/v) * (u^2 - v^2)).
 
@@ -605,7 +602,7 @@ def two_start_diagnostics(
     brezis_oswald_residual is the Brezis-Oswald form T of the pair
     (brezis_oswald_check), which is near 0 when the limits coincide (a
     uniqueness indicator only when the decreasing-ratio hypothesis holds,
-    which is recorded on the nonlinearity).
+    which validate_nonlinearity checks on a sample lattice).
     """
     lo = solve_semilinear(
         spectrum, w, nl, mu, start="lower",

@@ -9,7 +9,10 @@ with Dirichlet ends, which discretizes to a symmetric tridiagonal matrix:
 diagonal 2/h^2 + V_eff(r_i), off-diagonals -1/h^2.  For N = 1 "radial"
 means parity: the even sector folds the line at the origin (Neumann row,
 one off-diagonal becomes -sqrt(2)/h^2 after symmetrization against the
-half-weight origin node), the odd sector is Dirichlet at 0.
+half-weight origin node), the odd sector is Dirichlet at 0, without the
+origin node.  Every solve and product acts on sector 0, the
+``DiscreteOperator`` on every grid node that ``assemble`` builds; another
+sector's ``sector_matrix`` tridiagonal is only bisected, for lambda2.
 
 Eigenvalues come from LAPACK bisection (stebz) on the tridiagonal form.
 The principal eigenvector is computed by shifted inverse iteration with a
@@ -71,22 +74,18 @@ def _centrifugal(space_dim: int, sector: int) -> float:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Symmetrized tridiagonal form of a single angular sector.
+    """Symmetrized tridiagonal form of the sector-0 operator L on every grid node.
 
     ``diag``/``offdiag`` are the matrix entries in the w-variable.
-    ``scale`` is sqrt of the quadrature weights on the operator's nodes;
-    internal coordinates are ``x = scale * u`` so that the internal l2
-    inner product equals the grid quadrature inner product.  ``start`` is
-    the offset of the operator's nodes into the grid arrays (1 for the
-    N = 1 odd sector, which excludes the origin; 0 otherwise).
+    ``scale`` is sqrt of the quadrature weights; internal coordinates are
+    ``x = scale * u`` so that the internal l2 inner product equals the
+    grid quadrature inner product.
     """
 
     grid: Grid
-    sector: int
     diag: np.ndarray
     offdiag: np.ndarray
     scale: np.ndarray
-    start: int
 
     @property
     def dim(self) -> int:
@@ -98,18 +97,15 @@ class DiscreteOperator:
         return float(np.max(np.abs(self.diag)) + 2.0 * np.max(np.abs(self.offdiag)))
 
     def restrict(self, u: np.ndarray) -> np.ndarray:
-        """Full-grid function -> internal coordinates."""
-        u = np.asarray(u, dtype=float)
-        return self.scale * (u[self.start :] if self.start else u)
+        """Grid function -> internal coordinates."""
+        return self.scale * np.asarray(u, dtype=float)
 
     def extend(self, x: np.ndarray) -> np.ndarray:
-        """Internal coordinates -> full-grid function (zero at excluded nodes)."""
-        u = np.zeros(len(self.grid.r))
-        u[self.start :] = x / self.scale
-        return u
+        """Internal coordinates -> grid function."""
+        return x / self.scale
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        """Apply L to a full-grid function, returning a full-grid function."""
+        """Apply L to a grid function."""
         return self.extend(self._product(self.restrict(u)))
 
     def _product(self, x: np.ndarray) -> np.ndarray:
@@ -120,38 +116,36 @@ class DiscreteOperator:
         return y
 
     def solve_shifted(self, mu: float, f: np.ndarray) -> np.ndarray:
-        """Solve (L - mu) u = f for full-grid functions f, u, verified.
+        """Solve (L - mu) u = f for grid functions f, u, verified.
 
         One gtsv elimination of T - mu (partial pivoting, so valid on both
         sides of the spectrum).  The solution is accepted only if
         ||(L - mu)u - f|| <= 1e-10 * (||f|| + (||L|| + |mu|) * ||u||): the
         backward-error scaling, since near Lambda ||u|| can dwarf ||f||.
         The grid norms are taken in internal coordinates, where they are
-        plain l2 norms of x, b = scale * f and T x - mu x - b; the weighted
-        f at excluded nodes, where u and L u vanish, enters both the
-        residual and ||f||.  Raises SingularResolvent on an exactly zero
+        plain l2 norms of x, b = scale * f and T x - mu x - b.  Raises
+        SingularResolvent on an exactly zero
         pivot, when the residual bound fails, which includes any NaN in f
         or u, and when the bound itself overflows to inf.
         """
-        s = self.start
         b = self.restrict(f)
         x = self._eliminate(mu, None, b.copy())
         r = self._product(x)
         r -= mu * x
         r -= b
-        outside = np.dot(self.grid.quad_weights[:s], np.asarray(f)[:s] ** 2) if s else 0.0
-        resid = math.sqrt(np.dot(r, r) + outside)
-        f_norm = math.sqrt(np.dot(b, b) + outside)
+        resid = math.sqrt(np.dot(r, r))
+        f_norm = math.sqrt(np.dot(b, b))
         u_norm = math.sqrt(np.dot(x, x))
         if not resid <= SOLVE_RTOL * (f_norm + (self.norm_bound + abs(mu)) * u_norm) < math.inf:
             raise SingularResolvent(
                 f"resolvent solve at mu = {mu:.12g} misses the 1e-10 backward-error bound "
                 f"(residual {resid:.3g}); mu too close to spectrum, or data not finite or too large"
             )
-        return self._extend_own(x)
+        x /= self.scale
+        return x
 
     def solve_unverified(self, mu: float, d: np.ndarray, f: np.ndarray) -> np.ndarray | None:
-        """Solve (L - mu - diag(d)) u = f for full-grid functions d, f, u, unchecked.
+        """Solve (L - mu - diag(d)) u = f for grid functions d, f, u, unchecked.
 
         For search directions only (the Newton steps of solve_semilinear
         and solve_system, whose limits solve_shifted verifies): the
@@ -162,10 +156,11 @@ class DiscreteOperator:
             x = self._eliminate(mu, d, self.restrict(f))
         except SingularResolvent:
             return None
-        return self._extend_own(x)
+        x /= self.scale
+        return x
 
     def _eliminate(self, mu: float, d: np.ndarray | None, b: np.ndarray) -> np.ndarray:
-        """x with (T - mu - diag(d)) x = b, d a full-grid function or None for 0.
+        """x with (T - mu - diag(d)) x = b, d a grid function or None for 0.
 
         b is one right-hand side or an n x k block (Fortran-ordered to be
         solved in place).  One LAPACK gtsv elimination with partial
@@ -174,51 +169,42 @@ class DiscreteOperator:
         """
         dm = self.diag - mu
         if d is not None:
-            dm -= d[self.start :]
+            dm -= d
         *_, x, info = dgtsv(self.offdiag, dm, self.offdiag, b, overwrite_d=1, overwrite_b=1)
         if info != 0:
             raise SingularResolvent(f"T - mu is singular at mu = {mu:.12g}")
         return x
 
-    def _extend_own(self, x: np.ndarray) -> np.ndarray:
-        """extend for an x nothing else holds: divided in place when no node is excluded."""
-        if self.start:
-            return self.extend(x)
-        x /= self.scale
-        return x
 
-
-def assemble(grid: Grid, pot: RadialPotential, sector: int) -> DiscreteOperator:
-    """Build the symmetrized tridiagonal operator for one angular sector."""
+def sector_matrix(grid: Grid, pot: RadialPotential, sector: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, offdiag) of the symmetrized tridiagonal form of one angular sector."""
     if sector < 0:
         raise MalformedInput("sector must be >= 0")
     h = grid.h
     if grid.space_dim == 1:
         if sector not in (0, 1):
             raise MalformedInput("N = 1 has parity sectors 0 and 1 only")
+        # even sector: origin node kept, Neumann fold at 0; odd: Dirichlet at 0
+        r = grid.r if sector == 0 else grid.r[1:]
+        diag = 2.0 / h**2 + pot(r)
+        off = np.full(len(r) - 1, -1.0 / h**2)
         if sector == 0:
-            # even sector: origin node kept, Neumann fold at 0
-            r = grid.r
-            diag = 2.0 / h**2 + pot(r)
-            off = np.full(len(r) - 1, -1.0 / h**2)
             off[0] = -np.sqrt(2.0) / h**2  # half-weight origin node
-            start = 0
-        else:
-            r = grid.r[1:]
-            diag = 2.0 / h**2 + pot(r)
-            off = np.full(len(r) - 1, -1.0 / h**2)
-            start = 1
     else:
         r = grid.r
         diag = 2.0 / h**2 + _centrifugal(grid.space_dim, sector) / r**2 + pot(r)
         off = np.full(len(r) - 1, -1.0 / h**2)
-        start = 0
-    scale = np.sqrt(grid.quad_weights[start:])
-    return DiscreteOperator(grid=grid, sector=sector, diag=diag, offdiag=off, scale=scale, start=start)
+    return diag, off
 
 
-def eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
-    """First k eigenvalues of the sector operator (ascending).
+def assemble(grid: Grid, pot: RadialPotential) -> DiscreteOperator:
+    """Build the sector-0 operator L on every grid node."""
+    diag, off = sector_matrix(grid, pot, 0)
+    return DiscreteOperator(grid=grid, diag=diag, offdiag=off, scale=np.sqrt(grid.quad_weights))
+
+
+def eigenvalues(diag: np.ndarray, offdiag: np.ndarray, k: int) -> np.ndarray:
+    """First k eigenvalues of the symmetric tridiagonal (diag, offdiag), ascending.
 
     LAPACK stebz bisection for the eigenvalues of index 1..k, in
     ascending order.  ABSTOL is passed as 0, which stebz reads as
@@ -228,18 +214,18 @@ def eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     returned in an array of their own.  Raises LinAlgError if some
     eigenvalue fails to converge.
     """
-    if not 1 <= k <= op.dim:
-        raise MalformedInput(f"k must lie in 1..{op.dim}, got {k}")
-    m, w, _, _, info = dstebz(op.diag, op.offdiag, 2, 0.0, 1.0, 1, k, 0.0, "E")
+    if not 1 <= k <= len(diag):
+        raise MalformedInput(f"k must lie in 1..{len(diag)}, got {k}")
+    m, w, _, _, info = dstebz(diag, offdiag, 2, 0.0, 1.0, 1, k, 0.0, "E")
     if info != 0:
         raise np.linalg.LinAlgError(f"stebz did not converge (LAPACK info={info})")
     return w[:m].copy()  # a view would keep stebz's n-length output alive
 
 
 def eigenfunctions(op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
-    """Quadrature-normalized full-grid eigenfunctions at op's lowest eigenvalues.
+    """Quadrature-normalized grid eigenfunctions at op's lowest eigenvalues.
 
-    ``values`` are the first k eigenvalues from ``eigenvalues(op, k)``
+    ``values`` are the first k eigenvalues of op from ``eigenvalues``
     (stebz bisection); column j is the eigenfunction of values[j], from
     LAPACK stein inverse iteration with T taken as one unreduced block.
     Bisection splits T only where offdiag_j^2 < eps^2 |diag_j diag_(j-1)|,
@@ -259,11 +245,11 @@ def eigenfunctions(op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
 def principal_eigenpair(
     op: DiscreteOperator, lowest: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and positive normalized eigenfunction of a sector.
+    """Smallest eigenvalue and positive normalized eigenfunction of L.
 
     The eigenvalue interval comes from bisection (``lowest``, op's first
     two or more eigenvalues, when the caller has bisected them already,
-    else ``eigenvalues(op, 2)``); the vector from inverse
+    else two bisected here); the vector from inverse
     iteration at a shift sigma strictly below the groundstate, which
     preserves entrywise positivity (see module docstring): each step is
     one LAPACK ptsv solve with the positive definite T - sigma.  The
@@ -274,9 +260,7 @@ def principal_eigenpair(
     bound is exceeded, LinAlgError if T - sigma is not numerically
     positive definite.
     """
-    if op.sector != 0:
-        raise MalformedInput("principal eigenpair is defined on the ell = 0 sector")
-    lo2 = eigenvalues(op, 2) if lowest is None else lowest
+    lo2 = eigenvalues(op.diag, op.offdiag, 2) if lowest is None else lowest
     lam, lam_next = float(lo2[0]), float(lo2[1])
     gap = lam_next - lam
     if gap <= 0:
@@ -318,9 +302,9 @@ def second_eigenvalue(grid: Grid, pot: RadialPotential, radial: np.ndarray) -> t
 
     min(radial[1], lowest eigenvalue of sector 1), ties to sector 0.  By
     Courant-Fischer (see the module docstring) no sector above 1 is lower.
-    N = 1 has two sectors.
+    N = 1 has two sectors.  Sector 1 is bisected from its tridiagonal alone.
     """
-    first1 = float(eigenvalues(assemble(grid, pot, 1), 1)[0])
+    first1 = float(eigenvalues(*sector_matrix(grid, pot, 1), 1)[0])
     return min((float(radial[1]), 0), (first1, 1))
 
 
@@ -358,8 +342,8 @@ def summarize_spectrum(grid: Grid, pot: RadialPotential) -> SpectrumSummary:
     Sector 0 is bisected once: its RADIAL_EIGS eigenvalues feed the
     principal eigenpair, lambda2 and (through ``eigenfunctions``) phi2.
     """
-    op0 = assemble(grid, pot, 0)
-    radial = eigenvalues(op0, RADIAL_EIGS)
+    op0 = assemble(grid, pot)
+    radial = eigenvalues(op0.diag, op0.offdiag, RADIAL_EIGS)
     lam, phi = principal_eigenpair(op0, radial)
     lam2, sector = second_eigenvalue(grid, pot, radial)
     if not (0.0 < lam < lam2):

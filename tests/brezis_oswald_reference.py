@@ -21,11 +21,10 @@ def brezis_oswald_identity(op, u, v) -> tuple[float, float]:
     structural, not a quadrature artifact.
     """
     t = brezis_oswald_check(op, u, v)
-    s = op.start
-    us, vs = np.abs(u[s:]), np.abs(v[s:])
+    us, vs = np.abs(u), np.abs(v)
     grid = op.grid
     h = grid.h
-    r = grid.r[s:]
+    r = grid.r
     r_mid = 0.5 * (r[:-1] + r[1:])
     w_mid = sphere_area(grid.space_dim) * r_mid ** (grid.space_dim - 1) * h
     u_mid = 0.5 * (us[:-1] + us[1:])
@@ -46,9 +45,8 @@ def coupled_cross_terms(op, u_pair, v_pair) -> tuple[float, float]:
 
     nonpositive by construction.
     """
-    s = op.start
-    u1, u2, v1, v2 = (np.abs(x[s:]) for x in (*u_pair, *v_pair))
-    wq = op.grid.quad_weights[s:]
+    u1, u2, v1, v2 = (np.abs(x) for x in (*u_pair, *v_pair))
+    wq = op.grid.quad_weights
     raw = float(np.dot(wq, (u2 / u1 - v2 / v1) * (u1**2 - v1**2))) + float(
         np.dot(wq, (u1 / u2 - v1 / v2) * (u2**2 - v2**2))
     )

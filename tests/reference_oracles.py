@@ -183,12 +183,12 @@ def block_solve(
 
 
 def eigenpairs(op: DiscreteOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """First k eigenvalues and quadrature-normalized full-grid eigenvectors.
+    """First k eigenvalues and quadrature-normalized grid eigenvectors.
 
     Column j of the returned matrix is the j-th eigenfunction.  Signs are
     not normalized here; use principal_eigenpair for the groundstate.
     """
-    vals = eigenvalues(op, k)
+    vals = eigenvalues(op.diag, op.offdiag, k)
     return vals, eigenfunctions(op, vals)
 
 

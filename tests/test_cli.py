@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
 import groundstate
+from groundstate import experiment_cli
 from groundstate.experiment_cli import (
     COLUMNS,
     CONFIG_VALIDATOR,
@@ -121,6 +122,31 @@ def test_dump_solutions_writes_profiles(tmp_path):
     assert lines[0] == "r,phi,u"
     assert len(lines) == 1 + 300
     assert not (out / "solution_0.05.csv").exists()
+
+
+def test_dumps_that_would_share_a_file_name_exit_2(tmp_path, capsys, monkeypatch):
+    # both offsets print as 0.1 under :g; the run once kept the second
+    # profile in solution_0.1.csv and exited 0
+    rows, real = [], experiment_cli.certify_theorem1
+
+    def counting(*args):
+        rows.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(experiment_cli, "certify_theorem1", counting)
+    cfg = write_offsets_config(
+        tmp_path / "cfg.json",
+        grid={"r_max": 3.2, "n": 50},
+        mu_offsets=[0.1, 0.1000001],
+        dump_solutions=[0.1, 0.1000001],
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "dump_solutions[0] = 0.1 and dump_solutions[1] = 0.1000001" in err
+    assert "solution_0.1.csv" in err
+    assert rows == []
+    assert not (tmp_path / "out").exists()
 
 
 MULTI_DUMP_CONFIGS = {

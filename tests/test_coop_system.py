@@ -294,7 +294,6 @@ def test_lying_profile_escapes_rectangle(ctx):
         kappa=1.0,
         k_upper=2.0,
         derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
-        strictly_decreasing_ratio=False,
     )
     p, w, mu = make_problem(ctx, liar, liar, -0.1)
     with pytest.raises(RectangleEscape):

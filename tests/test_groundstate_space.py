@@ -46,9 +46,8 @@ def dense_projected_resolvent_norm(op, phi, quad_weights, mu, block=512):
         j = np.arange(j0, min(j0 + block, n))
         cols = -np.outer(phi, wphi[j] * phi[j])
         cols[j, j - j0] += phi[j]
-        z = solve_banded((1, 1), ab, op.scale[:, None] * cols[op.start :])
-        y = np.zeros((n, len(j)))
-        y[op.start :] = z / op.scale[:, None]
+        z = solve_banded((1, 1), ab, op.scale[:, None] * cols)
+        y = z / op.scale[:, None]
         py = y - np.outer(phi, wphi @ y)
         row_sums += np.abs(py[keep] / phi[keep, None]).sum(axis=1)
     return float(row_sums.max())
@@ -112,10 +111,8 @@ def reference_projected_resolvent_norm(op, phi, quad_weights, mu):
     dl, d, du, du2, ipiv, _ = dgttrf(op.offdiag, op.diag - mu, op.offdiag)
 
     def resolve(b, pre, post):
-        out = np.zeros_like(b)
-        x, _ = dgttrs(dl, d, du, du2, ipiv, pre * b[op.start :])
-        out[op.start :] = post * x
-        return out
+        x, _ = dgttrs(dl, d, du, du2, ipiv, pre * b)
+        return np.multiply(post, x, out=np.empty_like(b))  # C-ordered, like b, for BLAS
 
     def apply_m(Y):
         v = phi_col * Y

@@ -58,30 +58,29 @@ def row_interchanges(op, mu: float) -> int:
 
 
 @pytest.mark.parametrize(
-    "space_dim, r_max, pot, sector",
-    [(3, 3.2, QUARTIC_3D, 0), (1, 4.0, QUARTIC_1D, 1)],
-    ids=["N3-radial", "N1-odd"],
+    "space_dim, r_max, pot",
+    [(3, 3.2, QUARTIC_3D), (1, 4.0, QUARTIC_1D)],
+    ids=["N3-radial", "N1-even"],
 )
-def test_solve_shifted_is_bit_identical_to_banded_reference(space_dim, r_max, pot, sector):
-    op = assemble(make_grid(space_dim, r_max, 300), pot, sector)
-    assert op.start == (1 if space_dim == 1 else 0)
-    lam = float(eigenvalues(op, 1)[0])
+def test_solve_shifted_is_bit_identical_to_banded_reference(space_dim, r_max, pot):
+    # N1-even is sector 0 of the line: the sqrt(2) fold at the half-weight origin
+    op = assemble(make_grid(space_dim, r_max, 300), pot)
+    lam = float(eigenvalues(op.diag, op.offdiag, 1)[0])
     rng = np.random.default_rng(7)
     for mu in (lam - 0.1, lam + 0.1):
         if mu > lam:
             assert row_interchanges(op, mu) > 0  # the pivoted path is exercised
         for _ in range(3):
             f = rng.standard_normal(len(op.grid.r))
-            f[: op.start] = 0.0  # the odd sector vanishes at the origin
             # repeated calls at one shift must not drift either
             assert np.array_equal(op.solve_shifted(mu, f), reference_solve(op, mu, f))
 
 
 OPERATORS = {
-    "N3-radial": assemble(make_grid(3, 3.2, 300), QUARTIC_3D, 0),
-    "N1-odd": assemble(make_grid(1, 4.0, 300), QUARTIC_1D, 1),
+    "N3-radial": assemble(make_grid(3, 3.2, 300), QUARTIC_3D),
+    "N1-even": assemble(make_grid(1, 4.0, 300), QUARTIC_1D),
 }
-LOWEST = {name: eigenvalues(op, 6) for name, op in OPERATORS.items()}
+LOWEST = {name: eigenvalues(op.diag, op.offdiag, 6) for name, op in OPERATORS.items()}
 
 
 @settings(max_examples=40)
@@ -104,13 +103,12 @@ def test_solve_shifted_is_bit_identical_to_held_factors(name, region, place, upp
     else:
         mu = vals[upper - 1] + place * (vals[upper] - vals[upper - 1])
     f = np.random.default_rng(seed).standard_normal(len(op.grid.r))
-    f[: op.start] = 0.0
     assert np.array_equal(op.solve_shifted(float(mu), f), factored_solve(op, float(mu), f))
 
 
 def test_nan_right_hand_side_raises_instead_of_returning_nan():
-    op = assemble(make_grid(3, 3.2, 200), QUARTIC_3D, 0)
-    mu = float(eigenvalues(op, 1)[0]) - 0.1
+    op = assemble(make_grid(3, 3.2, 200), QUARTIC_3D)
+    mu = float(eigenvalues(op.diag, op.offdiag, 1)[0]) - 0.1
     f = np.ones(len(op.grid.r))
     f[17] = np.nan
     with pytest.raises(SingularResolvent):
@@ -120,31 +118,14 @@ def test_nan_right_hand_side_raises_instead_of_returning_nan():
 def test_overflowing_bound_raises_instead_of_accepting_inf_le_inf():
     # squared norms of 1e300-sized data overflow, so the residual and its
     # bound are both inf; an infinite bound certifies nothing
-    op = assemble(make_grid(3, 3.2, 200), QUARTIC_3D, 0)
+    op = assemble(make_grid(3, 3.2, 200), QUARTIC_3D)
     vals, vecs = eigenpairs(op, 1)
     with np.errstate(over="ignore"), pytest.raises(SingularResolvent):
         op.solve_shifted(float(vals[0]) - 0.1, 1e300 * vecs[:, 0])
 
 
-def test_data_at_an_excluded_node_fails_the_residual_check():
-    # the N = 1 odd sector excludes the origin, where every u it returns
-    # vanishes; f there can only be matched by raising, never by u = 0
-    op = assemble(make_grid(1, 4.0, 300), QUARTIC_1D, 1)
-    assert op.start == 1 and op.grid.quad_weights[0] > 0.0
-    mu = float(eigenvalues(op, 1)[0]) - 0.1
-    f = np.zeros(len(op.grid.r))
-    f[0] = 1.0
-    with pytest.raises(SingularResolvent):
-        op.solve_shifted(mu, f)
-    f[1:] = 1.0
-    with pytest.raises(SingularResolvent):
-        op.solve_shifted(mu, f)
-    f[0] = 0.0
-    assert op.solve_shifted(mu, f)[0] == 0.0
-
-
 def test_exactly_singular_shift_raises_singular_resolvent():
-    base = assemble(make_grid(3, 1.0, 3), QUARTIC_3D, 0)
+    base = assemble(make_grid(3, 1.0, 3), QUARTIC_3D)
     # [[1, 1, 0], [1, 2, 1], [0, 1, 1]] has an exactly zero last pivot at mu = 0
     op = replace(base, diag=np.array([1.0, 2.0, 1.0]), offdiag=np.array([1.0, 1.0]))
     f = np.ones(3)
@@ -155,8 +136,8 @@ def test_exactly_singular_shift_raises_singular_resolvent():
 
 
 def test_zero_gtsv_pivot_raises_singular_resolvent_naming_mu(monkeypatch):
-    op = assemble(make_grid(3, 3.2, 200), QUARTIC_3D, 0)
-    mu = float(eigenvalues(op, 1)[0]) - 0.1
+    op = assemble(make_grid(3, 3.2, 200), QUARTIC_3D)
+    mu = float(eigenvalues(op.diag, op.offdiag, 1)[0]) - 0.1
     f = np.ones(len(op.grid.r))
     real = spectral.dgtsv
 
@@ -171,31 +152,29 @@ def test_zero_gtsv_pivot_raises_singular_resolvent_naming_mu(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "space_dim, r_max, pot, sector",
-    [(3, 3.2, QUARTIC_3D, 0), (1, 4.0, QUARTIC_1D, 1)],
-    ids=["N3-radial", "N1-odd"],
+    "space_dim, r_max, pot",
+    [(3, 3.2, QUARTIC_3D), (1, 4.0, QUARTIC_1D)],
+    ids=["N3-radial", "N1-even"],
 )
-def test_unverified_solve_matches_a_dense_solve(space_dim, r_max, pot, sector):
-    # the Newton solve of (L - mu - diag(d)) u = f, on the operator's nodes
-    op = assemble(make_grid(space_dim, r_max, 120), pot, sector)
-    lam = float(eigenvalues(op, 1)[0])
+def test_unverified_solve_matches_a_dense_solve(space_dim, r_max, pot):
+    # the Newton solve of (L - mu - diag(d)) u = f
+    op = assemble(make_grid(space_dim, r_max, 120), pot)
+    lam = float(eigenvalues(op.diag, op.offdiag, 1)[0])
     rng = np.random.default_rng(11)
-    s = op.start
     for mu in (lam - 0.1, lam + 0.1):
         d = rng.uniform(-1.0, 1.0, len(op.grid.r))
         f = rng.standard_normal(len(op.grid.r))
         u = op.solve_unverified(mu, d, f)
-        dense = np.diag(op.diag - mu - d[s:]) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)
+        dense = np.diag(op.diag - mu - d) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)
         x = np.linalg.solve(dense, op.restrict(f))
         assert np.allclose(op.restrict(u), x, rtol=1e-9, atol=1e-9 * np.max(np.abs(x)))
-        assert np.all(u[:s] == 0.0)
         # with d = 0 it solves what solve_shifted solves, without the check
-        plain = op.solve_unverified(mu, np.zeros_like(d), f * (np.arange(len(f)) >= s))
-        assert np.allclose(plain, op.solve_shifted(mu, f * (np.arange(len(f)) >= s)))
+        plain = op.solve_unverified(mu, np.zeros_like(d), f)
+        assert np.allclose(plain, op.solve_shifted(mu, f))
 
 
 def test_unverified_solve_of_a_singular_matrix_is_none():
-    base = assemble(make_grid(3, 1.0, 3), QUARTIC_3D, 0)
+    base = assemble(make_grid(3, 1.0, 3), QUARTIC_3D)
     op = replace(base, diag=np.array([1.0, 2.0, 1.0]), offdiag=np.array([1.0, 1.0]))
     assert op.solve_unverified(0.0, np.zeros(3), np.ones(3)) is None
     assert op.solve_unverified(0.0, np.array([0.0, 0.0, -1.0]), np.ones(3)) is not None

@@ -76,7 +76,6 @@ def test_bare_nonlinearity_admits_nonpositive_kappa():
         kappa=-1.0,
         k_upper=2.0,
         derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
-        strictly_decreasing_ratio=False,
     )
     assert nl.kappa == -1.0
     identity = dict(profile=lambda r, u: u, derivative=lambda r, u: np.ones_like(u))
@@ -102,7 +101,6 @@ def test_validate_nonlinearity_catches_lying_box():
         kappa=0.5,
         k_upper=1.0,
         derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
-        strictly_decreasing_ratio=False,
     )
     with pytest.raises(HypothesisViolated):
         validate_nonlinearity(liar, r)
@@ -124,19 +122,9 @@ def test_validate_nonlinearity_catches_flat_ratio():
         kappa=0.5,
         k_upper=2.0,
         derivative=clip_slope,
-        strictly_decreasing_ratio=True,
     )
     with pytest.raises(HypothesisViolated):
         validate_nonlinearity(plateau, r)
-    # the same profile with the hypothesis not claimed passes
-    relaxed = Nonlinearity(
-        profile=plateau.profile,
-        kappa=0.5,
-        k_upper=2.0,
-        derivative=clip_slope,
-        strictly_decreasing_ratio=False,
-    )
-    validate_nonlinearity(relaxed, r)
 
 
 def test_validate_nonlinearity_evaluates_each_lattice_point_once():
@@ -234,7 +222,6 @@ def test_window_semilinear_rule(ctx):
         kappa=-1.0,
         k_upper=2.0,
         derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
-        strictly_decreasing_ratio=False,
     )
     assert window_semilinear(one_sided, w) == w.delta0
 
@@ -313,7 +300,6 @@ def test_lying_profile_escapes_bracket(ctx):
         kappa=1.0,
         k_upper=2.0,
         derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
-        strictly_decreasing_ratio=False,
     )
     with pytest.raises(BracketEscape):
         solve_semilinear(spectrum, w, liar, spectrum.Lambda - 0.1)
@@ -363,7 +349,6 @@ def steep_profile(spectrum, mu):
         profile=lambda r, u: 1.0 + logistic(u),
         kappa=1.0,
         k_upper=2.0,
-        strictly_decreasing_ratio=False,
         derivative=lambda r, u: -8.0 * scale * logistic(u) * (1.0 - logistic(u)),
     )
 
@@ -811,7 +796,6 @@ def one_sided_profile():
         + 1.5 * np.exp(-((np.asarray(u, dtype=float) / 10.0) ** 2)),
         kappa=-0.5,
         k_upper=1.5,
-        strictly_decreasing_ratio=False,
         derivative=lambda r, u: -0.03
         * np.asarray(u, dtype=float)
         * np.exp(-((np.asarray(u, dtype=float) / 10.0) ** 2)),

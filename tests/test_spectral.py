@@ -24,6 +24,7 @@ from groundstate import (
     power_potential,
     principal_eigenpair,
     second_eigenvalue,
+    sector_matrix,
     summarize_spectrum,
 )
 from groundstate import spectral
@@ -51,8 +52,8 @@ def richardson(coarse: float, fine: float) -> float:
 def halved_pair(space_dim, r_max, n_fine, pot, sector, k=1):
     """Eigenvalues on grids with spacing exactly h and 2h."""
     n_coarse = (n_fine + 1) // 2 - 1
-    lo = eigenvalues(assemble(make_grid(space_dim, r_max, n_coarse), pot, sector), k)
-    hi = eigenvalues(assemble(make_grid(space_dim, r_max, n_fine), pot, sector), k)
+    lo = eigenvalues(*sector_matrix(make_grid(space_dim, r_max, n_coarse), pot, sector), k)
+    hi = eigenvalues(*sector_matrix(make_grid(space_dim, r_max, n_fine), pot, sector), k)
     return lo, hi
 
 
@@ -104,15 +105,15 @@ def test_dimension_reduction_identity():
 
 def test_oscillator_spectrum_even_and_odd():
     g = make_grid(1, 7.0, 699)
-    even = eigenvalues(assemble(g, OSC_1D, 0), 3)
-    odd = eigenvalues(assemble(g, OSC_1D, 1), 3)
+    even = eigenvalues(*sector_matrix(g, OSC_1D, 0), 3)
+    odd = eigenvalues(*sector_matrix(g, OSC_1D, 1), 3)
     np.testing.assert_allclose(even, [1.0, 5.0, 9.0], atol=5e-3)
     np.testing.assert_allclose(odd, [3.0, 7.0, 11.0], atol=5e-3)
 
 
 def test_oscillator_groundstate_value_at_origin():
     g = make_grid(1, 6.0, 599)
-    lam, phi = principal_eigenpair(assemble(g, OSC_1D, 0))
+    lam, phi = principal_eigenpair(assemble(g, OSC_1D))
     assert lam == pytest.approx(1.0, abs=1e-4)
     # L^2-normalized Gaussian groundstate: phi(0) = pi^(-1/4)
     assert phi[0] == pytest.approx(np.pi**-0.25, abs=1e-4)
@@ -120,14 +121,14 @@ def test_oscillator_groundstate_value_at_origin():
 
 def test_principal_eigenvector_strictly_positive():
     for dim, pot in ((1, OSC_1D), (2, QUARTIC_3D), (3, QUARTIC_3D), (5, QUARTIC_3D)):
-        op = assemble(make_grid(dim, 4.0, 240), pot, 0)
+        op = assemble(make_grid(dim, 4.0, 240), pot)
         _, phi = principal_eigenpair(op)
         assert np.all(phi > 0.0), f"phi has nonpositive entries for N={dim}"
 
 
 def test_eigenpairs_orthonormal_in_grid_quadrature():
     g = make_grid(3, 3.2, 300)
-    op = assemble(g, QUARTIC_3D, 0)
+    op = assemble(g, QUARTIC_3D)
     _, vecs = eigenpairs(op, 3)
     gram = np.array(
         [[g.integrate(vecs[:, i] * vecs[:, j]) for j in range(3)] for i in range(3)]
@@ -137,7 +138,7 @@ def test_eigenpairs_orthonormal_in_grid_quadrature():
 
 def test_rayleigh_quotient_matches_eigenvalue():
     g = make_grid(3, 3.2, 300)
-    op = assemble(g, QUARTIC_3D, 0)
+    op = assemble(g, QUARTIC_3D)
     lam, phi = principal_eigenpair(op)
     ray = quadratic_form(op, phi) / g.integrate(phi**2)
     assert ray == pytest.approx(lam, abs=1e-10)
@@ -148,7 +149,8 @@ def test_rayleigh_quotient_matches_eigenvalue():
 
 def test_second_eigenvalue_sector_and_budget():
     g = make_grid(3, 3.2, 300)
-    lam2, sector = second_eigenvalue(g, QUARTIC_3D, eigenvalues(assemble(g, QUARTIC_3D, 0), 6))
+    radial = eigenvalues(*sector_matrix(g, QUARTIC_3D, 0), 6)
+    lam2, sector = second_eigenvalue(g, QUARTIC_3D, radial)
     assert sector == 1
     assert lam2 == pytest.approx(QUARTIC_3D_LAMBDA2, abs=5e-3)
 
@@ -169,15 +171,15 @@ def test_radial_eigs_own_their_data():
     s = summarize_spectrum(make_grid(3, 3.2, 2400), QUARTIC_3D)
     assert s.radial_eigs.shape == (spectral.RADIAL_EIGS,)
     assert s.radial_eigs.base is None
-    assert eigenvalues(s.op, 2).base is None
+    assert eigenvalues(s.op.diag, s.op.offdiag, 2).base is None
 
 
 def test_eigenvalues_rejects_bad_count():
-    op = assemble(make_grid(3, 3.2, 60), QUARTIC_3D, 0)
+    op = assemble(make_grid(3, 3.2, 60), QUARTIC_3D)
     with pytest.raises(MalformedInput):
-        eigenvalues(op, 0)
+        eigenvalues(op.diag, op.offdiag, 0)
     with pytest.raises(MalformedInput):
-        eigenvalues(op, 61)
+        eigenvalues(op.diag, op.offdiag, 61)
 
 
 # --------------------------------------------- lambda2 from sectors 0 and 1 only
@@ -190,9 +192,9 @@ def full_sector_scan(grid, pot, top_sector=8):
     sector its first eigenvalue; ties go to the lower sector.
     """
     cap = 1 if grid.space_dim == 1 else top_sector
-    candidates = [(float(eigenvalues(assemble(grid, pot, 0), 2)[1]), 0)]
+    candidates = [(float(eigenvalues(*sector_matrix(grid, pot, 0), 2)[1]), 0)]
     for ell in range(1, cap + 1):
-        candidates.append((float(eigenvalues(assemble(grid, pot, ell), 1)[0]), ell))
+        candidates.append((float(eigenvalues(*sector_matrix(grid, pot, ell), 1)[0]), ell))
     return min(candidates, key=lambda t: (t[0], t[1]))
 
 
@@ -210,24 +212,25 @@ def test_lambda2_matches_the_full_sector_scan(c, s, space_dim, n):
     assert (summary.lambda2, summary.lambda2_sector) == full_sector_scan(grid, pot)
     if space_dim >= 2:
         # Courant-Fischer: the lowest level of sector ell rises with ell
-        firsts = [eigenvalues(assemble(grid, pot, ell), 1)[0] for ell in range(9)]
+        firsts = [eigenvalues(*sector_matrix(grid, pot, ell), 1)[0] for ell in range(9)]
         assert np.all(np.diff(firsts) > 0)
 
 
 def test_linear_run_assembles_and_bisects_each_sector_once(tmp_path, monkeypatch):
     """Sector 0 once and sector 1 once per run; no eigenvalues of sectors >= 2.
 
+    Assemblies: sector 0's operator and sector 1's tridiagonal alone.
     Bisections: the RADIAL_EIGS sweep of sector 0, which also feeds the
     principal pair, and sector 1.  The second eigenvector behind
     f = phi + coeff*phi2 is one stein call on the sweep's values.
     """
     assembled, bisected, inverse_iterations = [], [], []
-    real_assemble, real_stebz = spectral.assemble, spectral.dstebz
+    real_sector_matrix, real_stebz = spectral.sector_matrix, spectral.dstebz
     real_stein = spectral.dstein
 
-    def counting_assemble(grid, pot, sector):
+    def counting_sector_matrix(grid, pot, sector):
         assembled.append(sector)
-        return real_assemble(grid, pot, sector)
+        return real_sector_matrix(grid, pot, sector)
 
     def counting_stebz(*args, **kwargs):
         bisected.append(args)
@@ -237,7 +240,7 @@ def test_linear_run_assembles_and_bisects_each_sector_once(tmp_path, monkeypatch
         inverse_iterations.append(args)
         return real_stein(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "assemble", counting_assemble)
+    monkeypatch.setattr(spectral, "sector_matrix", counting_sector_matrix)
     monkeypatch.setattr(spectral, "dstebz", counting_stebz)
     monkeypatch.setattr(spectral, "dstein", counting_stein)
     cfg = {
@@ -282,8 +285,8 @@ def reference_principal_eigenpair(op, lowest):
     return rho, u
 
 
-def random_operators(count: int, seed: int):
-    """Admissible sector operators: power and exp wells, N 1-5, n 8-2400, both N = 1 parities."""
+def random_sectors(count: int, seed: int):
+    """(grid, pot, sector) of admissible sectors 0 and 1: power and exp wells, N 1-5, n 8-2400."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         space_dim = int(rng.integers(1, 6))
@@ -293,22 +296,24 @@ def random_operators(count: int, seed: int):
         else:
             pot = exp_potential()
         grid = make_grid(space_dim, float(rng.uniform(2.0, 5.0)), n)
-        yield assemble(grid, pot, int(rng.integers(0, 2)))
+        yield grid, pot, int(rng.integers(0, 2))
 
 
 def test_direct_lapack_calls_are_bit_identical_to_the_scipy_wrappers():
     # stebz is what eigh_tridiagonal(select="i") runs, ptsv what
     # solveh_banded runs for a 2-row band; the direct calls keep their bits
     sectors = set()
-    for op in random_operators(48, seed=25):
-        sectors.add((op.grid.space_dim == 1, op.sector))
-        k = min(spectral.RADIAL_EIGS, op.dim)
-        vals = eigenvalues(op, k)
+    for grid, pot, sector in random_sectors(48, seed=25):
+        sectors.add((grid.space_dim == 1, sector))
+        diag, offdiag = sector_matrix(grid, pot, sector)
+        k = min(spectral.RADIAL_EIGS, len(diag))
+        vals = eigenvalues(diag, offdiag, k)
         wrapped = eigh_tridiagonal(
-            op.diag, op.offdiag, select="i", select_range=(0, k - 1), eigvals_only=True
+            diag, offdiag, select="i", select_range=(0, k - 1), eigvals_only=True
         )
         assert np.array_equal(vals, wrapped)
-        if op.sector == 0:
+        if sector == 0:
+            op = assemble(grid, pot)
             lam, phi = principal_eigenpair(op, vals)
             ref_lam, ref_phi = reference_principal_eigenpair(op, vals)
             assert lam == ref_lam and np.array_equal(phi, ref_phi)
