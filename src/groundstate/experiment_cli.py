@@ -531,7 +531,7 @@ def _dump_offsets(cfg: dict, offsets: list[float]) -> set[float]:
     for i, want in enumerate(wants):
         match = [off for off in offsets if abs(want - off) <= 1e-12 * max(1.0, abs(off))]
         if not match:
-            raise MalformedInput(f"dump_solutions entry {want:g} matches no mu offset")
+            raise MalformedInput(f"dump_solutions[{i}] = {want!r} matches no mu offset")
         for off in match:
             chosen.setdefault(off, i)
     named: dict[str, float] = {}

@@ -11,18 +11,20 @@ weighted matrix norm || D_phi^-1 Pi (L-mu)^-1 Pi D_phi ||_inf is estimated
 at sampled mu across the window and the max is reported together with the
 samples used.  Each sample is a Higham-Tisseur block 1-norm estimate, which
 needs only products with the matrix and its transpose, i.e. banded solves,
-so it costs O(n) time and memory: a sample's transient peak is about
-7.7 n x 2 blocks of doubles, each block freed once it is dead.  Each
-product is one gtsv elimination of T - mu through the operator
-(DiscreteOperator._eliminate, the elimination of every resolvent solve),
-on the whole n x 2 block.  The estimator works on its n x 2 blocks one
-column at a time, in the arithmetic and summation order of whole-block
-broadcasts and axis reductions, so c0 has their bits at a fraction of
-their cost (see projected_resolvent_norm).  Such an estimate is a lower
-bound in general (on the grids tested it equals the dense evaluation to
-rounding).  Soundness does not rest on c0: every certificate is
-re-verified pointwise downstream, so a low c0 can widen a window but
-never make a claim wrong.
+so it costs O(n) time and memory.  Each product is one gtsv elimination
+of T - mu through the operator (DiscreteOperator._eliminate, the
+elimination of every resolvent solve), on the whole n x 2 block.  A
+sample's transient peak, about 4.6 n x 2 blocks of doubles, is reached
+during that elimination, when the estimator's sign block S, the
+F-ordered right-hand side, gtsv's three diagonals, 1/phi and w*phi are
+live, and no other block is: the product has dropped its input.  The
+estimator works on its n x 2 blocks one column at a time, in the
+arithmetic and summation order of whole-block broadcasts and axis
+reductions, so c0 has their bits at a fraction of their cost (see
+projected_resolvent_norm).  Such an estimate is a lower bound in general
+(on the grids tested it equals the dense evaluation to rounding).
+Soundness does not rest on c0: every certificate is re-verified pointwise
+downstream, so a low c0 can widen a window but never make a claim wrong.
 """
 
 from __future__ import annotations
@@ -96,15 +98,37 @@ class WindowEstimate:
     mu_samples: np.ndarray
 
 
-def _resample_parallel(S: np.ndarray, S_old: np.ndarray, rng: np.random.Generator) -> None:
+def _resample_parallel(
+    S: np.ndarray, S_old: np.ndarray, old_max: np.ndarray, rng: np.random.Generator
+) -> None:
     """Redraw +-1 columns of S parallel to an earlier column of S or to one of S_old.
 
-    The dot products of +-1 columns are integers, so they are exact in any order.
+    old_max[j] is max |S_old.T @ S[:, j]| as the caller formed it for its
+    own test: the first check of column j reads it, and a redrawn column
+    is checked against S_old afresh.  The dot products of +-1 columns are
+    integers, so they are exact in any order.
     """
     n = S.shape[0]
-    for j in range(S.shape[1]):
-        while any(abs(np.dot(other, S[:, j])) == n for other in (*S[:, :j].T, *S_old.T)):
+    for j, m in enumerate(old_max.tolist()):
+        while m == n or any(abs(np.dot(other, S[:, j])) == n for other in S[:, :j].T):
             S[:, j] = rng.choice((-1.0, 1.0), size=n)
+            m = float(np.abs(S_old.T @ S[:, j]).max(initial=0.0))
+
+
+def _start_block(n: int, t: int, rng: np.random.Generator) -> np.ndarray:
+    """The first iterate: ones and random +-1 columns, none parallel, all divided by n."""
+    X = np.ones((n, t))
+    X[:, 1:] = rng.choice((-1.0, 1.0), size=(n, t - 1))
+    _resample_parallel(X, np.empty((n, 0)), np.zeros(t), rng)
+    X /= n
+    return X
+
+
+def _unit_block(n: int, rows: np.ndarray) -> np.ndarray:
+    """The n x len(rows) block whose column j is the unit vector e_rows[j]."""
+    X = np.zeros((n, len(rows)))
+    X[rows, np.arange(len(rows))] = 1.0
+    return X
 
 
 def _top_k(h: np.ndarray, k: int) -> np.ndarray:
@@ -138,21 +162,22 @@ def _block_one_norm(apply_a, apply_at, n: int, rng: np.random.Generator) -> floa
     unit-1-norm columns, so it never exceeds ||A||_1 (up to rounding).
     Blocks are C-ordered; reductions over them go column by column, with
     the bits of the matching axis reductions (_column_sum, np.maximum).
-    Each block is dropped as soon as it is dead, so while a product runs
-    the estimator itself holds only S and the product's input.
+    apply_a owns its input: each X is built in the call, handed over in a
+    one-element list that apply_a empties, and never named here, so the
+    product may overwrite it and free it once read.  (On CPython 3.10 a
+    bare argument stays referenced by the calling frame until the call
+    returns.)  apply_at reads S, which stays live for the next
+    iteration's test (2).  S is formed in the buffer of the dead Y, and h
+    is dropped once ranked.  So while a product eliminates, the estimator
+    itself holds no n-length array but S.
     """
     t = NORMEST_BLOCK
-    X = np.ones((n, t))
-    X[:, 1:] = rng.choice((-1.0, 1.0), size=(n, t - 1))
-    _resample_parallel(X, np.empty((n, 0)), rng)
-    X /= n
     S = np.zeros((n, t))
     visited = np.zeros(0, dtype=np.intp)
     est_old = 0.0
     ind = np.zeros(0, dtype=np.intp)
+    Y = apply_a([_start_block(n, t, rng)])
     for k in range(1, NORMEST_ITMAX + 2):
-        Y = apply_a(X)
-        del X
         sums = [_column_sum(np.abs(col)) for col in Y.T]
         best = int(np.argmax(sums))
         est = sums[best]
@@ -161,11 +186,14 @@ def _block_one_norm(apply_a, apply_at, n: int, rng: np.random.Generator) -> floa
         est_old = est
         if k > NORMEST_ITMAX:
             break
-        S_old, S = S, np.where(Y >= 0.0, 1.0, -1.0)
+        S_old, S = S, Y  # S = np.where(Y >= 0, 1, -1), in Y's buffer
         del Y
-        if np.all(np.abs(S_old.T @ S).max(axis=0) == n):  # (2) sign vectors repeat
+        np.multiply(S >= 0.0, 2.0, out=S)
+        S -= 1.0
+        old_max = np.abs(S_old.T @ S).max(axis=0)
+        if np.all(old_max == n):  # (2) sign vectors repeat
             break
-        _resample_parallel(S, S_old, rng)
+        _resample_parallel(S, S_old, old_max, rng)
         del S_old
         Z = apply_at(S)
         h = reduce(np.maximum, np.abs(Z, out=Z).T)
@@ -173,13 +201,13 @@ def _block_one_norm(apply_a, apply_at, n: int, rng: np.random.Generator) -> floa
         if k >= 2 and h.max() == h[ind[best]]:  # (4) no column promises more
             break
         ind = _top_k(h, t + len(visited))
+        del h
         seen = np.isin(ind, visited)
         if seen[:t].all():  # (5) the most promising columns were all tried
             break
         ind = np.concatenate((ind[~seen], ind[seen]))
-        X = np.zeros((n, t))
-        X[ind[:t], np.arange(t)] = 1.0
         visited = np.concatenate((visited, ind[:t][~np.isin(ind[:t], visited)]))
+        Y = apply_a([_unit_block(n, ind[:t])])
     return est_old
 
 
@@ -206,18 +234,27 @@ def projected_resolvent_norm(
     wherever BLAS reads them (``phi @ v``, ``wphi @ v``): gemv sums a
     Fortran-ordered block in another order, which moves the last bits.
     """
-    keep = phi >= ROW_FLOOR * phi.max()
-    inv_phi = np.divide(1.0, phi, out=np.zeros_like(phi), where=keep)
+    inv_phi = np.divide(1.0, phi, out=np.zeros_like(phi), where=phi >= ROW_FLOOR * phi.max())
     wphi = quad_weights * phi
     scale = op.scale
-    inv_scale = 1.0 / scale
 
     def rows(a: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """a[:, None] * B, column by column, C-ordered; out may be B itself."""
+        """a[:, None] * B, column by column, C-ordered unless out says otherwise; out may be B."""
         if out is None:
             out = np.empty_like(B)
         for j in range(B.shape[1]):
             np.multiply(a, B[:, j], out=out[:, j])
+        return out
+
+    def rows_over_scale(B: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(1/scale)[:, None] * B, column by column, into out (not B).
+
+        1/scale is formed in each column of out and multiplied in place,
+        which gives the bits of a standing 1/scale array without holding one.
+        """
+        for j in range(B.shape[1]):
+            np.divide(1.0, scale, out=out[:, j])
+            out[:, j] *= B[:, j]
         return out
 
     def project(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -225,27 +262,28 @@ def projected_resolvent_norm(
         for j, c in enumerate(b @ v):
             v[:, j] -= a * c
 
-    def resolve(v: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-        """post * (T - mu)^-1 (pre * v), into v."""
-        rhs = np.empty(v.shape, order="F")
-        for j in range(v.shape[1]):
-            np.multiply(pre, v[:, j], out=rhs[:, j])
-        x = op._eliminate(mu, None, rhs)
-        for j in range(v.shape[1]):
-            np.multiply(post, x[:, j], out=v[:, j])
-        return v
-
-    def apply_m(Y: np.ndarray) -> np.ndarray:  # A^T Y = mask * (M Y)
+    # Each product forms the F-ordered right-hand side, drops its C-ordered
+    # working block, lets gtsv eliminate in place and copies the solution
+    # out to a fresh C-ordered block, so the estimator's S is the only
+    # C-ordered block live during the elimination.
+    def apply_m(Y: np.ndarray) -> np.ndarray:  # A^T Y = mask * (M Y); Y is S, kept
         v = rows(phi, Y)
         project(v, phi, wphi)
-        v = resolve(v, scale, inv_scale)
+        rhs = rows(scale, v, out=np.empty(v.shape, order="F"))
+        del v
+        v = rows_over_scale(op._eliminate(mu, None, rhs), out=np.empty(rhs.shape))
+        del rhs
         project(v, phi, wphi)
         return rows(inv_phi, v, out=v)
 
-    def apply_mt(X: np.ndarray) -> np.ndarray:  # A X = M^T (mask * X)
-        v = rows(inv_phi, X)
-        project(v, wphi, phi)
-        v = resolve(v, inv_scale, scale)
+    def apply_mt(handoff: list[np.ndarray]) -> np.ndarray:  # A X = M^T (mask * X)
+        X = handoff.pop()  # the only reference: X dies once read
+        rows(inv_phi, X, out=X)
+        project(X, wphi, phi)
+        rhs = rows_over_scale(X, out=np.empty(X.shape, order="F"))
+        del X
+        v = rows(scale, op._eliminate(mu, None, rhs), out=np.empty(rhs.shape))
+        del rhs
         project(v, wphi, phi)
         return rows(phi, v, out=v)
 

@@ -123,15 +123,18 @@ class DiscreteOperator:
         ||(L - mu)u - f|| <= 1e-10 * (||f|| + (||L|| + |mu|) * ||u||): the
         backward-error scaling, since near Lambda ||u|| can dwarf ||f||.
         The grid norms are taken in internal coordinates, where they are
-        plain l2 norms of x, b = scale * f and T x - mu x - b.  Raises
-        SingularResolvent on an exactly zero
+        plain l2 norms of x, b = scale * f and T x - mu x - b.  gtsv
+        eliminates scale * f in place, so while it runs the solve holds
+        four n-vectors (that right-hand side, which becomes x, and gtsv's
+        three diagonals); b is formed again for the residual, next to x and
+        r.  Raises SingularResolvent on an exactly zero
         pivot, when the residual bound fails, which includes any NaN in f
         or u, and when the bound itself overflows to inf.
         """
-        b = self.restrict(f)
-        x = self._eliminate(mu, None, b.copy())
+        x = self._eliminate(mu, None, self.restrict(f))
         r = self._product(x)
         r -= mu * x
+        b = self.restrict(f)
         r -= b
         resid = math.sqrt(np.dot(r, r))
         f_norm = math.sqrt(np.dot(b, b))

@@ -253,7 +253,7 @@ def _tiny_coupling(coupling: float) -> dict:
     "changes, message",
     [
         # a requested profile that no shift produces is named, not skipped
-        ({"dump_solutions": [-0.1, -0.2]}, "dump_solutions entry -0.2 matches no mu offset"),
+        ({"dump_solutions": [-0.1, -0.2]}, "dump_solutions[1] = -0.2 matches no mu offset"),
         # bc underflows to 0: xi1 = xi2, y2 = 0 and P^{-1} would divide by zero
         (_tiny_coupling(1e-300), "need xi1 > xi2 and y > 0"),
         (_tiny_coupling(1e-200), "need xi1 > xi2 and y > 0"),

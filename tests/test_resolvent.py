@@ -14,6 +14,7 @@ must agree with ``solve_shifted`` bit for bit.
 import importlib
 import json
 import pkgutil
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,33 @@ def test_solve_shifted_is_bit_identical_to_held_factors(name, region, place, upp
         mu = vals[upper - 1] + place * (vals[upper] - vals[upper - 1])
     f = np.random.default_rng(seed).standard_normal(len(op.grid.r))
     assert np.array_equal(op.solve_shifted(float(mu), f), factored_solve(op, float(mu), f))
+
+
+def test_verified_solve_memory_is_pinned_in_bytes():
+    # tracemalloc transient of one solve_shifted call on the linear_fine
+    # bench problem (N = 3, q = 1 + r^4, r_max 3.2, n = 2400), above the
+    # memory held before the call, at shifts on both sides of Lambda: at
+    # most 77288 bytes, 4 n-vectors of doubles (gtsv's right-hand side,
+    # which becomes x, and its dm, dl and du).  When the right-hand side
+    # was eliminated from a copy of scale * f it was 96584 bytes (5 n-vectors)
+    summary = spectral.summarize_spectrum(make_grid(3, 3.2, 2400), QUARTIC_3D)
+    op, phi, lam, gap = summary.op, summary.phi, summary.Lambda, summary.gap
+    f = np.cos(op.grid.r) * phi + 0.3 * phi
+    tracing = tracemalloc.is_tracing()
+    for frac in (-0.3, -0.01, 0.01, 0.3):
+        mu = lam + frac * gap
+        op.solve_shifted(mu, f)  # warm-up at this shift
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            op.solve_shifted(mu, f)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 80_000
 
 
 def test_nan_right_hand_side_raises_instead_of_returning_nan():
