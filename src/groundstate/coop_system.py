@@ -54,7 +54,7 @@ from .errors import (
     SingularResolvent,
     WindowViolation,
 )
-from .groundstate_space import GroundstateVector, WindowEstimate, decompose, x_norm
+from .groundstate_space import GroundstateVector, WindowEstimate, decompose, x_distance, x_norm
 from .semilinear_solver import Nonlinearity, UniquenessDiagnostics, clipped_fixed_point
 from .semilinear_solver import _ratio_forms
 from .spectral import DiscreteOperator, SpectrumSummary
@@ -90,6 +90,21 @@ class CoopMatrix:
         """The diagonalized pair P^{-1} (f1, f2)."""
         p_inv = self.p_inv
         return p_inv[0, 0] * f1 + p_inv[0, 1] * f2, p_inv[1, 0] * f1 + p_inv[1, 1] * f2
+
+    def recouple(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """P (w1, w2) as one 2 x n block, row i = P_i1 w1 + P_i2 w2 bit for bit.
+
+        The products are formed in the block's rows (out=), so one n-vector
+        (P_22 w2) is the only temporary.
+        """
+        p = self.p
+        u = np.empty((2, w1.size))
+        np.multiply(p[0, 0], w1, out=u[0])
+        np.multiply(p[0, 1], w2, out=u[1])
+        u[0] += u[1]
+        np.multiply(p[1, 0], w1, out=u[1])
+        u[1] += p[1, 1] * w2
+        return u
 
 
 def analyze_matrix(a: float, b: float, c: float, d: float) -> CoopMatrix:
@@ -228,15 +243,18 @@ def _system_sweep(p: SystemProblem, mu: float, u: np.ndarray) -> tuple[np.ndarra
     """One map U -> P solve(P^{-1} F(U)) on the 2 x n iterate; returns (U', (v1, v2)).
 
     The two scalar solves are verified solves at mu + xi1 and mu + xi2.
+    Each decoupled right-hand side is dropped once its solve is done, and
+    U' is recoupled in one 2 x n block (CoopMatrix.recouple).
     """
     op, m = p.spectrum.op, p.matrix
     r = op.grid.r
     phi = p.spectrum.phi
     g1, g2 = m.decouple(phi * p.nl1(r, u[0]), phi * p.nl2(r, u[1]))
     v1 = op.solve_shifted(mu + m.xi1, g1)
+    g1 = None
     v2 = op.solve_shifted(mu + m.xi2, g2)
-    t = np.vstack([m.p[0, 0] * v1 + m.p[0, 1] * v2, m.p[1, 0] * v1 + m.p[1, 1] * v2])
-    return t, (v1, v2)
+    g2 = None
+    return m.recouple(v1, v2), (v1, v2)
 
 
 def _system_newton(p: SystemProblem, mu: float, u: np.ndarray) -> np.ndarray | None:
@@ -255,7 +273,10 @@ def _system_newton(p: SystemProblem, mu: float, u: np.ndarray) -> np.ndarray | N
     (P^{-1}(F - D U))_1 + M12 v2 and (P^{-1}(F - D U))_2 + M21 w1, which
     need v2 only.  Each w_i is one unverified tridiagonal solve
     (solve_unverified, a fresh elimination); the returned P w is a search
-    direction, whose limit the sweeps verify.
+    direction, whose limit the sweeps verify.  Each right-hand side is
+    dropped once its elimination is done, and the diagonals D once M22
+    is formed, so the w2 elimination holds neither; P w is recoupled in
+    one 2 x n block (CoopMatrix.recouple).
     """
     op, m = p.spectrum.op, p.matrix
     r, phi = op.grid.r, p.spectrum.phi
@@ -274,13 +295,17 @@ def _system_newton(p: SystemProblem, mu: float, u: np.ndarray) -> np.ndarray | N
     q1, q2 = m.decouple(newton_rhs(p.nl1, u[0], d1), newton_rhs(p.nl2, u[1], d2))
     q1 += entry(0, 1) * (pi[1, 0] * u[0] + pi[1, 1] * u[1])
     w1 = op.solve_unverified(mu + m.xi1, entry(0, 0), q1)
+    q1 = None
     if w1 is None:
         return None
     q2 += entry(1, 0) * w1
-    w2 = op.solve_unverified(mu + m.xi2, entry(1, 1), q2)
+    m22 = entry(1, 1)
+    d1 = d2 = None
+    w2 = op.solve_unverified(mu + m.xi2, m22, q2)
+    q2 = m22 = None
     if w2 is None:
         return None
-    return np.vstack([pp[0, 0] * w1 + pp[0, 1] * w2, pp[1, 0] * w1 + pp[1, 1] * w2])
+    return m.recouple(w1, w2)
 
 
 @dataclass(frozen=True)
@@ -425,8 +450,8 @@ def system_two_start(
     hi = solve_system(p, w, mu, damping=damping, max_iter=max_iter, tol_x=tol_x, start="upper")
     phi = p.spectrum.phi
     gap = max(
-        x_norm(hi.u1.values - lo.u1.values, phi),
-        x_norm(hi.u2.values - lo.u2.values, phi),
+        x_distance(hi.u1.values, lo.u1.values, phi),
+        x_distance(hi.u2.values, lo.u2.values, phi),
     )
     t1 = coupled_uniqueness_check(
         p.spectrum.op, (lo.u1.values, lo.u2.values), (hi.u1.values, hi.u2.values), p.matrix

@@ -9,7 +9,8 @@ instead of in every run.  The artifacts:
 
 * ``spectrum.json``   -- eigendata, window constants, config hash;
 * ``sweep.csv``       -- one row per requested shift mu, sorted by mu,
-                         floats at 17 significant digits;
+                         floats at 17 significant digits; each row is
+                         rendered to its text line as soon as it is solved;
 * ``solution_<offset>.csv`` -- full radial profiles on request, columns
                          ``r``, ``phi`` and the solution (``u``, or ``u1``
                          and ``u2``); the dumps are written together, one
@@ -395,17 +396,21 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
             writer.writerow([_cell(row.get(col, "")) for col in columns])
 
 
-def _write_sweep(path: Path, rows: list[dict]) -> None:
-    """sweep.csv as comma-joined lines, the bytes csv.writer would write.
+def _sweep_line(row: dict) -> str:
+    """One sweep.csv line of a row, the bytes csv.writer would write; absent columns are empty.
 
     Its cells are numbers, MP/AMP and 0/1 flags, none of which needs
     quoting; csv.writer's 128 KB record buffer was the largest allocation
     of a sweep run.
     """
+    return ",".join([_cell(row.get(col, "")) for col in COLUMNS]) + "\n"
+
+
+def _write_sweep(path: Path, lines: list[str]) -> None:
+    """sweep.csv: the COLUMNS header, then the rendered row lines (_sweep_line) as given."""
     with open(path, "w", newline="") as handle:
         handle.write(",".join(COLUMNS) + "\n")
-        for row in rows:
-            handle.write(",".join([_cell(row.get(col, "")) for col in COLUMNS]) + "\n")
+        handle.writelines(lines)
 
 
 #: rows per chunk of a profile dump; bounds the text a run's dumps hold at once
@@ -490,7 +495,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "config_hash": config_hash,
     }
 
-    rows, dumps = _sweep_rows(cfg, spectrum, w, meta)
+    lines, uncertified, dumps = _sweep_rows(cfg, spectrum, w, meta)
 
     # created only now, so a run that fails leaves no directory behind
     out_dir = Path(args.out) if args.out else Path(cfg["output_dir"])
@@ -499,19 +504,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         # meta's numpy values: float64 scalars (floats) and arrays (radial_eigs, mu_samples, y)
         json.dump(meta, handle, indent=2, sort_keys=True, default=lambda v: v.tolist())
         handle.write("\n")
-    _write_sweep(out_dir / "sweep.csv", rows)
+    _write_sweep(out_dir / "sweep.csv", lines)
     if dumps:
         paths = {out_dir / _dump_name(offset): dump for offset, dump in dumps.items()}
         _dump_profiles(grid.r, spectrum.phi, paths)
 
     print(f"wall_time_s {time.perf_counter() - t0:.3f}", file=sys.stderr)
-    if cfg.get("require_certificates", False):
-        uncertified = [row for row in rows if row.get("certified") is False]
-        if uncertified:
-            print(
-                f"{len(uncertified)} of {len(rows)} rows uncertified", file=sys.stderr
-            )
-            return 4
+    if cfg.get("require_certificates", False) and uncertified:
+        print(f"{uncertified} of {len(lines)} rows uncertified", file=sys.stderr)
+        return 4
     return 0
 
 
@@ -546,23 +547,27 @@ def _dump_offsets(cfg: dict, offsets: list[float]) -> set[float]:
     return set(chosen)
 
 
-def _sweep_rows(cfg: dict, spectrum, w, meta: dict) -> tuple[list[dict], dict]:
-    """One row per shift mu and each dump's (header, solution); fills meta's window keys.
+def _sweep_rows(cfg: dict, spectrum, w, meta: dict) -> tuple[list[str], int, dict]:
+    """sweep.csv's row lines, the count of uncertified rows and each dump's (header, solution).
 
-    The mode's setup (MODE_SETUPS) supplies the shift origin (Lambda or
-    Lambda*), its meta entries, the names of the dumped solution columns
-    and a function mu -> (row cells, solution arrays).  An offset that
-    vanishes against the origin (origin + offset == origin) raises
-    MalformedInput naming its ``mu_offsets`` entry, or ``sweep``, before
-    any row is computed.  Returning before the files are written lets
-    everything the last row built be freed.
+    Fills meta's window keys.  The mode's setup (MODE_SETUPS) supplies
+    the shift origin (Lambda or Lambda*), its meta entries, the names of
+    the dumped solution columns and a function mu -> (row cells, solution
+    arrays).  An offset that vanishes against the origin (origin + offset
+    == origin) raises MalformedInput naming its ``mu_offsets`` entry, or
+    ``sweep``, before any row is computed.  Each row is rendered to its
+    line (_sweep_line) and counted as it arrives; its cells and, unless
+    it is dumped, its solution are dropped before the next row is
+    computed.  Returning before the files are written lets everything the
+    last row built be freed.
     """
     if cfg["mode"] == "eigen":
         meta.update(window=w.delta0, window_rule="delta0")
-        return [], {}
+        return [], 0, {}
     origin, extras, header, row_at = MODE_SETUPS[cfg["mode"]](cfg, spectrum, w)
     meta.update(extras)
-    rows: list[dict] = []
+    lines: list[str] = []
+    uncertified = 0
     dumps: dict[float, tuple[list[str], list[np.ndarray]]] = {}
     offsets = resolve_offsets(cfg)
     for offset in offsets:
@@ -579,12 +584,12 @@ def _sweep_rows(cfg: dict, spectrum, w, meta: dict) -> tuple[list[dict], dict]:
     for offset in offsets:
         mu = origin + offset
         cells, solution = row_at(mu)
-        row = {k: "" for k in COLUMNS}
-        row.update(mu=mu, offset=offset, **cells)
-        rows.append(row)
+        uncertified += cells.get("certified") is False
+        lines.append(_sweep_line(dict(cells, mu=mu, offset=offset)))
         if offset in wanted:
             dumps[offset] = (["r", "phi", *header], solution)
-    return rows, dumps
+        cells = solution = None
+    return lines, uncertified, dumps
 
 
 def _linear_setup(cfg, spectrum, w):

@@ -73,8 +73,26 @@ class GroundstateVector:
 
 
 def x_norm(v: np.ndarray, phi: np.ndarray) -> float:
-    """sup over nodes of |v|/phi (the groundstate-weighted sup norm)."""
-    return float((np.abs(v) / phi).max())
+    """sup over nodes of |v|/phi (the groundstate-weighted sup norm).
+
+    |v| is formed as doubles and divided in place, so the norm holds one
+    temporary of v's shape; an integer array or a list is cast first.
+    """
+    a = np.abs(v, dtype=float)
+    a /= phi
+    return float(a.max())
+
+
+def x_distance(a: np.ndarray, b: np.ndarray, phi: np.ndarray) -> float:
+    """x_norm(a - b, phi), bit for bit, with a - b as its only temporary.
+
+    The X-norm step of the fixed-point iterations: a and b are double
+    arrays of one shape, phi broadcasts against them.
+    """
+    d = np.subtract(a, b)
+    np.abs(d, out=d)
+    d /= phi
+    return float(d.max())
 
 
 def decompose(v: np.ndarray, phi: np.ndarray, quad_weights: np.ndarray) -> GroundstateVector:

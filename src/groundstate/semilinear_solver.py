@@ -56,7 +56,13 @@ from .errors import (
     SignMixed,
     WindowViolation,
 )
-from .groundstate_space import CERT_SLACK, GroundstateVector, WindowEstimate, decompose, x_norm
+from .groundstate_space import (
+    CERT_SLACK,
+    GroundstateVector,
+    WindowEstimate,
+    decompose,
+    x_distance,
+)
 from .spectral import DiscreteOperator, SpectrumSummary
 
 WINDOW_RULE_SEMILINEAR = "min(delta0, kappa/(2*c0*K))"
@@ -326,10 +332,20 @@ def outside_count(
     The test |t - clip(t)| > CERT_SLACK*max(|lower|, |upper|) is the
     relative ratio-space slack of the pointwise certificates; it also
     admits the rounding of a zero-width set's image.  A node must also
-    lie farther than floor from the set.
+    lie farther than floor from the set.  lower and upper have t's shape:
+    the slack and the distance are each formed in place in one buffer
+    of it, by the ufuncs of the one-expression form in its order.
     """
-    slack = np.maximum(floor, CERT_SLACK * np.maximum(np.abs(lower), np.abs(upper)))
-    return int(np.count_nonzero(np.abs(t - np.minimum(np.maximum(t, lower), upper)) > slack))
+    slack = np.abs(lower)
+    dist = np.abs(upper)
+    np.maximum(slack, dist, out=slack)
+    slack *= CERT_SLACK
+    np.maximum(floor, slack, out=slack)
+    np.maximum(t, lower, out=dist)
+    np.minimum(dist, upper, out=dist)
+    np.subtract(t, dist, out=dist)
+    np.abs(dist, out=dist)
+    return int(np.count_nonzero(dist > slack))
 
 
 def clipped_fixed_point(
@@ -376,6 +392,12 @@ def clipped_fixed_point(
     Newton steps).  The map is applied once more at the limit for
     residual_x, aux and outside_at_limit, so these come only from sweep,
     never from a Newton solve.
+
+    A step holds only what the next step reads: a sweep drops its aux at
+    once and T(u) after the escape check, so u and g are what stay; each
+    X-norm step is one temporary (x_distance) and the damped step scales g
+    in place.  The arithmetic is that of the one-expression forms, bit
+    for bit.
     """
     if not (0.0 < damping <= 1.0):
         raise MalformedInput("damping must lie in (0, 1]")
@@ -391,7 +413,7 @@ def clipped_fixed_point(
             if v is not None:
                 np.minimum(v, upper, out=v)
                 np.maximum(v, lower, out=v)
-                step = x_norm(v - u, phi)
+                step = x_distance(v, u, phi)
                 if step < trace[-1] and (
                     len(trace) < 2 or step <= NEWTON_CONTRACTION * trace[-2]
                 ):
@@ -401,38 +423,42 @@ def clipped_fixed_point(
                     u, newton_next = v, not closing
                     continue
             v, newton_next, undamped = None, False, k - 1
-        t, _ = sweep(u)
+        t = sweep(u)[0]  # a step holds no sweep's aux
         sweeps += 1
         g = np.minimum(t, upper)
         np.maximum(g, lower, out=g)
-        out = int(np.count_nonzero(np.abs(t - g) > slack))
+        d = np.subtract(t, g)
+        np.abs(d, out=d)
+        out = int(np.count_nonzero(d > slack))
+        d = None
         if out:  # a zero-width set's image lies outside it by its rounding
             out = outside_count(t, lower, upper, floor=slack)
+        t = None  # the rest of the step holds only u and g
         if out > ESCAPE_FRACTION * u.size:
             raise escape(
                 f"iterate left the invariant region at {out}/{u.size} nodes on sweep {sweeps}"
             )
         violations += out
         if undamped is None:
-            step = x_norm(g - u, phi)
+            step = x_distance(g, u, phi)
             if damping < 1.0 and trace and step >= trace[-1] and not (closing and step < tol_x):
                 undamped = k - 1
             closing = False
         if undamped is not None:
-            g = (1.0 - damping) * u + damping * g
-            step = x_norm(g - u, phi)
+            g *= damping
+            g += (1.0 - damping) * u
+            step = x_distance(g, u, phi)
         trace.append(step)
         if step < tol_x:
-            u, t = g, None  # the final map application holds only the limit
+            u = g
             t, aux = sweep(u)
             return FixedPoint(
-                u=u, iterations=k, residual_x=x_norm(u - t, phi),
+                u=u, iterations=k, residual_x=x_distance(u, t, phi),
                 violations=violations, aux=aux,
                 undamped_sweeps=k if undamped is None else undamped,
                 outside_at_limit=outside_count(t, lower, upper),
             )
-        # a Newton step holds no sweep's arrays
-        u, t, newton_next = g, None, undamped is None and damping < 1.0
+        u, newton_next = g, undamped is None and damping < 1.0
     raise NoConvergence(
         f"no X-norm step below {tol_x:g} within {max_iter} steps",
         iterations=max_iter,
@@ -612,7 +638,7 @@ def two_start_diagnostics(
         spectrum, w, nl, mu, start="upper",
         damping=damping, max_iter=max_iter, tol_x=tol_x,
     )
-    gap = x_norm(hi.solution.values - lo.solution.values, spectrum.phi)
+    gap = x_distance(hi.solution.values, lo.solution.values, spectrum.phi)
     form = brezis_oswald_check(spectrum.op, lo.solution.values, hi.solution.values)
     diag = UniquenessDiagnostics(two_start_gap=gap, brezis_oswald_residual=form)
     return replace(lo, uniqueness=diag, solution_upper=hi.solution)

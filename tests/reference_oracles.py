@@ -13,7 +13,10 @@ an oracle cannot drift into sharing code with the path it checks.
   which give tests phi2;
 * ``quadratic_form``, ``ball_volume`` and ``truncation_margin`` -- the
   discrete V-norm, the closed-form ball volume and the truncation margin
-  of a grid.
+  of a grid;
+* ``reference_x_norm`` and ``reference_outside_count`` -- the former
+  one-expression forms of x_norm and outside_count, whose bits and counts
+  the in-place forms must reproduce.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from groundstate import (
 )
 from groundstate import semilinear_solver
 from groundstate.errors import MalformedInput, NoConvergence, SingularResolvent, WindowViolation
+from groundstate.groundstate_space import CERT_SLACK
 from groundstate.semilinear_solver import Bracket, _finish_report, make_bracket, outside_count
 from groundstate.spectral import eigenfunctions
 
@@ -210,3 +214,16 @@ def ball_volume(grid: Grid) -> float:
 def truncation_margin(grid: Grid, pot: RadialPotential, spectral_scale: float) -> float:
     """q(r_max)/spectral_scale; adequacy means this exceeds the factor in use."""
     return float(pot(np.array([grid.r_max]))[0] / spectral_scale)
+
+
+def reference_x_norm(v: np.ndarray, phi: np.ndarray) -> float:
+    """The former x_norm: sup |v|/phi with |v| and the quotient as two temporaries."""
+    return float((np.abs(v) / phi).max())
+
+
+def reference_outside_count(
+    t: np.ndarray, lower: np.ndarray, upper: np.ndarray, floor: float = 0.0
+) -> int:
+    """The former outside_count, one expression for the slack and one for the distance."""
+    slack = np.maximum(floor, CERT_SLACK * np.maximum(np.abs(lower), np.abs(upper)))
+    return int(np.count_nonzero(np.abs(t - np.minimum(np.maximum(t, lower), upper)) > slack))

@@ -26,6 +26,7 @@ from groundstate.experiment_cli import (
     SCHEMA,
     _cell,
     _dump_profiles,
+    _sweep_line,
     _write_sweep,
     f17,
     main,
@@ -993,7 +994,7 @@ def test_sweep_csv_matches_the_csv_writer(tmp_path):
         writer.writerow(COLUMNS)
         for row in rows:
             writer.writerow([_cell(row.get(col, "")) for col in COLUMNS])
-    _write_sweep(tmp_path / "new.csv", rows)
+    _write_sweep(tmp_path / "new.csv", [_sweep_line(row) for row in rows])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

@@ -1,6 +1,7 @@
 """Cooperative 2x2 systems: algebra, rectangles, solves, cross-checks."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -441,6 +442,38 @@ def test_system_two_start_row_holds_the_form_of_its_two_limits(ctx, offset):
         p.spectrum.op, (lo.u1.values, lo.u2.values), (hi.u1.values, hi.u2.values), p.matrix
     )
     assert rep.uniqueness.brezis_oswald_residual == t1
+
+
+def test_system_two_start_memory_is_pinned_in_bytes():
+    # tracemalloc transient of one system_two_start call on the system_sweep
+    # bench problem (N = 3, q = 1 + r^4, r_max 3.2, n = 400, rational
+    # kappa = 1, K = 2, A = (0, 1; 4, 0)), above the memory held before the
+    # call, at Lambda* +- 0.2 and +- 0.8 of the window: at most about
+    # 72500 bytes, 22.7 n-vectors of doubles.  While each sweep kept the
+    # last aux alive, formed X-norm steps and the certificate check with
+    # two to five temporaries, recoupled with np.vstack and held the
+    # decoupled right-hand sides through both solves, it was about
+    # 88300-91300 bytes (27.6-28.5 n-vectors)
+    spectrum = summarize_spectrum(make_grid(3, 3.2, 400), power_potential(1.0, 4.0))
+    w = estimate_c0_delta0(spectrum)
+    nl = rational_profile(1.0, 2.0)
+    p = system_problem(spectrum, analyze_matrix(0.0, 1.0, 4.0, 0.0), nl, nl)
+    half = window_system(p, w)
+    tracing = tracemalloc.is_tracing()
+    for frac in (-0.8, -0.2, 0.2, 0.8):
+        mu = p.lambda_star + frac * half
+        system_two_start(p, w, mu)  # warm-up at this shift
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            system_two_start(p, w, mu)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 78_000
 
 
 @settings(max_examples=40)

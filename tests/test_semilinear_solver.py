@@ -8,7 +8,13 @@ import pytest
 from brezis_oswald_reference import brezis_oswald_identity
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_oracles import MonotonicityBroken, eigenpairs, monotone_solve
+from reference_oracles import (
+    MonotonicityBroken,
+    eigenpairs,
+    monotone_solve,
+    reference_outside_count,
+    reference_x_norm,
+)
 
 from groundstate import (
     Nonlinearity,
@@ -41,6 +47,7 @@ from groundstate.errors import (
     SignMixed,
     WindowViolation,
 )
+from groundstate.groundstate_space import CERT_SLACK, x_distance
 
 POT = RadialPotential(lambda r: 1.0 + r**4, name="quartic3d")
 
@@ -683,6 +690,65 @@ def test_newton_solve_holds_no_more_memory_than_the_secant_solve():
                     tracemalloc.stop()
             assert rep.certified
             assert peak <= limit
+
+
+def _with_edges(rng: np.random.Generator, shape: tuple, specials: tuple) -> np.ndarray:
+    """Normal draws over six decades, with the given special values at random nodes."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3, shape)
+    flat = a.reshape(-1)
+    flat[rng.choice(flat.size, min(len(specials), flat.size), replace=False)] = specials[: flat.size]
+    return a
+
+
+EDGE_SETS = ((), (0.0, -0.0), (np.inf, -np.inf, 0.0), (np.nan, np.inf, -np.inf, -0.0))
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+def test_in_place_x_norms_have_the_reference_bits():
+    # x_norm and x_distance form |v|/phi in one temporary: same bits as the
+    # former one-expression form, on (n,) and (2, n) iterates with NaN, +-inf
+    # and signed zeros, phi down to the 1e-33 of an outermost node
+    rng = np.random.default_rng(8)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in (1, 2, 17, 400):
+            phi = np.exp(-rng.uniform(0.0, 76.0, n))
+            for shape in ((n,), (2, n)):
+                for specials in EDGE_SETS:
+                    a = _with_edges(rng, shape, specials)
+                    b = _with_edges(rng, shape, specials)
+                    assert _bits(x_norm(a, phi)) == _bits(reference_x_norm(a, phi))
+                    assert _bits(x_distance(a, b, phi)) == _bits(reference_x_norm(a - b, phi))
+            # an integer array and a list are cast, not divided in place
+            ints = rng.integers(-1000, 1000, n)
+            assert _bits(x_norm(ints, phi)) == _bits(reference_x_norm(ints, phi))
+            floats = list(rng.standard_normal(n))
+            assert _bits(x_norm(floats, phi)) == _bits(reference_x_norm(floats, phi))
+
+
+def test_in_place_outside_count_has_the_reference_counts():
+    # images around a set with zero-width nodes, placed within a few
+    # CERT_SLACK of its edges, with NaN, +-inf and floor > 0
+    rng = np.random.default_rng(9)
+    counts = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in (1, 2, 17, 400):
+            for shape in ((n,), (2, n)):
+                for specials in EDGE_SETS:
+                    lower = _with_edges(rng, shape, specials)
+                    width = np.abs(rng.standard_normal(shape)) * (rng.random(shape) < 0.75)
+                    upper = lower + width
+                    edge = np.where(rng.random(shape) < 0.5, lower, upper)
+                    nudge = rng.uniform(-4.0, 4.0, shape) * CERT_SLACK * np.abs(edge)
+                    t = _with_edges(rng, shape, specials)
+                    t = np.where(rng.random(shape) < 0.8, edge + nudge, t)
+                    for floor in (0.0, 1e-12, 1e-6, 1.0):
+                        want = reference_outside_count(t, lower, upper, floor)
+                        assert semilinear_solver.outside_count(t, lower, upper, floor) == want
+                        counts.append(want)
+    assert 0 in counts and max(counts) > 100  # both sides of the slack are drawn
 
 
 # ---------------------------------------------------------------- monotone
