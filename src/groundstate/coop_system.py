@@ -8,6 +8,9 @@ with Lambda replaced by Lambda* = Lambda - xi1 and phi replaced by the
 vector groundstate Y*phi: near Lambda* the iteration stays in a rectangle
 of groundstate multiples componentwise, the dominant diagonalized
 component v1 blows up like 1/(Lambda* - mu), and v2 stays bounded.  The
+rectangle (rectangle) is a semilinear_solver.Bracket, the scalar solve's
+order interval with 2 x n edges, one row per component, and a sweep that
+leaves it at too many nodes raises the scalar BracketEscape.  The
 iterates lie in the rectangle by clipping, so a solve is certified on
 the image T(U) of its limit: T(U) may leave the rectangle at no node by
 more than the certificate slack (semilinear_solver.outside_count), which
@@ -46,16 +49,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    HypothesisViolated,
-    MalformedInput,
-    NotCooperative,
-    RectangleEscape,
-    SingularResolvent,
-    WindowViolation,
-)
+from .errors import HypothesisViolated, NotCooperative, SingularResolvent, WindowViolation
 from .groundstate_space import GroundstateVector, WindowEstimate, decompose, x_distance, x_norm
-from .semilinear_solver import Nonlinearity, UniquenessDiagnostics, clipped_fixed_point
+from .semilinear_solver import Bracket, Nonlinearity, UniquenessDiagnostics, clipped_fixed_point
 from .semilinear_solver import _ratio_forms
 from .spectral import DiscreteOperator, SpectrumSummary
 
@@ -217,26 +213,29 @@ def window_system(p: SystemProblem, w: WindowEstimate) -> float:
     )
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    """Componentwise ratio bounds: u_i/phi in (lo[i], hi[i])."""
+def rectangle(p: SystemProblem, mu: float) -> Bracket:
+    """The rectangle of groundstate multiples the iteration at mu runs in, as a Bracket.
 
-    lo: np.ndarray
-    hi: np.ndarray
-    kind: str
-
-
-def rectangle(p: SystemProblem, mu: float) -> Rectangle:
-    """Invariant rectangle of groundstate multiples for the iteration at mu."""
+    Component i has the ratio edges lo[i] and hi[i] (u_i/phi in
+    [lo[i], hi[i]]), from kappa*y/(y_max*(Lambda* - mu)) and
+    K*y/(y_min*(Lambda* - mu)); lower and upper are the 2 x n node arrays
+    lo[i]*phi and hi[i]*phi, and bound_lo/bound_hi are min lo and max hi.
+    """
     if mu == p.lambda_star:
         raise WindowViolation("mu = Lambda* has no resolvent")
     y = p.matrix.y
     y_min, y_max = float(y.min()), float(y.max())
     a = p.kappa * y / (y_max * (p.lambda_star - mu))
     b = p.k_upper * y / (y_min * (p.lambda_star - mu))
-    if mu < p.lambda_star:
-        return Rectangle(lo=a, hi=b, kind="MP")
-    return Rectangle(lo=b, hi=a, kind="AMP")
+    lo, hi = (a, b) if mu < p.lambda_star else (b, a)
+    phi = p.spectrum.phi
+    return Bracket(
+        lower=lo[:, None] * phi[None, :],
+        upper=hi[:, None] * phi[None, :],
+        bound_lo=float(np.min(lo)),
+        bound_hi=float(np.max(hi)),
+        kind="MP" if mu < p.lambda_star else "AMP",
+    )
 
 
 def _system_sweep(p: SystemProblem, mu: float, u: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -313,8 +312,11 @@ class SystemReport:
     """Outcome of one system solve in both coordinate systems.
 
     u1/u2 are the physical components (decomposed against phi); v1/v2 the
-    diagonalized ones, of which v1 carries the blow-up and v2 obeys
-    ||v2||_X <= v2_bound.  certified records that the image T(U) of the
+    diagonalized ones, of which v1 carries the blow-up and v2, of X-norm
+    v2_xnorm, is bounded by v2_bound.  bound_lo/bound_hi are the
+    rectangle's ratio edges (Bracket.bound_lo and bound_hi) and
+    xnorm_bound = max(|bound_lo|, |bound_hi|) the largest |u_i|/phi the
+    rectangle admits.  certified records that the image T(U) of the
     limit leaves the rectangle at no node
     (FixedPoint.outside_at_limit == 0); the rectangle has the branch
     sign inside the window, so this is what GSP/GSN mean for systems.
@@ -324,16 +326,15 @@ class SystemReport:
     u2: GroundstateVector
     v1: np.ndarray
     v2: np.ndarray
-    rectangle: Rectangle
-    kappa_prime: float
-    k_prime: float
     iterations: int
     residual_x: float
     violations: int
     branch: str
-    window: float
+    bound_lo: float
+    bound_hi: float
+    xnorm_bound: float
+    v2_xnorm: float
     v2_bound: float
-    v2_ok: bool
     certified: bool
     min_ratio: np.ndarray
     max_ratio: np.ndarray
@@ -363,7 +364,7 @@ def solve_system(
     of the solve; damping = 1 takes plain Picard steps throughout.
     Clipped nodes count as rectangle violations, a sweep
     clipping more than ESCAPE_FRACTION of all nodes raises
-    RectangleEscape, and convergence is measured in the componentwise max
+    BracketEscape, and convergence is measured in the componentwise max
     X-norm.  The row is certified when the limit's image leaves the
     rectangle at no node.
     """
@@ -374,41 +375,35 @@ def solve_system(
             f"|Lambda* - mu| = {dist:.6g} outside the certified window {window:.6g}"
         )
     op, phi = p.spectrum.op, p.spectrum.phi
-    rect = rectangle(p, mu)
-    lo = rect.lo[:, None] * phi[None, :]
-    hi = rect.hi[:, None] * phi[None, :]
-    if start not in ("lower", "upper"):
-        raise MalformedInput("start must be 'lower' or 'upper'")
+    bracket = rectangle(p, mu)
     fp = clipped_fixed_point(
-        lambda u: _system_sweep(p, mu, u), lo, hi, lo if start == "lower" else hi, phi,
-        RectangleEscape, damping, max_iter, tol_x,
-        newton=lambda u: _system_newton(p, mu, u),
+        lambda u: _system_sweep(p, mu, u),
+        lambda u: _system_newton(p, mu, u),
+        bracket, bracket.end(start), phi, damping, max_iter, tol_x,
     )
     u = fp.u
     v1, v2 = fp.aux
 
-    kp, kup = inherited_bounds(p.matrix, p.kappa, p.k_upper)
+    _, kup = inherited_bounds(p.matrix, p.kappa, p.k_upper)
     ratios = u / phi[None, :]
     min_ratio = ratios.min(axis=1)
     max_ratio = ratios.max(axis=1)
-    # mu-uniform: inside the window Lambda - (mu + xi2) >= (xi1 - xi2)/2
-    v2_bound = 2.0 * kup / (p.matrix.xi1 - p.matrix.xi2) + 2.0 * w.c0 * kup
-    v2_x = x_norm(v2, phi)
     return SystemReport(
         u1=decompose(u[0], phi, op.grid.quad_weights),
         u2=decompose(u[1], phi, op.grid.quad_weights),
         v1=v1,
         v2=v2,
-        rectangle=rect,
-        kappa_prime=kp,
-        k_prime=kup,
         iterations=fp.iterations,
         residual_x=fp.residual_x,
         violations=fp.violations,
-        branch=rect.kind,
-        window=window,
-        v2_bound=v2_bound,
-        v2_ok=v2_x <= v2_bound,
+        branch=bracket.kind,
+        bound_lo=bracket.bound_lo,
+        bound_hi=bracket.bound_hi,
+        # lo <= hi in every component, so no edge is larger in size than both ends
+        xnorm_bound=max(abs(bracket.bound_lo), abs(bracket.bound_hi)),
+        v2_xnorm=x_norm(v2, phi),
+        # mu-uniform: inside the window Lambda - (mu + xi2) >= (xi1 - xi2)/2
+        v2_bound=2.0 * kup / (p.matrix.xi1 - p.matrix.xi2) + 2.0 * w.c0 * kup,
         certified=fp.outside_at_limit == 0,
         min_ratio=min_ratio,
         max_ratio=max_ratio,

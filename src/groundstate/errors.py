@@ -55,7 +55,11 @@ class NoConvergence(GroundstateError):
 
 
 class BracketEscape(GroundstateError):
-    """Too many iterate entries left the sub/supersolution bracket."""
+    """Too many image entries left the order interval a fixed-point solve runs in.
+
+    The interval is a semilinear_solver.Bracket: the scalar bracket, or
+    the rectangle of a 2x2 system (coop_system.rectangle).
+    """
 
 
 class SignMixed(GroundstateError):
@@ -64,10 +68,6 @@ class SignMixed(GroundstateError):
 
 class NotCooperative(ConfigError):
     """Coupling matrix has a nonpositive off-diagonal entry."""
-
-
-class RectangleEscape(GroundstateError):
-    """Too many iterate entries left the invariant rectangle."""
 
 
 class WindowViolation(GroundstateError):

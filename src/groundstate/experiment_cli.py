@@ -80,7 +80,7 @@ from .coop_system import (
     WINDOW_RULE_SYSTEM,
 )
 from .errors import ConfigError, GroundstateError, MalformedInput, NonPositivePotential
-from .groundstate_space import CERT_SLACK, estimate_c0_delta0, x_norm
+from .groundstate_space import CERT_SLACK, estimate_c0_delta0
 from .linear_solver import (
     WINDOW_RULE_LINEAR,
     certify_theorem1,
@@ -636,10 +636,13 @@ def _solver_controls(cfg: dict) -> tuple[bool, str, dict]:
 
 
 def _fixed_point_cells(rep) -> dict:
-    """Cells a semilinear or system report fills the same way."""
+    """Cells a semilinear or system report fills the same way, the bracket's edges included."""
     diag = rep.uniqueness
     return dict(
         branch=rep.branch,
+        bound_lo=rep.bound_lo,
+        bound_hi=rep.bound_hi,
+        xnorm_bound=rep.xnorm_bound,
         certified=rep.certified,
         in_window=True,
         iterations=rep.iterations,
@@ -669,9 +672,6 @@ def _semilinear_setup(cfg, spectrum, w):
             min_ratio=rep.min_ratio,
             max_ratio=rep.max_ratio,
             x_norm=rep.solution.x_norm,
-            bound_lo=rep.bound_lo,
-            bound_hi=rep.bound_hi,
-            xnorm_bound=rep.xnorm_bound,
         )
         return cells, [rep.solution.values]
 
@@ -691,7 +691,6 @@ def _system_setup(cfg, spectrum, w):
         validate_nonlinearity(nl, spectrum.op.grid.r)
     nl1, nl2 = nls[0], nls[-1]
     p = system_problem(spectrum, m, nl1, nl2)
-    phi = spectrum.phi
     two_start, start, kwargs = _solver_controls(cfg)
 
     def row_at(mu):
@@ -699,17 +698,13 @@ def _system_setup(cfg, spectrum, w):
             rep = system_two_start(p, w, mu, **kwargs)
         else:
             rep = solve_system(p, w, mu, start=start, **kwargs)
-        rect = rep.rectangle
         cells = dict(
             _fixed_point_cells(rep),
             u1_component=rep.u1.c1,
             min_ratio=float(np.min(rep.min_ratio)),
             max_ratio=float(np.max(rep.max_ratio)),
             x_norm=max(rep.u1.x_norm, rep.u2.x_norm),
-            bound_lo=float(np.min(rect.lo)),
-            bound_hi=float(np.max(rect.hi)),
-            xnorm_bound=float(np.max(np.abs(np.concatenate([rect.lo, rect.hi])))),
-            v2_xnorm=x_norm(rep.v2, phi),
+            v2_xnorm=rep.v2_xnorm,
             v2_bound=rep.v2_bound,
         )
         return cells, [rep.u1.values, rep.u2.values]

@@ -287,23 +287,25 @@ def build_grid(
             raise MalformedInput(f"grid.{key} = {value:g} must be finite and positive")
     target = truncation_factor * spectral_scale
 
-    hi = 1.0
-    while float(pot(np.array([hi]))[0]) < target:
-        hi *= 2.0
-        if hi > R_MAX_CAP:
-            raise UnboundedSearch(
-                f"grid.spectral_scale = {spectral_scale:g}: q never reaches "
-                f"truncation_factor * spectral_scale = {target:g} below r = {R_MAX_CAP:g}"
-            )
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if float(pot(np.array([mid]))[0]) >= target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-9:
-            break
+    # a q that overflows is inf, which meets any finite target
+    with np.errstate(over="ignore"):
+        hi = 1.0
+        while float(pot(np.array([hi]))[0]) < target:
+            hi *= 2.0
+            if hi > R_MAX_CAP:
+                raise UnboundedSearch(
+                    f"grid.spectral_scale = {spectral_scale:g}: q never reaches "
+                    f"truncation_factor * spectral_scale = {target:g} below r = {R_MAX_CAP:g}"
+                )
+        lo = 0.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if float(pot(np.array([mid]))[0]) >= target:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo < 1e-9:
+                break
     r_max = hi
     n = node_count(points_per_unit * r_max, "grid.points_per_unit")
     return make_grid(space_dim, r_max, max(n, 2))

@@ -49,7 +49,6 @@ import numpy as np
 
 from .errors import (
     BracketEscape,
-    GroundstateError,
     HypothesisViolated,
     MalformedInput,
     NoConvergence,
@@ -211,24 +210,42 @@ def validate_nonlinearity(nl: Nonlinearity, r: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Bracket:
-    """Nodewise order interval [lower, upper] preserved by the iteration."""
+    """Order interval [lower, upper] of groundstate multiples that a solve iterates in.
+
+    lower and upper have the iterate's shape: (n,) for a scalar solve
+    (make_bracket), (2, n) for a 2x2 system (coop_system.rectangle), row i
+    the edges of component i.  bound_lo and bound_hi are the smallest and
+    the largest edge ratio lower/phi and upper/phi over all components;
+    inside the window both have the branch sign, and the set's sign is the
+    claim.  kind is "MP" or "AMP".
+    """
 
     lower: np.ndarray
     upper: np.ndarray
-    kind: str  # "MP" or "AMP"
+    bound_lo: float
+    bound_hi: float
+    kind: str
+
+    def end(self, start: str) -> np.ndarray:
+        """The end a solve starts from: lower for "lower", upper for "upper"."""
+        if start not in ("lower", "upper"):
+            raise MalformedInput("start must be 'lower' or 'upper'")
+        return self.lower if start == "lower" else self.upper
 
 
 def make_bracket(spectrum: SpectrumSummary, nl: Nonlinearity, mu: float) -> Bracket:
-    """Bracket kappa..K times phi/(Lambda - mu), ordered nodewise."""
+    """Bracket kappa..K times phi/(Lambda - mu), ordered nodewise, with its ratio edges."""
     lam = spectrum.Lambda
     if mu == lam:
         raise WindowViolation("mu = Lambda has no resolvent")
     phi = spectrum.phi
     a = nl.kappa * phi / (lam - mu)
     b = nl.k_upper * phi / (lam - mu)
+    edge_kappa = nl.kappa / (lam - mu)
+    edge_k = nl.k_upper / (lam - mu)
     if mu < lam:
-        return Bracket(lower=a, upper=b, kind="MP")
-    return Bracket(lower=b, upper=a, kind="AMP")
+        return Bracket(lower=a, upper=b, bound_lo=edge_kappa, bound_hi=edge_k, kind="MP")
+    return Bracket(lower=b, upper=a, bound_lo=edge_k, bound_hi=edge_kappa, kind="AMP")
 
 
 def window_semilinear(nl: Nonlinearity, w: WindowEstimate) -> float:
@@ -272,13 +289,13 @@ class UniquenessDiagnostics:
 class SemilinearReport:
     """Everything one semilinear solve produced.
 
-    bound_lo/bound_hi are the ratio edges of the bracket, the smaller and
-    the larger of kappa/(Lambda-mu) and K/(Lambda-mu).  The branch
-    certificate value kappa/(Lambda-mu) is bound_lo on MP (positive) and
-    bound_hi on AMP (negative).  certified records that kappa > 0 and
-    that the image T(u) of the solution leaves the bracket at no node
-    (outside_count), so the certificate holds for T(u) = u, not only for
-    the clipped iterate; it is False when kappa <= 0.
+    bound_lo/bound_hi are the bracket's ratio edges (Bracket.bound_lo and
+    bound_hi), the smaller and the larger of kappa/(Lambda-mu) and
+    K/(Lambda-mu).  The branch certificate value kappa/(Lambda-mu) is
+    bound_lo on MP (positive) and bound_hi on AMP (negative).  certified
+    records that kappa > 0 and that the image T(u) of the solution leaves
+    the bracket at no node (outside_count), so the certificate holds for
+    T(u) = u, not only for the clipped iterate; it is False when kappa <= 0.
     xnorm_bound is the blow-up envelope K/|Lambda-mu| + 2*c0*K.
     solution_upper is filled by drivers that run a second iteration from
     the opposite bracket end.
@@ -289,9 +306,7 @@ class SemilinearReport:
     residual_x: float
     violations: int
     xnorm_bound: float
-    xnorm_ok: bool
     branch: str
-    window: float
     bound_lo: float
     bound_hi: float
     certified: bool
@@ -350,22 +365,21 @@ def outside_count(
 
 def clipped_fixed_point(
     sweep: Callable[[np.ndarray], tuple[np.ndarray, object]],
-    lower: np.ndarray,
-    upper: np.ndarray,
+    newton: Callable[[np.ndarray], np.ndarray | None],
+    bracket: Bracket,
     u: np.ndarray,
     phi: np.ndarray,
-    escape: type[GroundstateError],
     damping: float,
     max_iter: int,
     tol_x: float,
-    newton: Callable[[np.ndarray], np.ndarray | None],
 ) -> FixedPoint:
     """Clipped fixed-point iteration, Newton steps first, on scalar or k-component u.
 
     sweep(u) returns (T(u), aux) for an iterate u of shape (n,) for a
     scalar problem or (k, n) for a k-component system; phi broadcasts
-    against it.  newton(u) returns an unclipped Newton iterate at u of
-    u's shape, or None.  Each sweep forms g = clip(T(u), lower, upper),
+    against it, and the bracket's lower and upper have u's shape.
+    newton(u) returns an unclipped Newton iterate at u of u's shape, or
+    None.  Each sweep forms g = clip(T(u), lower, upper),
     whose Picard residual is the X-norm step ||g - u||_X.  Sweep 1 takes
     the plain step u <- g.  With damping = 1 every step is a plain sweep
     u <- g (Picard iteration): no Newton step and no switch.  Otherwise
@@ -385,13 +399,13 @@ def clipped_fixed_point(
     [lower, upper] than both BRACKET_SLACK of the set's largest edge and
     CERT_SLACK of its own larger edge (outside_count; the second admits
     the rounding of a zero-width set's image), and a sweep with more than
-    ESCAPE_FRACTION of all k*n nodes outside raises escape.  Convergence
-    is an X-norm step below tol_x on a sweep: the Picard residual before
-    the switch, which accepts u <- g, and the damped step after it.
-    Failure raises NoConvergence carrying the step trace (sweeps and
-    Newton steps).  The map is applied once more at the limit for
-    residual_x, aux and outside_at_limit, so these come only from sweep,
-    never from a Newton solve.
+    ESCAPE_FRACTION of all k*n nodes outside raises BracketEscape.
+    Convergence is an X-norm step below tol_x on a sweep: the Picard
+    residual before the switch, which accepts u <- g, and the damped step
+    after it.  Failure raises NoConvergence carrying the step trace
+    (sweeps and Newton steps).  The map is applied once more at the limit
+    for residual_x, aux and outside_at_limit, so these come only from
+    sweep, never from a Newton solve.
 
     A step holds only what the next step reads: a sweep drops its aux at
     once and T(u) after the escape check, so u and g are what stay; each
@@ -401,6 +415,7 @@ def clipped_fixed_point(
     """
     if not (0.0 < damping <= 1.0):
         raise MalformedInput("damping must lie in (0, 1]")
+    lower, upper = bracket.lower, bracket.upper
     slack = BRACKET_SLACK * max(float(np.abs(lower).max()), float(np.abs(upper).max()))
     violations = sweeps = 0
     trace: list[float] = []
@@ -435,7 +450,7 @@ def clipped_fixed_point(
             out = outside_count(t, lower, upper, floor=slack)
         t = None  # the rest of the step holds only u and g
         if out > ESCAPE_FRACTION * u.size:
-            raise escape(
+            raise BracketEscape(
                 f"iterate left the invariant region at {out}/{u.size} nodes on sweep {sweeps}"
             )
         violations += out
@@ -516,22 +531,17 @@ def solve_semilinear(
     if nl.kappa <= 0.0 and mu > lam:
         raise WindowViolation("the mu > Lambda branch needs kappa > 0")
     bracket = make_bracket(spectrum, nl, mu)
-    if start not in ("lower", "upper"):
-        raise MalformedInput("start must be 'lower' or 'upper'")
-    u = bracket.lower if start == "lower" else bracket.upper
     fp = clipped_fixed_point(
-        lambda u: (apply_T(spectrum, nl, mu, u), None), bracket.lower, bracket.upper, u,
-        spectrum.phi, BracketEscape, damping, max_iter, tol_x,
-        newton=lambda u: _scalar_newton(spectrum, nl, mu, u),
+        lambda u: (apply_T(spectrum, nl, mu, u), None),
+        lambda u: _scalar_newton(spectrum, nl, mu, u),
+        bracket, bracket.end(start), spectrum.phi, damping, max_iter, tol_x,
     )
     return _finish_report(
-        spectrum, w, nl, mu, fp.u,
+        spectrum, w, nl, mu, fp.u, bracket,
         iterations=fp.iterations,
         residual_x=fp.residual_x,
         violations=fp.violations,
         outside=fp.outside_at_limit,
-        branch=bracket.kind,
-        window=window,
     )
 
 
@@ -541,37 +551,29 @@ def _finish_report(
     nl: Nonlinearity,
     mu: float,
     u: np.ndarray,
+    bracket: Bracket,
     iterations: int,
     residual_x: float,
     violations: int,
     outside: int,
-    branch: str,
-    window: float,
 ) -> SemilinearReport:
     """Report of a limit u whose image T(u) leaves the bracket at outside nodes.
 
     One-sided data (kappa <= 0) claim no sign certificate.
     """
     phi = spectrum.phi
-    lam = spectrum.Lambda
     ratio = u / phi
     min_ratio, max_ratio = float(ratio.min()), float(ratio.max())
-    edge_kappa = nl.kappa / (lam - mu)
-    edge_k = nl.k_upper / (lam - mu)
-    bound_lo, bound_hi = min(edge_kappa, edge_k), max(edge_kappa, edge_k)
-    xnorm_bound = nl.k_upper / abs(lam - mu) + 2.0 * w.c0 * nl.k_upper
-    sol = decompose(u, phi, spectrum.op.grid.quad_weights)
+    xnorm_bound = nl.k_upper / abs(spectrum.Lambda - mu) + 2.0 * w.c0 * nl.k_upper
     return SemilinearReport(
-        solution=sol,
+        solution=decompose(u, phi, spectrum.op.grid.quad_weights),
         iterations=iterations,
         residual_x=residual_x,
         violations=violations,
         xnorm_bound=xnorm_bound,
-        xnorm_ok=sol.x_norm <= xnorm_bound,
-        branch=branch,
-        window=window,
-        bound_lo=bound_lo,
-        bound_hi=bound_hi,
+        branch=bracket.kind,
+        bound_lo=bracket.bound_lo,
+        bound_hi=bracket.bound_hi,
         certified=nl.kappa > 0.0 and outside == 0,
         min_ratio=min_ratio,
         max_ratio=max_ratio,

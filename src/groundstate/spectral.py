@@ -245,14 +245,11 @@ def eigenfunctions(op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
     return np.column_stack([op.extend(vecs[:, j]) for j in range(len(values))])
 
 
-def principal_eigenpair(
-    op: DiscreteOperator, lowest: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
+def principal_eigenpair(op: DiscreteOperator, lowest: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and positive normalized eigenfunction of L.
 
     The eigenvalue interval comes from bisection (``lowest``, op's first
-    two or more eigenvalues, when the caller has bisected them already,
-    else two bisected here); the vector from inverse
+    two or more eigenvalues, bisected by the caller); the vector from inverse
     iteration at a shift sigma strictly below the groundstate, which
     preserves entrywise positivity (see module docstring): each step is
     one LAPACK ptsv solve with the positive definite T - sigma.  The
@@ -263,8 +260,7 @@ def principal_eigenpair(
     bound is exceeded, LinAlgError if T - sigma is not numerically
     positive definite.
     """
-    lo2 = eigenvalues(op.diag, op.offdiag, 2) if lowest is None else lowest
-    lam, lam_next = float(lo2[0]), float(lo2[1])
+    lam, lam_next = float(lowest[0]), float(lowest[1])
     gap = lam_next - lam
     if gap <= 0:
         raise ConvergenceFailure("degenerate groundstate in sector 0")

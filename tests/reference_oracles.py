@@ -40,7 +40,6 @@ from groundstate import (
     decompose,
     eigenvalues,
     sphere_area,
-    window_semilinear,
     x_norm,
 )
 from groundstate import semilinear_solver
@@ -126,13 +125,11 @@ def monotone_solve(
     t = semilinear_solver.apply_T(spectrum, nl, mu, lower_limit)
     gap = x_norm(upper_limit - lower_limit, phi)
     report = _finish_report(
-        spectrum, w, nl, mu, lower_limit,
+        spectrum, w, nl, mu, lower_limit, bracket,
         iterations=total_iters,
         residual_x=x_norm(lower_limit - t, phi),
         violations=0,
         outside=outside_count(t, bracket.lower, bracket.upper),
-        branch="MP",
-        window=window_semilinear(nl, w),
     )
     return replace(
         report,

@@ -19,6 +19,7 @@ from groundstate import (
     constant_profile,
     coupled_uniqueness_check,
     estimate_c0_delta0,
+    inherited_bounds,
     linear_problem,
     make_grid,
     rational_profile,
@@ -228,7 +229,8 @@ def test_criterion_08_system_suite(quart):
         rep = system_two_start(p, w, lam_star + offset)
         checks.append(rep.certified)
         checks.append(rep.violations == 0)
-        v2_bound = 2.0 * rep.k_prime / (m.xi1 - m.xi2) + 2.0 * w.c0 * rep.k_prime
+        _, k_prime = inherited_bounds(m, p.kappa, p.k_upper)
+        v2_bound = 2.0 * k_prime / (m.xi1 - m.xi2) + 2.0 * w.c0 * k_prime
         checks.append(x_norm(rep.v2, phi) <= v2_bound)
         worst_gap = max(worst_gap, rep.uniqueness.two_start_gap)
 

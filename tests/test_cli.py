@@ -691,6 +691,18 @@ def test_grid_past_numpy_size_limit_exits_2_naming_its_key(tmp_path, capsys, gri
     assert not (tmp_path / "out").exists()
 
 
+def test_grid_search_past_the_double_range_of_q_runs(tmp_path):
+    # q = 0.3 + r**1e8 overflows to inf at the search's first doubling, r = 2;
+    # inf meets any finite target, so the search finds its radius
+    # without a RuntimeWarning (which tier-1 turns into an error)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        potential={"kind": "power", "c": 0.3, "s": 1e8, "r0": 1e160},
+        grid={"spectral_scale": 5.03, "truncation_factor": 1},
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_unallocatable_grid_exits_3(tmp_path, capsys):
     # 10**15 nodes ask numpy for 7 PiB, which fails at once without touching memory
     cfg = write_config(tmp_path / "cfg.json", grid={"r_max": 3.2, "n": 10**15})

@@ -17,6 +17,7 @@ from reference_oracles import (
 )
 
 from groundstate import (
+    Bracket,
     Nonlinearity,
     RadialPotential,
     analyze_matrix,
@@ -214,6 +215,12 @@ def test_make_bracket_orientation(ctx):
     np.testing.assert_allclose(amp.lower, -4.0 * phi)
     np.testing.assert_allclose(amp.upper, -2.0 * phi)
     assert np.all(amp.lower <= amp.upper)
+    # the ratio edges are the smaller and the larger of kappa/(Lambda - mu) and K/(Lambda - mu)
+    assert (mp.bound_lo, mp.bound_hi) == pytest.approx((2.0, 4.0))
+    assert (amp.bound_lo, amp.bound_hi) == pytest.approx((-4.0, -2.0))
+    assert amp.end("lower") is amp.lower and amp.end("upper") is amp.upper
+    with pytest.raises(MalformedInput):
+        amp.end("middle")
     with pytest.raises(WindowViolation):
         make_bracket(spectrum, nl, lam)
 
@@ -258,8 +265,7 @@ def test_mp_solve_is_certified(ctx):
     assert rep.bound_hi == pytest.approx(20.0, rel=1e-9)
     assert rep.min_ratio >= 10.0 * (1.0 - 1e-6)
     assert rep.max_ratio <= 20.0 * (1.0 + 1e-6)
-    assert rep.xnorm_ok
-    assert rep.window == pytest.approx(window_semilinear(nl, w))
+    assert rep.solution.x_norm <= rep.xnorm_bound
 
 
 def test_amp_solve_is_certified(ctx):
@@ -376,6 +382,14 @@ def test_mixed_steps_solve_a_map_picard_only_cycles_on(ctx, fixed_points, offset
         solve_semilinear(spectrum, w, nl, mu, damping=1.0, max_iter=200)
 
 
+def ratio_box(phi, shape):
+    """The Bracket -2 phi <= u <= 2 phi, with the iterate's shape (a scalar or a 2 x n system)."""
+    ones = np.ones(shape)
+    return Bracket(
+        lower=-2.0 * phi * ones, upper=2.0 * phi * ones, bound_lo=-2.0, bound_hi=2.0, kind="MP"
+    )
+
+
 @pytest.mark.parametrize("shape", [(5,), (2, 5)], ids=["scalar", "system"])
 def test_residual_growing_under_mixing_switches_to_damping(shape):
     # T maps the ratio v = u/phi to 1 - tanh(4 v): slope ~ -2.6 at the fixed
@@ -385,15 +399,14 @@ def test_residual_growing_under_mixing_switches_to_damping(shape):
     # the second does not halve the step of sweep 1 and is replaced by a
     # damped sweep, and the damped sweeps converge.
     phi = np.linspace(0.5, 1.0, 5)
-    lower, upper = -2.0 * phi * np.ones(shape), 2.0 * phi * np.ones(shape)
+    box = ratio_box(phi, shape)
 
     def sweep(u):
         return phi * (1.0 - np.tanh(4.0 * u / phi)), None
 
     def solve(damping, max_iter):
         return semilinear_solver.clipped_fixed_point(
-            sweep, lower, upper, np.zeros(shape), phi, BracketEscape, damping, max_iter, 1e-10,
-            newton=lambda u: sweep(u)[0],
+            sweep, lambda u: sweep(u)[0], box, np.zeros(shape), phi, damping, max_iter, 1e-10
         )
 
     fp = solve(0.5, 200)
@@ -423,14 +436,13 @@ def test_stagnating_newton_steps_hand_over_to_damped_sweeps(shape):
     # Newton steps 0.025 and 0.023; the third does not halve the first
     # Newton step, and the damped sweeps (rate 1/4) take over.
     phi = np.linspace(0.5, 1.0, 5)
-    lower, upper = -2.0 * phi * np.ones(shape), 2.0 * phi * np.ones(shape)
 
     def sweep(u):
         return phi - 0.5 * u, None
 
     fp = semilinear_solver.clipped_fixed_point(
-        sweep, lower, upper, np.zeros(shape), phi, BracketEscape, 0.5, 100, 1e-10,
-        newton=lambda u: u + 0.05 * (sweep(u)[0] - u),
+        sweep, lambda u: u + 0.05 * (sweep(u)[0] - u), ratio_box(phi, shape),
+        np.zeros(shape), phi, 0.5, 100, 1e-10,
     )
     assert fp.undamped_sweeps == 3
     assert fp.iterations <= 25
@@ -446,12 +458,12 @@ def test_limit_whose_image_leaves_the_set_is_counted(shape):
     # clip(T) that T moves on the Newton step after sweep 1, and the
     # closing sweep 3 accepts it.
     phi = np.linspace(0.5, 1.0, 5)
-    lower, upper = -2.0 * phi * np.ones(shape), 2.0 * phi * np.ones(shape)
+    box = ratio_box(phi, shape)
+    lower, upper = box.lower, box.upper
     t = phi * np.ones(shape)
     t[..., 2] = 1.01 * upper[..., 2]
     fp = semilinear_solver.clipped_fixed_point(
-        lambda u: (t, None), lower, upper, np.zeros(shape), phi, BracketEscape, 0.5, 50, 1e-10,
-        newton=lambda u: t.copy(),
+        lambda u: (t, None), lambda u: t.copy(), box, np.zeros(shape), phi, 0.5, 50, 1e-10
     )
     per_sweep = t.size // 5
     assert fp.iterations == 3
@@ -878,7 +890,7 @@ def test_one_sided_mp_solve_reports_without_certificate(ctx):
     assert rep.bound_lo == pytest.approx(-1.0, rel=1e-9)
     assert rep.bound_hi == pytest.approx(3.0, rel=1e-9)
     assert not rep.certified
-    assert rep.window == pytest.approx(w.delta0)
+    assert window_semilinear(nl, w) == w.delta0
     # the solution itself is still a genuine fixed point
     assert rep.residual_x <= 1e-7
 

@@ -1,11 +1,14 @@
-"""Source-level tripwires on the package, read with ``ast`` and never imported.
+"""Source-level tripwires on the package, read with ``ast``.
 
 Every function, method and class that ``src/groundstate`` defines has a
 caller there: a helper with no caller on the run path either gets one or
 leaves the package (test oracles live in ``tests/reference_oracles.py``).
 Every dataclass field is read as an attribute outside its own class, in
-the package or the tests: a field that is only written goes.  And
-``spectral`` is the one module that imports scipy.
+the package or the tests: a field that is only written goes.
+``spectral`` is the one module that imports scipy.  And the export list
+``groundstate.__all__`` names exactly what ``__init__.py`` imports, each
+entry resolving on the imported package, so a removed name cannot linger
+in it.
 """
 
 import ast
@@ -114,3 +117,17 @@ def test_only_spectral_imports_scipy():
             if any(root.split(".")[0] == "scipy" for root in roots):
                 importers.add(module)
     assert importers == {"spectral.py"}
+
+
+def test_export_list_is_what_the_package_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    exported = groundstate.__all__
+    assert len(set(exported)) == len(exported)
+    assert set(exported) == set(imported)
+    assert [name for name in exported if not hasattr(groundstate, name)] == []
