@@ -7,10 +7,10 @@ shifts mu + xi1 and mu + xi2.  The system inherits the scalar picture
 with Lambda replaced by Lambda* = Lambda - xi1 and phi replaced by the
 vector groundstate Y*phi: near Lambda* the iteration stays in a rectangle
 of groundstate multiples componentwise, the dominant diagonalized
-component v1 blows up like 1/(Lambda* - mu), and v2 stays bounded.  The
-rectangle (rectangle) is a semilinear_solver.Bracket, the scalar solve's
-order interval with 2 x n edges, one row per component, and a sweep that
-leaves it at too many nodes raises the scalar BracketEscape.  The
+component v1 blows up like 1/(Lambda* - mu), and v2 stays bounded (a
+report keeps v2's X-norm only).  The rectangle is a Bracket, the scalar
+solve's order interval with 2 x n edges, one row per component, and a
+sweep that leaves it at too many nodes raises the scalar BracketEscape.  The
 iterates lie in the rectangle by clipping, so a solve is certified on
 the image T(U) of its limit: T(U) may leave the rectangle at no node by
 more than the certificate slack (semilinear_solver.outside_count), which
@@ -238,8 +238,8 @@ def rectangle(p: SystemProblem, mu: float) -> Bracket:
     )
 
 
-def _system_sweep(p: SystemProblem, mu: float, u: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """One map U -> P solve(P^{-1} F(U)) on the 2 x n iterate; returns (U', (v1, v2)).
+def _system_sweep(p: SystemProblem, mu: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One map U -> P solve(P^{-1} F(U)) on the 2 x n iterate; returns (U', v2).
 
     The two scalar solves are verified solves at mu + xi1 and mu + xi2.
     Each decoupled right-hand side is dropped once its solve is done, and
@@ -253,7 +253,7 @@ def _system_sweep(p: SystemProblem, mu: float, u: np.ndarray) -> tuple[np.ndarra
     g1 = None
     v2 = op.solve_shifted(mu + m.xi2, g2)
     g2 = None
-    return m.recouple(v1, v2), (v1, v2)
+    return m.recouple(v1, v2), v2
 
 
 def _system_newton(p: SystemProblem, mu: float, u: np.ndarray) -> np.ndarray | None:
@@ -309,23 +309,21 @@ def _system_newton(p: SystemProblem, mu: float, u: np.ndarray) -> np.ndarray | N
 
 @dataclass(frozen=True)
 class SystemReport:
-    """Outcome of one system solve in both coordinate systems.
+    """Outcome of one system solve.
 
-    u1/u2 are the physical components (decomposed against phi); v1/v2 the
-    diagonalized ones, of which v1 carries the blow-up and v2, of X-norm
-    v2_xnorm, is bounded by v2_bound.  bound_lo/bound_hi are the
-    rectangle's ratio edges (Bracket.bound_lo and bound_hi) and
-    xnorm_bound = max(|bound_lo|, |bound_hi|) the largest |u_i|/phi the
-    rectangle admits.  certified records that the image T(U) of the
-    limit leaves the rectangle at no node
-    (FixedPoint.outside_at_limit == 0); the rectangle has the branch
-    sign inside the window, so this is what GSP/GSN mean for systems.
+    u1/u2 are the physical components (decomposed against phi); of their
+    diagonalized pair matrix.decouple(u1.values, u2.values), v1 carries the
+    blow-up and v2 is bounded: v2_xnorm, the X-norm of v2 in the image
+    T(U) of the limit, is at most v2_bound.  bound_lo/bound_hi are the
+    rectangle's ratio edges (Bracket) and xnorm_bound = max(|bound_lo|,
+    |bound_hi|) the largest |u_i|/phi it admits.  certified records that
+    T(U) leaves the rectangle at no node (FixedPoint.outside_at_limit ==
+    0); the rectangle has the branch sign inside the window, so this is
+    what GSP/GSN mean for systems.
     """
 
     u1: GroundstateVector
     u2: GroundstateVector
-    v1: np.ndarray
-    v2: np.ndarray
     iterations: int
     residual_x: float
     violations: int
@@ -382,7 +380,6 @@ def solve_system(
         bracket, bracket.end(start), phi, damping, max_iter, tol_x,
     )
     u = fp.u
-    v1, v2 = fp.aux
 
     _, kup = inherited_bounds(p.matrix, p.kappa, p.k_upper)
     ratios = u / phi[None, :]
@@ -391,8 +388,6 @@ def solve_system(
     return SystemReport(
         u1=decompose(u[0], phi, op.grid.quad_weights),
         u2=decompose(u[1], phi, op.grid.quad_weights),
-        v1=v1,
-        v2=v2,
         iterations=fp.iterations,
         residual_x=fp.residual_x,
         violations=fp.violations,
@@ -401,7 +396,7 @@ def solve_system(
         bound_hi=bracket.bound_hi,
         # lo <= hi in every component, so no edge is larger in size than both ends
         xnorm_bound=max(abs(bracket.bound_lo), abs(bracket.bound_hi)),
-        v2_xnorm=x_norm(v2, phi),
+        v2_xnorm=x_norm(fp.aux, phi),
         # mu-uniform: inside the window Lambda - (mu + xi2) >= (xi1 - xi2)/2
         v2_bound=2.0 * kup / (p.matrix.xi1 - p.matrix.xi2) + 2.0 * w.c0 * kup,
         certified=fp.outside_at_limit == 0,

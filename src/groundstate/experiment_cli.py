@@ -31,8 +31,11 @@ message names the key, as ``grid.n`` or ``mu_offsets[1]``), an integer
 literal too long for Python to read, a ``dump_solutions`` entry that
 matches no shift offset, two ``dump_solutions`` entries whose offsets
 would share a ``solution_<offset>.csv`` name, a ``power`` potential
-with ``s <= 2`` (the message names ``potential.s``), a sweep whose shift offsets overflow, a
-shift offset that vanishes against the shift origin (origin + offset ==
+with ``s <= 2`` (the message names ``potential.s``), a ``potential``,
+``f``, ``nonlinearity``, ``nonlinearity2`` or ``grid`` key that the
+block's kind (for the grid: r_max and n, or spectral_scale) never reads
+(the message names it, as ``potential.c``), a sweep whose shift offsets
+overflow, a shift offset that vanishes against the shift origin (origin + offset ==
 origin, so mu would be Lambda or Lambda*; the message names the
 ``mu_offsets`` entry, or ``sweep``), a
 grid with fewer nodes than the six radial eigenvalues the spectrum
@@ -59,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -276,9 +280,33 @@ def _require_finite(value, key: str = "") -> None:
         raise MalformedInput(f"{key} = {sign}{digits[0]}e+{len(digits) - 1} must be finite")
 
 
+#: the keys each kind of a potential, f or nonlinearity block reads, besides "kind"
+KIND_READS = {
+    "potential": {"power": ("c", "s", "r0"), "exp": ("r0",), "table": ("path", "r0")},
+    "f": {"phi": (), "phi_plus_phi2": ("coeff",), "table": ("path",)},
+    "nonlinearity": {
+        "constant": ("g",), "rational": ("kappa", "K"), "exp_decay": ("kappa", "K", "s"),
+    },
+}
+
+
+def _refuse_unread(block: dict, name: str, reads: tuple[str, ...], reader: str) -> None:
+    """MalformedInput naming the first key of block, besides kind, that is not in reads."""
+    unread = [key for key in block if key != "kind" and key not in reads]
+    if unread:
+        raise MalformedInput(f"{name}.{unread[0]} is not read by {reader}")
+
+
+def _block_kind(block: dict, name: str, table: str) -> str:
+    """block's kind, once no key of block is one that kind never reads (KIND_READS[table])."""
+    kind = block["kind"]
+    _refuse_unread(block, name, KIND_READS[table][kind], f'kind "{kind}"')
+    return kind
+
+
 def build_potential(cfg: dict):
     block = cfg["potential"]
-    kind = block["kind"]
+    kind = _block_kind(block, "potential", "potential")
     if kind == "power":
         if "c" not in block or "s" not in block:
             raise MalformedInput("power potential needs 'c' and 's'")
@@ -295,6 +323,8 @@ def build_the_grid(cfg: dict, pot, grid_scale: float):
     direct = "r_max" in g and "n" in g
     if direct == ("spectral_scale" in g):
         raise MalformedInput("grid needs either (r_max, n) or spectral_scale")
+    reads = ("r_max", "n") if direct else ("spectral_scale", "points_per_unit", "truncation_factor")
+    _refuse_unread(g, "grid", reads, f"a grid given by {'r_max and n' if direct else reads[0]}")
     if direct:
         key = "grid.n" if grid_scale == 1.0 else "grid.n times --grid-scale"
         grid = make_grid(cfg["space_dim"], g["r_max"], node_count(g["n"] * grid_scale, key))
@@ -330,9 +360,9 @@ def check_potential_on_grid(pot, grid) -> None:
     require_increasing(grid.r, q, pot.r0)
 
 
-def build_nonlinearity(block: dict):
-    """The profile a ``nonlinearity`` block describes."""
-    kind = block["kind"]
+def build_nonlinearity(block: dict, name: str):
+    """The profile a ``nonlinearity`` block describes; name is its config key."""
+    kind = _block_kind(block, name, "nonlinearity")
     if kind == "constant":
         if "g" not in block:
             raise MalformedInput("constant nonlinearity needs 'g'")
@@ -348,7 +378,7 @@ def build_f(cfg: dict, spectrum) -> np.ndarray:
     block = cfg.get("f")
     if block is None:
         raise MalformedInput("linear mode needs an 'f' block")
-    kind = block["kind"]
+    kind = _block_kind(block, "f", "f")
     phi = spectrum.phi
     if kind == "phi":
         return phi.copy()
@@ -656,7 +686,7 @@ def _fixed_point_cells(rep) -> dict:
 def _semilinear_setup(cfg, spectrum, w):
     if "nonlinearity" not in cfg:
         raise MalformedInput("semilinear mode needs a 'nonlinearity' block")
-    nl = build_nonlinearity(cfg["nonlinearity"])
+    nl = build_nonlinearity(cfg["nonlinearity"], "nonlinearity")
     validate_nonlinearity(nl, spectrum.op.grid.r)
     lam = spectrum.Lambda
     two_start, start, kwargs = _solver_controls(cfg)
@@ -686,7 +716,7 @@ def _system_setup(cfg, spectrum, w):
     m = analyze_matrix(mspec["a"], mspec["b"], mspec["c"], mspec["d"])
     # without a nonlinearity2 block both components share one profile, validated once
     keys = [key for key in ("nonlinearity", "nonlinearity2") if key in cfg]
-    nls = [build_nonlinearity(cfg[key]) for key in keys]
+    nls = [build_nonlinearity(cfg[key], key) for key in keys]
     for nl in nls:
         validate_nonlinearity(nl, spectrum.op.grid.r)
     nl1, nl2 = nls[0], nls[-1]
@@ -773,6 +803,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # the parser's HelpFormatter and _Section objects point at each other, so
+    # it stays allocated until a collection, and none runs before the run
+    # ends; the young generations hold all of it
+    gc.collect(1)
     try:
         if args.command == "run":
             return cmd_run(args)

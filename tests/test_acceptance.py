@@ -231,7 +231,8 @@ def test_criterion_08_system_suite(quart):
         checks.append(rep.violations == 0)
         _, k_prime = inherited_bounds(m, p.kappa, p.k_upper)
         v2_bound = 2.0 * k_prime / (m.xi1 - m.xi2) + 2.0 * w.c0 * k_prime
-        checks.append(x_norm(rep.v2, phi) <= v2_bound)
+        _, v2 = p.matrix.decouple(rep.u1.values, rep.u2.values)
+        checks.append(x_norm(v2, phi) <= v2_bound)
         worst_gap = max(worst_gap, rep.uniqueness.two_start_gap)
 
         lo = solve_system(p, w, lam_star + offset, start="lower")

@@ -1,6 +1,8 @@
 """End-to-end command line tests driven through main() in-process."""
 
+import argparse
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -805,6 +807,38 @@ def test_input_missing_a_required_part_exits_2(tmp_path, capsys, changes, messag
 
 
 @pytest.mark.parametrize(
+    "changes, message",
+    [
+        # each ran and exited 0: an exp potential is e^r whatever its c and s
+        ({"potential": {"kind": "exp", "c": -1.0, "s": 1.5, "path": "nope.csv"}},
+         'potential.c is not read by kind "exp"'),
+        ({"f": {"kind": "phi", "coeff": -7, "path": "nope.csv"}},
+         'f.coeff is not read by kind "phi"'),
+        ({**_SEMILINEAR, "nonlinearity": {"kind": "rational", "kappa": 1.0, "K": 2.0, "s": 0.5}},
+         'nonlinearity.s is not read by kind "rational"'),
+        ({**_SEMILINEAR, "mode": "system", "matrix": {"a": 0.0, "b": 1.0, "c": 4.0, "d": 0.0},
+          "nonlinearity2": {"kind": "constant", "g": 1.0, "kappa": 1.0, "K": 2.0}},
+         'nonlinearity2.kappa is not read by kind "constant"'),
+        ({"grid": {"r_max": 3.2, "n": 60, "points_per_unit": 5.0, "truncation_factor": 2.0}},
+         "grid.points_per_unit is not read by a grid given by r_max and n"),
+        ({"grid": {"spectral_scale": 10.0, "points_per_unit": 5.0, "n": 60}},
+         "grid.n is not read by a grid given by spectral_scale"),
+    ],
+    ids=[
+        "potential", "f", "nonlinearity", "nonlinearity2", "direct_grid", "spectral_grid",
+    ],
+)
+def test_key_that_its_block_never_reads_exits_2(tmp_path, capsys, changes, message):
+    base = write_config(tmp_path / "base.json", grid={"r_max": 3.2, "n": 60})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_invalid(json.loads(base.read_text()), **changes)))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "tol_x, code", [(1e10, 2), (1.0, 2), (1e-6, 0)], ids=["1e10", "1", "cert_slack"]
 )
 def test_solver_tol_x_above_the_certificate_slack_exits_2(tmp_path, capsys, tol_x, code):
@@ -990,6 +1024,44 @@ def test_dump_memory_is_bounded_by_the_chunk_not_the_grid(tmp_path):
     for path in dumps:
         with open(path) as handle:
             assert sum(1 for _ in handle) == length + 1
+
+
+def test_numerical_stages_start_without_the_parsers_garbage(tmp_path, monkeypatch):
+    # argparse's parser holds reference cycles (HelpFormatter <-> _Section),
+    # so once parse_args returns it stays allocated until a collection runs,
+    # and none runs before a run ends: about 16 KB under every peak while
+    # main() did not collect the young generations after parsing.  At the
+    # spectrum's entry a young collection must free (almost) nothing of
+    # argparse's.  A full one would also return free-list blocks that
+    # argparse and jsonschema allocated, which no program change removes.
+    argparse_only = [tracemalloc.Filter(True, argparse.__file__)]
+
+    def argparse_bytes() -> int:
+        traces = tracemalloc.take_snapshot().filter_traces(argparse_only)
+        return sum(stat.size for stat in traces.statistics("filename"))
+
+    freed: list[int] = []
+    summarize = experiment_cli.summarize_spectrum
+
+    def probe(*args, **kwargs):
+        before = argparse_bytes()
+        gc.collect(1)
+        freed.append(before - argparse_bytes())
+        return summarize(*args, **kwargs)
+
+    monkeypatch.setattr(experiment_cli, "summarize_spectrum", probe)
+    cfg = write_offsets_config(tmp_path / "cfg.json", mu_offsets=[-0.1, 0.05])
+    tracing = tracemalloc.is_tracing()
+    gc.collect()  # the suite's own garbage; counts start from zero
+    if not tracing:
+        tracemalloc.start()
+    try:
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(freed) == 1
+    assert freed[0] < 1024
 
 
 def test_sweep_csv_matches_the_csv_writer(tmp_path):
