@@ -7,16 +7,19 @@ shifts mu + xi1 and mu + xi2.  The system inherits the scalar picture
 with Lambda replaced by Lambda* = Lambda - xi1 and phi replaced by the
 vector groundstate Y*phi: near Lambda* the iteration stays in a rectangle
 of groundstate multiples componentwise, the dominant diagonalized
-component v1 blows up like 1/(Lambda* - mu), and v2 stays bounded (a
-report keeps v2's X-norm only).  The rectangle is a Bracket, the scalar
-solve's order interval with 2 x n edges, one row per component, and a
-sweep that leaves it at too many nodes raises the scalar BracketEscape.  The
-iterates lie in the rectangle by clipping, so a solve is certified on
-the image T(U) of its limit: T(U) may leave the rectangle at no node by
-more than the certificate slack (semilinear_solver.outside_count), which
-fails for a limit of clip(T) that is not a fixed point of T.  Inside the
-window the rectangle has the branch sign (kappa' > 0), so that check is
-the whole GSP/GSN certificate.  The iteration is the scalar one
+component v1 blows up like 1/(Lambda* - mu), and v2 stays bounded.  A
+solve returns the scalar solve's FixedPointReport with the components
+u1, u2 as its solution and v2's X-norm (no decoupled array), and
+system_two_start runs the scalar two_start.  The rectangle is a
+Bracket, the scalar solve's order interval with 2 x n edges, one row per
+component, and a sweep that leaves it at too many nodes raises the
+scalar BracketEscape.  The iterates lie in the rectangle by clipping, so
+a solve is certified on the image T(U) of its limit: T(U) may leave the
+rectangle at no node by more than the certificate slack
+(semilinear_solver.outside_count), which fails for a limit of clip(T)
+that is not a fixed point of T.  Inside the window the rectangle has the
+branch sign (kappa' > 0), so that check is the whole GSP/GSN
+certificate.  The iteration is the scalar one
 (semilinear_solver.clipped_fixed_point): verified Picard sweeps around
 Newton steps, here block Gauss-Seidel steps that solve the decoupled
 Jacobian L - mu - xi_i - M_ii once per component, M = P^{-1} D P with D
@@ -45,14 +48,21 @@ rectangle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisViolated, NotCooperative, SingularResolvent, WindowViolation
-from .groundstate_space import GroundstateVector, WindowEstimate, decompose, x_distance, x_norm
-from .semilinear_solver import Bracket, Nonlinearity, UniquenessDiagnostics, clipped_fixed_point
-from .semilinear_solver import _ratio_forms
+from .groundstate_space import WindowEstimate, x_norm
+from .semilinear_solver import (
+    Bracket,
+    FixedPointReport,
+    Nonlinearity,
+    _ratio_forms,
+    clipped_fixed_point,
+    fixed_point_report,
+    two_start,
+)
 from .spectral import DiscreteOperator, SpectrumSummary
 
 WINDOW_RULE_SYSTEM = "min(delta0, kappa'/(2*c0*K'), (xi1-xi2)/2, lambda2-Lambda)"
@@ -191,8 +201,9 @@ def system_problem(
     for i in range(2):
         resid = m.y[i] * lphi - (arr[i, 0] * m.y[0] + arr[i, 1] * m.y[1]) * phi \
             - lam_star * m.y[i] * phi
-        # measured in units of scale: resid**2 can overflow where resid does not
-        if op.grid.norm(resid / scale) > (1e-8 + floor / scale) * m.y[i]:
+        # measured in units of scale*y[i], one division at a time (their
+        # product can overflow): resid**2 can overflow where resid does not
+        if op.grid.norm(resid / scale / m.y[i]) > 1e-8 + floor / scale:
             raise SingularResolvent("system groundstate identity failed; data inconsistent")
     kappa = min(nl1.kappa, nl2.kappa)
     k_upper = max(nl1.k_upper, nl2.k_upper)
@@ -307,38 +318,6 @@ def _system_newton(p: SystemProblem, mu: float, u: np.ndarray) -> np.ndarray | N
     return m.recouple(w1, w2)
 
 
-@dataclass(frozen=True)
-class SystemReport:
-    """Outcome of one system solve.
-
-    u1/u2 are the physical components (decomposed against phi); of their
-    diagonalized pair matrix.decouple(u1.values, u2.values), v1 carries the
-    blow-up and v2 is bounded: v2_xnorm, the X-norm of v2 in the image
-    T(U) of the limit, is at most v2_bound.  bound_lo/bound_hi are the
-    rectangle's ratio edges (Bracket) and xnorm_bound = max(|bound_lo|,
-    |bound_hi|) the largest |u_i|/phi it admits.  certified records that
-    T(U) leaves the rectangle at no node (FixedPoint.outside_at_limit ==
-    0); the rectangle has the branch sign inside the window, so this is
-    what GSP/GSN mean for systems.
-    """
-
-    u1: GroundstateVector
-    u2: GroundstateVector
-    iterations: int
-    residual_x: float
-    violations: int
-    branch: str
-    bound_lo: float
-    bound_hi: float
-    xnorm_bound: float
-    v2_xnorm: float
-    v2_bound: float
-    certified: bool
-    min_ratio: np.ndarray
-    max_ratio: np.ndarray
-    uniqueness: UniquenessDiagnostics | None = None
-
-
 def solve_system(
     p: SystemProblem,
     w: WindowEstimate,
@@ -347,7 +326,7 @@ def solve_system(
     max_iter: int = 500,
     tol_x: float = 1e-9,
     start: str = "lower",
-) -> SystemReport:
+) -> FixedPointReport:
     """Clipped rectangle iteration for the cooperative system at shift mu.
 
     Runs clipped_fixed_point on the 2 x n iterate from the requested
@@ -372,36 +351,22 @@ def solve_system(
         raise WindowViolation(
             f"|Lambda* - mu| = {dist:.6g} outside the certified window {window:.6g}"
         )
-    op, phi = p.spectrum.op, p.spectrum.phi
+    phi = p.spectrum.phi
     bracket = rectangle(p, mu)
     fp = clipped_fixed_point(
         lambda u: _system_sweep(p, mu, u),
         lambda u: _system_newton(p, mu, u),
         bracket, bracket.end(start), phi, damping, max_iter, tol_x,
     )
-    u = fp.u
-
     _, kup = inherited_bounds(p.matrix, p.kappa, p.k_upper)
-    ratios = u / phi[None, :]
-    min_ratio = ratios.min(axis=1)
-    max_ratio = ratios.max(axis=1)
-    return SystemReport(
-        u1=decompose(u[0], phi, op.grid.quad_weights),
-        u2=decompose(u[1], phi, op.grid.quad_weights),
-        iterations=fp.iterations,
-        residual_x=fp.residual_x,
-        violations=fp.violations,
-        branch=bracket.kind,
-        bound_lo=bracket.bound_lo,
-        bound_hi=bracket.bound_hi,
+    return fixed_point_report(
+        p.spectrum, bracket, fp,
         # lo <= hi in every component, so no edge is larger in size than both ends
         xnorm_bound=max(abs(bracket.bound_lo), abs(bracket.bound_hi)),
+        certified=fp.outside_at_limit == 0,
         v2_xnorm=x_norm(fp.aux, phi),
         # mu-uniform: inside the window Lambda - (mu + xi2) >= (xi1 - xi2)/2
         v2_bound=2.0 * kup / (p.matrix.xi1 - p.matrix.xi2) + 2.0 * w.c0 * kup,
-        certified=fp.outside_at_limit == 0,
-        min_ratio=min_ratio,
-        max_ratio=max_ratio,
     )
 
 
@@ -434,17 +399,16 @@ def system_two_start(
     damping: float = 0.5,
     max_iter: int = 500,
     tol_x: float = 1e-9,
-) -> SystemReport:
-    """Solve from both rectangle corners and attach uniqueness diagnostics."""
-    lo = solve_system(p, w, mu, damping=damping, max_iter=max_iter, tol_x=tol_x, start="lower")
-    hi = solve_system(p, w, mu, damping=damping, max_iter=max_iter, tol_x=tol_x, start="upper")
-    phi = p.spectrum.phi
-    gap = max(
-        x_distance(hi.u1.values, lo.u1.values, phi),
-        x_distance(hi.u2.values, lo.u2.values, phi),
+) -> FixedPointReport:
+    """two_start of solve_system, with the coupled form T1 of the pair.
+
+    brezis_oswald_residual is coupled_uniqueness_check's T1 of the two
+    limits, and two_start_gap the larger X-distance of their components.
+    """
+    return two_start(
+        lambda start: solve_system(
+            p, w, mu, damping=damping, max_iter=max_iter, tol_x=tol_x, start=start,
+        ),
+        lambda lower, upper: coupled_uniqueness_check(p.spectrum.op, lower, upper, p.matrix),
+        p.spectrum.phi,
     )
-    t1 = coupled_uniqueness_check(
-        p.spectrum.op, (lo.u1.values, lo.u2.values), (hi.u1.values, hi.u2.values), p.matrix
-    )
-    diag = UniquenessDiagnostics(two_start_gap=gap, brezis_oswald_residual=t1)
-    return replace(lo, uniqueness=diag)

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import hashlib
 import json
 import math
@@ -666,10 +665,18 @@ def _solver_controls(cfg: dict) -> tuple[bool, str, dict]:
 
 
 def _fixed_point_cells(rep) -> dict:
-    """Cells a semilinear or system report fills the same way, the bracket's edges included."""
+    """Every cell of a semilinear or system row, from its FixedPointReport.
+
+    u1_component is the first component's phi coefficient and x_norm the
+    largest X-norm of a component.
+    """
     diag = rep.uniqueness
     return dict(
         branch=rep.branch,
+        u1_component=rep.solution[0].c1,
+        min_ratio=rep.min_ratio,
+        max_ratio=rep.max_ratio,
+        x_norm=max(v.x_norm for v in rep.solution),
         bound_lo=rep.bound_lo,
         bound_hi=rep.bound_hi,
         xnorm_bound=rep.xnorm_bound,
@@ -680,6 +687,8 @@ def _fixed_point_cells(rep) -> dict:
         violations=rep.violations,
         two_start_gap="" if diag is None else diag.two_start_gap,
         bo_residual="" if diag is None else diag.brezis_oswald_residual,
+        v2_xnorm=rep.v2_xnorm,
+        v2_bound=rep.v2_bound,
     )
 
 
@@ -696,14 +705,7 @@ def _semilinear_setup(cfg, spectrum, w):
             rep = two_start_diagnostics(spectrum, w, nl, mu, **kwargs)
         else:
             rep = solve_semilinear(spectrum, w, nl, mu, start=start, **kwargs)
-        cells = dict(
-            _fixed_point_cells(rep),
-            u1_component=rep.solution.c1,
-            min_ratio=rep.min_ratio,
-            max_ratio=rep.max_ratio,
-            x_norm=rep.solution.x_norm,
-        )
-        return cells, [rep.solution.values]
+        return _fixed_point_cells(rep), [v.values for v in rep.solution]
 
     meta = {"window": window_semilinear(nl, w), "window_rule": WINDOW_RULE_SEMILINEAR}
     return lam, meta, ["u"], row_at
@@ -728,16 +730,7 @@ def _system_setup(cfg, spectrum, w):
             rep = system_two_start(p, w, mu, **kwargs)
         else:
             rep = solve_system(p, w, mu, start=start, **kwargs)
-        cells = dict(
-            _fixed_point_cells(rep),
-            u1_component=rep.u1.c1,
-            min_ratio=float(np.min(rep.min_ratio)),
-            max_ratio=float(np.max(rep.max_ratio)),
-            x_norm=max(rep.u1.x_norm, rep.u2.x_norm),
-            v2_xnorm=rep.v2_xnorm,
-            v2_bound=rep.v2_bound,
-        )
-        return cells, [rep.u1.values, rep.u2.values]
+        return _fixed_point_cells(rep), [v.values for v in rep.solution]
 
     kp, kup = inherited_bounds(m, p.kappa, p.k_upper)
     meta = {
@@ -801,12 +794,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: built once, at import: a parser built per call is garbage held in reference
+#: cycles (HelpFormatter <-> _Section) that no collection frees before the run ends
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # the parser's HelpFormatter and _Section objects point at each other, so
-    # it stays allocated until a collection, and none runs before the run
-    # ends; the young generations hold all of it
-    gc.collect(1)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "run":
             return cmd_run(args)

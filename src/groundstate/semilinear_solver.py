@@ -29,6 +29,12 @@ kappa > 0 and T(u) leaves the bracket at no node by more than CERT_SLACK
 of the larger edge there (outside_count).  A limit of clip(T) that is not
 a fixed point of T fails that check.
 
+Scalar and system solves (coop_system) return one FixedPointReport, whose
+solution holds one decomposed component per row of the iterate, and share
+one two-start driver (two_start): a solve from each bracket end, the
+largest X-distance between the limits' components, and the uniqueness
+form of the pair.
+
 A discrete Brezis-Oswald identity gives a uniqueness diagnostic: for two
 positive candidates the quadratic form
 quadrature((Lu/u - Lv/v)(u^2 - v^2)) agrees, to second order in the grid
@@ -286,22 +292,30 @@ class UniquenessDiagnostics:
 
 
 @dataclass(frozen=True)
-class SemilinearReport:
-    """Everything one semilinear solve produced.
+class FixedPointReport:
+    """Everything one semilinear or system solve produced.
 
-    bound_lo/bound_hi are the bracket's ratio edges (Bracket.bound_lo and
-    bound_hi), the smaller and the larger of kappa/(Lambda-mu) and
-    K/(Lambda-mu).  The branch certificate value kappa/(Lambda-mu) is
-    bound_lo on MP (positive) and bound_hi on AMP (negative).  certified
-    records that kappa > 0 and that the image T(u) of the solution leaves
-    the bracket at no node (outside_count), so the certificate holds for
-    T(u) = u, not only for the clipped iterate; it is False when kappa <= 0.
-    xnorm_bound is the blow-up envelope K/|Lambda-mu| + 2*c0*K.
-    solution_upper is filled by drivers that run a second iteration from
+    solution holds the limit's components decomposed against phi: one
+    GroundstateVector for a scalar solve, u1 and u2 for a 2x2 system;
+    min_ratio and max_ratio are the smallest and the largest u_i/phi over
+    all components.  bound_lo/bound_hi are the bracket's ratio edges
+    (Bracket.bound_lo and bound_hi); for a scalar solve they are the
+    smaller and the larger of kappa/(Lambda-mu) and K/(Lambda-mu), so the
+    branch certificate value kappa/(Lambda-mu) is bound_lo on MP
+    (positive) and bound_hi on AMP (negative).  certified records that
+    the image T(u) of the limit leaves the bracket at no node
+    (outside_count), so the certificate holds for T(u) = u, not only for
+    the clipped iterate; a scalar solve with kappa <= 0 claims no sign and
+    is never certified.  xnorm_bound is the blow-up envelope
+    K/|Lambda-mu| + 2*c0*K of a scalar solve, and the rectangle's largest
+    |edge| for a system.  A system's v2_xnorm, the X-norm of the bounded
+    diagonalized component v2 in the image T(U) of the limit, is at most
+    v2_bound; both are None for a scalar solve.  two_start fills
+    uniqueness and, in solution_upper, the components of the limit from
     the opposite bracket end.
     """
 
-    solution: GroundstateVector
+    solution: tuple[GroundstateVector, ...]
     iterations: int
     residual_x: float
     violations: int
@@ -312,8 +326,10 @@ class SemilinearReport:
     certified: bool
     min_ratio: float
     max_ratio: float
+    v2_xnorm: float | None = None
+    v2_bound: float | None = None
     uniqueness: UniquenessDiagnostics | None = None
-    solution_upper: GroundstateVector | None = None
+    solution_upper: tuple[GroundstateVector, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -505,7 +521,7 @@ def solve_semilinear(
     damping: float = 0.5,
     max_iter: int = 500,
     tol_x: float = 1e-9,
-) -> SemilinearReport:
+) -> FixedPointReport:
     """Clipped fixed-point iteration of T inside the bracket.
 
     Runs clipped_fixed_point on the scalar iterate from the requested
@@ -536,47 +552,42 @@ def solve_semilinear(
         lambda u: _scalar_newton(spectrum, nl, mu, u),
         bracket, bracket.end(start), spectrum.phi, damping, max_iter, tol_x,
     )
-    return _finish_report(
-        spectrum, w, nl, mu, fp.u, bracket,
-        iterations=fp.iterations,
-        residual_x=fp.residual_x,
-        violations=fp.violations,
-        outside=fp.outside_at_limit,
+    return fixed_point_report(
+        spectrum, bracket, fp,
+        xnorm_bound=nl.k_upper / abs(lam - mu) + 2.0 * w.c0 * nl.k_upper,
+        certified=nl.kappa > 0.0 and fp.outside_at_limit == 0,
     )
 
 
-def _finish_report(
+def fixed_point_report(
     spectrum: SpectrumSummary,
-    w: WindowEstimate,
-    nl: Nonlinearity,
-    mu: float,
-    u: np.ndarray,
     bracket: Bracket,
-    iterations: int,
-    residual_x: float,
-    violations: int,
-    outside: int,
-) -> SemilinearReport:
-    """Report of a limit u whose image T(u) leaves the bracket at outside nodes.
-
-    One-sided data (kappa <= 0) claim no sign certificate.
-    """
+    fp: FixedPoint,
+    *,
+    xnorm_bound: float,
+    certified: bool,
+    v2_xnorm: float | None = None,
+    v2_bound: float | None = None,
+) -> FixedPointReport:
+    """The report of the limit fp.u: one component per row of u, a scalar (n,) being one row."""
     phi = spectrum.phi
-    ratio = u / phi
-    min_ratio, max_ratio = float(ratio.min()), float(ratio.max())
-    xnorm_bound = nl.k_upper / abs(spectrum.Lambda - mu) + 2.0 * w.c0 * nl.k_upper
-    return SemilinearReport(
-        solution=decompose(u, phi, spectrum.op.grid.quad_weights),
-        iterations=iterations,
-        residual_x=residual_x,
-        violations=violations,
+    ratio = fp.u / phi
+    return FixedPointReport(
+        solution=tuple(
+            decompose(u, phi, spectrum.op.grid.quad_weights) for u in np.atleast_2d(fp.u)
+        ),
+        iterations=fp.iterations,
+        residual_x=fp.residual_x,
+        violations=fp.violations,
         xnorm_bound=xnorm_bound,
         branch=bracket.kind,
         bound_lo=bracket.bound_lo,
         bound_hi=bracket.bound_hi,
-        certified=nl.kappa > 0.0 and outside == 0,
-        min_ratio=min_ratio,
-        max_ratio=max_ratio,
+        certified=certified,
+        min_ratio=float(ratio.min()),
+        max_ratio=float(ratio.max()),
+        v2_xnorm=v2_xnorm,
+        v2_bound=v2_bound,
     )
 
 
@@ -615,6 +626,26 @@ def brezis_oswald_check(op: DiscreteOperator, u: np.ndarray, v: np.ndarray) -> f
     return form
 
 
+def two_start(
+    solve: Callable[[str], FixedPointReport],
+    form: Callable[[tuple, tuple], float],
+    phi: np.ndarray,
+) -> FixedPointReport:
+    """Solve from both bracket ends and attach the uniqueness diagnostics of the two limits.
+
+    solve(start) is one solve from the "lower" or the "upper" end.
+    two_start_gap is the largest X-distance between matching components
+    of the two limits; form(lower, upper), given the component arrays of
+    each limit, is their uniqueness form.  The report is the lower
+    start's, with the upper limit in solution_upper.
+    """
+    lo, hi = solve("lower"), solve("upper")
+    gap = max(x_distance(b.values, a.values, phi) for a, b in zip(lo.solution, hi.solution))
+    lower, upper = (tuple(v.values for v in rep.solution) for rep in (lo, hi))
+    diag = UniquenessDiagnostics(two_start_gap=gap, brezis_oswald_residual=form(lower, upper))
+    return replace(lo, uniqueness=diag, solution_upper=hi.solution)
+
+
 def two_start_diagnostics(
     spectrum: SpectrumSummary,
     w: WindowEstimate,
@@ -623,24 +654,18 @@ def two_start_diagnostics(
     damping: float = 0.5,
     max_iter: int = 500,
     tol_x: float = 1e-9,
-) -> SemilinearReport:
-    """Solve from both bracket ends and attach uniqueness diagnostics.
+) -> FixedPointReport:
+    """two_start of solve_semilinear, with the Brezis-Oswald form of the pair.
 
-    two_start_gap is the X-distance between the two limits;
-    brezis_oswald_residual is the Brezis-Oswald form T of the pair
-    (brezis_oswald_check), which is near 0 when the limits coincide (a
+    brezis_oswald_residual is the form T of the two limits
+    (brezis_oswald_check), which is near 0 when they coincide (a
     uniqueness indicator only when the decreasing-ratio hypothesis holds,
     which validate_nonlinearity checks on a sample lattice).
     """
-    lo = solve_semilinear(
-        spectrum, w, nl, mu, start="lower",
-        damping=damping, max_iter=max_iter, tol_x=tol_x,
+    return two_start(
+        lambda start: solve_semilinear(
+            spectrum, w, nl, mu, start=start, damping=damping, max_iter=max_iter, tol_x=tol_x,
+        ),
+        lambda lower, upper: brezis_oswald_check(spectrum.op, lower[0], upper[0]),
+        spectrum.phi,
     )
-    hi = solve_semilinear(
-        spectrum, w, nl, mu, start="upper",
-        damping=damping, max_iter=max_iter, tol_x=tol_x,
-    )
-    gap = x_distance(hi.solution.values, lo.solution.values, spectrum.phi)
-    form = brezis_oswald_check(spectrum.op, lo.solution.values, hi.solution.values)
-    diag = UniquenessDiagnostics(two_start_gap=gap, brezis_oswald_residual=form)
-    return replace(lo, uniqueness=diag, solution_upper=hi.solution)

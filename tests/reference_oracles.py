@@ -5,8 +5,8 @@ an oracle cannot drift into sharing code with the path it checks.
 
 * ``monotone_solve`` -- classical monotone iteration from the bracket
   endpoints, a cross-check of solve_semilinear's clipped Newton iteration
-  (it reuses make_bracket, apply_T, outside_count and _finish_report from
-  semilinear_solver, so that its report reads like a run's);
+  (it reuses make_bracket, apply_T, outside_count and fixed_point_report
+  from semilinear_solver, so that its report reads like a run's);
 * ``block_solve`` -- a direct pentadiagonal solve of a 2x2 system without
   diagonalizing, a cross-check of solve_system;
 * ``eigenpairs`` -- the first k eigenvalues with their eigenfunctions,
@@ -29,11 +29,11 @@ from scipy.linalg import solve_banded
 from groundstate import (
     CoopMatrix,
     DiscreteOperator,
+    FixedPointReport,
     Grid,
     GroundstateError,
     Nonlinearity,
     RadialPotential,
-    SemilinearReport,
     SpectrumSummary,
     UniquenessDiagnostics,
     WindowEstimate,
@@ -45,7 +45,13 @@ from groundstate import (
 from groundstate import semilinear_solver
 from groundstate.errors import MalformedInput, NoConvergence, SingularResolvent, WindowViolation
 from groundstate.groundstate_space import CERT_SLACK
-from groundstate.semilinear_solver import Bracket, _finish_report, make_bracket, outside_count
+from groundstate.semilinear_solver import (
+    Bracket,
+    FixedPoint,
+    fixed_point_report,
+    make_bracket,
+    outside_count,
+)
 from groundstate.spectral import eigenfunctions
 
 
@@ -77,7 +83,7 @@ def monotone_solve(
     shift: float | None = None,
     max_iter: int = 2000,
     tol_x: float = 1e-10,
-) -> SemilinearReport:
+) -> FixedPointReport:
     """Monotone iteration u_{k+1} = (L - mu + M)^{-1}(f(u_k) + M u_k).
 
     Needs mu < Lambda: the bracket endpoints are then genuine sub- and
@@ -124,17 +130,20 @@ def monotone_solve(
     # looked up on the module, so that a test patching semilinear_solver.apply_T reaches it
     t = semilinear_solver.apply_T(spectrum, nl, mu, lower_limit)
     gap = x_norm(upper_limit - lower_limit, phi)
-    report = _finish_report(
-        spectrum, w, nl, mu, lower_limit, bracket,
-        iterations=total_iters,
-        residual_x=x_norm(lower_limit - t, phi),
-        violations=0,
-        outside=outside_count(t, bracket.lower, bracket.upper),
+    outside = outside_count(t, bracket.lower, bracket.upper)
+    fp = FixedPoint(
+        u=lower_limit, iterations=total_iters, residual_x=x_norm(lower_limit - t, phi),
+        violations=0, aux=None, undamped_sweeps=total_iters, outside_at_limit=outside,
+    )
+    report = fixed_point_report(
+        spectrum, bracket, fp,
+        xnorm_bound=nl.k_upper / abs(lam - mu) + 2.0 * w.c0 * nl.k_upper,
+        certified=nl.kappa > 0.0 and outside == 0,
     )
     return replace(
         report,
         uniqueness=UniquenessDiagnostics(two_start_gap=gap, brezis_oswald_residual=None),
-        solution_upper=decompose(upper_limit, phi, op.grid.quad_weights),
+        solution_upper=(decompose(upper_limit, phi, op.grid.quad_weights),),
     )
 
 

@@ -135,7 +135,7 @@ def test_criterion_04_semilinear_suite(quart):
         checks.append(rep.branch == side)
         checks.append(rep.iterations < 500)
         checks.append(rep.violations == 0)
-        checks.append(x_norm(rep.solution.values, phi) <= bound * (1.0 + 1e-3))
+        checks.append(x_norm(rep.solution[0].values, phi) <= bound * (1.0 + 1e-3))
         if side == "MP":
             gsp = rep.min_ratio
             checks.append(gsp >= 10.0 * (1.0 - 1e-6))
@@ -157,11 +157,11 @@ def test_criterion_05_uniqueness_diagnostics(quart):
     gap = two.uniqueness.two_start_gap
 
     mono = monotone_solve(spectrum, w, nl, mu)
-    diff = mono.solution_upper.values - mono.solution.values
-    ordered = float(diff.min()) >= -1e-10 * float(np.max(np.abs(mono.solution.values)))
+    diff = mono.solution_upper[0].values - mono.solution[0].values
+    ordered = float(diff.min()) >= -1e-10 * float(np.max(np.abs(mono.solution[0].values)))
 
     t_lhs, identity_gap = brezis_oswald_identity(
-        op, two.solution.values, two.solution_upper.values
+        op, two.solution[0].values, two.solution_upper[0].values
     )
     rhs = t_lhs - identity_gap
     bo_ok = abs(t_lhs) <= 1e-8 and abs(rhs) <= 1e-8
@@ -208,8 +208,8 @@ def test_criterion_07_system_principal_direction(quart):
     # constant profiles (1, 2) make F = Y phi exactly
     p = system_problem(spectrum, m, constant_profile(1.0), constant_profile(2.0))
     rep = solve_system(p, w, spectrum.Lambda - m.xi1 - 0.1)
-    err1 = x_norm(rep.u1.values - 10.0 * m.y[0] * phi, phi)
-    err2 = x_norm(rep.u2.values - 10.0 * m.y[1] * phi, phi)
+    err1 = x_norm(rep.solution[0].values - 10.0 * m.y[0] * phi, phi)
+    err2 = x_norm(rep.solution[1].values - 10.0 * m.y[1] * phi, phi)
     ok = err1 <= 1e-6 and err2 <= 1e-6
     verdict(7, ok, f"||U - 10 Y phi||_X componentwise = ({err1:.3g}, {err2:.3g})")
 
@@ -231,13 +231,13 @@ def test_criterion_08_system_suite(quart):
         checks.append(rep.violations == 0)
         _, k_prime = inherited_bounds(m, p.kappa, p.k_upper)
         v2_bound = 2.0 * k_prime / (m.xi1 - m.xi2) + 2.0 * w.c0 * k_prime
-        _, v2 = p.matrix.decouple(rep.u1.values, rep.u2.values)
+        _, v2 = p.matrix.decouple(rep.solution[0].values, rep.solution[1].values)
         checks.append(x_norm(v2, phi) <= v2_bound)
         worst_gap = max(worst_gap, rep.uniqueness.two_start_gap)
 
         lo = solve_system(p, w, lam_star + offset, start="lower")
         hi = solve_system(p, w, lam_star + offset, start="upper")
-        lo_pair, hi_pair = (lo.u1.values, lo.u2.values), (hi.u1.values, hi.u2.values)
+        lo_pair, hi_pair = (tuple(v.values for v in rep.solution) for rep in (lo, hi))
         coupled_uniqueness_check(op, lo_pair, hi_pair, m)  # raises when T1 < -1e-8
         cross, _ = coupled_cross_terms(op, lo_pair, hi_pair)
         worst_cross = max(worst_cross, cross)
@@ -261,8 +261,8 @@ def test_criterion_09_diagonalization_crosscheck(quart):
     p = system_problem(spectrum, m, constant_profile(1.0), constant_profile(3.0))
     rep = solve_system(p, w, mu, tol_x=1e-10)
     u1, u2 = block_solve(op, m, mu, phi, 3.0 * phi)
-    err1 = x_norm(rep.u1.values - u1, phi)
-    err2 = x_norm(rep.u2.values - u2, phi)
+    err1 = x_norm(rep.solution[0].values - u1, phi)
+    err2 = x_norm(rep.solution[1].values - u2, phi)
     ok = err1 <= 1e-8 and err2 <= 1e-8
     verdict(9, ok, f"X-norm disagreement vs block solve = ({err1:.3g}, {err2:.3g})")
 

@@ -675,6 +675,25 @@ def test_linalg_error_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_huge_coupling_fails_the_window_without_an_overflow_warning(tmp_path, capsys):
+    # y = (1e300, 1e-10): the vector groundstate identity holds, but the
+    # residual of its first row is ~1e288, whose square overflowed in Grid.norm
+    cfg = write_offsets_config(
+        tmp_path / "cfg.json",
+        mode="system",
+        grid={"r_max": 3.2, "n": 120},
+        nonlinearity={"kind": "rational", "kappa": 1.0, "K": 2.0},
+        matrix={"a": 0.0, "b": 1e300, "c": 1e-320, "d": 0.0},
+        mu_offsets=[-0.05, 0.05],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: |Lambda* - mu|")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "grid, flags, key",
     [
@@ -727,6 +746,37 @@ def test_zero_width_rectangle_run_is_certified(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     rows = read_rows(tmp_path / "out" / "sweep.csv")
     assert [(r["certified"], r["violations"]) for r in rows] == [("1", "0")] * 2
+
+
+def _found_43(reason: str):
+    return pytest.mark.xfail(strict=True, reason=f"FOUND 43, {reason}; ROADMAP item 2")
+
+
+@pytest.mark.parametrize(
+    "c, s, space_dim, n, g, offset",
+    [
+        pytest.param(4.229, 5.987, 1, 209, 0.6608, 0.1688, marks=_found_43("first draw")),
+        # the offset is 0.184 of the 1.3156 window
+        pytest.param(3.216, 5.823, 3, 239, 1.11, 0.242077, marks=_found_43("second draw")),
+    ],
+    ids=["N1", "N3"],
+)
+def test_constant_profile_rows_are_certified(tmp_path, c, s, space_dim, n, g, offset):
+    # g constant gives u = g*phi/(Lambda - mu) exactly, yet both rows end
+    # uncertified: the image leaves the zero-width bracket at the last one
+    # to four nodes, where phi/max phi is 1.5e-26 or less and phi's tail is
+    # inaccurate
+    cfg = write_offsets_config(
+        tmp_path / "cfg.json",
+        mode="semilinear",
+        space_dim=space_dim,
+        potential={"kind": "power", "c": c, "s": s},
+        grid={"r_max": 4.0, "n": n},
+        nonlinearity={"kind": "constant", "g": g},
+        mu_offsets=[-offset, offset],
+        require_certificates=True,
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_f_table_without_rows_exits_2(tmp_path, capsys):

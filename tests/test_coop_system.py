@@ -27,6 +27,7 @@ from groundstate import (
     summarize_spectrum,
     system_problem,
     system_two_start,
+    two_start_diagnostics,
     window_system,
     x_norm,
 )
@@ -40,6 +41,7 @@ from groundstate.errors import (
     WindowViolation,
 )
 from groundstate import coop_system, spectral
+from groundstate.groundstate_space import x_distance
 from groundstate.semilinear_solver import Nonlinearity
 
 POT = RadialPotential(lambda r: 1.0 + r**4, name="quartic3d")
@@ -204,13 +206,13 @@ def test_constant_profiles_give_eigenvector_multiple(ctx):
     assert rep.violations == 0
     assert rep.certified
     # F = Y*phi exactly, so U = Y*phi/0.1 and the second mode is silent
-    assert x_norm(rep.u1.values - 10.0 * phi, phi) <= 1e-6
-    assert x_norm(rep.u2.values - 20.0 * phi, phi) <= 1e-6
-    _, v2 = p.matrix.decouple(rep.u1.values, rep.u2.values)
+    assert x_norm(rep.solution[0].values - 10.0 * phi, phi) <= 1e-6
+    assert x_norm(rep.solution[1].values - 20.0 * phi, phi) <= 1e-6
+    _, v2 = p.matrix.decouple(rep.solution[0].values, rep.solution[1].values)
     assert x_norm(v2, phi) <= 1e-9
     assert rep.v2_xnorm <= rep.v2_bound
-    assert rep.u1.c1 == pytest.approx(10.0, rel=1e-7)
-    assert rep.u2.c1 == pytest.approx(20.0, rel=1e-7)
+    assert rep.solution[0].c1 == pytest.approx(10.0, rel=1e-7)
+    assert rep.solution[1].c1 == pytest.approx(20.0, rel=1e-7)
 
 
 def test_rational_system_both_branches(ctx):
@@ -224,21 +226,23 @@ def test_rational_system_both_branches(ctx):
     assert lo.certified
     assert lo.iterations < 500
     edge_lo = (rectangle(p_lo, mu_lo).lower / phi).min(axis=1)  # lo_i of each component
-    assert np.all(lo.min_ratio >= edge_lo * (1.0 - 1e-6))
+    ratios = np.array([v.values for v in lo.solution]) / phi
+    assert np.all(ratios.min(axis=1) >= edge_lo * (1.0 - 1e-6))
 
     p_hi, _, mu_hi = make_problem(ctx, nl, nl, +0.05)
     hi = solve_system(p_hi, w, mu_hi)
     assert hi.branch == "AMP"
     assert hi.certified
     edge_hi = (rectangle(p_hi, mu_hi).upper / phi).max(axis=1)  # hi_i of each component
-    assert np.all(hi.max_ratio <= edge_hi * (1.0 - 1e-6))
+    ratios = np.array([v.values for v in hi.solution]) / phi
+    assert np.all(ratios.max(axis=1) <= edge_hi * (1.0 - 1e-6))
 
     # the dominant diagonalized component carries the blow-up
     for rep, p, mu in ((lo, p_lo, mu_lo), (hi, p_hi, mu_hi)):
         dist = abs(p.lambda_star - mu)
         kappa_prime, k_prime = inherited_bounds(p.matrix, p.kappa, p.k_upper)
         floor = kappa_prime / dist - 2.0 * w.c0 * k_prime
-        v1, v2 = p.matrix.decouple(rep.u1.values, rep.u2.values)
+        v1, v2 = p.matrix.decouple(rep.solution[0].values, rep.solution[1].values)
         assert x_norm(v1, phi) >= floor > 0.0
         assert x_norm(v2, phi) <= rep.v2_bound
 
@@ -268,7 +272,7 @@ def test_row_whose_limit_image_leaves_the_rectangle_is_uncertified(ctx, monkeypa
     for rep in (single, system_two_start(p, w, mu)):
         assert not rep.certified
         assert rep.violations == single.violations
-        assert rep.u1.values[150] <= upper
+        assert rep.solution[0].values[150] <= upper
 
 
 @pytest.mark.parametrize("offset_sign", [-1.0, 1.0], ids=["MP", "AMP"])
@@ -332,7 +336,7 @@ def test_refused_newton_steps_fall_back_to_damped_sweeps(ctx, monkeypatch, offse
     (fp,) = seen
     assert fp.undamped_sweeps == 1 < fp.iterations == got.iterations
     assert got.certified and got.violations == 0
-    for u, v in ((got.u1, want.u1), (got.u2, want.u2)):
+    for u, v in zip(got.solution, want.solution):
         assert x_norm(u.values - v.values, phi) <= 1e-8 * v.x_norm
 
 
@@ -449,9 +453,34 @@ def test_system_two_start_row_holds_the_form_of_its_two_limits(ctx, offset):
     lo = solve_system(p, w, mu, start="lower")
     hi = solve_system(p, w, mu, start="upper")
     t1 = coupled_uniqueness_check(
-        p.spectrum.op, (lo.u1.values, lo.u2.values), (hi.u1.values, hi.u2.values), p.matrix
+        p.spectrum.op,
+        tuple(v.values for v in lo.solution),
+        tuple(v.values for v in hi.solution),
+        p.matrix,
     )
     assert rep.uniqueness.brezis_oswald_residual == t1
+
+
+@pytest.mark.parametrize("offset", [-0.1, 0.05], ids=["MP", "AMP"])
+@pytest.mark.parametrize("mode", ["semilinear", "system"])
+def test_two_start_report_reduces_over_every_component(ctx, mode, offset):
+    # scalar and system rows share one report: its ratio extremes are floats
+    # over all components, it holds both limits, and the gap is the largest
+    # X-distance between matching components of the two limits
+    _, _, spectrum, w = ctx
+    nl = rational_profile(1.0, 2.0)
+    if mode == "system":
+        p, w, mu = make_problem(ctx, nl, nl, offset)
+        rep = system_two_start(p, w, mu)
+    else:
+        rep = two_start_diagnostics(spectrum, w, nl, spectrum.Lambda + offset)
+    phi = spectrum.phi
+    assert len(rep.solution) == len(rep.solution_upper) == (2 if mode == "system" else 1)
+    ratios = np.array([v.values for v in rep.solution]) / phi
+    assert type(rep.min_ratio) is float and rep.min_ratio == ratios.min()
+    assert type(rep.max_ratio) is float and rep.max_ratio == ratios.max()
+    pairs = zip(rep.solution, rep.solution_upper)
+    assert rep.uniqueness.two_start_gap == max(x_distance(b.values, a.values, phi) for a, b in pairs)
 
 
 def test_system_two_start_memory_is_pinned_in_bytes():
@@ -519,10 +548,10 @@ def test_mp_system_limit_solves_the_coupled_problem(
     assert rep.uniqueness.two_start_gap <= 1e-7
 
     phi, r = spectrum.phi, grid.r
-    u1, u2 = rep.u1.values, rep.u2.values
+    u1, u2 = rep.solution[0].values, rep.solution[1].values
     b1, b2 = block_solve(op, m, mu, phi * nl(r, u1), phi * nl(r, u2))
     gap = max(x_norm(b1 - u1, phi), x_norm(b2 - u2, phi))
-    assert gap <= 1e-8 * max(rep.u1.x_norm, rep.u2.x_norm)
+    assert gap <= 1e-8 * max(v.x_norm for v in rep.solution)
 
 
 @settings(max_examples=40)
@@ -584,6 +613,6 @@ def test_system_newton_limit_matches_the_picard_limit(
                 solve_system(p, w, mu, start=start)
             continue
         rep = solve_system(p, w, mu, start=start)
-        for got, want in ((rep.u1, picard.u1), (rep.u2, picard.u2)):
+        for got, want in zip(rep.solution, picard.solution):
             assert x_norm(got.values - want.values, phi) <= 1e-10 * want.x_norm
         assert rep.certified == picard.certified

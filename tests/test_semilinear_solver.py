@@ -265,7 +265,7 @@ def test_mp_solve_is_certified(ctx):
     assert rep.bound_hi == pytest.approx(20.0, rel=1e-9)
     assert rep.min_ratio >= 10.0 * (1.0 - 1e-6)
     assert rep.max_ratio <= 20.0 * (1.0 + 1e-6)
-    assert rep.solution.x_norm <= rep.xnorm_bound
+    assert rep.solution[0].x_norm <= rep.xnorm_bound
 
 
 def test_amp_solve_is_certified(ctx):
@@ -504,7 +504,7 @@ def test_row_whose_limit_image_leaves_the_bracket_is_uncertified(ctx, monkeypatc
     for rep in (single, two_start_diagnostics(spectrum, w, nl, mu)):
         assert not rep.certified
         assert rep.violations == single.violations
-        assert bracket.lower[200] <= rep.solution.values[200] <= bracket.upper[200]
+        assert bracket.lower[200] <= rep.solution[0].values[200] <= bracket.upper[200]
 
 
 def test_escape_message_counts_sweeps_not_newton_steps(ctx, monkeypatch):
@@ -558,7 +558,7 @@ def test_constant_profile_rows_at_n1_stay_certified(n):
         rep = two_start_diagnostics(spectrum, w, nl, mu)
         assert rep.certified
         b = make_bracket(spectrum, nl, mu)
-        t = apply_T(spectrum, nl, mu, rep.solution.values)
+        t = apply_T(spectrum, nl, mu, rep.solution[0].values)
         edge = np.maximum(np.abs(b.lower), np.abs(b.upper))
         excess.append(float(np.max(np.abs(t - np.clip(t, b.lower, b.upper)) / edge)))
     assert max(excess) > semilinear_solver.BRACKET_SLACK
@@ -626,7 +626,7 @@ def test_default_solve_is_certified_in_window(c, s, space_dim, n, kappa, spread,
     assert rep.certified
     assert rep.uniqueness.two_start_gap <= 1e-7
     mono = monotone_solve(spectrum, w, nl, mu)
-    assert x_norm(rep.solution.values - mono.solution.values, phi) <= 1e-8 * mono.solution.x_norm
+    assert x_norm(rep.solution[0].values - mono.solution[0].values, phi) <= 1e-8 * mono.solution[0].x_norm
 
     # On the AMP side the bracket is not invariant (no maximum principle):
     # mostly for N <= 2 the first image T(bracket end) can leave it at more
@@ -686,7 +686,8 @@ def test_newton_limit_matches_the_picard_limit(c, s, space_dim, n, kappa, spread
         return
     rep = two_start_diagnostics(spectrum, w, nl, mu, tol_x=tol_x)
     phi = spectrum.phi
-    for got, want in ((rep.solution, picard.solution), (rep.solution_upper, picard.solution_upper)):
+    limits = (rep.solution + rep.solution_upper, picard.solution + picard.solution_upper)
+    for got, want in zip(*limits):
         assert x_norm(got.values - want.values, phi) <= 1e-10 * want.x_norm
     assert rep.certified == picard.certified
     assert rep.residual_x <= tol_x
@@ -800,9 +801,9 @@ def test_monotone_solve_matches_damped(ctx):
     assert mono.uniqueness.two_start_gap <= 1e-8
     assert mono.solution_upper is not None
     # ordered limits: lower limit sits below upper limit nodewise
-    diff = mono.solution_upper.values - mono.solution.values
-    assert float(diff.min()) >= -1e-10 * float(np.max(np.abs(mono.solution.values)))
-    assert x_norm(mono.solution.values - damped.solution.values, phi) <= 1e-8
+    diff = mono.solution_upper[0].values - mono.solution[0].values
+    assert float(diff.min()) >= -1e-10 * float(np.max(np.abs(mono.solution[0].values)))
+    assert x_norm(mono.solution[0].values - damped.solution[0].values, phi) <= 1e-8
     assert mono.certified
 
 
@@ -881,7 +882,7 @@ def test_two_start_row_holds_the_form_of_its_two_limits(ctx, offset):
     # the bo_residual column is the Brezis-Oswald form of the two limits
     _, op, spectrum, w = ctx
     rep = two_start_diagnostics(spectrum, w, rational_profile(1.0, 2.0), spectrum.Lambda + offset)
-    form = brezis_oswald_check(op, rep.solution.values, rep.solution_upper.values)
+    form = brezis_oswald_check(op, rep.solution[0].values, rep.solution_upper[0].values)
     assert rep.uniqueness.brezis_oswald_residual == form
 
 
@@ -934,6 +935,6 @@ def test_one_sided_monotone_solve_agrees(ctx):
     assert mono.uniqueness.two_start_gap <= 1e-8
     assert not mono.certified
     assert (
-        x_norm(mono.solution.values - damped.solution.values, spectrum.phi)
+        x_norm(mono.solution[0].values - damped.solution[0].values, spectrum.phi)
         <= 1e-8
     )

@@ -5,10 +5,12 @@ caller there: a helper with no caller on the run path either gets one or
 leaves the package (test oracles live in ``tests/reference_oracles.py``).
 Every dataclass field is read as an attribute outside its own class, in
 the package or the tests: a field that is only written goes.
-``spectral`` is the one module that imports scipy.  And the export list
+``spectral`` is the one module that imports scipy.  The export list
 ``groundstate.__all__`` names exactly what ``__init__.py`` imports, each
 entry resolving on the imported package, so a removed name cannot linger
-in it.
+in it.  And no module-level name is bound to another name the package
+defines (``X = Y``, or ``from .m import Y as X``), so a replaced type or
+function cannot stay behind under its old name.
 """
 
 import ast
@@ -131,3 +133,55 @@ def test_export_list_is_what_the_package_imports():
     assert len(set(exported)) == len(exported)
     assert set(exported) == set(imported)
     assert [name for name in exported if not hasattr(groundstate, name)] == []
+
+
+def _module_aliases(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level bindings, in trees, of a new name to a name one of trees defines."""
+    defined = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    aliases = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                value = node.value
+                source = getattr(value, "id", getattr(value, "attr", None))
+                if source not in defined:
+                    continue
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                aliases.extend(
+                    f"{module}:{node.lineno} {t.id} = {source}"
+                    for t in targets
+                    if isinstance(t, ast.Name) and t.id != source
+                )
+            elif isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "groundstate"
+            ):
+                aliases.extend(
+                    f"{module}:{node.lineno} {alias.asname} = {alias.name}"
+                    for alias in node.names
+                    if alias.asname not in (None, alias.name)
+                )
+    return aliases
+
+
+def test_no_module_level_name_aliases_another():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    assert _module_aliases(trees) == []
+    # the scan sees both forms of an alias, and a binding that is no alias
+    probe = ast.parse(
+        "from .semilinear_solver import FixedPointReport as SystemReport\n"
+        "from .semilinear_solver import two_start\n"
+        "class FixedPointReport: ...\n"
+        "SemilinearReport = FixedPointReport\n"
+        "LIMIT: int = 3\n"
+    )
+    assert _module_aliases({"probe.py": probe}) == [
+        "probe.py:1 SystemReport = FixedPointReport",
+        "probe.py:4 SemilinearReport = FixedPointReport",
+    ]
