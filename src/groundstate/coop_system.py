@@ -1,4 +1,7 @@
-"""Cooperative 2x2 systems (L - A)U = mu*U + F(r, U) via diagonalization.
+"""Cooperative 2x2 systems (L - A)U = mu*U + F(U) via diagonalization.
+
+F(U) = (phi g1(u1), phi g2(u2)), each g_i(u) the r-independent case of
+the paper's g(r, u) (semilinear_solver.Nonlinearity).
 
 The coupling matrix A = [[a, b], [c, d]] with b, c > 0 has a simple
 dominant eigenvalue xi1 with positive eigenvector Y, and the change of
@@ -124,8 +127,9 @@ def analyze_matrix(a: float, b: float, c: float, d: float) -> CoopMatrix:
     small that bc underflows can leave xi1 = xi2 or y2 = 0; unless
     xi1 > xi2 and y > 0 entrywise NotCooperative is raised before P^{-1}
     is formed.  The assembled identities A y = xi1 y, P^{-1} P = I and
-    P^{-1} A P diagonal are checked to 1e-10 relative (a NaN fails) before
-    the matrix is returned.
+    P^{-1} A P diagonal are checked to 1e-10 relative before the matrix
+    is returned; residuals that overflow fail as an inf or NaN err, with
+    no warning.
     """
     if not all(map(math.isfinite, (a, b, c, d))):
         raise NotCooperative("matrix entries must be finite")
@@ -153,11 +157,12 @@ def analyze_matrix(a: float, b: float, c: float, d: float) -> CoopMatrix:
     )
     arr = m.as_array
     scale = float(np.max(np.abs(arr))) + sq
-    err = float(np.max([
-        np.max(np.abs(arr @ y - xi1 * y)),
-        np.max(np.abs(p_inv @ p - np.eye(2))) * scale,
-        np.max(np.abs(p_inv @ arr @ p - np.diag([xi1, xi2]))),
-    ]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite err is refused below
+        err = float(np.max([
+            np.max(np.abs(arr @ y - xi1 * y)),
+            np.max(np.abs(p_inv @ p - np.eye(2))) * scale,
+            np.max(np.abs(p_inv @ arr @ p - np.diag([xi1, xi2]))),
+        ]))
     if not err <= ALGEBRA_RTOL * scale:
         raise NotCooperative(f"eigendecomposition identities lost precision (err {err:.3g})")
     return m
@@ -257,9 +262,8 @@ def _system_sweep(p: SystemProblem, mu: float, u: np.ndarray) -> tuple[np.ndarra
     U' is recoupled in one 2 x n block (CoopMatrix.recouple).
     """
     op, m = p.spectrum.op, p.matrix
-    r = op.grid.r
     phi = p.spectrum.phi
-    g1, g2 = m.decouple(phi * p.nl1(r, u[0]), phi * p.nl2(r, u[1]))
+    g1, g2 = m.decouple(phi * p.nl1(u[0]), phi * p.nl2(u[1]))
     v1 = op.solve_shifted(mu + m.xi1, g1)
     g1 = None
     v2 = op.solve_shifted(mu + m.xi2, g2)
@@ -289,16 +293,16 @@ def _system_newton(p: SystemProblem, mu: float, u: np.ndarray) -> np.ndarray | N
     one 2 x n block (CoopMatrix.recouple).
     """
     op, m = p.spectrum.op, p.matrix
-    r, phi = op.grid.r, p.spectrum.phi
+    phi = p.spectrum.phi
     pi, pp = m.p_inv, m.p
-    d1 = phi * p.nl1.derivative(r, u[0])
-    d2 = phi * p.nl2.derivative(r, u[1])
+    d1 = phi * p.nl1.derivative(u[0])
+    d2 = phi * p.nl2.derivative(u[1])
 
     def entry(i: int, j: int) -> np.ndarray:  # M_ij = sum_k (P^{-1})_ik D_k P_kj
         return (pi[i, 0] * pp[0, j]) * d1 + (pi[i, 1] * pp[1, j]) * d2
 
     def newton_rhs(nl: Nonlinearity, ui: np.ndarray, di: np.ndarray) -> np.ndarray:
-        h = phi * nl(r, ui)  # (F - D U)_i
+        h = phi * nl(ui)  # (F - D U)_i
         h -= di * ui
         return h
 

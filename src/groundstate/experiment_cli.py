@@ -47,7 +47,9 @@ not finite (the message names ``grid.r_max`` and ``grid.n``), a
 below r = 1e4 (the message names it), or a potential that is non-finite
 or nonpositive on the grid or decreases on grid nodes beyond its r0, a
 ``sweep.steps`` above what a numpy array holds, a ``solver.tol_x`` above
-CERT_SLACK, or a negative ``--seed``
+CERT_SLACK, a nonlinearity whose g, g/u or g_u is not a finite double
+on the validation lattice (the message names ``nonlinearity`` or
+``nonlinearity2`` and the u), or a negative ``--seed``
 (the errors that subclass ConfigError, and unreadable files); 3 a solver
 raised (no convergence, singular solve, escaped bracket, window or
 hypothesis violation), a LAPACK call failed (``LinAlgError``) or numpy
@@ -360,17 +362,20 @@ def check_potential_on_grid(pot, grid) -> None:
 
 
 def build_nonlinearity(block: dict, name: str):
-    """The profile a ``nonlinearity`` block describes; name is its config key."""
+    """The profile a ``nonlinearity`` block describes, validated; name is its config key."""
     kind = _block_kind(block, name, "nonlinearity")
     if kind == "constant":
         if "g" not in block:
             raise MalformedInput("constant nonlinearity needs 'g'")
-        return constant_profile(block["g"])
-    if "kappa" not in block or "K" not in block:
+        nl = constant_profile(block["g"])
+    elif "kappa" not in block or "K" not in block:
         raise MalformedInput(f"{kind} nonlinearity needs 'kappa' and 'K'")
-    if kind == "rational":
-        return rational_profile(block["kappa"], block["K"])
-    return exp_decay_profile(block["kappa"], block["K"], s=block.get("s", 1.0))
+    elif kind == "rational":
+        nl = rational_profile(block["kappa"], block["K"])
+    else:
+        nl = exp_decay_profile(block["kappa"], block["K"], s=block.get("s", 1.0))
+    validate_nonlinearity(nl, name)
+    return nl
 
 
 def build_f(cfg: dict, spectrum) -> np.ndarray:
@@ -696,7 +701,6 @@ def _semilinear_setup(cfg, spectrum, w):
     if "nonlinearity" not in cfg:
         raise MalformedInput("semilinear mode needs a 'nonlinearity' block")
     nl = build_nonlinearity(cfg["nonlinearity"], "nonlinearity")
-    validate_nonlinearity(nl, spectrum.op.grid.r)
     lam = spectrum.Lambda
     two_start, start, kwargs = _solver_controls(cfg)
 
@@ -716,11 +720,9 @@ def _system_setup(cfg, spectrum, w):
         raise MalformedInput("system mode needs 'matrix' and 'nonlinearity' blocks")
     mspec = cfg["matrix"]
     m = analyze_matrix(mspec["a"], mspec["b"], mspec["c"], mspec["d"])
-    # without a nonlinearity2 block both components share one profile, validated once
+    # without a nonlinearity2 block both components share one profile, built once
     keys = [key for key in ("nonlinearity", "nonlinearity2") if key in cfg]
     nls = [build_nonlinearity(cfg[key], key) for key in keys]
-    for nl in nls:
-        validate_nonlinearity(nl, spectrum.op.grid.r)
     nl1, nl2 = nls[0], nls[-1]
     p = system_problem(spectrum, m, nl1, nl2)
     two_start, start, kwargs = _solver_controls(cfg)

@@ -1,9 +1,10 @@
-"""Semilinear solves -Delta u + q u = mu u + phi*g(r, u) near Lambda.
+"""Semilinear solves -Delta u + q u = mu u + phi*g(u) near Lambda.
 
-The right-hand side is groundstate-modulated: f(r, u) = phi(r) g(r, u)
-with kappa <= g <= K.  For mu inside the window
+The right-hand side is groundstate-modulated: f(r, u) = phi(r) g(u)
+with kappa <= g <= K; g(u) is the r-independent case of the paper's
+g(r, u).  For mu inside the window
 min{delta0, kappa/(2*c0*K)} the fixed-point map
-T(u) = (L - mu)^{-1} f(r, u) is iterated in the bracket
+T(u) = (L - mu)^{-1} (phi g(u)) is iterated in the bracket
 
     MP  (mu < Lambda):  kappa*phi/(Lambda-mu) <= u <= K*phi/(Lambda-mu)
     AMP (mu > Lambda):  K*phi/(Lambda-mu) <= u <= kappa*phi/(Lambda-mu)
@@ -79,139 +80,130 @@ ESCAPE_FRACTION = 0.25
 #: which may still be far from the quadratic regime, only has to fall)
 NEWTON_CONTRACTION = 0.5
 SLOPE_RTOL = 0.1  # slack of the derivative check, relative to the larger |g_u| of an interval
-SLOPE_EVERY = 8  # the derivative check takes one lattice interval in every SLOPE_EVERY
 
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Modulated nonlinearity f(r, u) = phi(r) * profile(r, u).
+    """Modulated nonlinearity f(r, u) = phi(r) * profile(u).
 
     kappa and k_upper are the claimed pointwise bounds
     kappa <= profile <= k_upper.  The full certificate theory needs
     kappa > 0; kappa <= 0 is admitted for the one-sided regime (data only
     bounded above), where the MP-side solve still works but the GSP
-    certificate is skipped.  derivative(r, u) is the u-derivative g_u of
+    certificate is skipped.  derivative(u) is the u-derivative g_u of
     profile, with which solve_semilinear and solve_system take their
     Newton steps.  The uniqueness diagnostics assume that
-    u -> profile(r, u)/u is strictly decreasing on u > 0, which
+    u -> profile(u)/u is strictly decreasing on u > 0, which
     validate_nonlinearity checks on a sample lattice for every profile
-    a run uses.
+    a run uses.  Neither function reads r: the package implements the
+    r-independent case g(u) of the paper's g(r, u).
     """
 
-    profile: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    profile: Callable[[np.ndarray], np.ndarray]
     kappa: float
     k_upper: float
-    derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    derivative: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         if not (self.kappa <= self.k_upper) or self.k_upper <= 0.0:
             raise MalformedInput("need kappa <= K and K > 0")
 
-    def __call__(self, r: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.asarray(self.profile(r, u), dtype=float)
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        return np.asarray(self.profile(u), dtype=float)
 
 
 def constant_profile(g0: float) -> Nonlinearity:
-    """g(r, u) = g0, the exactly solvable case u = g0*phi/(Lambda-mu)."""
+    """g(u) = g0, the exactly solvable case u = g0*phi/(Lambda-mu)."""
     if g0 <= 0:
         raise MalformedInput("constant profile needs g0 > 0")
     return Nonlinearity(
-        profile=lambda r, u: np.full_like(np.asarray(u, dtype=float), g0),
+        profile=lambda u: np.full_like(np.asarray(u, dtype=float), g0),
         kappa=g0,
         k_upper=g0,
-        derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
+        derivative=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
     )
 
 
 def rational_profile(kappa: float, k_upper: float) -> Nonlinearity:
-    """g(r, u) = kappa + (K - kappa)/(1 + u^2), g_u = -2 (K - kappa) u/(1 + u^2)^2."""
+    """g(u) = kappa + (K - kappa)/(1 + u^2), g_u = -2 (K - kappa) u/(1 + u^2)^2."""
     if not (0.0 < kappa <= k_upper):
         raise MalformedInput("need 0 < kappa <= K")
     return Nonlinearity(
-        profile=lambda r, u: kappa + (k_upper - kappa) / (1.0 + np.asarray(u, dtype=float) ** 2),
+        profile=lambda u: kappa + (k_upper - kappa) / (1.0 + np.asarray(u, dtype=float) ** 2),
         kappa=kappa,
         k_upper=k_upper,
-        derivative=lambda r, u: (-2.0 * (k_upper - kappa)) * np.asarray(u, dtype=float)
+        derivative=lambda u: (-2.0 * (k_upper - kappa)) * np.asarray(u, dtype=float)
         / (1.0 + np.asarray(u, dtype=float) ** 2) ** 2,
     )
 
 
 def exp_decay_profile(kappa: float, k_upper: float, s: float = 1.0) -> Nonlinearity:
-    """g(r, u) = kappa + (K - kappa)*exp(-s*|u|), g_u = -s (K - kappa) sign(u) exp(-s*|u|).
+    """g(u) = kappa + (K - kappa)*exp(-s*|u|), g_u = -s (K - kappa) sign(u) exp(-s*|u|).
 
     g has a kink at u = 0, where g_u reads 0; no bracket reaches it.
     """
     if not (0.0 < kappa <= k_upper) or s <= 0:
         raise MalformedInput("need 0 < kappa <= K and s > 0")
     return Nonlinearity(
-        profile=lambda r, u: kappa
+        profile=lambda u: kappa
         + (k_upper - kappa) * np.exp(-s * np.abs(np.asarray(u, dtype=float))),
         kappa=kappa,
         k_upper=k_upper,
-        derivative=lambda r, u: (-s * (k_upper - kappa)) * np.sign(u)
+        derivative=lambda u: (-s * (k_upper - kappa)) * np.sign(u)
         * np.exp(-s * np.abs(np.asarray(u, dtype=float))),
     )
 
 
-def validate_nonlinearity(nl: Nonlinearity, r: np.ndarray) -> None:
+def validate_nonlinearity(nl: Nonlinearity, name: str = "nonlinearity") -> None:
     """Sample-check the box bounds, the decreasing-ratio hypothesis and g_u.
 
-    The box kappa <= g <= K is checked on a symmetric u-lattice (64
-    log-spaced values from 1e-3 to 1e3, their negatives, and zero); the
-    ratio g(r, u)/u is checked for strict decrease along the positive
-    lattice at every node.  For g_u, one interval [a, b] of
-    neighbouring lattice points in every SLOPE_EVERY (8 positive and 7
-    negative ones, one every ~0.76 decade of |u|; none ends at u = 0,
-    exp_decay's kink) must have its difference quotient
-    (g(b) - g(a))/(b - a), which g_u takes somewhere in between, inside
-    the range of g_u(a) and g_u(b) widened by SLOPE_RTOL of the larger
-    |g_u| there: a g_u of the wrong sign fails wherever it is not
+    One vector pass evaluates g and g_u once each on a symmetric u-lattice
+    (64 log-spaced values from 1e-3 to 1e3, their negatives, and zero),
+    under np.errstate: a g, g/u (positive lattice) or g_u that is not
+    finite there is an input double precision cannot evaluate, and raises
+    MalformedInput naming name (the config block) and the u.  Then, in
+    this order, the box kappa <= g <= K is checked on the lattice, the
+    ratio g/u for strict decrease along the positive lattice, and g_u on
+    every interval [a, b] of neighbouring lattice points of one sign (none
+    ends at u = 0, exp_decay's kink): the difference quotient
+    (g(b) - g(a))/(b - a), which g_u takes somewhere in between, must lie
+    in the range of g_u(a) and g_u(b) widened by SLOPE_RTOL of the larger
+    |g_u| there, so a g_u of the wrong sign fails wherever it is not
     negligible, and one off by a factor of 2 wherever it also changes
-    little across an interval.  One pass evaluates g once per lattice
-    point, and g_u at the two ends of each checked interval.  Raises HypothesisViolated on the first box
-    failure, else on the first ratio failure, else on the first
-    derivative failure.
+    little across an interval.  Raises HypothesisViolated on the first
+    failure of the first check that fails.
     """
-    r = np.asarray(r, dtype=float)
     upos = np.geomspace(1e-3, 1e3, 64)
-    lattice = np.concatenate([-upos[::-1], [0.0], upos])
-    tol = 1e-9 * max(1.0, nl.k_upper)
-    prev = None
-    ratio_fails_at = None
-    slope_fails_at = None
-    last = None  # (u, g, g_u) at the previous lattice point
-    for j, uval in enumerate(lattice):
-        u = np.full_like(r, uval)
-        g = nl(r, u)
-        if g.min() < nl.kappa - tol or g.max() > nl.k_upper + tol:
+    u = np.concatenate([-upos[::-1], [0.0], upos])
+    with np.errstate(all="ignore"):
+        g = nl(u)
+        gu = np.asarray(nl.derivative(u), dtype=float)
+        ratio = g[-upos.size:] / upos
+        for label, values, at in (("g", g, u), ("g/u", ratio, upos), ("g_u", gu, u)):
+            bad = ~np.isfinite(values)
+            if bad.any():
+                raise MalformedInput(f"{name}: {label} is not finite at u = {at[bad.argmax()]:g}")
+        tol = 1e-9 * max(1.0, nl.k_upper)
+        outside = (g < nl.kappa - tol) | (g > nl.k_upper + tol)
+        if outside.any():
+            j = outside.argmax()
+            raise HypothesisViolated(f"{name}: g leaves [kappa, K] at u = {u[j]:g}: g = {g[j]:.6g}")
+        rising = ratio[1:] >= ratio[:-1]
+        if rising.any():
             raise HypothesisViolated(
-                f"profile leaves [kappa, K] at u = {uval:g}: "
-                f"range [{g.min():.6g}, {g.max():.6g}]"
+                f"{name}: g(u)/u fails to decrease strictly at u = {upos[1:][rising.argmax()]:g}"
             )
-        if uval > 0 and ratio_fails_at is None:
-            ratio = g / uval
-            if prev is not None and np.any(ratio >= prev):
-                ratio_fails_at = uval
-            prev = ratio
-        phase = j % SLOPE_EVERY  # a checked interval runs from phase SLOPE_EVERY - 1 to 0
-        if slope_fails_at is not None or 0 < phase < SLOPE_EVERY - 1:
-            continue
-        gu = np.asarray(nl.derivative(r, u), dtype=float)
-        if phase == 0 and last is not None and last[0] * uval > 0.0:
-            u0, g0, gu0 = last
-            dq = (g - g0) / (uval - u0)
-            lo, hi = np.minimum(gu0, gu), np.maximum(gu0, gu)
-            slack = SLOPE_RTOL * np.maximum(hi, -lo) + tol / (uval - u0)
-            if ((dq < lo - slack) | (dq > hi + slack)).any():
-                slope_fails_at = (u0, uval)
-        last = (uval, g, gu)
-    if ratio_fails_at is not None:
-        raise HypothesisViolated(f"g(r, u)/u fails to decrease strictly at u = {ratio_fails_at:g}")
-    if slope_fails_at is not None:
-        raise HypothesisViolated(
-            "g_u disagrees with the difference quotient of g between u = "
-            f"{slope_fails_at[0]:g} and u = {slope_fails_at[1]:g}"
-        )
+        du = np.diff(u)
+        dq = np.diff(g) / du
+        lo, hi = np.minimum(gu[:-1], gu[1:]), np.maximum(gu[:-1], gu[1:])
+        slack = SLOPE_RTOL * np.maximum(hi, -lo) + tol / du
+        wrong = (u[:-1] * u[1:] > 0.0) & ((dq < lo - slack) | (dq > hi + slack))
+        if wrong.any():
+            j = wrong.argmax()
+            raise HypothesisViolated(
+                f"{name}: g_u disagrees with the difference quotient of g between u = "
+                f"{u[j]:g} and u = {u[j + 1]:g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -268,13 +260,12 @@ def window_semilinear(nl: Nonlinearity, w: WindowEstimate) -> float:
 def apply_T(
     spectrum: SpectrumSummary, nl: Nonlinearity, mu: float, u: np.ndarray
 ) -> np.ndarray:
-    """One fixed-point map T(u) = (L - mu)^{-1} [phi * g(r, u)], L = spectrum.op.
+    """One fixed-point map T(u) = (L - mu)^{-1} [phi * g(u)], L = spectrum.op.
 
     The solve is verified inside solve_shifted: a residual above 1e-10
     raises SingularResolvent.
     """
-    op = spectrum.op
-    return op.solve_shifted(mu, spectrum.phi * nl(op.grid.r, u))
+    return spectrum.op.solve_shifted(mu, spectrum.phi * nl(u))
 
 
 @dataclass(frozen=True)
@@ -505,9 +496,9 @@ def _scalar_newton(
     The right-hand form needs no product with L; like a sweep, it is one
     tridiagonal elimination of the whole iterate, here unverified.
     """
-    phi, r = spectrum.phi, spectrum.op.grid.r
-    slope = phi * nl.derivative(r, u)
-    rhs = phi * nl(r, u)
+    phi = spectrum.phi
+    slope = phi * nl.derivative(u)
+    rhs = phi * nl(u)
     rhs -= slope * u
     return spectrum.op.solve_unverified(mu, slope, rhs)
 

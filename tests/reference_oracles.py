@@ -59,17 +59,15 @@ class MonotonicityBroken(GroundstateError):
     """Monotone iteration lost its nodewise ordering; the shift is too small."""
 
 
-def _lipschitz_estimate(
-    nl: Nonlinearity, r: np.ndarray, phi: np.ndarray, bracket: Bracket
-) -> float:
-    """Finite-difference bound on the u-Lipschitz constant of phi*g(r, u)."""
+def _lipschitz_estimate(nl: Nonlinearity, phi: np.ndarray, bracket: Bracket) -> float:
+    """Finite-difference bound on the u-Lipschitz constant of phi*g(u)."""
     lo = float(np.min(bracket.lower))
     hi = float(np.max(bracket.upper))
     us = np.linspace(lo, hi, 33)
     best = 0.0
-    prev = phi * nl(r, np.full_like(r, us[0]))
+    prev = phi * nl(np.full_like(phi, us[0]))
     for uval in us[1:]:
-        cur = phi * nl(r, np.full_like(r, uval))
+        cur = phi * nl(np.full_like(phi, uval))
         best = max(best, float(np.max(np.abs(cur - prev))) / (us[1] - us[0]))
         prev = cur
     return best
@@ -99,14 +97,13 @@ def monotone_solve(
     if mu >= lam:
         raise WindowViolation("monotone scheme needs mu < Lambda")
     op, phi = spectrum.op, spectrum.phi
-    r = op.grid.r
     bracket = make_bracket(spectrum, nl, mu)
-    m_shift = 1.5 * _lipschitz_estimate(nl, r, phi, bracket) if shift is None else float(shift)
+    m_shift = 1.5 * _lipschitz_estimate(nl, phi, bracket) if shift is None else float(shift)
     if m_shift < 0:
         raise MalformedInput("shift must be >= 0")
 
     def sweep(u: np.ndarray) -> np.ndarray:
-        return op.solve_shifted(mu - m_shift, phi * nl(r, u) + m_shift * u)
+        return op.solve_shifted(mu - m_shift, phi * nl(u) + m_shift * u)
 
     limits = []
     total_iters = 0

@@ -273,17 +273,46 @@ def _tiny_coupling(coupling: float) -> dict:
         # q = 1 + r**2.5 reaches 4e12 only beyond the r = 1e4 search cap
         ({"potential": {"kind": "power", "c": 1.0, "s": 2.5}, "grid": {"spectral_scale": 1e12}},
          "grid.spectral_scale = 1e+12"),
+        # b*(xi1 - a) overflows in A y, so the identity residual is NaN
+        (
+            {
+                "mode": "system", "grid": {"r_max": 3.2, "n": 120},
+                "nonlinearity": {"kind": "rational", "kappa": 1.0, "K": 2.0},
+                "matrix": {"a": 0.0, "b": 1e300, "c": 1e-280, "d": 0.0},
+            },
+            "error: eigendecomposition identities lost precision (err nan)",
+        ),
+        # g/u overflows at u = 1e-3, the validation lattice's smallest positive point
+        (
+            {"mode": "semilinear", "nonlinearity": {"kind": "constant", "g": 1e308}},
+            "error: nonlinearity: g/u is not finite at u = 0.001",
+        ),
+        (
+            {
+                "mode": "semilinear",
+                "nonlinearity": {"kind": "rational", "kappa": 1e-300, "K": 1e308},
+            },
+            "error: nonlinearity: g/u is not finite at u = 0.001",
+        ),
+        (
+            {**_tiny_coupling(1.0), "nonlinearity2": {"kind": "constant", "g": 1e308}},
+            "error: nonlinearity2: g/u is not finite at u = 0.001",
+        ),
     ],
     ids=[
         "dump_offset", "coupling_1e-300", "coupling_1e-200", "r_max_nan", "spectral_scale_nan",
         "truncation_factor_nan", "points_per_unit_nan", "points_per_unit_inf",
-        "spectral_scale_unreachable",
+        "spectral_scale_unreachable", "matrix_identities_overflow", "constant_g_1e308",
+        "rational_K_1e308", "system_nonlinearity2_g_1e308",
     ],
 )
 def test_config_no_run_can_honor_exits_2(tmp_path, capsys, changes, message):
     cfg = write_offsets_config(tmp_path / "cfg.json", mu_offsets=[-0.1, 0.05], **changes)
-    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert message in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not (tmp_path / "out").exists()
 
 

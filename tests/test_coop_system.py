@@ -305,10 +305,10 @@ def test_solve_system_rejects_bad_controls(ctx):
 
 def test_lying_profile_escapes_rectangle(ctx):
     liar = Nonlinearity(
-        profile=lambda r, u: np.full_like(np.asarray(u, dtype=float), 50.0),
+        profile=lambda u: np.full_like(np.asarray(u, dtype=float), 50.0),
         kappa=1.0,
         k_upper=2.0,
-        derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
+        derivative=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
     )
     p, w, mu = make_problem(ctx, liar, liar, -0.1)
     with pytest.raises(BracketEscape):
@@ -547,9 +547,9 @@ def test_mp_system_limit_solves_the_coupled_problem(
     assert rep.branch == "MP" and rep.certified
     assert rep.uniqueness.two_start_gap <= 1e-7
 
-    phi, r = spectrum.phi, grid.r
+    phi = spectrum.phi
     u1, u2 = rep.solution[0].values, rep.solution[1].values
-    b1, b2 = block_solve(op, m, mu, phi * nl(r, u1), phi * nl(r, u2))
+    b1, b2 = block_solve(op, m, mu, phi * nl(u1), phi * nl(u2))
     gap = max(x_norm(b1 - u1, phi), x_norm(b2 - u2, phi))
     assert gap <= 1e-8 * max(v.x_norm for v in rep.solution)
 

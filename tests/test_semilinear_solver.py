@@ -80,13 +80,13 @@ def test_builtin_profiles_enforce_positive_bounds():
 
 def test_bare_nonlinearity_admits_nonpositive_kappa():
     nl = Nonlinearity(
-        profile=lambda r, u: np.full_like(np.asarray(u, dtype=float), 1.0),
+        profile=lambda u: np.full_like(np.asarray(u, dtype=float), 1.0),
         kappa=-1.0,
         k_upper=2.0,
-        derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
+        derivative=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
     )
     assert nl.kappa == -1.0
-    identity = dict(profile=lambda r, u: u, derivative=lambda r, u: np.ones_like(u))
+    identity = dict(profile=lambda u: u, derivative=lambda u: np.ones_like(u))
     with pytest.raises(MalformedInput):
         Nonlinearity(kappa=3.0, k_upper=2.0, **identity)
     with pytest.raises(MalformedInput):
@@ -95,74 +95,90 @@ def test_bare_nonlinearity_admits_nonpositive_kappa():
 
 def test_exp_decay_profile_is_even_in_u():
     nl = exp_decay_profile(1.0, 3.0, s=0.7)
-    r = np.linspace(0.1, 2.0, 5)
     u = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-    g = nl(r, u)
-    np.testing.assert_allclose(g, nl(r, -u))
+    g = nl(u)
+    np.testing.assert_allclose(g, nl(-u))
     np.testing.assert_allclose(g, 1.0 + 2.0 * np.exp(-0.7 * np.abs(u)))
 
 
 def test_validate_nonlinearity_catches_lying_box():
-    r = np.linspace(0.1, 3.0, 20)
     liar = Nonlinearity(
-        profile=lambda r, u: np.full_like(np.asarray(u, dtype=float), 2.0),
+        profile=lambda u: np.full_like(np.asarray(u, dtype=float), 2.0),
         kappa=0.5,
         k_upper=1.0,
-        derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
+        derivative=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
     )
     with pytest.raises(HypothesisViolated):
-        validate_nonlinearity(liar, r)
+        validate_nonlinearity(liar)
     honest = rational_profile(1.0, 2.0)
-    validate_nonlinearity(honest, r)  # should not raise
+    validate_nonlinearity(honest)  # should not raise
 
 
-def clip_slope(r, u):
+def clip_slope(u):
     """g_u of g = clip(u, 0.5, 2): 1 inside (0.5, 2), 0 outside."""
     u = np.asarray(u, dtype=float)
     return ((u > 0.5) & (u < 2.0)).astype(float)
 
 
 def test_validate_nonlinearity_catches_flat_ratio():
-    r = np.linspace(0.1, 3.0, 20)
     # g = clip(u, kappa, K) has g/u constant on [kappa, K]
     plateau = Nonlinearity(
-        profile=lambda r, u: np.clip(np.asarray(u, dtype=float), 0.5, 2.0),
+        profile=lambda u: np.clip(np.asarray(u, dtype=float), 0.5, 2.0),
         kappa=0.5,
         k_upper=2.0,
         derivative=clip_slope,
     )
     with pytest.raises(HypothesisViolated):
-        validate_nonlinearity(plateau, r)
+        validate_nonlinearity(plateau)
 
 
-def test_validate_nonlinearity_evaluates_each_lattice_point_once():
-    r = np.linspace(0.1, 3.0, 20)
+def test_validate_nonlinearity_evaluates_g_and_g_u_once_on_the_lattice():
     nl = rational_profile(1.0, 2.0)
-    calls = []
+    calls = {"profile": [], "derivative": []}
 
-    def counting(r, u):
-        calls.append(u[0])
-        return nl.profile(r, u)
+    def counting(name, fn):
+        def wrapped(u):
+            calls[name].append(np.array(u))
+            return fn(u)
 
-    validate_nonlinearity(Nonlinearity(counting, 1.0, 2.0, nl.derivative), r)
-    # 64 positive points, their negatives and zero; the ratio check reuses them
-    assert len(calls) == 129
-    assert len(set(calls)) == 129
+        return wrapped
+
+    profile, derivative = counting("profile", nl.profile), counting("derivative", nl.derivative)
+    validate_nonlinearity(Nonlinearity(profile, 1.0, 2.0, derivative))
+    # one vector each, of the 129 distinct lattice values: 64 positive
+    # points, their negatives and zero
+    upos = np.geomspace(1e-3, 1e3, 64)
+    lattice = np.concatenate([-upos[::-1], [0.0], upos])
+    for name, seen in calls.items():
+        assert len(seen) == 1, name
+        np.testing.assert_array_equal(seen[0], lattice)
+
+
+def test_validate_nonlinearity_checks_g_u_on_every_interval():
+    # g_u doubled on 8e-3 < u < 1.2e-2, between two of the lattice points
+    base = rational_profile(1.0, 2.0)
+
+    def derivative(u):
+        u = np.asarray(u, dtype=float)
+        return np.where((u > 8e-3) & (u < 1.2e-2), 2.0, 1.0) * base.derivative(u)
+
+    wrong = Nonlinearity(base.profile, base.kappa, base.k_upper, derivative)
+    with pytest.raises(HypothesisViolated, match="g_u disagrees"):
+        validate_nonlinearity(wrong)
 
 
 def test_validate_nonlinearity_reports_a_box_failure_before_a_ratio_failure():
-    r = np.linspace(0.1, 3.0, 20)
     # g/u is flat between 0.5 and 2 (an early ratio failure), and g leaves
     # [kappa, K] = [0.5, 2] above u = 100, later on the lattice
     both = Nonlinearity(
-        profile=lambda r, u: np.clip(np.asarray(u, dtype=float), 0.5, 2.0)
+        profile=lambda u: np.clip(np.asarray(u, dtype=float), 0.5, 2.0)
         + (np.asarray(u, dtype=float) > 100.0),
         kappa=0.5,
         k_upper=2.0,
         derivative=clip_slope,
     )
     with pytest.raises(HypothesisViolated, match="leaves"):
-        validate_nonlinearity(both, r)
+        validate_nonlinearity(both)
 
 
 @pytest.mark.parametrize(
@@ -176,9 +192,8 @@ def test_validate_nonlinearity_reports_a_box_failure_before_a_ratio_failure():
     ids=["constant", "rational", "exp_decay", "exp_decay-steep"],
 )
 def test_validate_nonlinearity_accepts_the_cli_derivatives(nl):
-    r = np.linspace(0.1, 3.0, 20)
     assert nl.derivative is not None
-    validate_nonlinearity(nl, r)
+    validate_nonlinearity(nl)
 
 
 @pytest.mark.parametrize("factor", [-1.0, 2.0, 0.5], ids=["sign", "double", "half"])
@@ -188,15 +203,14 @@ def test_validate_nonlinearity_accepts_the_cli_derivatives(nl):
     ids=["rational", "exp_decay"],
 )
 def test_validate_nonlinearity_catches_a_wrong_derivative(base, factor):
-    r = np.linspace(0.1, 3.0, 20)
     wrong = Nonlinearity(
         profile=base.profile,
         kappa=base.kappa,
         k_upper=base.k_upper,
-        derivative=lambda r, u: factor * base.derivative(r, u),
+        derivative=lambda u: factor * base.derivative(u),
     )
     with pytest.raises(HypothesisViolated, match="g_u disagrees"):
-        validate_nonlinearity(wrong, r)
+        validate_nonlinearity(wrong)
 
 
 # ------------------------------------------------------ brackets and window
@@ -232,10 +246,10 @@ def test_window_semilinear_rule(ctx):
         min(w.delta0, 1.0 / (2.0 * w.c0 * 2.0))
     )
     one_sided = Nonlinearity(
-        profile=lambda r, u: np.full_like(np.asarray(u, dtype=float), 1.0),
+        profile=lambda u: np.full_like(np.asarray(u, dtype=float), 1.0),
         kappa=-1.0,
         k_upper=2.0,
-        derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
+        derivative=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
     )
     assert window_semilinear(one_sided, w) == w.delta0
 
@@ -309,10 +323,10 @@ def test_solve_validates_controls(ctx):
 def test_lying_profile_escapes_bracket(ctx):
     _, _, spectrum, w = ctx
     liar = Nonlinearity(
-        profile=lambda r, u: np.full_like(np.asarray(u, dtype=float), 50.0),
+        profile=lambda u: np.full_like(np.asarray(u, dtype=float), 50.0),
         kappa=1.0,
         k_upper=2.0,
-        derivative=lambda r, u: np.zeros_like(np.asarray(u, dtype=float)),
+        derivative=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
     )
     with pytest.raises(BracketEscape):
         solve_semilinear(spectrum, w, liar, spectrum.Lambda - 0.1)
@@ -359,10 +373,10 @@ def steep_profile(spectrum, mu):
         return 1.0 / (1.0 + np.exp(8.0 * (u * scale - 1.3)))
 
     return Nonlinearity(
-        profile=lambda r, u: 1.0 + logistic(u),
+        profile=lambda u: 1.0 + logistic(u),
         kappa=1.0,
         k_upper=2.0,
-        derivative=lambda r, u: -8.0 * scale * logistic(u) * (1.0 - logistic(u)),
+        derivative=lambda u: -8.0 * scale * logistic(u) * (1.0 - logistic(u)),
     )
 
 
@@ -892,11 +906,11 @@ def test_two_start_row_holds_the_form_of_its_two_limits(ctx, offset):
 def one_sided_profile():
     """g = -0.5 + 1.5 exp(-(u/10)^2), g_u = -0.03 u exp(-(u/10)^2)."""
     return Nonlinearity(
-        profile=lambda r, u: -0.5
+        profile=lambda u: -0.5
         + 1.5 * np.exp(-((np.asarray(u, dtype=float) / 10.0) ** 2)),
         kappa=-0.5,
         k_upper=1.5,
-        derivative=lambda r, u: -0.03
+        derivative=lambda u: -0.03
         * np.asarray(u, dtype=float)
         * np.exp(-((np.asarray(u, dtype=float) / 10.0) ** 2)),
     )

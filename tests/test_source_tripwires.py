@@ -10,7 +10,10 @@ the package or the tests: a field that is only written goes.
 entry resolving on the imported package, so a removed name cannot linger
 in it.  And no module-level name is bound to another name the package
 defines (``X = Y``, or ``from .m import Y as X``), so a replaced type or
-function cannot stay behind under its old name.
+function cannot stay behind under its old name.  No function or lambda
+has a parameter that its body never reads (``self``, ``cls`` and
+``_``-prefixed names are exempt), so no caller computes an argument that
+nothing uses.
 """
 
 import ast
@@ -184,4 +187,52 @@ def test_no_module_level_name_aliases_another():
     assert _module_aliases({"probe.py": probe}) == [
         "probe.py:1 SystemReport = FixedPointReport",
         "probe.py:4 SemilinearReport = FixedPointReport",
+    ]
+
+
+def _unread_parameters(trees: dict[str, ast.Module]) -> list[str]:
+    """Parameters, in trees, of a function or lambda whose body never loads them."""
+    unread = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loads = {
+                sub.id
+                for stmt in body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "lambda")
+            unread.extend(
+                f"{module}:{node.lineno} {name}({param.arg})"
+                for param in params
+                if param is not None
+                and param.arg not in ("self", "cls")
+                and not param.arg.startswith("_")
+                and param.arg not in loads
+            )
+    return unread
+
+
+def test_no_parameter_goes_unread():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    assert _unread_parameters(trees) == []
+    # the scan sees a lambda's and a function's unread parameter, a nested
+    # read, and the exempt names
+    probe = ast.parse(
+        "profile = lambda r, u: u * 2\n"
+        "def outer(a, b, *rest, _skip, **extra):\n"
+        "    return lambda: a + len(rest)\n"
+        "class C:\n"
+        "    def method(self, x):\n"
+        "        return x\n"
+    )
+    assert sorted(_unread_parameters({"probe.py": probe})) == [
+        "probe.py:1 lambda(r)",
+        "probe.py:2 outer(b)",
+        "probe.py:2 outer(extra)",
     ]
